@@ -21,13 +21,11 @@ from .asympt import (
 from .genexp import (
     CheckReport,
     GenusExpansionContext,
-    build_f,
     build_f_lemma,
     build_phi0,
     build_phi_g,
     build_y,
     check_derivative_formula,
-    check_induction_identity,
 )
 from .kappavol import (
     MultiIndex,
@@ -54,13 +52,11 @@ __all__ = [
     "VolumeRecord",
     "bessel_j0_first_zero",
     "bessel_x_of_y",
-    "build_f",
     "build_f_lemma",
     "build_phi0",
     "build_phi_g",
     "build_y",
     "check_derivative_formula",
-    "check_induction_identity",
     "compare_growth_constants",
     "critical_point",
     "critical_radius",

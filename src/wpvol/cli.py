@@ -18,7 +18,6 @@ from .asympt import fit_growth, predicted_growth_constant
 from .genexp import (
     CheckReport,
     GenusExpansionContext,
-    build_f,
     build_phi0,
     build_phi_g,
     check_derivative_formula,
@@ -197,7 +196,7 @@ def _verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> List
             reports.append(lemma_report(i, ctx))
         for i in range(2, 11):
             expected = Fraction((-1) ** i, factorial(i - 1))
-            actual = build_f(i, ctx)[0]
+            actual = ctx.f(i)[0]
             mm = None if actual == expected else (0, actual, expected)
             reports.append(CheckReport("f_value_at_zero", mm is None, i=i, mismatch=mm))
     if suite in ("theorem1", "all"):

@@ -35,11 +35,9 @@ __all__ = [
     "CheckReport",
     "build_y",
     "build_phi0",
-    "build_f",
     "build_f_lemma",
     "build_phi_g",
     "check_derivative_formula",
-    "check_induction_identity",
     "induction_sides",
     "lemma_report",
     "theorem_reports",
@@ -105,11 +103,6 @@ class GenusExpansionContext:
         return cached
 
 
-def build_f(i: int, ctx: GenusExpansionContext) -> Series:
-    """The i-th derivative-chain function, valid to ctx.order."""
-    return ctx.f(i)
-
-
 def build_f_lemma(i: int, ctx: GenusExpansionContext, order: Optional[int] = None) -> Series:
     """f_i through its functional equation
     f_i = sum_{k>=0} (-1)^(i+k) / (i+k-1)! * y^k / k!, composed with y(x).
@@ -128,31 +121,32 @@ def build_f_lemma(i: int, ctx: GenusExpansionContext, order: Optional[int] = Non
     return outer.compose(ctx.y.truncate(n))
 
 
-def _phi_term(ctx: GenusExpansionContext, g: int, n: int, l: MultiIndex,
-              bracket: Fraction) -> Series:
-    term = ctx.y_prime_power(2 * (g - 1) + n + l.size)
-    denom = 1
-    for i, mult in l.items():
-        term = term * ctx.f_power(i, mult)
-        denom *= factorial(mult)
-    return term * (bracket / denom)
+def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:
+    """sum_{|l|=3g-3+n} <tau_0^n tau_2^{l_2} ...>_g
+    * (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!, to ctx.order."""
+    if ctx.i_max < 3 * g - 2 + n:
+        raise ValueError(f"context needs i_max >= {3 * g - 2 + n} for genus {g}")
+    total = Series.zero(ctx.order)
+    for l in enumerate_multiindices(3 * g - 3 + n, 3 * g - 2 + n):
+        bracket = calc.tau_batch(g, l.items(), zeros=n)
+        if not bracket:
+            continue
+        term = ctx.y_prime_power(2 * (g - 1) + n + l.size)
+        denom = 1
+        for i, mult in l.items():
+            term = term * ctx.f_power(i, mult)
+            denom *= factorial(mult)
+        total = total + term * (bracket / denom)
+    return total
 
 
 def build_phi_g(g: int, ctx: GenusExpansionContext,
                 calc: Optional[TauCalculator] = None) -> Series:
-    """The closed genus-g generating series, g >= 2, to ctx.order."""
+    """The closed genus-g generating series, g >= 2, to ctx.order: the n = 0
+    case of the sum in check_derivative_formula."""
     if g < 2:
         raise ValueError("the closed genus form starts at g = 2 (use build_phi0 for g = 0)")
-    if ctx.i_max < 3 * g - 2:
-        raise ValueError(f"context needs i_max >= {3 * g - 2} for genus {g}")
-    if calc is None:
-        calc = TauCalculator()
-    total = Series.zero(ctx.order)
-    for l in enumerate_multiindices(3 * g - 3, 3 * g - 2):
-        bracket = calc.tau_batch(g, l.items())
-        if bracket:
-            total = total + _phi_term(ctx, g, 0, l, bracket)
-    return total
+    return _closed_form(g, 0, ctx, calc if calc is not None else TauCalculator())
 
 
 @dataclass(frozen=True)
@@ -201,18 +195,12 @@ def check_derivative_formula(g: int, n: int, ctx: GenusExpansionContext,
         raise ValueError("derivative check applies to g >= 2")
     if n < 0 or n > ctx.order:
         raise ValueError("need 0 <= n <= ctx.order")
-    if ctx.i_max < 3 * g - 2 + n:
-        raise ValueError(f"context needs i_max >= {3 * g - 2 + n}")
     if calc is None:
         calc = TauCalculator()
+    rhs = _closed_form(g, n, ctx, calc)
     lhs = build_phi_g(g, ctx, calc)
     for _ in range(n):
         lhs = lhs.derivative()
-    rhs = Series.zero(ctx.order)
-    for l in enumerate_multiindices(3 * g - 3 + n, 3 * g - 2 + n):
-        bracket = calc.tau_batch(g, l.items(), zeros=n)
-        if bracket:
-            rhs = rhs + _phi_term(ctx, g, n, l, bracket)
     mm = first_mismatch(lhs, rhs)
     return CheckReport("derivative_formula", mm is None, g=g, n=n, mismatch=mm)
 
@@ -244,16 +232,10 @@ def induction_sides(g: int, n: int, l: MultiIndex,
     return lhs, rhs
 
 
-def check_induction_identity(g: int, n: int, l: MultiIndex,
-                             calc: Optional[TauCalculator] = None) -> bool:
-    lhs, rhs = induction_sides(g, n, l, calc)
-    return lhs == rhs
-
-
 def lemma_report(i: int, ctx: GenusExpansionContext) -> CheckReport:
     """Exact coefficient comparison of the derivative-chain f_i with its
     functional-equation form."""
-    mm = first_mismatch(build_f(i, ctx), build_f_lemma(i, ctx))
+    mm = first_mismatch(ctx.f(i), build_f_lemma(i, ctx))
     return CheckReport("f_functional_equation", mm is None, i=i, mismatch=mm)
 
 

@@ -47,9 +47,7 @@ def double_factorial(n: int) -> int:
     """n!! = n(n-2)(n-4)... with the conventions (-1)!! = 0!! = 1."""
     if n < -1:
         raise ValueError(f"double factorial of {n} is undefined here")
-    if n <= 0:
-        return 1
-    return n * double_factorial(n - 2)
+    return math.prod(range(n, 0, -2))
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -97,19 +95,22 @@ def _mul_lists(a: list, b: list, n: int) -> list:
 
 
 def _compose_lists(outer: list, inner: list, n: int) -> list:
-    """Horner evaluation of outer at inner (inner[0] must vanish), order n."""
-    res = [_ZERO] * (n + 1)
-    for c in reversed(outer):
-        res = _mul_lists(res, inner, n)
-        res[0] += c
+    """Horner evaluation of outer at inner (inner[0] must vanish), order n.
+
+    The partial result after adding outer[i] is multiplied by inner**i later,
+    which has valuation >= i, so it is needed only through order n - i.
+    """
+    res: list = []
+    for i in range(len(outer) - 1, -1, -1):
+        res = _mul_lists(res, inner, n - i)
+        res[0] += outer[i]
     return res
 
 
 class Series:
     """A power series in x known exactly through the coefficient of x^order.
 
-    Immutable; all operations return new instances, so values may be freely
-    shared between threads.
+    Immutable; all operations return new instances.
     """
 
     __slots__ = ("_coeffs",)
@@ -170,7 +171,6 @@ class Series:
 
     def __add__(self, other) -> "Series":
         if isinstance(other, Series):
-            n = min(self.order, other.order)
             return Series(a + b for a, b in zip(self._coeffs, other._coeffs))
         c = _as_fraction(other)
         return Series((self._coeffs[0] + c,) + self._coeffs[1:])

@@ -6,6 +6,12 @@ tau_1 once only tau_1's remain, and the Dijkgraaf-Verlinde-Verlinde (KdV /
 Virasoro) recursion handles the rest.  Marked points are distinguishable, so
 the genus-splitting sums run over ordered pairs of labeled submultisets.
 
+Every key has one shape, TauKey(g, indices) with `indices` a tuple sorted in
+descending order, and each reduction builds its child keys in that shape
+directly.  In the genus-splitting sum the dimension constraint of
+<tau_a I>_{g1} fixes g1 = (sum(I) + a - |I| + 2) / 3, so a split contributes
+only when that is an integer in [0, g].
+
 Values are exact rationals and are memoized per canonical key; the memo can
 be persisted to a plain-text cache file (one "g|d1,...,dn|p/q" entry per
 line, indices sorted descending, lines sorted for diff-stability).
@@ -13,10 +19,11 @@ line, indices sorted descending, lines sorted for diff-stability).
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import product
 from math import comb
+from operator import neg
 from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .qseries import double_factorial, format_rational, parse_rational
@@ -38,7 +45,8 @@ Indices = Iterable[int]
 
 
 class TauKey(NamedTuple):
-    """Canonical identifier of one correlator: genus plus the sorted index multiset."""
+    """Canonical identifier of one correlator: genus plus the index multiset
+    as a tuple sorted in descending order."""
 
     genus: int
     indices: Tuple[int, ...]
@@ -60,9 +68,6 @@ class TauKey(NamedTuple):
     def dimension(self) -> int:
         return 3 * self.genus - 3 + self.n
 
-    def is_stable(self) -> bool:
-        return 2 * self.genus - 2 + self.n > 0
-
     def render(self) -> str:
         ds = ",".join(map(str, self.indices)) if self.indices else "-"
         return f"{self.genus}|{ds}"
@@ -81,11 +86,7 @@ class CacheFormatError(ValueError):
 
 
 class MemoStore:
-    """TauKey -> Fraction cache, optionally tied to a backing text file.
-
-    Entries are write-once: a stored value never changes, so concurrent
-    writers racing on the same key are benign (both compute the same value).
-    """
+    """TauKey -> Fraction cache, optionally tied to a backing text file."""
 
     def __init__(self, entries: Optional[Mapping[TauKey, Fraction]] = None,
                  path: Optional[str] = None):
@@ -145,38 +146,51 @@ def load_cache(path: str) -> MemoStore:
     return MemoStore(entries, path=path)
 
 
-def _expand(counts: Counter) -> Tuple[int, ...]:
-    out = []
-    for v in sorted(counts, reverse=True):
-        out.extend([v] * counts[v])
-    return tuple(out)
+def _insert(ds: Tuple[int, ...], v: int) -> Tuple[int, ...]:
+    """The descending tuple `ds` with one more copy of `v`, still descending."""
+    i = bisect_left(ds, -v, key=neg)
+    return ds[:i] + (v,) + ds[i:]
 
 
-def _ordered_splits(counts: Counter):
-    """Yield (part, binomial weight, complement) over all labeled submultisets.
+def _runs(ds: Tuple[int, ...]) -> list:
+    """(value, start, stop) of each run of equal entries of a sorted tuple."""
+    runs = []
+    start = 0
+    for v in dict.fromkeys(ds):
+        stop = start + ds.count(v)
+        runs.append((v, start, stop))
+        start = stop
+    return runs
 
-    The weight of choosing c_v of the m_v copies of value v is
-    prod C(m_v, c_v), because the underlying marked points are labeled.
+
+def _ordered_splits(runs: list) -> list:
+    """(shift, part, binomial weight, complement) over all labeled submultisets
+    of the tuple whose runs are given; part and complement stay descending.
+
+    The weight of choosing c of the m copies of a value is C(m, c), because
+    the underlying marked points are labeled.  `shift` is
+    sum(part) - len(part) + 2, so that <tau_a part>_{g1} passes the dimension
+    gate exactly when shift + a = 3 g1.
     """
-    values = sorted(counts)
-    mults = [counts[v] for v in values]
-    for choice in itertools.product(*(range(m + 1) for m in mults)):
-        left: list = []
-        right: list = []
+    splits = []
+    for choice in product(*(range(stop - start + 1) for _, start, stop in runs)):
+        part: Tuple[int, ...] = ()
+        complement: Tuple[int, ...] = ()
         weight = 1
-        for v, m, c in zip(values, mults, choice):
-            left.extend([v] * c)
-            right.extend([v] * (m - c))
+        for (v, start, stop), c in zip(runs, choice):
+            m = stop - start
+            part += (v,) * c
+            complement += (v,) * (m - c)
             weight *= comb(m, c)
-        yield tuple(left), weight, tuple(right)
+        splits.append((sum(part) - len(part) + 2, part, weight, complement))
+    return splits
 
 
 class TauCalculator:
     """Memoizing evaluator of tau-correlators.
 
-    tau() is a pure function of the canonical key.  The memo relies on
-    atomic dict writes; racing threads recompute identical values and
-    either write wins, so cold and warm caches agree entry for entry.
+    tau() is a pure function of the canonical key, so cold and warm caches
+    agree entry for entry.
     """
 
     def __init__(self, store: Optional[MemoStore] = None):
@@ -189,7 +203,7 @@ class TauCalculator:
         return self.tau_key(TauKey.make(genus, indices))
 
     def tau_key(self, key: TauKey) -> Fraction:
-        g, ds = key.genus, key.indices
+        g, ds = key
         n = len(ds)
         if 2 * g - 2 + n <= 0:
             return _ZERO
@@ -212,42 +226,42 @@ class TauCalculator:
         memo[key] = value
         return value
 
-    def tau_batch(self, genus: int, entries, zeros: int = 0) -> Fraction:
-        """Correlator of a multiplicity vector: `entries` maps index i to its
-        multiplicity (a mapping or (i, mult) pairs); `zeros` prepends tau_0's."""
-        items = entries.items() if hasattr(entries, "items") else entries
+    def tau_batch(self, genus: int, pairs, zeros: int = 0) -> Fraction:
+        """Correlator of a multiplicity vector given as (i, mult) pairs, with
+        `zeros` extra tau_0's."""
         ds = [0] * zeros
-        for i, mult in items:
+        for i, mult in pairs:
             ds.extend([i] * mult)
         return self.tau(genus, ds)
 
     # -- one-step reductions (exposed for the consistency suite) --------------
+    # Products keep the Fraction on the left: int * Fraction goes through
+    # Fraction.__rmul__, whose numbers.Rational check is slower and deeper.
 
     def string_reduced(self, genus: int, indices: Indices) -> Fraction:
         """Remove one tau_0 via the string equation: sum over lowering each
         other index by one (indices already at 0 drop out)."""
-        ds = sorted(indices, reverse=True)
+        ds = tuple(sorted(indices, reverse=True))
         if not ds or ds[-1] != 0:
             raise ValueError("string equation needs a tau_0 insertion")
-        rest = Counter(ds[:-1])
+        rest = ds[:-1]
         total = _ZERO
-        for v in sorted(rest):
-            if v == 0:
-                continue
-            lowered = rest.copy()
-            lowered[v] -= 1
-            lowered[v - 1] += 1
-            total += rest[v] * self.tau_key(TauKey(genus, _expand(lowered)))
+        for v, start, stop in _runs(rest):
+            if v:
+                # lowering the last copy of v keeps the tuple sorted
+                lowered = rest[:stop - 1] + (v - 1,) + rest[stop:]
+                total += self.tau_key(TauKey(genus, lowered)) * (stop - start)
         return total
 
     def dilaton_reduced(self, genus: int, indices: Indices) -> Fraction:
         """Remove one tau_1 via the dilaton equation, picking up the Euler
         factor 2g - 2 + n of the remaining n-pointed correlator."""
-        ds = sorted(indices, reverse=True)
+        ds = tuple(sorted(indices, reverse=True))
         if 1 not in ds:
             raise ValueError("dilaton equation needs a tau_1 insertion")
-        ds.remove(1)
-        return Fraction(2 * genus - 2 + len(ds)) * self.tau_key(TauKey(genus, tuple(ds)))
+        i = ds.index(1)
+        rest = ds[:i] + ds[i + 1:]
+        return self.tau_key(TauKey(genus, rest)) * (2 * genus - 2 + len(rest))
 
     def dvv_reduced(self, genus: int, indices: Indices, pivot: int) -> Fraction:
         """One application of the DVV recursion, pivoting on an index k >= 2:
@@ -263,42 +277,39 @@ class TauCalculator:
         """
         if pivot < 2:
             raise ValueError("DVV recursion pivots on an index >= 2")
-        ds = sorted(indices, reverse=True)
-        try:
-            ds.remove(pivot)
-        except ValueError:
-            raise ValueError(f"pivot {pivot} not present in {ds}") from None
+        ds = tuple(sorted(indices, reverse=True))
+        if pivot not in ds:
+            raise ValueError(f"pivot {pivot} not present in {list(ds)}")
         k = pivot
-        rest = Counter(ds)
+        i = ds.index(k)
+        rest = ds[:i] + ds[i + 1:]
+        runs = _runs(rest)
 
         total = _ZERO
-        for v in sorted(rest):
-            merged = rest.copy()
-            merged[v] -= 1
-            merged[k + v - 1] += 1
-            coeff = Fraction(rest[v] * double_factorial(2 * (k + v) - 1),
-                             double_factorial(2 * v - 1))
-            total += coeff * self.tau_key(TauKey.make(genus, _expand(merged)))
+        for v, start, stop in runs:
+            merged = _insert(rest[:start] + rest[start + 1:], k + v - 1)
+            # (2(k+v)-1)!! / (2v-1)!! is a product of odd numbers
+            coeff = double_factorial(2 * (k + v) - 1) // double_factorial(2 * v - 1)
+            total += self.tau_key(TauKey(genus, merged)) * ((stop - start) * coeff)
 
         split_sum = _ZERO
-        rest_tuple = _expand(rest)
-        splits = list(_ordered_splits(rest))
+        splits = _ordered_splits(runs)
         for a in range(k - 1):
             b = k - 2 - a
-            weight_ab = double_factorial(2 * a + 1) * double_factorial(2 * b + 1)
             inner = _ZERO
             if genus >= 1:
-                inner += self.tau_key(TauKey.make(genus - 1, rest_tuple + (a, b)))
-            for g1 in range(genus + 1):
-                g2 = genus - g1
-                for part, mult, complement in splits:
-                    first = self.tau_key(TauKey.make(g1, part + (a,)))
-                    if not first:
-                        continue
-                    second = self.tau_key(TauKey.make(g2, complement + (b,)))
-                    if second:
-                        inner += mult * first * second
-            split_sum += weight_ab * inner
+                inner += self.tau_key(TauKey(genus - 1, _insert(_insert(rest, a), b)))
+            for shift, part, weight, complement in splits:
+                g1, r = divmod(shift + a, 3)
+                if r or not 0 <= g1 <= genus:
+                    continue
+                first = self.tau_key(TauKey(g1, _insert(part, a)))
+                if not first:
+                    continue
+                second = self.tau_key(TauKey(genus - g1, _insert(complement, b)))
+                if second:
+                    inner += first * second * weight
+            split_sum += inner * (double_factorial(2 * a + 1) * double_factorial(2 * b + 1))
 
         total += split_sum / 2
         return total / double_factorial(2 * k + 1)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -56,6 +57,9 @@ class TestScalars:
         assert double_factorial(9) == 945
         with pytest.raises(ValueError):
             double_factorial(-3)
+
+    def test_double_factorial_beyond_recursion_limit(self):
+        assert double_factorial(4001) == math.prod(range(4001, 0, -2))
 
     def test_factorial_negative(self):
         with pytest.raises(ValueError):

@@ -82,6 +82,17 @@ class TestReductions:
                 ds[rng.randrange(n)] += 1
             assert calc.tau(0, ds) == genus0_closed_form(ds)
 
+    def test_one_point_closed_form(self, calc):
+        # <tau_{3g-2}>_g = 1/(24^g g!): a lone pivot leaves DVV only its
+        # genus-lowering and splitting terms
+        for g in range(1, 7):
+            assert calc.tau(g, [3 * g - 2]) == F(1, 24**g * factorial(g)), g
+
+    def test_genus1_tau1_power_closed_form(self, calc):
+        # <tau_1^n>_1 = (n-1)!/24 (dilaton down to <tau_1>_1)
+        for n in range(1, 9):
+            assert calc.tau(1, [1] * n) == F(factorial(n - 1), 24), n
+
     def test_genus1_values(self, calc):
         assert calc.tau(1, [2, 0]) == F(1, 24)
         assert calc.tau(1, [1, 1]) == F(1, 24)
@@ -175,9 +186,9 @@ class TestInvariance:
 
 class TestBatch:
     def test_expansion_rules(self, calc):
-        assert calc.tau_batch(2, {2: 3}) == calc.tau(2, [2, 2, 2])
-        assert calc.tau_batch(2, {2: 1, 3: 1}) == calc.tau(2, [3, 2])
-        assert calc.tau_batch(2, {4: 1}) == calc.tau(2, [4])
+        assert calc.tau_batch(2, [(2, 3)]) == calc.tau(2, [2, 2, 2])
+        assert calc.tau_batch(2, [(2, 1), (3, 1)]) == calc.tau(2, [3, 2])
+        assert calc.tau_batch(2, [(4, 1)]) == calc.tau(2, [4])
 
     def test_pairs_and_zeros(self, calc):
         assert calc.tau_batch(0, [(2, 1)], zeros=4) == calc.tau(0, [2, 0, 0, 0, 0])
