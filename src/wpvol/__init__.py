@@ -23,16 +23,18 @@ from .genexp import (
     GenusExpansionContext,
     build_f_lemma,
     build_phi0,
+    build_phi1,
     build_phi_g,
     build_y,
     check_derivative_formula,
+    volume_series,
+    volume_table,
 )
 from .kappavol import (
     MultiIndex,
     VolumeRecord,
     enumerate_multiindices,
     volume,
-    volume_table,
     wp_volume_display,
 )
 from .qseries import Series, bessel_x_of_y, revert_lagrange
@@ -54,6 +56,7 @@ __all__ = [
     "bessel_x_of_y",
     "build_f_lemma",
     "build_phi0",
+    "build_phi1",
     "build_phi_g",
     "build_y",
     "check_derivative_formula",
@@ -68,6 +71,7 @@ __all__ = [
     "revert_lagrange",
     "save_cache",
     "volume",
+    "volume_series",
     "volume_table",
     "wp_volume_display",
     "__version__",

@@ -6,10 +6,13 @@ singularity of y(x): the radius of convergence is x_c = x(u_c), where u_c is
 the smallest positive root of x'(u) = J0(2 sqrt(u)), i.e. u_c = (j_{0,1}/2)^2
 with j_{0,1} the first zero of the Bessel function J0.  So C = 1/x_c.
 
-The root and the radius are computed in exact rational arithmetic: bisection
-on partial sums of the alternating series for J0(2 sqrt(u)), with the
-alternating-series remainder as a rigorous enclosure.  Everything downstream
-is carried as 50-digit decimals and reported at 10, so reruns are
+The root and the radius are computed exactly: bisection on partial sums of
+the alternating series for J0(2 sqrt(u)), with the alternating-series
+remainder as a rigorous enclosure.  The partial sums run in plain integers
+over a common denominator, and each bisection step reads only the signs of
+the enclosure numerators.  The volumes the fits use are the coefficients of
+one generating series per genus (genexp.volume_series).  Everything
+downstream is carried as 50-digit decimals and reported at 10, so reruns are
 bit-identical.
 """
 
@@ -21,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
-from .kappavol import volume
+from .genexp import volume_series
 from .taucalc import TauCalculator
 
 __all__ = [
@@ -56,59 +59,75 @@ def _to_decimal(q: Fraction) -> Decimal:
     return Decimal(q.numerator) / Decimal(q.denominator)
 
 
-def _j0_of_u_bracket(u: Fraction, tol: Fraction) -> Tuple[Fraction, Fraction]:
-    """Rigorous enclosure of J0(2 sqrt(u)) = sum_m (-u)^m / (m!)^2 for u >= 0.
+def _enclosure_numerators(p: int, q: int, start: int, tol: Fraction) -> Tuple[int, int, int]:
+    """(lo, hi, den) with lo/den <= S <= hi/den, where u = p/q >= 0 and
 
-    Terms strictly decrease in magnitude once m^2 > u; from there the
-    alternating remainder is bounded by the first omitted term.
+        S = sum_{m>=start} (-1)^(m-start) u^m / (m! (m-start)!);
+
+    start = 0 gives J0(2 sqrt(u)), start = 1 gives x(u).
+
+    Terms strictly decrease in magnitude once m(m-start) > u; from there the
+    alternating remainder is bounded by the first omitted term, and the sum
+    stops at the first such term below `tol`.  Everything runs in integers
+    over the common denominator q^m m! (m-start)!, so no gcd is ever taken.
     """
-    total = Fraction(1)
-    term = Fraction(1)
-    m = 0
+    tol_num, tol_den = tol.numerator, tol.denominator
+    num = power = p**start  # power = |term numerator| = p^m
+    den = q**start
+    sign = 1
+    m = start
     while True:
         m += 1
-        term *= -u / (m * m)
-        total += term
-        if m * m > u:
-            bound = abs(term) * u / ((m + 1) * (m + 1))
-            if bound < tol:
-                return total - bound, total + bound
+        step = q * m * (m - start)
+        num *= step
+        den *= step
+        power *= p
+        sign = -sign
+        num += sign * power
+        if step > p:  # m(m-start) > u
+            nxt = q * (m + 1) * (m + 1 - start)
+            tail = power * p  # bound = tail / (den * nxt)
+            if tail * tol_den < tol_num * den * nxt:
+                num *= nxt
+                return num - tail, num + tail, den * nxt
+
+
+def _j0_of_u_bracket(u: Fraction, tol: Fraction) -> Tuple[Fraction, Fraction]:
+    """Rigorous enclosure of J0(2 sqrt(u)) = sum_m (-u)^m / (m!)^2 for u >= 0."""
+    lo, hi, den = _enclosure_numerators(u.numerator, u.denominator, 0, tol)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def _x_of_u_bracket(u: Fraction, tol: Fraction) -> Tuple[Fraction, Fraction]:
     """Enclosure of x(u) = sum_{k>=1} (-1)^(k-1) u^k / ((k-1)! k!), same scheme."""
-    total = term = u
-    k = 1
-    while True:
-        k += 1
-        term *= -u / (k * (k - 1))
-        total += term
-        if k * (k - 1) > u:
-            bound = abs(term) * u / ((k + 1) * k)
-            if bound < tol:
-                return total - bound, total + bound
+    lo, hi, den = _enclosure_numerators(u.numerator, u.denominator, 1, tol)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 @lru_cache(maxsize=1)
 def _critical_interval() -> Tuple[Fraction, Fraction]:
-    """Rational interval around u_c, the first positive root of J0(2 sqrt(u))."""
-    lo, hi = Fraction(1), Fraction(2)
-    lo_bracket = _j0_of_u_bracket(lo, _TAIL_TOL)
-    hi_bracket = _j0_of_u_bracket(hi, _TAIL_TOL)
-    if lo_bracket[0] <= 0 or hi_bracket[1] >= 0:
+    """Rational interval around u_c, the first positive root of J0(2 sqrt(u)).
+
+    The bisection keeps lo = a/2^s and hi = (a+1)/2^s as integers and reads
+    each step off the signs of the enclosure numerators (the common
+    denominator is positive), so no Fraction is built until the end.
+    """
+    if (_enclosure_numerators(1, 1, 0, _TAIL_TOL)[0] <= 0
+            or _enclosure_numerators(2, 1, 0, _TAIL_TOL)[1] >= 0):
         raise RuntimeError("sign assumptions for the bisection bracket failed")
+    a, scale = 1, 1  # lo = a/scale, hi = (a+1)/scale
     for _ in range(_BISECTION_STEPS):
-        mid = (lo + hi) / 2
-        b_lo, b_hi = _j0_of_u_bracket(mid, _TAIL_TOL)
+        # mid = (2a+1)/(2 scale), already in lowest terms
+        b_lo, b_hi, _ = _enclosure_numerators(2 * a + 1, 2 * scale, 0, _TAIL_TOL)
         if b_lo > 0:
-            lo = mid
+            a, scale = 2 * a + 1, 2 * scale
         elif b_hi < 0:
-            hi = mid
+            a, scale = 2 * a, 2 * scale
         else:
             # enclosure straddles zero: mid is already within the tail
             # tolerance of the root, far below anything we report
             break
-    return lo, hi
+    return Fraction(a, scale), Fraction(a + 1, scale)
 
 
 @lru_cache(maxsize=1)
@@ -210,9 +229,9 @@ def fit_growth(g: int, n_min: int, n_max: int,
     ns = list(range(n_min, n_max + 1))
     if len(ns) < 6:
         raise ValueError("growth fit needs at least 6 data points")
-    if calc is None:
-        calc = TauCalculator()
-    values = [volume(g, n, calc).v for n in ns]
+    if n_min < 0:
+        raise ValueError("genus and point count must be >= 0")
+    values = volume_series(g, n_max, calc)[n_min:]
     if any(v <= 0 for v in values):
         raise ValueError("growth fit needs positive normalized volumes")
     with localcontext(Context(prec=PRECISION)):
@@ -266,14 +285,15 @@ def growth_ratio_diagnostic(g: int, n_min: int, n_max: int,
                             calc: Optional[TauCalculator] = None) -> list:
     """The sequence v_{g,n+1}/v_{g,n} * ((n+1)/n)^(-e) with e the predicted
     exponent; it should settle toward the growth constant over the range."""
-    if calc is None:
-        calc = TauCalculator()
+    if n_min < 0:
+        raise ValueError("genus and point count must be >= 0")
+    vs = volume_series(g, max(n_min, n_max), calc)
     e = predicted_exponent(g)
     out = []
     with localcontext(Context(prec=PRECISION)):
         de = _to_decimal(e)
         for n in range(n_min, n_max):
-            ratio = volume(g, n + 1, calc).v / volume(g, n, calc).v
+            ratio = vs[n + 1] / vs[n]
             scale = ((Decimal(n + 1) / Decimal(n)).ln() * de).exp()
             out.append(_to_decimal(ratio) / scale)
     return out

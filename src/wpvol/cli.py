@@ -1,6 +1,9 @@
 """Command-line front end: correlators, volumes, series, verification, growth fits.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+An input too deep or too large to evaluate (a RecursionError or MemoryError,
+e.g. a correlator with several hundred points) is reported as one `error:`
+line with exit code 2, never as a traceback.
 All output is deterministic: identical invocations print identical bytes,
 whatever the state of the optional correlator cache.
 """
@@ -24,8 +27,9 @@ from .genexp import (
     induction_sides,
     lemma_report,
     theorem_reports,
+    volume_table,
 )
-from .kappavol import enumerate_multiindices, volume, volume_table, wp_volume_display
+from .kappavol import enumerate_multiindices, volume
 from .qseries import factorial, format_rational
 from .taucalc import CacheFormatError, MemoStore, TauCalculator, load_cache, save_cache
 
@@ -122,20 +126,18 @@ def _cmd_tau(args, calc: TauCalculator) -> int:
     return EXIT_OK
 
 
-def _volume_json(rec, digits, calc):
+def _volume_json(rec, digits):
     data = rec.to_json_dict()
     if digits:
-        _, _, rendered = wp_volume_display(rec.g, rec.n, digits, calc)
-        data["wp_volume"] = rendered
+        data["wp_volume"] = rec.wp_volume(digits)
     return data
 
 
-def _volume_plain(rec, digits, calc):
+def _volume_plain(rec, digits):
     line = (f"g={rec.g} n={rec.n} dim={rec.dim} "
             f"V={format_rational(rec.V)} v={format_rational(rec.v)}")
     if digits:
-        _, power, rendered = wp_volume_display(rec.g, rec.n, digits, calc)
-        line += f" wp_volume={rendered} (v*pi^{power})"
+        line += f" wp_volume={rec.wp_volume(digits)} (v*pi^{rec.pi_power})"
     return line
 
 
@@ -155,11 +157,11 @@ def _cmd_volume(args, calc: TauCalculator) -> int:
         for rec in records:
             print(rec.csv_row())
     elif args.format == "json":
-        payload = [_volume_json(rec, args.digits, calc) for rec in records]
+        payload = [_volume_json(rec, args.digits) for rec in records]
         print(json.dumps(payload if args.table is not None else payload[0]))
     else:
         for rec in records:
-            print(_volume_plain(rec, args.digits, calc))
+            print(_volume_plain(rec, args.digits))
     return EXIT_OK
 
 
@@ -168,8 +170,8 @@ def _cmd_series(args, calc: TauCalculator) -> int:
     if g < 0 or order < 1:
         raise UsageError("--phi needs genus >= 0 and --order >= 1")
     if g == 1:
-        raise UsageError("genus 1 has no closed generating series here; "
-                         "its volumes stay available through `volume --genus 1`")
+        raise UsageError("series --phi takes genus 0 or >= 2; the genus 1 volumes "
+                         "come from `volume --genus 1`")
     if g == 0:
         phi = build_phi0(max(order, 3)).truncate(order)
     else:
@@ -251,11 +253,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         code = args.handler(args, calc)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too deep or too large to evaluate ({type(exc).__name__})",
+              file=sys.stderr)
         return EXIT_USAGE
 
     if cache_path:

@@ -16,8 +16,12 @@ equations as series in y, checked here coefficient by coefficient, and the
 n-th derivative of phi_g has the same shape with tau_0^n inserted; both
 identities are verified exactly.
 
-Genus 1 is deliberately unsupported here: the closed form starts at genus 2,
-and V_{1,n} stays available through the volume route.
+Genus 1 has no closed form of that shape; its generating series is the
+genus-1 free energy phi_1 = (1/24) log y' = (1/24) integral y''/y'
+(Itzykson-Zuber).  volume_series reads every v_{g,0..N} of one genus off
+phi_0, phi_1 or phi_g, and volume_table turns them into VolumeRecords; the
+kappa-to-tau volume() stays the single-(g, n) producer and the independent
+verifier in theorem_reports.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .kappavol import MultiIndex, enumerate_multiindices, volume
+from .kappavol import MultiIndex, VolumeRecord, enumerate_multiindices, volume
 from .qseries import Series, bessel_x_of_y, factorial, first_mismatch, format_rational
 from .taucalc import TauCalculator
 
@@ -35,12 +39,15 @@ __all__ = [
     "CheckReport",
     "build_y",
     "build_phi0",
+    "build_phi1",
     "build_f_lemma",
     "build_phi_g",
     "check_derivative_formula",
     "induction_sides",
     "lemma_report",
     "theorem_reports",
+    "volume_series",
+    "volume_table",
 ]
 
 
@@ -55,6 +62,15 @@ def build_phi0(order: int) -> Series:
     if order < 3:
         raise ValueError("phi_0 needs order >= 3")
     return build_y(order - 2).antiderivative(0).antiderivative(0)
+
+
+def build_phi1(order: int) -> Series:
+    """phi_1 = (1/24) log y' = (1/24) integral y''/y', the genus-1 generating
+    series; its constant term is v_{1,0} = 0."""
+    if order < 1:
+        raise ValueError("phi_1 needs order >= 1")
+    y_prime = build_y(order + 1).derivative()
+    return (y_prime.derivative() * y_prime.reciprocal() / 24).antiderivative(0)
 
 
 class GenusExpansionContext:
@@ -147,6 +163,35 @@ def build_phi_g(g: int, ctx: GenusExpansionContext,
     if g < 2:
         raise ValueError("the closed genus form starts at g = 2 (use build_phi0 for g = 0)")
     return _closed_form(g, 0, ctx, calc if calc is not None else TauCalculator())
+
+
+def volume_series(g: int, n_max: int, calc: Optional[TauCalculator] = None) -> list:
+    """[v_{g,0}, ..., v_{g,n_max}], the coefficients of one generating series:
+    phi_0 for g = 0, phi_1 for g = 1 and the closed form phi_g for g >= 2."""
+    if g < 0 or n_max < 0:
+        raise ValueError("genus and point count must be >= 0")
+    order = max(n_max, 3)
+    if g == 0:
+        phi = build_phi0(order)
+    elif g == 1:
+        phi = build_phi1(order)
+    else:
+        phi = build_phi_g(g, GenusExpansionContext(order, 3 * g - 2), calc)
+    return list(phi.coeffs[: n_max + 1])
+
+
+def volume_table(g: int, n_max: int, calc: Optional[TauCalculator] = None) -> list:
+    """VolumeRecords for n = 0..n_max, read off the genus-g generating series.
+
+    V = v n! d!; the conventional zeros and negative dimensions have v = 0
+    and get the same zero records as volume().
+    """
+    records = []
+    for n, v in enumerate(volume_series(g, n_max, calc)):
+        dim = 3 * g - 3 + n
+        big_v = v * factorial(n) * factorial(dim) if v else v
+        records.append(VolumeRecord(g, n, dim, big_v, v))
+    return records
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ __all__ = [
     "VolumeRecord",
     "enumerate_multiindices",
     "volume",
-    "volume_table",
     "wp_volume_display",
     "CONVENTIONAL_ZEROS",
 ]
@@ -173,6 +172,23 @@ class VolumeRecord:
     def csv_row(self) -> str:
         return f"{self.g},{self.n},{self.dim},{format_rational(self.V)},{format_rational(self.v)}"
 
+    def wp_volume(self, digits: int) -> str:
+        """The geometric volume v * pi^(2 dim) to `digits` significant
+        digits; the only place floating evaluation happens."""
+        if digits < 1:
+            raise ValueError("digits must be >= 1")
+        if not self.v:
+            return "0"
+        import mpmath
+
+        with mpmath.workdps(digits + 10):
+            value = (
+                mpmath.mpf(self.v.numerator)
+                / mpmath.mpf(self.v.denominator)
+                * mpmath.pi ** self.pi_power
+            )
+            return mpmath.nstr(value, digits)
+
 
 def volume(g: int, n: int, calc: Optional[TauCalculator] = None) -> VolumeRecord:
     """V_{g,n} via the kappa-to-tau conversion; conventional zeros are looked
@@ -200,31 +216,10 @@ def volume(g: int, n: int, calc: Optional[TauCalculator] = None) -> VolumeRecord
     return VolumeRecord(g, n, dim, total * factorial(dim), v)
 
 
-def volume_table(g: int, n_max: int, calc: Optional[TauCalculator] = None) -> list:
-    if calc is None:
-        calc = TauCalculator()
-    return [volume(g, n, calc) for n in range(n_max + 1)]
-
-
 def wp_volume_display(
     g: int, n: int, digits: int, calc: Optional[TauCalculator] = None
 ) -> Tuple[Fraction, int, str]:
     """(exact v, power of pi, decimal string) for the geometric volume
-    v * pi^(2 dim).  The decimal rendering is the only place floating
-    evaluation happens.
-    """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    v * pi^(2 dim) of volume(g, n)."""
     rec = volume(g, n, calc)
-    if not rec.v:
-        return rec.v, rec.pi_power, "0"
-    import mpmath
-
-    with mpmath.workdps(digits + 10):
-        value = (
-            mpmath.mpf(rec.v.numerator)
-            / mpmath.mpf(rec.v.denominator)
-            * mpmath.pi ** rec.pi_power
-        )
-        rendered = mpmath.nstr(value, digits)
-    return rec.v, rec.pi_power, rendered
+    return rec.v, rec.pi_power, rec.wp_volume(digits)

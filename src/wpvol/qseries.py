@@ -31,7 +31,7 @@ Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 @lru_cache(maxsize=None)
@@ -70,10 +70,12 @@ def format_rational(value: Scalar) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q"; reject anything else (including q = 0)."""
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.match(text)
+    if not match:
         raise ValueError(f"malformed rational {text!r}")
+    p, q = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(p), int(q or 1))
     except ZeroDivisionError as exc:
         raise ValueError(f"malformed rational {text!r} (zero denominator)") from exc
 

@@ -14,11 +14,15 @@ only when that is an integer in [0, g].
 
 Values are exact rationals and are memoized per canonical key; the memo can
 be persisted to a plain-text cache file (one "g|d1,...,dn|p/q" entry per
-line, indices sorted descending, lines sorted for diff-stability).
+line, indices sorted descending, lines sorted for diff-stability).  Loading
+rejects any line that gives a nonzero value to an unstable key or to one
+that breaks the dimension rule; saving writes a temporary file beside the
+target and renames it into place.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
@@ -109,9 +113,15 @@ def save_cache(store: MemoStore, path: Optional[str] = None) -> None:
         raise ValueError("no cache path given")
     lines = sorted(f"{key.render()}|{format_rational(value)}"
                    for key, value in store.entries.items())
-    with open(target, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):  # only when the write or the rename failed
+            os.remove(tmp)
 
 
 def load_cache(path: str) -> MemoStore:
@@ -142,6 +152,15 @@ def load_cache(path: str) -> MemoStore:
                 key = TauKey.make(genus, indices)
             except ValueError as exc:
                 raise CacheFormatError(line_no, str(exc)) from None
+            # tau() is 0 on unstable and dimension-breaking keys, so any
+            # other value there is corrupt
+            n = len(key.indices)
+            if value and 2 * genus - 2 + n <= 0:
+                raise CacheFormatError(line_no, f"unstable key {key.render()} has a nonzero value")
+            if value and sum(key.indices) != 3 * genus - 3 + n:
+                raise CacheFormatError(
+                    line_no, f"key {key.render()} breaks the dimension rule "
+                             f"sum(ds) = 3g-3+n = {3 * genus - 3 + n} but has a nonzero value")
             entries[key] = value
     return MemoStore(entries, path=path)
 

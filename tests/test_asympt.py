@@ -23,6 +23,52 @@ F = Fraction
 J01_REFERENCE = "2.404825557695772768621631879326454"
 
 
+def reference_j0_bracket(u, tol):
+    """The term-by-term Fraction sum the integer enclosure replaced."""
+    total = term = F(1)
+    m = 0
+    while True:
+        m += 1
+        term *= -u / (m * m)
+        total += term
+        if m * m > u:
+            bound = abs(term) * u / ((m + 1) * (m + 1))
+            if bound < tol:
+                return total - bound, total + bound
+
+
+def reference_x_bracket(u, tol):
+    total = term = u
+    k = 1
+    while True:
+        k += 1
+        term *= -u / (k * (k - 1))
+        total += term
+        if k * (k - 1) > u:
+            bound = abs(term) * u / ((k + 1) * k)
+            if bound < tol:
+                return total - bound, total + bound
+
+
+def reference_critical_interval():
+    """The Fraction bisection the integer one replaced, step for step."""
+    tol = F(1, 10**80)
+    lo, hi = F(1), F(2)
+    for _ in range(240):
+        mid = (lo + hi) / 2
+        b_lo, b_hi = reference_j0_bracket(mid, tol)
+        if b_lo > 0:
+            lo = mid
+        elif b_hi < 0:
+            hi = mid
+        else:
+            break
+    return lo, hi
+
+
+BRACKET_POINTS = [F(0), F(1), F(3, 2), F(2), F(50), F(3 * 2**238 + 12345, 2**240)]
+
+
 class TestBesselZero:
     def test_first_zero_digits(self):
         assert str(bessel_j0_first_zero()).startswith(J01_REFERENCE)
@@ -44,6 +90,17 @@ class TestBesselZero:
         assert lo < hi < lo + F(1, 10**29)
         # J0(2) = 0.22389077914123566805...
         assert abs((lo + hi) / 2 - F(22389077914123566805, 10**20)) < F(1, 10**19)
+
+    @pytest.mark.parametrize("tol", [F(1, 10**30), F(1, 10**80)])
+    @pytest.mark.parametrize("u", BRACKET_POINTS)
+    def test_integer_brackets_equal_fraction_sum(self, u, tol):
+        assert _j0_of_u_bracket(u, tol) == reference_j0_bracket(u, tol)
+        assert _x_of_u_bracket(u, tol) == reference_x_bracket(u, tol)
+
+    def test_interval_equals_fraction_bisection(self):
+        from wpvol.asympt import _critical_interval
+
+        assert _critical_interval() == reference_critical_interval()
 
     def test_x_bracket(self):
         lo, hi = _x_of_u_bracket(F(1), F(1, 10**30))

@@ -1,6 +1,8 @@
 import json
 
+from wpvol import cli, kappavol
 from wpvol.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from wpvol.kappavol import wp_volume_display
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +33,23 @@ class TestTau:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_too_deep_key_is_a_usage_error(self, capsys):
+        # a valid 600-point genus-0 key (value 1) deeper than the recursion limit
+        ds = ",".join(["597"] + ["0"] * 599)
+        code, out, err = run_cli(capsys, "tau", "--genus", "0", "--ds", ds)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
+        def exhausted(args, calc):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_tau", exhausted)
+        code, _, err = run_cli(capsys, "tau", "--genus", "1", "--ds", "1")
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestVolume:
     def test_plain_single(self, capsys):
@@ -58,6 +77,17 @@ class TestVolume:
                                "--format", "json", "--digits", "8")
         data = json.loads(out)
         assert data["wp_volume"].startswith("0.4112335")  # pi^2/24
+
+    def test_digits_table_renders_from_records(self, capsys, monkeypatch):
+        expected = [wp_volume_display(2, n, 12)[2] for n in range(5)]
+        calls = []
+        real_volume = kappavol.volume
+        monkeypatch.setattr(kappavol, "volume", lambda *a: calls.append(a) or real_volume(*a))
+        code, out, _ = run_cli(capsys, "volume", "--genus", "2", "--table", "4",
+                               "--format", "json", "--digits", "12")
+        assert code == EXIT_OK
+        assert [row["wp_volume"] for row in json.loads(out)] == expected
+        assert calls == []  # the table comes from the series, rendered per record
 
     def test_requires_a_mode(self, capsys):
         code, _, err = run_cli(capsys, "volume", "--genus", "0")
@@ -173,6 +203,16 @@ class TestCache:
                                "--cache", str(path))
         assert code == EXIT_IO
         assert "line 1" in err
+
+    def test_dimension_breaking_cache_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.cache"
+        path.write_text("1|1|1/24\n5|0|7\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "volume", "--genus", "1", "--n", "1",
+                                 "--cache", str(path))
+        assert code == EXIT_IO
+        assert out == ""
+        assert "line 2" in err
+        assert path.read_text(encoding="utf-8") == "1|1|1/24\n5|0|7\n"
 
     def test_cache_warm_and_cold_agree(self, capsys, tmp_path):
         path = tmp_path / "warm.cache"

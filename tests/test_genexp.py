@@ -6,12 +6,15 @@ from wpvol.genexp import (
     GenusExpansionContext,
     build_f_lemma,
     build_phi0,
+    build_phi1,
     build_phi_g,
     build_y,
     check_derivative_formula,
     induction_sides,
     lemma_report,
     theorem_reports,
+    volume_series,
+    volume_table,
 )
 from wpvol.kappavol import MultiIndex, enumerate_multiindices, volume
 from wpvol.qseries import Series, bessel_x_of_y, factorial
@@ -63,6 +66,34 @@ class TestPhi0:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             build_phi0(2)
+
+
+class TestPhi1:
+    def test_low_coefficients(self):
+        # v_{1,0} = 0 by convention, v_{1,1} = <tau_1>_1 = 1/24
+        assert build_phi1(3).coeffs[:2] == (0, F(1, 24))
+
+    def test_order_validation(self):
+        with pytest.raises(ValueError):
+            build_phi1(0)
+
+
+class TestVolumeSeries:
+    @pytest.mark.parametrize("g, n_max", [(0, 24), (1, 12), (2, 12), (3, 8), (4, 6),
+                                          (0, 0), (0, 2), (1, 0), (2, 1)])
+    def test_matches_kappa_route(self, calc, g, n_max):
+        assert volume_series(g, n_max, calc) == [volume(g, n, calc).v for n in range(n_max + 1)]
+
+    @pytest.mark.parametrize("g, n_max", [(0, 9), (1, 6), (2, 5), (3, 2)])
+    def test_table_records_match_volume(self, calc, g, n_max):
+        # zero records for the conventional zeros and negative dimensions too
+        assert volume_table(g, n_max, calc) == [volume(g, n, calc) for n in range(n_max + 1)]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            volume_series(-1, 3)
+        with pytest.raises(ValueError):
+            volume_series(0, -1)
 
 
 class TestFChain:

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from wpvol.genexp import volume_table
 from wpvol.kappavol import (
     CONVENTIONAL_ZEROS,
     MultiIndex,
     VolumeRecord,
     enumerate_multiindices,
     volume,
-    volume_table,
     wp_volume_display,
 )
 from wpvol.qseries import factorial

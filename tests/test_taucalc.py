@@ -1,9 +1,11 @@
+import builtins
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from wpvol import taucalc
 from wpvol.taucalc import (
     CacheFormatError,
     MemoStore,
@@ -255,3 +257,46 @@ class TestCacheFile:
     def test_missing_path(self):
         with pytest.raises(ValueError):
             save_cache(MemoStore())
+
+    @pytest.mark.parametrize("line", ["5|0|7", "0|0,0|1", "0|-|3", "2|3,1|1/5"])
+    def test_invalid_key_with_value_rejected(self, tmp_path, line):
+        # unstable or dimension-breaking keys have tau = 0; anything else is corrupt
+        path = tmp_path / "c.txt"
+        path.write_text("1|1|1/24\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(CacheFormatError) as err:
+            load_cache(str(path))
+        assert err.value.line_no == 2
+
+    def test_invalid_key_with_zero_value_loads(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("5|0|0\n0|0,0|0\n", encoding="utf-8")
+        assert load_cache(str(path)).entries == {TauKey(5, (0,)): F(0), TauKey(0, (0, 0)): F(0)}
+
+    def test_save_leaves_no_temporary_file(self, tmp_path):
+        save_cache(MemoStore({TauKey(1, (1,)): F(1, 24)}), str(tmp_path / "c.txt"))
+        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                raise OSError("no space left on device")
+
+        def full_disk_open(file, mode="r", **kwargs):
+            return FullDisk(builtins.open(file, mode, **kwargs))
+
+        path = tmp_path / "c.txt"
+        path.write_text("1|1|1/24\n", encoding="utf-8")
+        monkeypatch.setattr(taucalc, "open", full_disk_open, raising=False)
+        with pytest.raises(OSError):
+            save_cache(MemoStore({TauKey(0, (0, 0, 0)): F(1)}), str(path))
+        assert path.read_text(encoding="utf-8") == "1|1|1/24\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
