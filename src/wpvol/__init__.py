@@ -30,13 +30,7 @@ from .genexp import (
     volume_series,
     volume_table,
 )
-from .kappavol import (
-    MultiIndex,
-    VolumeRecord,
-    enumerate_multiindices,
-    volume,
-    wp_volume_display,
-)
+from .kappavol import VolumeRecord, enumerate_multiindices, volume
 from .qseries import Series, bessel_x_of_y, revert_lagrange
 from .taucalc import MemoStore, TauCalculator, TauKey, load_cache, save_cache
 
@@ -47,7 +41,6 @@ __all__ = [
     "GenusExpansionContext",
     "GrowthFit",
     "MemoStore",
-    "MultiIndex",
     "Series",
     "TauCalculator",
     "TauKey",
@@ -73,6 +66,5 @@ __all__ = [
     "volume",
     "volume_series",
     "volume_table",
-    "wp_volume_display",
     "__version__",
 ]

@@ -284,10 +284,13 @@ def compare_growth_constants(g_list: Sequence[int], n_max: int,
 def growth_ratio_diagnostic(g: int, n_min: int, n_max: int,
                             calc: Optional[TauCalculator] = None) -> list:
     """The sequence v_{g,n+1}/v_{g,n} * ((n+1)/n)^(-e) with e the predicted
-    exponent; it should settle toward the growth constant over the range."""
-    if n_min < 0:
-        raise ValueError("genus and point count must be >= 0")
+    exponent; it should settle toward the growth constant over the range.
+    Needs n_min >= 1 and v_{g,n} > 0 for every n in [n_min, n_max]."""
+    if n_min < 1:
+        raise ValueError("growth ratios need n_min >= 1")
     vs = volume_series(g, max(n_min, n_max), calc)
+    if any(v <= 0 for v in vs[n_min:n_max + 1]):
+        raise ValueError("growth ratios need positive normalized volumes")
     e = predicted_exponent(g)
     out = []
     with localcontext(Context(prec=PRECISION)):

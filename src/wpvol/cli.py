@@ -21,16 +21,15 @@ from .asympt import fit_growth, predicted_growth_constant
 from .genexp import (
     CheckReport,
     GenusExpansionContext,
-    build_phi0,
-    build_phi_g,
     check_derivative_formula,
     induction_sides,
     lemma_report,
     theorem_reports,
+    volume_series,
     volume_table,
 )
 from .kappavol import enumerate_multiindices, volume
-from .qseries import factorial, format_rational
+from .qseries import Series, factorial, format_rational
 from .taucalc import CacheFormatError, MemoStore, TauCalculator, load_cache, save_cache
 
 EXIT_OK = 0
@@ -60,7 +59,8 @@ def _parse_indices(text: str) -> List[int]:
 
 def _add_cache_option(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cache", metavar="PATH",
-                     help="load the correlator memo from PATH if present and save it back after the run")
+                     help="load the correlator memo from PATH if present and save it back "
+                          "after a run that added entries (or created PATH)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,11 +172,7 @@ def _cmd_series(args, calc: TauCalculator) -> int:
     if g == 1:
         raise UsageError("series --phi takes genus 0 or >= 2; the genus 1 volumes "
                          "come from `volume --genus 1`")
-    if g == 0:
-        phi = build_phi0(max(order, 3)).truncate(order)
-    else:
-        ctx = GenusExpansionContext(order=order, i_max=3 * g - 2)
-        phi = build_phi_g(g, ctx, calc)
+    phi = Series(volume_series(g, order, calc))
     if args.format == "plain":
         for k, coeff in enumerate(phi.coeffs):
             print(f"x^{k}: {format_rational(coeff)}")
@@ -211,8 +207,9 @@ def _verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> List
             for l in enumerate_multiindices(3 * g - 3 + n, 3 * g - 2 + n):
                 lhs, rhs = induction_sides(g, n, l, calc)
                 mm = None if lhs == rhs else (None, lhs, rhs)
+                detail = {"l": {str(i): m for i, m in l.items()}}
                 reports.append(CheckReport("index_shift_identity", lhs == rhs, g=g, n=n,
-                                           mismatch=mm, detail={"l": l.to_json_dict()}))
+                                           mismatch=mm, detail=detail))
     return reports
 
 
@@ -241,7 +238,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     cache_path = getattr(args, "cache", None)
-    if cache_path and os.path.exists(cache_path):
+    cache_existed = bool(cache_path) and os.path.exists(cache_path)
+    if cache_existed:
         try:
             store = load_cache(cache_path)
         except (OSError, CacheFormatError) as exc:
@@ -250,6 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         store = MemoStore(path=cache_path)
     calc = TauCalculator(store)
+    loaded = len(calc.store.entries)  # the memo only grows, so equal size means unchanged
 
     try:
         code = args.handler(args, calc)
@@ -261,7 +260,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    if cache_path:
+    if cache_path and (not cache_existed or len(calc.store.entries) != loaded):
         try:
             save_cache(calc.store, cache_path)
         except OSError as exc:

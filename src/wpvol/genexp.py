@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
-from .kappavol import MultiIndex, VolumeRecord, enumerate_multiindices, volume
+from .kappavol import VolumeRecord, enumerate_multiindices, volume
 from .qseries import Series, bessel_x_of_y, factorial, first_mismatch, format_rational
 from .taucalc import TauCalculator
 
@@ -147,7 +147,7 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
         bracket = calc.tau_batch(g, l.items(), zeros=n)
         if not bracket:
             continue
-        term = ctx.y_prime_power(2 * (g - 1) + n + l.size)
+        term = ctx.y_prime_power(2 * (g - 1) + n + sum(l.values()))
         denom = 1
         for i, mult in l.items():
             term = term * ctx.f_power(i, mult)
@@ -250,7 +250,7 @@ def check_derivative_formula(g: int, n: int, ctx: GenusExpansionContext,
     return CheckReport("derivative_formula", mm is None, g=g, n=n, mismatch=mm)
 
 
-def induction_sides(g: int, n: int, l: MultiIndex,
+def induction_sides(g: int, n: int, l: Mapping[int, int],
                     calc: Optional[TauCalculator] = None) -> Tuple[Fraction, Fraction]:
     """Both sides of the index-shift identity that removes one tau_0:
 
@@ -258,22 +258,30 @@ def induction_sides(g: int, n: int, l: MultiIndex,
             <tau_0^(n-1) prod tau_i^{l_i - d_{i,2}}>
           + sum_{j>=3} l_j <tau_0^(n-1) prod tau_i^{l_i - d_{i,j} + d_{i,j-1}}>
 
-    (string equation followed by dilaton on the freed tau_1)."""
+    (string equation followed by dilaton on the freed tau_1), for a
+    multi-index l given as an {i: l_i} mapping with i >= 2 and l_i >= 0."""
     if n < 1:
         raise ValueError("the identity removes a tau_0, so n >= 1")
-    if l.weight != 3 * g - 3 + n:
-        raise ValueError(f"multi-index weight {l.weight} != dimension {3 * g - 3 + n}")
+    for i, mult in l.items():
+        if i < 2:
+            raise ValueError(f"multi-index entries start at i = 2, got {i}")
+        if mult < 0:
+            raise ValueError(f"multiplicities must be >= 0, got l_{i} = {mult}")
+    weight = sum((i - 1) * mult for i, mult in l.items())
+    if weight != 3 * g - 3 + n:
+        raise ValueError(f"multi-index weight {weight} != dimension {3 * g - 3 + n}")
     if calc is None:
         calc = TauCalculator()
     lhs = calc.tau_batch(g, l.items(), zeros=n)
     rhs = Fraction(0)
-    l2 = l.get(2)
+    l2 = l.get(2, 0)
     if l2:
-        euler = 2 * (g - 1) + (n - 1) + (l.size - 1)
-        rhs += l2 * euler * calc.tau_batch(g, l.decrement(2).items(), zeros=n - 1)
+        euler = 2 * (g - 1) + (n - 1) + (sum(l.values()) - 1)
+        rhs += l2 * euler * calc.tau_batch(g, {**l, 2: l2 - 1}.items(), zeros=n - 1)
     for j, mult in l.items():
-        if j >= 3:
-            rhs += mult * calc.tau_batch(g, l.shift_down(j).items(), zeros=n - 1)
+        if j >= 3 and mult:
+            shifted = {**l, j: mult - 1, j - 1: l.get(j - 1, 0) + 1}
+            rhs += mult * calc.tau_batch(g, shifted.items(), zeros=n - 1)
     return lhs, rhs
 
 

@@ -16,92 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .qseries import factorial, format_rational
 from .taucalc import TauCalculator
 
 __all__ = [
-    "MultiIndex",
     "VolumeRecord",
     "enumerate_multiindices",
     "volume",
-    "wp_volume_display",
     "CONVENTIONAL_ZEROS",
 ]
 
 #: (g, n) pairs that are defined to have V = 0 rather than computed.
 CONVENTIONAL_ZEROS = frozenset({(0, 0), (0, 1), (0, 2), (1, 0)})
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Multiplicity vector l_i for i >= 2; only nonzero entries are stored.
-
-    weight = |l| = sum (i-1) l_i   and   size = ||l|| = sum l_i.
-    """
-
-    entries: Tuple[Tuple[int, int], ...]  # (i, l_i) pairs, ascending in i
-
-    def __post_init__(self):
-        last = 1
-        for i, mult in self.entries:
-            if i < 2:
-                raise ValueError(f"multi-index entries start at i = 2, got {i}")
-            if mult < 1:
-                raise ValueError(f"stored multiplicities must be >= 1, got l_{i} = {mult}")
-            if i <= last:
-                raise ValueError("entries must be strictly ascending in i")
-            last = i
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[int, int]) -> "MultiIndex":
-        return cls(tuple(sorted((i, m) for i, m in mapping.items() if m)))
-
-    def items(self) -> Tuple[Tuple[int, int], ...]:
-        return self.entries
-
-    def get(self, i: int) -> int:
-        for j, mult in self.entries:
-            if j == i:
-                return mult
-        return 0
-
-    @property
-    def weight(self) -> int:
-        return sum((i - 1) * mult for i, mult in self.entries)
-
-    @property
-    def size(self) -> int:
-        return sum(mult for _, mult in self.entries)
-
-    @property
-    def max_index(self) -> int:
-        return self.entries[-1][0] if self.entries else 0
-
-    def decrement(self, i: int) -> "MultiIndex":
-        """l with one copy of index i removed."""
-        if self.get(i) < 1:
-            raise ValueError(f"multi-index has no l_{i} to remove")
-        return MultiIndex.from_dict({**dict(self.entries), i: self.get(i) - 1})
-
-    def shift_down(self, j: int) -> "MultiIndex":
-        """l with one copy of index j >= 3 turned into an index j - 1."""
-        if j < 3:
-            raise ValueError("can only shift indices j >= 3 down")
-        if self.get(j) < 1:
-            raise ValueError(f"multi-index has no l_{j} to shift")
-        updated = dict(self.entries)
-        updated[j] = updated[j] - 1
-        updated[j - 1] = updated.get(j - 1, 0) + 1
-        return MultiIndex.from_dict(updated)
-
-    def to_json_dict(self) -> dict:
-        return {str(i): mult for i, mult in self.entries}
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"l{i}={m}" for i, m in self.entries)
-        return f"MultiIndex({inner})"
 
 
 def _ascending_partitions(n: int) -> Iterator[Tuple[int, ...]]:
@@ -124,8 +52,9 @@ def _ascending_partitions(n: int) -> Iterator[Tuple[int, ...]]:
         yield tuple(a[: k + 1])
 
 
-def enumerate_multiindices(weight: int, max_i: int) -> Iterator[MultiIndex]:
-    """Every multi-index with |l| = weight and indices 2 <= i <= max_i, once each.
+def enumerate_multiindices(weight: int, max_i: int) -> Iterator[Dict[int, int]]:
+    """Every multi-index with |l| = weight and indices 2 <= i <= max_i, once each,
+    as an {i: l_i} dict with ascending keys and no zero entries.
 
     Equivalent to the partitions of `weight` into parts <= max_i - 1 (a part p
     contributes one l_{p+1}); yielded in lexicographic order of the ascending
@@ -142,7 +71,7 @@ def enumerate_multiindices(weight: int, max_i: int) -> Iterator[MultiIndex]:
         counts: dict = {}
         for p in parts:
             counts[p + 1] = counts.get(p + 1, 0) + 1
-        yield MultiIndex.from_dict(counts)
+        yield counts
 
 
 @dataclass(frozen=True)
@@ -209,17 +138,9 @@ def volume(g: int, n: int, calc: Optional[TauCalculator] = None) -> VolumeRecord
         for i, mult in l.items():
             denom *= factorial(mult) * factorial(i - 1) ** mult
         term = bracket / denom
-        if (g - 1 + n + l.size) % 2:
+        if (g - 1 + n + sum(l.values())) % 2:
             term = -term
         total += term
     v = total / factorial(n)
     return VolumeRecord(g, n, dim, total * factorial(dim), v)
 
-
-def wp_volume_display(
-    g: int, n: int, digits: int, calc: Optional[TauCalculator] = None
-) -> Tuple[Fraction, int, str]:
-    """(exact v, power of pi, decimal string) for the geometric volume
-    v * pi^(2 dim) of volume(g, n)."""
-    rec = volume(g, n, calc)
-    return rec.v, rec.pi_power, rec.wp_volume(digits)

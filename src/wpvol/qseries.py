@@ -166,9 +166,6 @@ class Series:
             raise ValueError(f"cannot extend a series of order {self.order} to order {order}")
         return Series(self._coeffs[: order + 1])
 
-    def is_zero(self) -> bool:
-        return not any(self._coeffs)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Series":

@@ -97,9 +97,6 @@ class MemoStore:
         self.entries: dict = dict(entries or {})
         self.path = path
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MemoStore):
             return NotImplemented

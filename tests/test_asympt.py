@@ -179,3 +179,11 @@ class TestRatioDiagnostic:
         # drifting toward the predicted constant, not away from it
         C = predicted_growth_constant()
         assert abs(seq[-1] - C) < abs(seq[0] - C)
+
+    @pytest.mark.parametrize("g, n_min, n_max", [(0, 0, 8), (0, 1, 8), (1, 0, 8), (2, 0, 8)])
+    def test_zero_volume_or_n_min_zero_rejected(self, calc, g, n_min, n_max):
+        with pytest.raises(ValueError):
+            growth_ratio_diagnostic(g, n_min, n_max, calc)
+
+    def test_first_positive_window_accepted(self, calc):
+        assert len(growth_ratio_diagnostic(1, 1, 8, calc)) == 7

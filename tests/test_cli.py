@@ -2,7 +2,7 @@ import json
 
 from wpvol import cli, kappavol
 from wpvol.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from wpvol.kappavol import wp_volume_display
+from wpvol.kappavol import volume
 
 
 def run_cli(capsys, *argv):
@@ -79,7 +79,7 @@ class TestVolume:
         assert data["wp_volume"].startswith("0.4112335")  # pi^2/24
 
     def test_digits_table_renders_from_records(self, capsys, monkeypatch):
-        expected = [wp_volume_display(2, n, 12)[2] for n in range(5)]
+        expected = [volume(2, n).wp_volume(12) for n in range(5)]
         calls = []
         real_volume = kappavol.volume
         monkeypatch.setattr(kappavol, "volume", lambda *a: calls.append(a) or real_volume(*a))
@@ -126,6 +126,12 @@ class TestSeries:
         code, out, _ = run_cli(capsys, "series", "--phi", "0", "--order", "1")
         assert json.loads(out)["coeffs"] == ["0", "0"]
 
+    def test_low_order_phi2_bytes(self, capsys):
+        # below order 3 the series is built at order 3 and cut back
+        code, out, _ = run_cli(capsys, "series", "--phi", "2", "--order", "2")
+        assert code == EXIT_OK
+        assert out == '{"order": 2, "coeffs": ["43/17280", "29/3072", "787/30720"]}\n'
+
 
 class TestVerify:
     def test_all_passes(self, capsys):
@@ -153,6 +159,15 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "all",
                              "--genus", "1", "--order", "4")
         assert code == EXIT_USAGE
+
+    def test_induction_suite_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "induction",
+                               "--genus", "2", "--order", "1")
+        assert code == EXIT_OK
+        line = ('{{"check": "index_shift_identity", "g": 2, "n": 1, "l": {}, '
+                '"pass": true, "first_mismatch": null}}\n')
+        assert out == "".join(line.format(l) for l in (
+            '{"2": 4}', '{"2": 2, "3": 1}', '{"2": 1, "4": 1}', '{"3": 2}', '{"5": 1}'))
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "theorem1",
@@ -213,6 +228,30 @@ class TestCache:
         assert out == ""
         assert "line 2" in err
         assert path.read_text(encoding="utf-8") == "1|1|1/24\n5|0|7\n"
+
+    def test_pure_hit_run_leaves_the_file_alone(self, capsys, tmp_path):
+        path = tmp_path / "unsorted.cache"
+        text = "1|1|1/24\n0|0,0,0|1\n"  # valid, but not in the order a save writes
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "tau", "--genus", "1", "--ds", "1",
+                               "--cache", str(path))
+        assert (code, out) == (EXIT_OK, "1/24\n")
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_run_that_adds_entries_saves(self, capsys, tmp_path):
+        path = tmp_path / "grow.cache"
+        path.write_text("1|1|1/24\n", encoding="utf-8")
+        code, _, _ = run_cli(capsys, "tau", "--genus", "1", "--ds", "2,0",
+                             "--cache", str(path))
+        assert code == EXIT_OK
+        assert path.read_text(encoding="utf-8") == "1|1|1/24\n1|2,0|1/24\n"
+
+    def test_first_run_creates_the_file_even_when_empty(self, capsys, tmp_path):
+        path = tmp_path / "new.cache"
+        code, out, _ = run_cli(capsys, "tau", "--genus", "0", "--ds", "0,0",
+                               "--cache", str(path))
+        assert (code, out) == (EXIT_OK, "0\n")
+        assert path.read_text(encoding="utf-8") == ""
 
     def test_cache_warm_and_cold_agree(self, capsys, tmp_path):
         path = tmp_path / "warm.cache"

@@ -2,14 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from wpvol.genexp import volume_table
+from wpvol.genexp import induction_sides, volume_table
 from wpvol.kappavol import (
     CONVENTIONAL_ZEROS,
-    MultiIndex,
     VolumeRecord,
     enumerate_multiindices,
     volume,
-    wp_volume_display,
 )
 from wpvol.qseries import factorial
 
@@ -27,63 +25,21 @@ def count_partitions(n, max_part):
     return table[n]
 
 
-class TestMultiIndex:
-    def test_weights(self):
-        l = MultiIndex.from_dict({2: 3, 4: 1})
-        assert l.weight == 3 + 3
-        assert l.size == 4
-        assert l.max_index == 4
-        assert l.get(3) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiIndex(((1, 1),))
-        with pytest.raises(ValueError):
-            MultiIndex(((2, 0),))
-        with pytest.raises(ValueError):
-            MultiIndex(((3, 1), (2, 1)))
-
-    def test_from_dict_drops_zero_entries(self):
-        assert MultiIndex.from_dict({2: 0, 3: 1}).entries == ((3, 1),)
-
-    def test_decrement(self):
-        l = MultiIndex.from_dict({2: 2, 3: 1})
-        assert l.decrement(2) == MultiIndex.from_dict({2: 1, 3: 1})
-        assert l.decrement(3) == MultiIndex.from_dict({2: 2})
-        with pytest.raises(ValueError):
-            l.decrement(5)
-
-    def test_shift_down(self):
-        l = MultiIndex.from_dict({4: 1})
-        assert l.shift_down(4) == MultiIndex.from_dict({3: 1})
-        l2 = MultiIndex.from_dict({2: 1, 3: 2})
-        assert l2.shift_down(3) == MultiIndex.from_dict({2: 2, 3: 1})
-        with pytest.raises(ValueError):
-            l2.shift_down(2)
-
-    def test_json(self):
-        assert MultiIndex.from_dict({4: 1, 2: 3}).to_json_dict() == {"2": 3, "4": 1}
-
-
 class TestEnumeration:
     def test_weight_zero(self):
-        assert list(enumerate_multiindices(0, 5)) == [MultiIndex(())]
+        assert list(enumerate_multiindices(0, 5)) == [{}]
 
     def test_weight_two(self):
         got = list(enumerate_multiindices(2, 4))
-        assert got == [MultiIndex.from_dict({2: 2}), MultiIndex.from_dict({3: 1})]
+        assert got == [{2: 2}, {3: 1}]
 
     def test_weight_three(self):
-        got = set(enumerate_multiindices(3, 5))
-        assert got == {
-            MultiIndex.from_dict({2: 3}),
-            MultiIndex.from_dict({2: 1, 3: 1}),
-            MultiIndex.from_dict({4: 1}),
-        }
+        got = list(enumerate_multiindices(3, 5))
+        assert got == [{2: 3}, {2: 1, 3: 1}, {4: 1}]
 
     def test_max_index_bound(self):
         got = list(enumerate_multiindices(3, 3))
-        assert MultiIndex.from_dict({4: 1}) not in got
+        assert {4: 1} not in got
         assert len(got) == 2
 
     def test_counts_match_partition_numbers(self):
@@ -96,7 +52,9 @@ class TestEnumeration:
 
     def test_every_weight_correct(self):
         for l in enumerate_multiindices(9, 10):
-            assert l.weight == 9
+            assert sum((i - 1) * m for i, m in l.items()) == 9
+            assert list(l) == sorted(l) and min(l) >= 2
+            assert all(m >= 1 for m in l.values())
 
     def test_deterministic_order(self):
         a = list(enumerate_multiindices(6, 7))
@@ -108,6 +66,17 @@ class TestEnumeration:
             list(enumerate_multiindices(-1, 4))
         with pytest.raises(ValueError):
             list(enumerate_multiindices(3, 1))
+
+
+class TestMultiIndex:
+    """A multi-index is a plain {i: l_i} dict; induction_sides checks its shape."""
+
+    def test_validation(self):
+        # weights match the dimension (0 at (0, 3), 1 at (0, 4)); the entries do not
+        with pytest.raises(ValueError, match="start at i = 2"):
+            induction_sides(0, 3, {1: 1})
+        with pytest.raises(ValueError, match=">= 0"):
+            induction_sides(0, 4, {2: -1, 3: 1})
 
 
 class TestVolume:
@@ -161,25 +130,26 @@ class TestVolume:
 
 class TestDisplay:
     def test_sphere(self, calc):
-        v, power, text = wp_volume_display(0, 3, 12, calc)
-        assert (v, power) == (F(1, 6), 0)
-        assert text.startswith("0.16666666666")
+        rec = volume(0, 3, calc)
+        assert (rec.v, rec.pi_power) == (F(1, 6), 0)
+        assert rec.wp_volume(12).startswith("0.16666666666")
 
     def test_torus(self, calc):
-        v, power, _ = wp_volume_display(1, 1, 10, calc)
-        assert (v, power) == (F(1, 24), 2)
+        rec = volume(1, 1, calc)
+        assert (rec.v, rec.pi_power) == (F(1, 24), 2)
 
     def test_genus2(self, calc):
-        v, power, text = wp_volume_display(2, 0, 10, calc)
-        assert (v, power) == (F(43, 17280), 6)
+        rec = volume(2, 0, calc)
+        assert (rec.v, rec.pi_power) == (F(43, 17280), 6)
         # 43/17280 * pi^6 = 2.3921...
-        assert text.startswith("2.392")
+        assert rec.wp_volume(10).startswith("2.392")
 
     def test_zero(self, calc):
-        assert wp_volume_display(1, 0, 10, calc) == (F(0), 0, "0")
+        rec = volume(1, 0, calc)
+        assert (rec.v, rec.pi_power, rec.wp_volume(10)) == (F(0), 0, "0")
 
     def test_repeatable(self, calc):
-        assert wp_volume_display(2, 1, 15, calc) == wp_volume_display(2, 1, 15, calc)
+        assert volume(2, 1, calc).wp_volume(15) == volume(2, 1, calc).wp_volume(15)
 
 
 class TestRecordOutput:
