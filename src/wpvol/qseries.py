@@ -5,6 +5,10 @@ an exact rational in lowest terms and nothing is ever rounded.  A
 :class:`Series` carries an explicit truncation order N; coefficients of
 x^(N+1) and beyond are *unknown*, not zero, so binary operations truncate
 conservatively to the smaller operand order and never pad with zeros.
+
+Products (and with them powers, composition and reversion) run over integer
+numerators on one common denominator per operand; each result coefficient
+is reduced once, so it is still a ``Fraction`` in lowest terms.
 """
 
 from __future__ import annotations
@@ -81,19 +85,25 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _mul_lists(a: list, b: list, n: int) -> list:
-    """Cauchy product of coefficient lists, truncated at order n."""
-    out = [_ZERO] * (n + 1)
-    for i, ai in enumerate(a):
-        if i > n:
-            break
-        if not ai:
-            continue
-        top = min(n - i, len(b) - 1)
-        for j in range(top + 1):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
+    """Cauchy product of coefficient lists, truncated at order n.
+
+    Each operand is scaled once to integer numerators over the lcm of its
+    denominators, so the convolution runs in plain ints (no gcd per term)
+    and each output coefficient is reduced once.
+    """
+    a, b = a[: n + 1], b[: n + 1]
+    da = math.lcm(*(c.denominator for c in a))
+    db = math.lcm(*(c.denominator for c in b))
+    na = [c.numerator * (da // c.denominator) for c in a]
+    nb = [c.numerator * (db // c.denominator) for c in b]
+    out = [0] * (n + 1)
+    for i, ai in enumerate(na):
+        if ai:
+            for j, bj in enumerate(nb[: n + 1 - i], i):
+                if bj:
+                    out[j] += ai * bj
+    d = da * db
+    return [Fraction(c, d) for c in out]
 
 
 def _compose_lists(outer: list, inner: list, n: int) -> list:
@@ -204,15 +214,16 @@ class Series:
         """Integer power by binary exponentiation; order is preserved."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series powers take a non-negative integer exponent")
-        result = Series.constant(1, self.order)
-        base = self
-        e = exponent
-        while e:
+        if not exponent:
+            return Series.constant(1, self.order)
+        base, e = self, exponent
+        while not e & 1:
+            base, e = base * base, e >> 1
+        result = base  # the lowest set bit: no product with the constant 1
+        while e := e >> 1:
+            base = base * base
             if e & 1:
                 result = result * base
-            e >>= 1
-            if e:
-                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

@@ -40,6 +40,14 @@ class TestY:
         # [x^4] y = V_{0,6} / (4! 3!)
         assert build_y(4)[4] == F(volume(0, 6, calc).V, 144)
 
+    def test_genus0_integrality(self):
+        # y_n n! (n-1)! = V_{0,n+2} is an integer (Kaufmann-Manin-Zagier);
+        # checked on the coefficients alone, with no series arithmetic
+        y = build_y(62)
+        volumes = [y[n] * factorial(n) * factorial(n - 1) for n in range(1, 63)]
+        assert all(v.denominator == 1 for v in volumes)
+        assert volumes[:7] == [1, 1, 5, 61, 1379, 49946, 2648967]
+
     def test_inverse_function_identity(self):
         # differentiate x(y(x)) = x: x'(y) o y  *  y' = 1
         order = 10

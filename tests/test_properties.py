@@ -1,15 +1,17 @@
-"""Property tests: Series ring laws, reversion round trips, correlator invariants.
+"""Property tests: the product kernel, Series ring laws, reversion round trips,
+correlator invariants.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 reproducible and fast.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpvol.qseries import Series, revert_lagrange
+from wpvol.qseries import Series, _mul_lists, factorial, revert_lagrange
 
 F = Fraction
 
@@ -49,6 +51,43 @@ def valid_keys(draw):
     for slot in slots:
         ds[slot] += 1
     return g, ds
+
+
+def _ref_mul(a, b, n):
+    """Schoolbook truncated Cauchy product in plain Fraction arithmetic: the
+    reference for _mul_lists, which revert and revert_lagrange both use."""
+    out = [F(0)] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        for j, bj in enumerate(b[: n + 1 - i]):
+            out[i + j] += F(ai) * bj
+    return out
+
+
+def _assert_reduced_fractions(coeffs):
+    for c in coeffs:
+        assert type(c) is F
+        assert math.gcd(c.numerator, c.denominator) == 1
+
+
+class TestMulKernel:
+    # entries mix ints and Fractions, zeros and negatives; an empty list is
+    # Horner's first partial result; n runs below, between and above both lengths
+    entries = st.lists(st.one_of(st.integers(-20, 20), fractions), max_size=8)
+
+    @PROPERTY
+    @given(entries, entries, st.integers(0, 10))
+    def test_matches_schoolbook_product(self, a, b, n):
+        out = _mul_lists(a, b, n)
+        assert out == _ref_mul(a, b, n)
+        _assert_reduced_fractions(out)
+
+    def test_factorial_squared_denominators(self):
+        # denominators up to (60!)^2, as in the Bessel series at order 61
+        a = [F((-1) ** k, factorial(k) ** 2) for k in range(61)]
+        b = [F(k - 30, factorial(k) * factorial(k + 1)) for k in range(61)]
+        out = _mul_lists(a, b, 60)
+        assert out == _ref_mul(a, b, 60)
+        _assert_reduced_fractions(out)
 
 
 class TestSeriesRing:

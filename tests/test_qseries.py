@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from wpvol import qseries
 from wpvol.qseries import (
     Series,
     bessel_x_of_y,
@@ -125,6 +126,23 @@ class TestRingOps:
         with pytest.raises(ValueError):
             x ** (-1)
 
+    @pytest.mark.parametrize("exponent, products", [(0, 0), (1, 0), (2, 1), (7, 4)])
+    def test_pow_is_repeated_product(self, monkeypatch, exponent, products):
+        a = S(F(2, 3), -1, F(5, 7), 0, F(-1, 4), 3)
+        expected = Series.constant(1, a.order)
+        for _ in range(exponent):
+            expected = expected * a
+        kernel, calls = qseries._mul_lists, []
+
+        def counting_kernel(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(qseries, "_mul_lists", counting_kernel)
+        assert a**exponent == expected
+        # squarings plus one product per further set bit, none with the constant 1
+        assert len(calls) == products
+
     def test_mul_commutes_randomized(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -236,6 +254,10 @@ class TestRevert:
         for _ in range(10):
             a = random_series(rng, rng.randint(1, 12), zero_constant=True, unit_linear=True)
             assert a.revert() == revert_lagrange(a)
+
+    def test_newton_agrees_with_lagrange_at_order_62(self):
+        # the order that `series --phi 0 --order 64` reverts
+        assert bessel_x_of_y(62).revert() == revert_lagrange(bessel_x_of_y(62))
 
 
 class TestBesselSeries:
