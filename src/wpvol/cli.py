@@ -1,9 +1,10 @@
 """Command-line front end: correlators, volumes, series, verification, growth fits.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-An input too deep or too large to evaluate (a RecursionError or MemoryError,
-e.g. a correlator with several hundred points) is reported as one `error:`
-line with exit code 2, never as a traceback.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
+130 interrupted (128 + SIGINT).  An input too large to evaluate (a
+MemoryError, or a RecursionError) is reported as one `error:` line with exit
+code 2, never as a traceback; an interrupt prints `error: interrupted` and
+leaves the cache file as it was.
 All output is deterministic: identical invocations print identical bytes,
 whatever the state of the optional correlator cache.
 """
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130
 
 SUITES = ("lemma", "theorem1", "derivative", "induction", "all")
 
@@ -236,7 +238,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    try:
+        return _run(args)
+    except KeyboardInterrupt:  # during the cache load, the command or the save
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
+
+def _run(args) -> int:
     cache_path = getattr(args, "cache", None)
     cache_existed = bool(cache_path) and os.path.exists(cache_path)
     if cache_existed:

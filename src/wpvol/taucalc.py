@@ -5,6 +5,8 @@ the string equation removes a tau_0 insertion, the dilaton equation removes a
 tau_1 once only tau_1's remain, and the Dijkgraaf-Verlinde-Verlinde (KdV /
 Virasoro) recursion handles the rest.  Marked points are distinguishable, so
 the genus-splitting sums run over ordered pairs of labeled submultisets.
+Genus 0 needs no recursion: <tau_d>_0 = (n-3)!/prod d_i! (a multinomial
+coefficient) whenever the dimension rule holds.
 
 Every key has one shape, TauKey(g, indices) with `indices` a tuple sorted in
 descending order, and each reduction builds its child keys in that shape
@@ -12,12 +14,33 @@ directly.  In the genus-splitting sum the dimension constraint of
 <tau_a I>_{g1} fixes g1 = (sum(I) + a - |I| + 2) / 3, so a split contributes
 only when that is an integer in [0, g].
 
-Values are exact rationals and are memoized per canonical key; the memo can
-be persisted to a plain-text cache file (one "g|d1,...,dn|p/q" entry per
-line, indices sorted descending, lines sorted for diff-stability).  Loading
-rejects any line that gives a nonzero value to an unstable key or to one
-that breaks the dimension rule; saving writes a temporary file beside the
-target and renames it into place.
+The memo holds plain ints, the normalized correlators (Liu-Xu)
+
+    W(g, ds) = 2^(4g) * prod_i (2d_i+1)!! * <tau_ds>_g.
+
+In W every rule has integer coefficients: string (2d_j+1), dilaton
+3(2g-2+n), DVV merge (2d_j+1), the DVV genus-reducing term times 2^4, the
+DVV split products unscaled (2^(4 g1) 2^(4 g2) = 2^(4g)), and the bases
+W(0,(0,0,0)) = 1 and W(1,(1,)) = 2; one exact halving of the DVV split sum
+remains.  The double factorials clear every odd denominator; the 2-adic
+scale 2^(4g) is an empirical bound (the largest 2-adic exponents of
+prod (2d_i+1)!! <tau_ds>_g are 3, 7, 10, 15, 18, 22, 25 for g = 1..7), so
+the halving is checked at run time and raises ArithmeticError on a
+remainder instead of rounding.  tau() and the *_reduced methods build one
+Fraction(W, 2^(4g) prod (2d_i+1)!!) at the boundary.
+
+Evaluation keeps an explicit worklist, not the interpreter's call stack:
+each reduction is a generator that looks its children up in the memo and
+yields only the misses, and one driver loop keeps the stack of generators,
+so a key is not limited by the recursion limit.
+
+The memo can be persisted to a plain-text cache file (one
+"g|d1,...,dn|p/q" entry per line holding <tau_ds>_g itself, indices sorted
+descending, lines sorted for diff-stability).  Loading rejects any line that
+gives a nonzero value to an unstable key or to one that breaks the
+dimension rule, or whose value times 2^(4g) prod (2d_i+1)!! is not an
+integer; saving writes a temporary file beside the target and renames it
+into place.
 """
 
 from __future__ import annotations
@@ -25,12 +48,11 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
-from math import comb
+from math import comb, prod
 from operator import neg
 from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from .qseries import double_factorial, format_rational, parse_rational
+from .qseries import format_rational, parse_rational
 
 __all__ = [
     "TauKey",
@@ -40,10 +62,6 @@ __all__ = [
     "save_cache",
     "load_cache",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_TORUS_ONE_POINT = Fraction(1, 24)
 
 Indices = Iterable[int]
 
@@ -59,7 +77,7 @@ class TauKey(NamedTuple):
     def make(cls, genus: int, indices: Indices) -> "TauKey":
         if genus < 0:
             raise ValueError(f"genus must be >= 0, got {genus}")
-        idx = tuple(sorted((int(d) for d in indices), reverse=True))
+        idx = tuple(sorted(map(int, indices), reverse=True))
         if idx and idx[-1] < 0:
             raise ValueError("tau indices must be >= 0")
         return cls(int(genus), idx)
@@ -77,8 +95,25 @@ class TauKey(NamedTuple):
         return f"{self.genus}|{ds}"
 
 
-_BASE_SPHERE = TauKey(0, (0, 0, 0))
 _BASE_TORUS = TauKey(1, (1,))
+
+# _key(TauKey, (g, ds)) is TauKey(g, ds) without the Python-level frame of the
+# NamedTuple constructor, for the child keys the reductions build
+_key = tuple.__new__
+
+
+def _odd_double_factorials(odd: list, top: int) -> list:
+    """Extend `odd` in place so that odd[d] = (2d+1)!! for every d <= top."""
+    while len(odd) <= top:
+        odd.append(odd[-1] * (2 * len(odd) + 1))
+    return odd
+
+
+def _scale(genus: int, ds: Tuple[int, ...], odd: list) -> int:
+    """2^(4g) prod (2d_i+1)!!, the factor from <tau_ds>_g to W(g, ds)."""
+    if ds:
+        _odd_double_factorials(odd, ds[0])
+    return prod(map(odd.__getitem__, ds)) << (4 * genus)
 
 
 class CacheFormatError(ValueError):
@@ -90,9 +125,9 @@ class CacheFormatError(ValueError):
 
 
 class MemoStore:
-    """TauKey -> Fraction cache, optionally tied to a backing text file."""
+    """TauKey -> W (an int) cache, optionally tied to a backing text file."""
 
-    def __init__(self, entries: Optional[Mapping[TauKey, Fraction]] = None,
+    def __init__(self, entries: Optional[Mapping[TauKey, int]] = None,
                  path: Optional[str] = None):
         self.entries: dict = dict(entries or {})
         self.path = path
@@ -104,12 +139,21 @@ class MemoStore:
 
 
 def save_cache(store: MemoStore, path: Optional[str] = None) -> None:
-    """Write every entry to `path` (or the store's own path), sorted for diffs."""
+    """Write every entry as <tau_ds>_g to `path` (or the store's own path),
+    sorted for diffs; a non-int entry raises TypeError before anything is
+    written."""
     target = path if path is not None else store.path
     if target is None:
         raise ValueError("no cache path given")
-    lines = sorted(f"{key.render()}|{format_rational(value)}"
-                   for key, value in store.entries.items())
+    odd = [1]
+    lines = []
+    for key, w in store.entries.items():
+        if type(w) is not int:
+            raise TypeError(f"memo entry {key.render()} is a {type(w).__name__}, "
+                            "not a normalized int")
+        value = Fraction(w, _scale(key.genus, key.indices, odd))
+        lines.append(f"{key.render()}|{format_rational(value)}")
+    lines.sort()
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -122,8 +166,9 @@ def save_cache(store: MemoStore, path: Optional[str] = None) -> None:
 
 
 def load_cache(path: str) -> MemoStore:
-    """Read a cache file back; the round trip is bit-exact."""
+    """Read a cache file back into normalized ints; the round trip is bit-exact."""
     entries: dict = {}
+    odd = [1]
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -141,7 +186,7 @@ def load_cache(path: str) -> MemoStore:
                 indices: Tuple[int, ...] = ()
             else:
                 try:
-                    indices = tuple(int(d) for d in ds_text.split(","))
+                    indices = tuple(map(int, ds_text.split(",")))
                 except ValueError:
                     raise CacheFormatError(line_no, f"malformed index list {ds_text!r}") from None
             try:
@@ -158,7 +203,12 @@ def load_cache(path: str) -> MemoStore:
                 raise CacheFormatError(
                     line_no, f"key {key.render()} breaks the dimension rule "
                              f"sum(ds) = 3g-3+n = {3 * genus - 3 + n} but has a nonzero value")
-            entries[key] = value
+            w, r = divmod(value.numerator * _scale(genus, key.indices, odd), value.denominator)
+            if r:
+                raise CacheFormatError(
+                    line_no, f"value {value_text} of {key.render()} times "
+                             f"2^(4g) prod (2d+1)!! is not an integer")
+            entries[key] = w
     return MemoStore(entries, path=path)
 
 
@@ -186,19 +236,16 @@ def _ordered_splits(runs: list) -> list:
     The weight of choosing c of the m copies of a value is C(m, c), because
     the underlying marked points are labeled.  `shift` is
     sum(part) - len(part) + 2, so that <tau_a part>_{g1} passes the dimension
-    gate exactly when shift + a = 3 g1.
+    gate exactly when shift + a = 3 g1.  The splits are built run by run, so
+    splits that agree on the first runs share that prefix work.
     """
-    splits = []
-    for choice in product(*(range(stop - start + 1) for _, start, stop in runs)):
-        part: Tuple[int, ...] = ()
-        complement: Tuple[int, ...] = ()
-        weight = 1
-        for (v, start, stop), c in zip(runs, choice):
-            m = stop - start
-            part += (v,) * c
-            complement += (v,) * (m - c)
-            weight *= comb(m, c)
-        splits.append((sum(part) - len(part) + 2, part, weight, complement))
+    splits = [(2, (), 1, ())]
+    for v, start, stop in runs:
+        m = stop - start
+        choices = [(c * (v - 1), (v,) * c, comb(m, c), (v,) * (m - c)) for c in range(m + 1)]
+        splits = [(shift + dshift, part + dpart, weight * dweight, complement + dcomp)
+                  for shift, part, weight, complement in splits
+                  for dshift, dpart, dweight, dcomp in choices]
     return splits
 
 
@@ -211,6 +258,7 @@ class TauCalculator:
 
     def __init__(self, store: Optional[MemoStore] = None):
         self.store = store if store is not None else MemoStore()
+        self._odd = [1]  # _odd[d] = (2d+1)!!, extended on demand
 
     # -- evaluation ----------------------------------------------------------
 
@@ -221,26 +269,14 @@ class TauCalculator:
     def tau_key(self, key: TauKey) -> Fraction:
         g, ds = key
         n = len(ds)
-        if 2 * g - 2 + n <= 0:
-            return _ZERO
-        if sum(ds) != 3 * g - 3 + n:
-            return _ZERO
-        memo = self.store.entries
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if key == _BASE_SPHERE:
-            value = _ONE
-        elif key == _BASE_TORUS:
-            value = _TORUS_ONE_POINT
-        elif ds[-1] == 0:
-            value = self.string_reduced(g, ds)
-        elif ds[0] == 1:
-            value = self.dilaton_reduced(g, ds)
-        else:
-            value = self.dvv_reduced(g, ds, ds[0])
-        memo[key] = value
-        return value
+        if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
+            return Fraction(0)
+        w = self.store.entries.get(key)
+        if w is None:
+            w = self._step(key)
+            if type(w) is not int:
+                w = self._drive(w, key)
+        return Fraction(w, _scale(g, ds, self._odd))
 
     def tau_batch(self, genus: int, pairs, zeros: int = 0) -> Fraction:
         """Correlator of a multiplicity vector given as (i, mult) pairs, with
@@ -250,9 +286,142 @@ class TauCalculator:
             ds.extend([i] * mult)
         return self.tau(genus, ds)
 
+    # -- the worklist ----------------------------------------------------------
+
+    def _step(self, key: TauKey):
+        """W(key) when no reduction is needed (0 for an unstable or
+        dimension-breaking key, the torus base, the genus-0 closed form; the
+        last two are stored), else the generator of the reduction tau_key
+        selects: string while a tau_0 remains, dilaton once only tau_1's
+        remain, DVV on the largest index otherwise."""
+        g, ds = key
+        n = len(ds)
+        if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
+            return 0
+        if g == 0:
+            w = self.store.entries[key] = self._genus0(ds)
+            return w
+        if key == _BASE_TORUS:
+            self.store.entries[key] = 2
+            return 2
+        if ds[-1] == 0:
+            return self._string(g, ds)
+        if ds[0] == 1:
+            return self._dilaton(g, ds)
+        return self._dvv(g, ds, ds[0])
+
+    def _drive(self, gen, key: Optional[TauKey] = None) -> int:
+        """Run reduction `gen` to its value, evaluating each child it yields
+        on an explicit stack of generators; the value of every key on the
+        stack, `key` included when given, is stored in the memo."""
+        memo = self.store.entries
+        stack = [(key, gen)]
+        sent = None
+        while stack:
+            top, gen = stack[-1]
+            try:
+                child = gen.send(sent)
+            except StopIteration as done:
+                sent = done.value
+                if top is not None:
+                    memo[top] = sent
+                stack.pop()
+                continue
+            sent = self._step(child)
+            if type(sent) is not int:
+                stack.append((child, sent))
+                sent = None
+        return sent
+
+    def _genus0(self, ds: Tuple[int, ...]) -> int:
+        """W(0, ds) = (n-3)! prod (2d_i+1)!!/d_i!, the multinomial
+        (n-3)!/prod d_i! taken as a product of binomials; ds descending."""
+        odd = _odd_double_factorials(self._odd, ds[0])
+        w = 1
+        total = 0
+        for d in ds:
+            if not d:
+                break
+            total += d
+            w *= comb(total, d) * odd[d]
+        return w
+
+    # -- one-step reductions, as generators over normalized ints ---------------
+    # Each looks its children up in the memo and yields only the misses; the
+    # driver sends back the child's W.
+
+    def _string(self, g: int, ds: Tuple[int, ...]):
+        get = self.store.entries.get
+        rest = ds[:-1]
+        total = 0
+        for v, start, stop in _runs(rest):
+            if v:
+                # lowering the last copy of v keeps the tuple sorted
+                child = _key(TauKey, (g, rest[:stop - 1] + (v - 1,) + rest[stop:]))
+                w = get(child)
+                if w is None:
+                    w = yield child
+                total += (2 * v + 1) * (stop - start) * w
+        return total
+
+    def _dilaton(self, g: int, ds: Tuple[int, ...]):
+        i = ds.index(1)
+        child = _key(TauKey, (g, ds[:i] + ds[i + 1:]))
+        w = self.store.entries.get(child)
+        if w is None:
+            w = yield child
+        return 3 * (2 * g - 2 + len(child.indices)) * w
+
+    def _dvv(self, g: int, ds: Tuple[int, ...], k: int):
+        get = self.store.entries.get
+        i = ds.index(k)
+        rest = ds[:i] + ds[i + 1:]
+        runs = _runs(rest)
+
+        total = 0
+        for v, start, stop in runs:
+            child = _key(TauKey, (g, _insert(rest[:start] + rest[start + 1:], k + v - 1)))
+            w = get(child)
+            if w is None:
+                w = yield child
+            total += (2 * v + 1) * (stop - start) * w
+
+        split_sum = 0
+        if g >= 1:
+            for a in range(k - 1):
+                child = _key(TauKey, (g - 1, _insert(_insert(rest, a), k - 2 - a)))
+                w = get(child)
+                if w is None:
+                    w = yield child
+                split_sum += w << 4
+        for shift, part, weight, complement in _ordered_splits(runs):
+            # a runs over the values with shift + a = 3 g1, 0 <= g1 <= g
+            low = max(0, -shift)
+            low += -(shift + low) % 3
+            for a in range(low, min(k - 2, 3 * g - shift) + 1, 3):
+                g1 = (shift + a) // 3
+                child = _key(TauKey, (g1, _insert(part, a)))
+                first = get(child)
+                if first is None:
+                    first = yield child
+                if not first:
+                    continue
+                child = _key(TauKey, (g - g1, _insert(complement, k - 2 - a)))
+                second = get(child)
+                if second is None:
+                    second = yield child
+                split_sum += first * second * weight
+
+        half, odd = divmod(split_sum, 2)
+        if odd:
+            raise ArithmeticError(f"DVV split sum of {TauKey(g, ds).render()} is odd: "
+                                  "a memo entry is not a normalized correlator")
+        return total + half
+
     # -- one-step reductions (exposed for the consistency suite) --------------
-    # Products keep the Fraction on the left: int * Fraction goes through
-    # Fraction.__rmul__, whose numbers.Rational check is slower and deeper.
+
+    def _reduced(self, gen, genus: int, ds: Tuple[int, ...]) -> Fraction:
+        return Fraction(self._drive(gen), _scale(genus, ds, self._odd))
 
     def string_reduced(self, genus: int, indices: Indices) -> Fraction:
         """Remove one tau_0 via the string equation: sum over lowering each
@@ -260,14 +429,7 @@ class TauCalculator:
         ds = tuple(sorted(indices, reverse=True))
         if not ds or ds[-1] != 0:
             raise ValueError("string equation needs a tau_0 insertion")
-        rest = ds[:-1]
-        total = _ZERO
-        for v, start, stop in _runs(rest):
-            if v:
-                # lowering the last copy of v keeps the tuple sorted
-                lowered = rest[:stop - 1] + (v - 1,) + rest[stop:]
-                total += self.tau_key(TauKey(genus, lowered)) * (stop - start)
-        return total
+        return self._reduced(self._string(genus, ds), genus, ds)
 
     def dilaton_reduced(self, genus: int, indices: Indices) -> Fraction:
         """Remove one tau_1 via the dilaton equation, picking up the Euler
@@ -275,9 +437,7 @@ class TauCalculator:
         ds = tuple(sorted(indices, reverse=True))
         if 1 not in ds:
             raise ValueError("dilaton equation needs a tau_1 insertion")
-        i = ds.index(1)
-        rest = ds[:i] + ds[i + 1:]
-        return self.tau_key(TauKey(genus, rest)) * (2 * genus - 2 + len(rest))
+        return self._reduced(self._dilaton(genus, ds), genus, ds)
 
     def dvv_reduced(self, genus: int, indices: Indices, pivot: int) -> Fraction:
         """One application of the DVV recursion, pivoting on an index k >= 2:
@@ -296,36 +456,4 @@ class TauCalculator:
         ds = tuple(sorted(indices, reverse=True))
         if pivot not in ds:
             raise ValueError(f"pivot {pivot} not present in {list(ds)}")
-        k = pivot
-        i = ds.index(k)
-        rest = ds[:i] + ds[i + 1:]
-        runs = _runs(rest)
-
-        total = _ZERO
-        for v, start, stop in runs:
-            merged = _insert(rest[:start] + rest[start + 1:], k + v - 1)
-            # (2(k+v)-1)!! / (2v-1)!! is a product of odd numbers
-            coeff = double_factorial(2 * (k + v) - 1) // double_factorial(2 * v - 1)
-            total += self.tau_key(TauKey(genus, merged)) * ((stop - start) * coeff)
-
-        split_sum = _ZERO
-        splits = _ordered_splits(runs)
-        for a in range(k - 1):
-            b = k - 2 - a
-            inner = _ZERO
-            if genus >= 1:
-                inner += self.tau_key(TauKey(genus - 1, _insert(_insert(rest, a), b)))
-            for shift, part, weight, complement in splits:
-                g1, r = divmod(shift + a, 3)
-                if r or not 0 <= g1 <= genus:
-                    continue
-                first = self.tau_key(TauKey(g1, _insert(part, a)))
-                if not first:
-                    continue
-                second = self.tau_key(TauKey(genus - g1, _insert(complement, b)))
-                if second:
-                    inner += first * second * weight
-            split_sum += inner * (double_factorial(2 * a + 1) * double_factorial(2 * b + 1))
-
-        total += split_sum / 2
-        return total / double_factorial(2 * k + 1)
+        return self._reduced(self._dvv(genus, ds, pivot), genus, ds)

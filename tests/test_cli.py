@@ -1,7 +1,7 @@
 import json
 
 from wpvol import cli, kappavol
-from wpvol.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from wpvol.cli import EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from wpvol.kappavol import volume
 
 
@@ -33,12 +33,33 @@ class TestTau:
         assert code == EXIT_USAGE
         assert "error" in err
 
-    def test_too_deep_key_is_a_usage_error(self, capsys):
-        # a valid 600-point genus-0 key (value 1) deeper than the recursion limit
+    def test_600_point_key_evaluates(self, capsys):
+        # a valid 600-point genus-0 key (value 1), once deeper than the recursion limit
         ds = ",".join(["597"] + ["0"] * 599)
         code, out, err = run_cli(capsys, "tau", "--genus", "0", "--ds", ds)
-        assert code == EXIT_USAGE
-        assert out == ""
+        assert (code, out, err) == (EXIT_OK, "1\n", "")
+
+    def test_2000_point_genus0_key(self, capsys):
+        ds = ",".join(["1997"] + ["0"] * 1999)
+        code, out, err = run_cli(capsys, "tau", "--genus", "0", "--ds", ds)
+        assert (code, out, err) == (EXIT_OK, "1\n", "")
+
+    def test_1999_deep_string_chain(self, capsys):
+        # <tau_2000 tau_0^1999>_1: each string step lowers tau_2000 by one,
+        # down to <tau_1>_1
+        ds = ",".join(["2000"] + ["0"] * 1999)
+        code, out, err = run_cli(capsys, "tau", "--genus", "1", "--ds", ds)
+        assert (code, out, err) == (EXIT_OK, "1/24\n", "")
+
+    def test_too_deep_key_is_a_usage_error(self, capsys, monkeypatch):
+        # no key is too deep for the worklist engine any more, so a raiser
+        # stands in for one: a RecursionError still exits 2 with one error line
+        def too_deep(args, calc):
+            raise RecursionError
+
+        monkeypatch.setattr(cli, "_cmd_tau", too_deep)
+        code, out, err = run_cli(capsys, "tau", "--genus", "1", "--ds", "1")
+        assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
@@ -252,6 +273,44 @@ class TestCache:
                                "--cache", str(path))
         assert (code, out) == (EXIT_OK, "0\n")
         assert path.read_text(encoding="utf-8") == ""
+
+    def test_interrupt_exits_130_and_keeps_the_cache(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "kept.cache"
+        text = "1|1|1/24\n"
+        path.write_text(text, encoding="utf-8")
+
+        def interrupted(args, calc):
+            calc.tau(1, [2, 0])  # the memo grows before the interrupt
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_tau", interrupted)
+        code, out, err = run_cli(capsys, "tau", "--genus", "1", "--ds", "2,0",
+                                 "--cache", str(path))
+        assert (code, out, err) == (EXIT_INTERRUPTED, "", "error: interrupted\n")
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_interrupt_during_the_save_exits_130(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "kept.cache"
+        path.write_text("1|1|1/24\n", encoding="utf-8")
+
+        def interrupted(store, target):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "save_cache", interrupted)
+        code, out, err = run_cli(capsys, "tau", "--genus", "1", "--ds", "2,0",
+                                 "--cache", str(path))
+        assert (code, out, err) == (EXIT_INTERRUPTED, "1/24\n", "error: interrupted\n")
+        assert path.read_text(encoding="utf-8") == "1|1|1/24\n"
+
+    def test_value_that_is_no_correlator(self, capsys, tmp_path):
+        # 2^4 * 3!! * 1/7 = 48/7 is not an integer, so no correlator has this value
+        path = tmp_path / "bad.cache"
+        path.write_text("0|0,0,0|1\n1|1|1/7\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "volume", "--genus", "1", "--n", "1",
+                                 "--cache", str(path))
+        assert (code, out) == (EXIT_IO, "")
+        assert "line 2" in err
+        assert path.read_text(encoding="utf-8") == "0|0,0,0|1\n1|1|1/7\n"
 
     def test_cache_warm_and_cold_agree(self, capsys, tmp_path):
         path = tmp_path / "warm.cache"

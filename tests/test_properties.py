@@ -11,7 +11,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpvol.qseries import Series, _mul_lists, factorial, revert_lagrange
+from wpvol.qseries import Series, _mul_lists, double_factorial, factorial, revert_lagrange
+from wpvol.taucalc import TauCalculator, TauKey
 
 F = Fraction
 
@@ -41,10 +42,10 @@ def revertible_series(draw, order_max=7):
 
 
 @st.composite
-def valid_keys(draw):
-    """(g, ds) with 2g - 2 + n > 0 and sum(ds) = 3g - 3 + n."""
+def valid_keys(draw, n_max=7):
+    """(g, ds) with g <= 3, n <= n_max, 2g - 2 + n > 0 and sum(ds) = 3g - 3 + n."""
     g = draw(st.integers(0, 3))
-    n = draw(st.integers(max(1, 3 - 2 * g), 7))
+    n = draw(st.integers(max(1, 3 - 2 * g), n_max))
     slots = draw(st.lists(st.integers(0, n - 1), min_size=3 * g - 3 + n,
                           max_size=3 * g - 3 + n))
     ds = [0] * n
@@ -61,6 +62,53 @@ def _ref_mul(a, b, n):
         for j, bj in enumerate(b[: n + 1 - i]):
             out[i + j] += F(ai) * bj
     return out
+
+
+_REF_TAU = {}
+
+
+def _ref_tau(g, ds):
+    """The recursive Fraction engine the integer one replaced, kept as the
+    reference for TauCalculator: string, dilaton and DVV on labeled points,
+    with the double factorials written out, the halving and the final
+    division done in Fractions, and the splitting sum over every subset of
+    positions and every g1."""
+    ds = tuple(sorted(ds, reverse=True))
+    n = len(ds)
+    if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
+        return F(0)
+    key = (g, ds)
+    if key in _REF_TAU:
+        return _REF_TAU[key]
+    if key == (0, (0, 0, 0)):
+        value = F(1)
+    elif key == (1, (1,)):
+        value = F(1, 24)
+    elif ds[-1] == 0:
+        rest = ds[:-1]
+        value = sum((_ref_tau(g, rest[:j] + (d - 1,) + rest[j + 1:])
+                     for j, d in enumerate(rest) if d), F(0))
+    elif ds[0] == 1:
+        value = (2 * g - 2 + n - 1) * _ref_tau(g, ds[1:])
+    else:
+        df = double_factorial
+        k, rest = ds[0], ds[1:]
+        total = F(0)
+        for j, d in enumerate(rest):
+            total += F(df(2 * (k + d) - 1), df(2 * d - 1)) * _ref_tau(
+                g, rest[:j] + (k + d - 1,) + rest[j + 1:])
+        for a in range(k - 1):
+            b = k - 2 - a
+            inner = _ref_tau(g - 1, rest + (a, b)) if g else F(0)
+            for mask in range(2 ** len(rest)):
+                part = tuple(d for j, d in enumerate(rest) if mask >> j & 1)
+                complement = tuple(d for j, d in enumerate(rest) if not mask >> j & 1)
+                for g1 in range(g + 1):
+                    inner += _ref_tau(g1, part + (a,)) * _ref_tau(g - g1, complement + (b,))
+            total += F(df(2 * a + 1) * df(2 * b + 1), 2) * inner
+        value = total / df(2 * k + 1)
+    _REF_TAU[key] = value
+    return value
 
 
 def _assert_reduced_fractions(coeffs):
@@ -138,6 +186,15 @@ class TestReversion:
 
 
 class TestCorrelators:
+    @PROPERTY
+    @given(valid_keys(n_max=8))
+    def test_matches_the_fraction_recursion(self, key):
+        g, ds = key
+        calc = TauCalculator()
+        assert calc.tau(g, ds) == _ref_tau(g, ds)
+        assert type(calc.store.entries[TauKey.make(g, ds)]) is int
+        assert all(type(w) is int for w in calc.store.entries.values())
+
     @PROPERTY
     @given(st.data())
     def test_symmetric_under_permutation(self, calc, data):

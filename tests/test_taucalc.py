@@ -154,6 +154,48 @@ class TestDVVNormalization:
             checked += 1
 
 
+def _partitions(total, parts, largest):
+    """Descending tuples of `parts` entries in [0, largest] summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, largest), -1, -1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+class TestGenus0ClosedForm:
+    def test_equals_one_dvv_step_at_every_pivot(self):
+        # every genus-0 key with n <= 10: the closed form the engine stores
+        # against one DVV step, whose children come from the closed form too
+        calc = TauCalculator()
+        checked = 0
+        for n in range(3, 11):
+            for ds in _partitions(n - 3, n, n - 3):
+                value = calc.tau(0, ds)
+                assert value == genus0_closed_form(ds), ds
+                for pivot in sorted({d for d in ds if d >= 2}):
+                    assert calc.dvv_reduced(0, ds, pivot) == value, (ds, pivot)
+                    checked += 1
+        assert checked == 45  # (key, pivot) pairs
+
+    def test_no_intermediate_keys(self):
+        calc = TauCalculator()
+        assert calc.tau(0, [5, 3] + [0] * 9) == F(factorial(8), factorial(5) * factorial(3))
+        # W = C(8, 5) * 11!! * 7!!, and nothing else is stored
+        assert calc.store.entries == {TauKey(0, (5, 3) + (0,) * 9): 56 * 10395 * 105}
+
+
+class TestExactHalving:
+    def test_poisoned_entry_raises_instead_of_rounding(self):
+        # W(1, (1,)) = 2; with 3 the single split <tau_1>_1 <tau_1>_1 of
+        # <tau_4>_2 adds 9 to a sum that is otherwise a multiple of 16
+        calc = TauCalculator(MemoStore({TauKey(1, (1,)): 3}))
+        with pytest.raises(ArithmeticError):
+            calc.tau(2, [4])
+
+
 class TestInvariance:
     def test_permutation_invariance(self, calc):
         rng = random.Random(303)
@@ -225,7 +267,8 @@ class TestCacheFile:
         path = tmp_path / "c.txt"
         path.write_text("1|1|1/24\n", encoding="utf-8")
         store = load_cache(str(path))
-        assert store.entries == {TauKey(1, (1,)): F(1, 24)}
+        assert store.entries == {TauKey(1, (1,)): 2}  # 2^4 * 3!! * 1/24
+        assert TauCalculator(store).tau(1, [1]) == F(1, 24)
 
     def test_empty_index_list(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -234,11 +277,11 @@ class TestCacheFile:
         assert store.entries == {TauKey(2, ()): F(0)}
 
     def test_lines_sorted(self, tmp_path):
-        store = MemoStore({TauKey(1, (1,)): F(1, 24), TauKey(0, (0, 0, 0)): F(1)})
+        store = MemoStore({TauKey(1, (1,)): 2, TauKey(0, (0, 0, 0)): 1})
         path = tmp_path / "c.txt"
         save_cache(store, str(path))
         lines = path.read_text().splitlines()
-        assert lines == sorted(lines)
+        assert lines == sorted(lines) == ["0|0,0,0|1", "1|1|1/24"]
 
     def test_malformed_rational(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -258,9 +301,10 @@ class TestCacheFile:
         with pytest.raises(ValueError):
             save_cache(MemoStore())
 
-    @pytest.mark.parametrize("line", ["5|0|7", "0|0,0|1", "0|-|3", "2|3,1|1/5"])
+    @pytest.mark.parametrize("line", ["5|0|7", "0|0,0|1", "0|-|3", "2|3,1|1/5", "1|1|1/7"])
     def test_invalid_key_with_value_rejected(self, tmp_path, line):
-        # unstable or dimension-breaking keys have tau = 0; anything else is corrupt
+        # unstable or dimension-breaking keys have tau = 0; anything else is
+        # corrupt, and so is a value whose W is not an integer (2^4 * 3!! / 7)
         path = tmp_path / "c.txt"
         path.write_text("1|1|1/24\n" + line + "\n", encoding="utf-8")
         with pytest.raises(CacheFormatError) as err:
@@ -272,8 +316,34 @@ class TestCacheFile:
         path.write_text("5|0|0\n0|0,0|0\n", encoding="utf-8")
         assert load_cache(str(path)).entries == {TauKey(5, (0,)): F(0), TauKey(0, (0, 0)): F(0)}
 
+    def test_save_rejects_a_fraction_entry(self, tmp_path):
+        path = tmp_path / "c.txt"
+        with pytest.raises(TypeError):
+            save_cache(MemoStore({TauKey(1, (1,)): F(1, 24)}), str(path))
+        assert not path.exists()
+
+    def test_file_with_reduced_genus0_keys_loads(self, tmp_path):
+        # written by the recursive engine, which stored every genus-0 key its
+        # string and DVV steps reached; the closed form stores only the keys asked for
+        lines = ["0|0,0,0|1", "0|1,0,0,0|1", "0|1,1,0,0,0|2", "0|1,1,1,0,0,0|6",
+                 "0|2,0,0,0,0|1", "0|2,1,0,0,0,0|3", "0|2,1,1,0,0,0,0|12",
+                 "0|2,2,0,0,0,0,0|6", "0|2,2,1,0,0,0,0,0|30", "0|2,2,2,0,0,0,0,0,0|90",
+                 "0|3,0,0,0,0,0|1", "0|3,1,0,0,0,0,0|4", "0|3,2,0,0,0,0,0,0|10",
+                 "0|4,0,0,0,0,0,0|1"]
+        path = tmp_path / "c.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        warm = TauCalculator(load_cache(str(path)))
+        cold = TauCalculator()
+        for line in lines:
+            g, ds, value = line.split("|")
+            key = (int(g), [int(d) for d in ds.split(",")])
+            assert warm.tau(*key) == cold.tau(*key) == F(value)
+        save_cache(warm.store, str(tmp_path / "again.txt"))
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+        assert len(cold.store.entries) == len(lines)
+
     def test_save_leaves_no_temporary_file(self, tmp_path):
-        save_cache(MemoStore({TauKey(1, (1,)): F(1, 24)}), str(tmp_path / "c.txt"))
+        save_cache(MemoStore({TauKey(1, (1,)): 2}), str(tmp_path / "c.txt"))
         assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
@@ -297,6 +367,6 @@ class TestCacheFile:
         path.write_text("1|1|1/24\n", encoding="utf-8")
         monkeypatch.setattr(taucalc, "open", full_disk_open, raising=False)
         with pytest.raises(OSError):
-            save_cache(MemoStore({TauKey(0, (0, 0, 0)): F(1)}), str(path))
+            save_cache(MemoStore({TauKey(0, (0, 0, 0)): 1}), str(path))
         assert path.read_text(encoding="utf-8") == "1|1|1/24\n"
         assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
