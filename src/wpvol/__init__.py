@@ -32,7 +32,7 @@ from .genexp import (
 )
 from .kappavol import VolumeRecord, enumerate_multiindices, volume
 from .qseries import Series, bessel_x_of_y, revert_lagrange
-from .taucalc import MemoStore, TauCalculator, TauKey, load_cache, save_cache
+from .taucalc import MemoStore, TauCalculator, load_cache, save_cache
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "MemoStore",
     "Series",
     "TauCalculator",
-    "TauKey",
     "VolumeRecord",
     "bessel_j0_first_zero",
     "bessel_x_of_y",

@@ -292,18 +292,16 @@ def lemma_report(i: int, ctx: GenusExpansionContext) -> CheckReport:
     return CheckReport("f_functional_equation", mm is None, i=i, mismatch=mm)
 
 
-def theorem_reports(g: int, n_max: int, ctx: GenusExpansionContext,
+def theorem_reports(g: int, n_max: int, phi: Series,
                     calc: Optional[TauCalculator] = None) -> list:
-    """Per-coefficient comparison [x^n] phi_g == v_{g,n} for n = 0..n_max.
-
-    The two sides come from disjoint routes that share only the correlator
-    engine: the genus-expansion series versus the kappa-to-tau volume sum.
+    """Per-coefficient comparison [x^n] phi == v_{g,n} for n = 0..n_max, the
+    volumes from the kappa-to-tau sum on `calc`.  Given phi_g from the genus
+    expansion and a memo of its own for `calc`, the two routes share nothing.
     """
     if calc is None:
         calc = TauCalculator()
-    if n_max > ctx.order:
-        raise ValueError(f"context order {ctx.order} < n_max {n_max}")
-    phi = build_phi_g(g, ctx, calc)
+    if n_max > phi.order:
+        raise ValueError(f"series order {phi.order} < n_max {n_max}")
     reports = []
     for n in range(n_max + 1):
         lhs = phi[n]

@@ -1,16 +1,16 @@
 """Exact psi-class intersection numbers <tau_{d1} ... tau_{dn}>_g.
 
 Everything reduces to the normalization <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24:
-the string equation removes a tau_0 insertion, the dilaton equation removes a
-tau_1 once only tau_1's remain, and the Dijkgraaf-Verlinde-Verlinde (KdV /
-Virasoro) recursion handles the rest.  Marked points are distinguishable, so
-the genus-splitting sums run over ordered pairs of labeled submultisets.
-Genus 0 needs no recursion: <tau_d>_0 = (n-3)!/prod d_i! (a multinomial
-coefficient) whenever the dimension rule holds.
+the string equation removes a tau_0 insertion, and the Dijkgraaf-Verlinde-
+Verlinde (KdV / Virasoro) recursion handles the rest; at pivot 1, once only
+tau_1's remain, it is the dilaton equation.  Marked points are
+distinguishable, so the genus-splitting sums run over ordered pairs of
+labeled submultisets.  Genus 0 needs no recursion: <tau_d>_0 =
+(n-3)!/prod d_i! (a multinomial coefficient) whenever the dimension rule holds.
 
-Every key has one shape, TauKey(g, indices) with `indices` a tuple sorted in
-descending order, and each reduction builds its child keys in that shape
-directly.  In the genus-splitting sum the dimension constraint of
+A key is a plain tuple (g, ds), ds sorted in descending order; canonical_key
+builds it from outside input, and each reduction builds its child keys in
+that shape directly.  In the genus-splitting sum the dimension constraint of
 <tau_a I>_{g1} fixes g1 = (sum(I) + a - |I| + 2) / 3, so a split contributes
 only when that is an integer in [0, g].
 
@@ -18,14 +18,15 @@ The memo holds plain ints, the normalized correlators (Liu-Xu)
 
     W(g, ds) = 2^(4g) * prod_i (2d_i+1)!! * <tau_ds>_g.
 
-In W every rule has integer coefficients: string (2d_j+1), dilaton
-3(2g-2+n), DVV merge (2d_j+1), the DVV genus-reducing term times 2^4, the
-DVV split products unscaled (2^(4 g1) 2^(4 g2) = 2^(4g)), and the bases
-W(0,(0,0,0)) = 1 and W(1,(1,)) = 2; one exact halving of the DVV split sum
-remains.  The double factorials clear every odd denominator; the 2-adic
-scale 2^(4g) is an empirical bound (the largest 2-adic exponents of
-prod (2d_i+1)!! <tau_ds>_g are 3, 7, 10, 15, 18, 22, 25 for g = 1..7), so
-the halving is checked at run time and raises ArithmeticError on a
+In W every rule has integer coefficients: string (2d_j+1), DVV merge
+(2d_j+1), the DVV genus-reducing term times 2^4, the DVV split products
+unscaled (2^(4 g1) 2^(4 g2) = 2^(4g)), and the bases W(0,(0,0,0)) = 1 and
+W(1,(1,)) = 2; one exact halving of the DVV split sum remains.  The double
+factorials clear every odd denominator.  The 2-adic scale 2^(4g) is a pinned
+invariant: over the keys of volume(g, n), g <= 6, the largest 2-adic
+exponent of a denominator of <tau_ds>_g is 3g + v2(g!) (3, 7, 10, 15, 18,
+22), below 4g and attained by <tau_{3g-2}>_g = 1/(24^g g!).  A wrong cache
+value can still break it, so the halving raises InconsistentMemoError on a
 remainder instead of rounding.  tau() and the *_reduced methods build one
 Fraction(W, 2^(4g) prod (2d_i+1)!!) at the boundary.
 
@@ -50,56 +51,39 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import comb, prod
 from operator import neg
-from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from .qseries import format_rational, parse_rational
 
 __all__ = [
-    "TauKey",
     "MemoStore",
     "TauCalculator",
     "CacheFormatError",
+    "InconsistentMemoError",
+    "canonical_key",
     "save_cache",
     "load_cache",
 ]
 
 Indices = Iterable[int]
+Key = Tuple[int, Tuple[int, ...]]
 
 
-class TauKey(NamedTuple):
-    """Canonical identifier of one correlator: genus plus the index multiset
-    as a tuple sorted in descending order."""
-
-    genus: int
-    indices: Tuple[int, ...]
-
-    @classmethod
-    def make(cls, genus: int, indices: Indices) -> "TauKey":
-        if genus < 0:
-            raise ValueError(f"genus must be >= 0, got {genus}")
-        idx = tuple(sorted(map(int, indices), reverse=True))
-        if idx and idx[-1] < 0:
-            raise ValueError("tau indices must be >= 0")
-        return cls(int(genus), idx)
-
-    @property
-    def n(self) -> int:
-        return len(self.indices)
-
-    @property
-    def dimension(self) -> int:
-        return 3 * self.genus - 3 + self.n
-
-    def render(self) -> str:
-        ds = ",".join(map(str, self.indices)) if self.indices else "-"
-        return f"{self.genus}|{ds}"
+def canonical_key(genus: int, indices: Indices) -> Key:
+    """The memo key (g, ds) of outside input: ints, genus >= 0, indices >= 0,
+    ds sorted in descending order."""
+    genus = int(genus)
+    if genus < 0:
+        raise ValueError(f"genus must be >= 0, got {genus}")
+    ds = tuple(sorted(map(int, indices), reverse=True))
+    if ds and ds[-1] < 0:
+        raise ValueError("tau indices must be >= 0")
+    return genus, ds
 
 
-_BASE_TORUS = TauKey(1, (1,))
-
-# _key(TauKey, (g, ds)) is TauKey(g, ds) without the Python-level frame of the
-# NamedTuple constructor, for the child keys the reductions build
-_key = tuple.__new__
+def _render(genus: int, ds: Tuple[int, ...]) -> str:
+    """The "g|d1,...,dn" form of a key, "-" for no indices."""
+    return f"{genus}|{','.join(map(str, ds)) if ds else '-'}"
 
 
 def _odd_double_factorials(odd: list, top: int) -> list:
@@ -124,42 +108,35 @@ class CacheFormatError(ValueError):
         self.line_no = line_no
 
 
+class InconsistentMemoError(ArithmeticError):
+    """An exact step of the recursion left a remainder: a memo entry is wrong."""
+
+
 class MemoStore:
-    """TauKey -> W (an int) cache, optionally tied to a backing text file."""
+    """The memo: `entries` maps each key (g, ds) to its W, an int."""
 
-    def __init__(self, entries: Optional[Mapping[TauKey, int]] = None,
-                 path: Optional[str] = None):
+    def __init__(self, entries: Optional[Mapping[Key, int]] = None):
         self.entries: dict = dict(entries or {})
-        self.path = path
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MemoStore):
-            return NotImplemented
-        return self.entries == other.entries
 
 
-def save_cache(store: MemoStore, path: Optional[str] = None) -> None:
-    """Write every entry as <tau_ds>_g to `path` (or the store's own path),
-    sorted for diffs; a non-int entry raises TypeError before anything is
-    written."""
-    target = path if path is not None else store.path
-    if target is None:
-        raise ValueError("no cache path given")
+def save_cache(store: MemoStore, path: str) -> None:
+    """Write every entry as <tau_ds>_g to `path`, sorted for diffs; a non-int
+    entry raises TypeError before anything is written."""
     odd = [1]
     lines = []
-    for key, w in store.entries.items():
+    for (genus, ds), w in store.entries.items():
         if type(w) is not int:
-            raise TypeError(f"memo entry {key.render()} is a {type(w).__name__}, "
+            raise TypeError(f"memo entry {_render(genus, ds)} is a {type(w).__name__}, "
                             "not a normalized int")
-        value = Fraction(w, _scale(key.genus, key.indices, odd))
-        lines.append(f"{key.render()}|{format_rational(value)}")
+        value = Fraction(w, _scale(genus, ds, odd))
+        lines.append(f"{_render(genus, ds)}|{format_rational(value)}")
     lines.sort()
-    tmp = f"{target}.{os.getpid()}.tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             for line in lines:
                 fh.write(line + "\n")
-        os.replace(tmp, target)
+        os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # only when the write or the rename failed
             os.remove(tmp)
@@ -191,25 +168,26 @@ def load_cache(path: str) -> MemoStore:
                     raise CacheFormatError(line_no, f"malformed index list {ds_text!r}") from None
             try:
                 value = parse_rational(value_text)
-                key = TauKey.make(genus, indices)
+                genus, ds = canonical_key(genus, indices)
             except ValueError as exc:
                 raise CacheFormatError(line_no, str(exc)) from None
             # tau() is 0 on unstable and dimension-breaking keys, so any
             # other value there is corrupt
-            n = len(key.indices)
+            n = len(ds)
             if value and 2 * genus - 2 + n <= 0:
-                raise CacheFormatError(line_no, f"unstable key {key.render()} has a nonzero value")
-            if value and sum(key.indices) != 3 * genus - 3 + n:
                 raise CacheFormatError(
-                    line_no, f"key {key.render()} breaks the dimension rule "
+                    line_no, f"unstable key {_render(genus, ds)} has a nonzero value")
+            if value and sum(ds) != 3 * genus - 3 + n:
+                raise CacheFormatError(
+                    line_no, f"key {_render(genus, ds)} breaks the dimension rule "
                              f"sum(ds) = 3g-3+n = {3 * genus - 3 + n} but has a nonzero value")
-            w, r = divmod(value.numerator * _scale(genus, key.indices, odd), value.denominator)
+            w, r = divmod(value.numerator * _scale(genus, ds, odd), value.denominator)
             if r:
                 raise CacheFormatError(
-                    line_no, f"value {value_text} of {key.render()} times "
+                    line_no, f"value {value_text} of {_render(genus, ds)} times "
                              f"2^(4g) prod (2d+1)!! is not an integer")
-            entries[key] = w
-    return MemoStore(entries, path=path)
+            entries[genus, ds] = w
+    return MemoStore(entries)
 
 
 def _insert(ds: Tuple[int, ...], v: int) -> Tuple[int, ...]:
@@ -264,19 +242,14 @@ class TauCalculator:
 
     def tau(self, genus: int, indices: Indices) -> Fraction:
         """<tau_{d1} ... tau_{dn}>_g; 0 for unstable keys or dimension mismatch."""
-        return self.tau_key(TauKey.make(genus, indices))
-
-    def tau_key(self, key: TauKey) -> Fraction:
-        g, ds = key
-        n = len(ds)
-        if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
-            return Fraction(0)
+        key = canonical_key(genus, indices)
         w = self.store.entries.get(key)
         if w is None:
             w = self._step(key)
             if type(w) is not int:
                 w = self._drive(w, key)
-        return Fraction(w, _scale(g, ds, self._odd))
+        # a zero W skips the scale, which can be huge on a dimension-breaking key
+        return Fraction(w, _scale(*key, self._odd)) if w else Fraction(0)
 
     def tau_batch(self, genus: int, pairs, zeros: int = 0) -> Fraction:
         """Correlator of a multiplicity vector given as (i, mult) pairs, with
@@ -288,12 +261,12 @@ class TauCalculator:
 
     # -- the worklist ----------------------------------------------------------
 
-    def _step(self, key: TauKey):
+    def _step(self, key: Key):
         """W(key) when no reduction is needed (0 for an unstable or
         dimension-breaking key, the torus base, the genus-0 closed form; the
-        last two are stored), else the generator of the reduction tau_key
-        selects: string while a tau_0 remains, dilaton once only tau_1's
-        remain, DVV on the largest index otherwise."""
+        last two are stored), else the generator of the reduction: string
+        while a tau_0 remains, DVV on the largest index otherwise (at pivot 1,
+        once only tau_1's remain, DVV is the dilaton equation)."""
         g, ds = key
         n = len(ds)
         if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
@@ -301,16 +274,14 @@ class TauCalculator:
         if g == 0:
             w = self.store.entries[key] = self._genus0(ds)
             return w
-        if key == _BASE_TORUS:
+        if key == (1, (1,)):
             self.store.entries[key] = 2
             return 2
         if ds[-1] == 0:
             return self._string(g, ds)
-        if ds[0] == 1:
-            return self._dilaton(g, ds)
         return self._dvv(g, ds, ds[0])
 
-    def _drive(self, gen, key: Optional[TauKey] = None) -> int:
+    def _drive(self, gen, key: Optional[Key] = None) -> int:
         """Run reduction `gen` to its value, evaluating each child it yields
         on an explicit stack of generators; the value of every key on the
         stack, `key` included when given, is stored in the memo."""
@@ -357,20 +328,12 @@ class TauCalculator:
         for v, start, stop in _runs(rest):
             if v:
                 # lowering the last copy of v keeps the tuple sorted
-                child = _key(TauKey, (g, rest[:stop - 1] + (v - 1,) + rest[stop:]))
+                child = (g, rest[:stop - 1] + (v - 1,) + rest[stop:])
                 w = get(child)
                 if w is None:
                     w = yield child
                 total += (2 * v + 1) * (stop - start) * w
         return total
-
-    def _dilaton(self, g: int, ds: Tuple[int, ...]):
-        i = ds.index(1)
-        child = _key(TauKey, (g, ds[:i] + ds[i + 1:]))
-        w = self.store.entries.get(child)
-        if w is None:
-            w = yield child
-        return 3 * (2 * g - 2 + len(child.indices)) * w
 
     def _dvv(self, g: int, ds: Tuple[int, ...], k: int):
         get = self.store.entries.get
@@ -380,16 +343,20 @@ class TauCalculator:
 
         total = 0
         for v, start, stop in runs:
-            child = _key(TauKey, (g, _insert(rest[:start] + rest[start + 1:], k + v - 1)))
+            child = (g, _insert(rest[:start] + rest[start + 1:], k + v - 1))
             w = get(child)
             if w is None:
                 w = yield child
             total += (2 * v + 1) * (stop - start) * w
+        if k < 2:
+            # the dilaton equation: every merge child is (g, rest), the weights
+            # sum to 3(2g-2+|rest|) by the dimension rule, and a+b = -1 has no terms
+            return total
 
         split_sum = 0
         if g >= 1:
             for a in range(k - 1):
-                child = _key(TauKey, (g - 1, _insert(_insert(rest, a), k - 2 - a)))
+                child = (g - 1, _insert(_insert(rest, a), k - 2 - a))
                 w = get(child)
                 if w is None:
                     w = yield child
@@ -400,13 +367,13 @@ class TauCalculator:
             low += -(shift + low) % 3
             for a in range(low, min(k - 2, 3 * g - shift) + 1, 3):
                 g1 = (shift + a) // 3
-                child = _key(TauKey, (g1, _insert(part, a)))
+                child = (g1, _insert(part, a))
                 first = get(child)
                 if first is None:
                     first = yield child
                 if not first:
                     continue
-                child = _key(TauKey, (g - g1, _insert(complement, k - 2 - a)))
+                child = (g - g1, _insert(complement, k - 2 - a))
                 second = get(child)
                 if second is None:
                     second = yield child
@@ -414,8 +381,8 @@ class TauCalculator:
 
         half, odd = divmod(split_sum, 2)
         if odd:
-            raise ArithmeticError(f"DVV split sum of {TauKey(g, ds).render()} is odd: "
-                                  "a memo entry is not a normalized correlator")
+            raise InconsistentMemoError(f"DVV split sum of {_render(g, ds)} is odd: "
+                                        "a memo entry is not a normalized correlator")
         return total + half
 
     # -- one-step reductions (exposed for the consistency suite) --------------
@@ -426,18 +393,19 @@ class TauCalculator:
     def string_reduced(self, genus: int, indices: Indices) -> Fraction:
         """Remove one tau_0 via the string equation: sum over lowering each
         other index by one (indices already at 0 drop out)."""
-        ds = tuple(sorted(indices, reverse=True))
+        genus, ds = canonical_key(genus, indices)
         if not ds or ds[-1] != 0:
             raise ValueError("string equation needs a tau_0 insertion")
         return self._reduced(self._string(genus, ds), genus, ds)
 
     def dilaton_reduced(self, genus: int, indices: Indices) -> Fraction:
         """Remove one tau_1 via the dilaton equation, picking up the Euler
-        factor 2g - 2 + n of the remaining n-pointed correlator."""
-        ds = tuple(sorted(indices, reverse=True))
+        factor 2g - 2 + n of the remaining n-pointed correlator; this is the
+        DVV recursion at pivot 1."""
+        genus, ds = canonical_key(genus, indices)
         if 1 not in ds:
             raise ValueError("dilaton equation needs a tau_1 insertion")
-        return self._reduced(self._dilaton(genus, ds), genus, ds)
+        return self._reduced(self._dvv(genus, ds, 1), genus, ds)
 
     def dvv_reduced(self, genus: int, indices: Indices, pivot: int) -> Fraction:
         """One application of the DVV recursion, pivoting on an index k >= 2:
@@ -453,7 +421,7 @@ class TauCalculator:
         """
         if pivot < 2:
             raise ValueError("DVV recursion pivots on an index >= 2")
-        ds = tuple(sorted(indices, reverse=True))
+        genus, ds = canonical_key(genus, indices)
         if pivot not in ds:
             raise ValueError(f"pivot {pivot} not present in {list(ds)}")
         return self._reduced(self._dvv(genus, ds, pivot), genus, ds)

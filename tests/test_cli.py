@@ -1,7 +1,16 @@
 import json
+import math
+import sys
 
 from wpvol import cli, kappavol
-from wpvol.cli import EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from wpvol.cli import (
+    EXIT_INTERRUPTED,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
+    main,
+)
 from wpvol.kappavol import volume
 
 
@@ -32,6 +41,29 @@ class TestTau:
         code, _, err = run_cli(capsys, "tau", "--genus", "0", "--ds", "1,x")
         assert code == EXIT_USAGE
         assert "error" in err
+
+    def test_negative_index(self, capsys):
+        code, out, err = run_cli(capsys, "tau", "--genus", "0", "--ds", "1,-1,3")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: tau indices must be >= 0\n")
+
+    def test_value_longer_than_the_int_str_limit(self, capsys, tmp_path):
+        # <tau_1^1600 tau_0^3>_0 = 1600!/1!^1600, 4434 digits; Python caps
+        # int/str conversion at 4300 digits by default
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(math.factorial(1600))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expected) == 4434
+        ds = ",".join(["1"] * 1600 + ["0"] * 3)
+        path = tmp_path / "long.cache"
+        for _ in range(2):  # the second run loads the saved value back
+            code, out, err = run_cli(capsys, "tau", "--genus", "0", "--ds", ds,
+                                     "--cache", str(path))
+            assert (code, out, err) == (EXIT_OK, expected + "\n", "")
+            assert sys.get_int_max_str_digits() == limit
+        assert path.read_text(encoding="utf-8").endswith("|" + expected + "\n")
 
     def test_600_point_key_evaluates(self, capsys):
         # a valid 600-point genus-0 key (value 1), once deeper than the recursion limit
@@ -190,6 +222,18 @@ class TestVerify:
         assert out == "".join(line.format(l) for l in (
             '{"2": 4}', '{"2": 2, "3": 1}', '{"2": 1, "4": 1}', '{"3": 2}', '{"5": 1}'))
 
+    def test_poisoned_cache_fails_theorem1(self, capsys, tmp_path):
+        # the true <tau_1>_1 is 1/24; the series side reads the cache, the
+        # kappa-to-tau side its own memo, so the two routes disagree
+        path = tmp_path / "poisoned.cache"
+        path.write_text("1|1|1/12\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "theorem1",
+                               "--genus", "2", "--order", "3", "--cache", str(path))
+        assert code == EXIT_VERIFY_FAILED
+        first = json.loads(out.splitlines()[0])
+        assert (first["n"], first["pass"]) == (0, False)
+        assert first["first_mismatch"] == {"power": 0, "lhs": "17/3360", "rhs": "43/17280"}
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "theorem1",
                               "--genus", "2", "--order", "3")
@@ -311,6 +355,18 @@ class TestCache:
         assert (code, out) == (EXIT_IO, "")
         assert "line 2" in err
         assert path.read_text(encoding="utf-8") == "0|0,0,0|1\n1|1|1/7\n"
+
+    def test_value_that_breaks_the_recursion(self, capsys, tmp_path):
+        # W(1, (1,)) = 3 passes the load check, but makes the DVV split sum
+        # of <tau_4>_2 odd
+        path = tmp_path / "bad.cache"
+        path.write_text("1|1|1/16\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "tau", "--genus", "2", "--ds", "4",
+                                 "--cache", str(path))
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "2|4" in err
+        assert path.read_text(encoding="utf-8") == "1|1|1/16\n"
 
     def test_cache_warm_and_cold_agree(self, capsys, tmp_path):
         path = tmp_path / "warm.cache"

@@ -169,7 +169,7 @@ class TestPhiG:
             build_phi_g(3, small, calc)
 
     def test_master_crosscheck_small(self, ctx, calc):
-        for report in theorem_reports(2, 6, ctx, calc):
+        for report in theorem_reports(2, 6, build_phi_g(2, ctx, calc), calc):
             assert report.passed, report.to_json_dict()
 
 

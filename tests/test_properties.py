@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpvol.qseries import Series, _mul_lists, double_factorial, factorial, revert_lagrange
-from wpvol.taucalc import TauCalculator, TauKey
+from wpvol.taucalc import TauCalculator, canonical_key
 
 F = Fraction
 
@@ -192,7 +192,7 @@ class TestCorrelators:
         g, ds = key
         calc = TauCalculator()
         assert calc.tau(g, ds) == _ref_tau(g, ds)
-        assert type(calc.store.entries[TauKey.make(g, ds)]) is int
+        assert type(calc.store.entries[canonical_key(g, ds)]) is int
         assert all(type(w) is int for w in calc.store.entries.values())
 
     @PROPERTY
