@@ -18,11 +18,10 @@ bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .genexp import volume_series
 from .taucalc import TauCalculator
@@ -173,8 +172,7 @@ def predicted_exponent(g: int) -> Fraction:
     return Fraction(-1) + Fraction(5 * (g - 1), 2)
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(NamedTuple):
     """Least-squares fit of log v_{g,n} = n log C + e log n + const."""
 
     g: int

@@ -4,10 +4,14 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
 or an inconsistent cache, 130 interrupted (128 + SIGINT).  An input too large
 to evaluate (a MemoryError, or a RecursionError) is reported as one `error:`
 line with exit code 2, never as a traceback; an interrupt prints
-`error: interrupted` and leaves the cache file as it was, and so does a
-cache whose values contradict the recursion.
+`error: interrupted` and leaves the cache file as it was, and so do a
+cache whose values contradict the recursion and a failed verification.
 All output is deterministic: identical invocations print identical bytes,
 whatever the state of the optional correlator cache.
+
+Each command imports only the modules it runs, inside its handler: `tau`
+needs the correlator engine alone, `volume --n` adds the kappa-to-tau sum,
+and only the series commands load the series modules.
 """
 
 from __future__ import annotations
@@ -19,21 +23,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .asympt import fit_growth, predicted_growth_constant
-from .genexp import (
-    CheckReport,
-    GenusExpansionContext,
-    build_phi_g,
-    check_derivative_formula,
-    induction_sides,
-    lemma_report,
-    theorem_reports,
-    volume_series,
-    volume_table,
-)
-from .kappavol import enumerate_multiindices, volume
-from .qseries import Series, factorial, format_rational
-from .taucalc import CacheFormatError, InconsistentMemoError, TauCalculator, load_cache, save_cache
+from .taucalc import (CacheFormatError, InconsistentMemoError, TauCalculator, factorial,
+                      format_rational, load_cache, save_cache)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -62,7 +53,7 @@ def _parse_indices(text: str) -> List[int]:
 def _add_cache_option(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cache", metavar="PATH",
                      help="load the correlator memo from PATH if present and save it back "
-                          "after a run that added entries (or created PATH)")
+                          "after a successful run that added entries (or created PATH)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,9 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vol = sub.add_parser("volume", help="V_{g,n} records")
     p_vol.add_argument("--genus", type=int, required=True)
-    p_vol.add_argument("--n", type=int)
-    p_vol.add_argument("--table", type=int, metavar="N_MAX",
-                       help="print records for n = 0..N_MAX instead of a single n")
+    mode = p_vol.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--n", type=int)
+    mode.add_argument("--table", type=int, metavar="N_MAX",
+                      help="print records for n = 0..N_MAX instead of a single n")
     p_vol.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_vol.add_argument("--digits", type=int,
                        help="also render v * pi^(2 dim) to this many significant digits")
@@ -144,15 +136,15 @@ def _volume_plain(rec, digits):
 
 
 def _cmd_volume(args, calc: TauCalculator) -> int:
-    if args.n is None and args.table is None:
-        raise UsageError("give --n or --table")
     if args.digits is not None and args.digits < 1:
         raise UsageError("--digits must be >= 1")
     if args.table is not None:
         if args.table < 0:
             raise UsageError("--table must be >= 0")
+        from .genexp import volume_table
         records = volume_table(args.genus, args.table, calc)
     else:
+        from .kappavol import volume
         records = [volume(args.genus, args.n, calc)]
     if args.format == "csv":
         print("g,n,dim,V,v")
@@ -174,6 +166,8 @@ def _cmd_series(args, calc: TauCalculator) -> int:
     if g == 1:
         raise UsageError("series --phi takes genus 0 or >= 2; the genus 1 volumes "
                          "come from `volume --genus 1`")
+    from .genexp import volume_series
+    from .qseries import Series
     phi = Series(volume_series(g, order, calc))
     if args.format == "plain":
         for k, coeff in enumerate(phi.coeffs):
@@ -183,17 +177,20 @@ def _cmd_series(args, calc: TauCalculator) -> int:
     return EXIT_OK
 
 
-def _verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> List[CheckReport]:
+def _verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
     if g < 2:
         raise UsageError("verification suites need --genus >= 2")
     if order < 1:
         raise UsageError("--order must be >= 1")
+    from .genexp import (CheckReport, GenusExpansionContext, build_phi_g, check_derivative_formula,
+                         induction_sides, lemma_report, theorem_reports)
+    from .kappavol import enumerate_multiindices
     lemma_top = 3 * g - 2 + 4
     ctx = GenusExpansionContext(order=order, i_max=max(lemma_top, 10))
     # the volumes and correlator identities run on a memo the cache never
     # reaches, so a wrong cache value cannot pass its own check
     checker = TauCalculator()
-    reports: List[CheckReport] = []
+    reports = []
     if suite in ("lemma", "all"):
         for i in range(2, lemma_top + 1):
             reports.append(lemma_report(i, ctx))
@@ -228,6 +225,7 @@ def _cmd_verify(args, calc: TauCalculator) -> int:
 
 
 def _cmd_asympt(args, calc: TauCalculator) -> int:
+    from .asympt import fit_growth, predicted_growth_constant
     n_max = args.n_max
     n_min = args.n_min if args.n_min is not None else n_max // 2
     fit = fit_growth(args.genus, n_min, n_max, calc)
@@ -278,7 +276,7 @@ def _run(args) -> int:
         print(f"error: inconsistent cache: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    if cache_path and (not cache_existed or len(calc.store.entries) != loaded):
+    if code == EXIT_OK and cache_path and (not cache_existed or len(calc.store.entries) != loaded):
         try:
             save_cache(calc.store, cache_path)
         except OSError as exc:

@@ -26,13 +26,12 @@ verifier in theorem_reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
 from .kappavol import VolumeRecord, enumerate_multiindices, volume
-from .qseries import Series, bessel_x_of_y, factorial, first_mismatch, format_rational
-from .taucalc import TauCalculator
+from .qseries import Series, bessel_x_of_y, first_mismatch
+from .taucalc import TauCalculator, factorial, format_rational
 
 __all__ = [
     "GenusExpansionContext",
@@ -194,18 +193,21 @@ def volume_table(g: int, n_max: int, calc: Optional[TauCalculator] = None) -> li
     return records
 
 
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one exact verification, with the first offending
     coefficient (or scalar pair) when it fails."""
 
-    check: str
-    passed: bool
-    g: Optional[int] = None
-    n: Optional[int] = None
-    i: Optional[int] = None
-    mismatch: Optional[tuple] = None  # (power or None, lhs, rhs)
-    detail: Optional[dict] = None
+    def __init__(self, check: str, passed: bool, g: Optional[int] = None,
+                 n: Optional[int] = None, i: Optional[int] = None,
+                 mismatch: Optional[tuple] = None,  # (power or None, lhs, rhs)
+                 detail: Optional[dict] = None):
+        self.check = check
+        self.passed = passed
+        self.g = g
+        self.n = n
+        self.i = i
+        self.mismatch = mismatch
+        self.detail = detail
 
     def to_json_dict(self) -> dict:
         out: dict = {"check": self.check}

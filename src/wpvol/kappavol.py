@@ -14,12 +14,10 @@ v_{g,n} = V_{g,n}/(n! d!) is what the generating series track.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
-from .qseries import factorial, format_rational
-from .taucalc import TauCalculator
+from .taucalc import TauCalculator, factorial, format_rational
 
 __all__ = [
     "VolumeRecord",
@@ -74,8 +72,7 @@ def enumerate_multiindices(weight: int, max_i: int) -> Iterator[Dict[int, int]]:
         yield counts
 
 
-@dataclass(frozen=True)
-class VolumeRecord:
+class VolumeRecord(NamedTuple):
     """One volume: exact V = <kappa_1^dim>, normalized v = V/(n! dim!)."""
 
     g: int

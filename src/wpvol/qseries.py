@@ -14,36 +14,23 @@ is reduced once, so it is still a ``Fraction`` in lowest terms.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
+
+# the scalar helpers live in taucalc, which every command loads anyway
+from .taucalc import Scalar, _as_fraction, factorial, format_rational, parse_rational
 
 __all__ = [
     "Series",
     "bessel_x_of_y",
     "revert_lagrange",
-    "factorial",
     "double_factorial",
-    "format_rational",
-    "parse_rational",
     "first_mismatch",
 ]
 
-Scalar = Union[int, Fraction]
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-
-
-@lru_cache(maxsize=None)
-def factorial(n: int) -> int:
-    """n! as an exact integer, memoized."""
-    if n < 0:
-        raise ValueError(f"factorial of negative argument {n}")
-    return math.factorial(n)
 
 
 @lru_cache(maxsize=None)
@@ -52,36 +39,6 @@ def double_factorial(n: int) -> int:
     if n < -1:
         raise ValueError(f"double factorial of {n} is undefined here")
     return math.prod(range(n, 0, -2))
-
-
-def _as_fraction(value: Scalar) -> Fraction:
-    # floats are rejected everywhere: exactness is the whole point
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exact rational required, got {type(value).__name__}")
-
-
-def format_rational(value: Scalar) -> str:
-    """Render p/q, omitting the denominator when it is 1."""
-    q = _as_fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q"; reject anything else (including q = 0)."""
-    text = text.strip()
-    match = _RATIONAL_RE.match(text)
-    if not match:
-        raise ValueError(f"malformed rational {text!r}")
-    p, q = match.groups()
-    try:
-        return Fraction(int(p), int(q or 1))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"malformed rational {text!r} (zero denominator)") from exc
 
 
 def _mul_lists(a: list, b: list, n: int) -> list:

@@ -42,18 +42,23 @@ gives a nonzero value to an unstable key or to one that breaks the
 dimension rule, or whose value times 2^(4g) prod (2d_i+1)!! is not an
 integer; saving writes a temporary file beside the target and renames it
 into place.
+
+The exact scalar helpers every command needs (factorial, format_rational,
+parse_rational) live here too, so a command that never touches a series
+never loads qseries.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, prod
 from operator import neg
-from typing import Iterable, Mapping, Optional, Tuple
-
-from .qseries import format_rational, parse_rational
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "MemoStore",
@@ -63,10 +68,54 @@ __all__ = [
     "canonical_key",
     "save_cache",
     "load_cache",
+    "factorial",
+    "format_rational",
+    "parse_rational",
 ]
 
 Indices = Iterable[int]
 Key = Tuple[int, Tuple[int, ...]]
+Scalar = Union[int, Fraction]
+
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+@lru_cache(maxsize=None)
+def factorial(n: int) -> int:
+    """n! as an exact integer, memoized."""
+    if n < 0:
+        raise ValueError(f"factorial of negative argument {n}")
+    return math.factorial(n)
+
+
+def _as_fraction(value: Scalar) -> Fraction:
+    # floats are rejected everywhere: exactness is the whole point
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"exact rational required, got {type(value).__name__}")
+
+
+def format_rational(value: Scalar) -> str:
+    """Render p/q, omitting the denominator when it is 1."""
+    q = _as_fraction(value)
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p" or "p/q"; reject anything else (including q = 0)."""
+    text = text.strip()
+    match = _RATIONAL_RE.match(text)
+    if not match:
+        raise ValueError(f"malformed rational {text!r}")
+    p, q = match.groups()
+    try:
+        return Fraction(int(p), int(q or 1))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"malformed rational {text!r} (zero denominator)") from exc
 
 
 def canonical_key(genus: int, indices: Indices) -> Key:

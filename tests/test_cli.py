@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
 import sys
+
+import pytest
 
 from wpvol import cli, kappavol
 from wpvol.cli import (
@@ -146,11 +150,11 @@ class TestVolume:
         code, _, err = run_cli(capsys, "volume", "--genus", "0")
         assert code == EXIT_USAGE
 
-    def test_table_takes_precedence(self, capsys):
-        code, out, _ = run_cli(capsys, "volume", "--genus", "0", "--n", "3",
-                               "--table", "4", "--format", "csv")
-        assert code == EXIT_OK
-        assert len(out.splitlines()) == 6  # header + n = 0..4
+    def test_n_and_table_together_are_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "volume", "--genus", "0", "--n", "3",
+                                 "--table", "4", "--format", "csv")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "not allowed with argument" in err
 
     def test_negative_genus(self, capsys):
         code, _, err = run_cli(capsys, "volume", "--genus", "-1", "--n", "3")
@@ -311,6 +315,16 @@ class TestCache:
         assert code == EXIT_OK
         assert path.read_text(encoding="utf-8") == "1|1|1/24\n1|2,0|1/24\n"
 
+    def test_failed_verify_leaves_the_file_alone(self, capsys, tmp_path):
+        # the series side derives new keys from the wrong 1|1 value; saving
+        # them would spread it to later runs that read the cache
+        path = tmp_path / "poisoned.cache"
+        path.write_bytes(b"1|1|1/12\n")
+        code, _, _ = run_cli(capsys, "verify", "--suite", "theorem1",
+                             "--genus", "2", "--order", "3", "--cache", str(path))
+        assert code == EXIT_VERIFY_FAILED
+        assert path.read_bytes() == b"1|1|1/12\n"
+
     def test_first_run_creates_the_file_even_when_empty(self, capsys, tmp_path):
         path = tmp_path / "new.cache"
         code, out, _ = run_cli(capsys, "tau", "--genus", "0", "--ds", "0,0",
@@ -383,3 +397,39 @@ class TestUsage:
 
     def test_missing_required(self, capsys):
         assert main(["tau", "--genus", "1"]) == EXIT_USAGE
+
+
+#: run one command in a fresh interpreter (pytest itself loads `inspect`),
+#: then print its exit code, the wpvol modules it loaded, and whether the
+#: standard library's dataclasses or inspect got loaded
+IMPORT_PROBE = """
+import json, os, sys
+from wpvol import cli
+sys.stdout = open(os.devnull, "w")
+rc = cli.main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "wpvol"),
+                  sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)]))
+"""
+
+CORE = ["wpvol", "wpvol.cli", "wpvol.taucalc"]
+SERIES = sorted(CORE + ["wpvol.kappavol", "wpvol.qseries", "wpvol.genexp"])
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv, modules", [
+        (["tau", "--genus", "1", "--ds", "1"], CORE),
+        (["volume", "--genus", "2", "--n", "3", "--format", "json"],
+         sorted(CORE + ["wpvol.kappavol"])),
+        (["volume", "--genus", "2", "--table", "3"], SERIES),
+        (["series", "--phi", "2", "--order", "3"], SERIES),
+        (["verify", "--suite", "all", "--genus", "2", "--order", "2"], SERIES),
+        (["asympt", "--genus", "0", "--n-max", "12"], sorted(SERIES + ["wpvol.asympt"])),
+    ], ids=["tau", "volume-n", "volume-table", "series", "verify", "asympt"])
+    def test_each_command_loads_only_what_it_runs(self, argv, modules):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [EXIT_OK, modules, []]
