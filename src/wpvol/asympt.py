@@ -217,8 +217,7 @@ def _solve3(mat, vec):
     return out
 
 
-def fit_growth(g: int, n_min: int, n_max: int,
-               calc: Optional[TauCalculator] = None) -> GrowthFit:
+def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> GrowthFit:
     """Fit the growth law to the exact volumes over n in [n_min, n_max].
 
     Needs at least 6 data points with v_{g,n} > 0; the exact rationals are
@@ -251,14 +250,11 @@ def fit_growth(g: int, n_min: int, n_max: int,
     return GrowthFit(g, n_min, n_max, c_est, beta[1], residual)
 
 
-def compare_growth_constants(g_list: Sequence[int], n_max: int,
-                             n_min: Optional[int] = None,
-                             calc: Optional[TauCalculator] = None) -> dict:
+def compare_growth_constants(g_list: Sequence[int], n_max: int, calc: TauCalculator,
+                             n_min: Optional[int] = None) -> dict:
     """Fit each genus over [n_min or n_max//2, n_max] and report every fitted
     constant against the Bessel prediction, plus pairwise deviations when
     more than one genus is given."""
-    if calc is None:
-        calc = TauCalculator()
     low = n_max // 2 if n_min is None else n_min
     fits = [fit_growth(g, low, n_max, calc) for g in g_list]
     predicted = predicted_growth_constant()
@@ -279,8 +275,7 @@ def compare_growth_constants(g_list: Sequence[int], n_max: int,
     return report
 
 
-def growth_ratio_diagnostic(g: int, n_min: int, n_max: int,
-                            calc: Optional[TauCalculator] = None) -> list:
+def growth_ratio_diagnostic(g: int, n_min: int, n_max: int, calc: TauCalculator) -> list:
     """The sequence v_{g,n+1}/v_{g,n} * ((n+1)/n)^(-e) with e the predicted
     exponent; it should settle toward the growth constant over the range.
     Needs n_min >= 1 and v_{g,n} > 0 for every n in [n_min, n_max]."""

@@ -20,11 +20,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
-from .taucalc import (CacheFormatError, InconsistentMemoError, TauCalculator, factorial,
-                      format_rational, load_cache, save_cache)
+from .taucalc import (CacheFormatError, InconsistentMemoError, TauCalculator, format_rational,
+                      load_cache, save_cache)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -35,10 +34,6 @@ EXIT_INTERRUPTED = 130
 SUITES = ("lemma", "theorem1", "derivative", "induction", "all")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_indices(text: str) -> List[int]:
     text = text.strip()
     if text in ("", "-"):
@@ -46,7 +41,7 @@ def _parse_indices(text: str) -> List[int]:
     try:
         ds = [int(part) for part in text.split(",")]
     except ValueError:
-        raise UsageError(f"--ds expects comma-separated integers, got {text!r}") from None
+        raise ValueError(f"--ds expects comma-separated integers, got {text!r}") from None
     return ds
 
 
@@ -137,10 +132,10 @@ def _volume_plain(rec, digits):
 
 def _cmd_volume(args, calc: TauCalculator) -> int:
     if args.digits is not None and args.digits < 1:
-        raise UsageError("--digits must be >= 1")
+        raise ValueError("--digits must be >= 1")
     if args.table is not None:
         if args.table < 0:
-            raise UsageError("--table must be >= 0")
+            raise ValueError("--table must be >= 0")
         from .genexp import volume_table
         records = volume_table(args.genus, args.table, calc)
     else:
@@ -162,9 +157,9 @@ def _cmd_volume(args, calc: TauCalculator) -> int:
 def _cmd_series(args, calc: TauCalculator) -> int:
     g, order = args.phi, args.order
     if g < 0 or order < 1:
-        raise UsageError("--phi needs genus >= 0 and --order >= 1")
+        raise ValueError("--phi needs genus >= 0 and --order >= 1")
     if g == 1:
-        raise UsageError("series --phi takes genus 0 or >= 2; the genus 1 volumes "
+        raise ValueError("series --phi takes genus 0 or >= 2; the genus 1 volumes "
                          "come from `volume --genus 1`")
     from .genexp import volume_series
     from .qseries import Series
@@ -177,46 +172,9 @@ def _cmd_series(args, calc: TauCalculator) -> int:
     return EXIT_OK
 
 
-def _verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
-    if g < 2:
-        raise UsageError("verification suites need --genus >= 2")
-    if order < 1:
-        raise UsageError("--order must be >= 1")
-    from .genexp import (CheckReport, GenusExpansionContext, build_phi_g, check_derivative_formula,
-                         induction_sides, lemma_report, theorem_reports)
-    from .kappavol import enumerate_multiindices
-    lemma_top = 3 * g - 2 + 4
-    ctx = GenusExpansionContext(order=order, i_max=max(lemma_top, 10))
-    # the volumes and correlator identities run on a memo the cache never
-    # reaches, so a wrong cache value cannot pass its own check
-    checker = TauCalculator()
-    reports = []
-    if suite in ("lemma", "all"):
-        for i in range(2, lemma_top + 1):
-            reports.append(lemma_report(i, ctx))
-        for i in range(2, 11):
-            expected = Fraction((-1) ** i, factorial(i - 1))
-            actual = ctx.f(i)[0]
-            mm = None if actual == expected else (0, actual, expected)
-            reports.append(CheckReport("f_value_at_zero", mm is None, i=i, mismatch=mm))
-    if suite in ("theorem1", "all"):
-        reports.extend(theorem_reports(g, order, build_phi_g(g, ctx, calc), checker))
-    if suite in ("derivative", "all"):
-        for n in range(0, min(4, order) + 1):
-            reports.append(check_derivative_formula(g, n, ctx, checker))
-    if suite in ("induction", "all"):
-        for n in range(1, min(4, order) + 1):
-            for l in enumerate_multiindices(3 * g - 3 + n, 3 * g - 2 + n):
-                lhs, rhs = induction_sides(g, n, l, checker)
-                mm = None if lhs == rhs else (None, lhs, rhs)
-                detail = {"l": {str(i): m for i, m in l.items()}}
-                reports.append(CheckReport("index_shift_identity", lhs == rhs, g=g, n=n,
-                                           mismatch=mm, detail=detail))
-    return reports
-
-
 def _cmd_verify(args, calc: TauCalculator) -> int:
-    reports = _verify_reports(args.suite, args.genus, args.order, calc)
+    from .genexp import verify_reports
+    reports = verify_reports(args.suite, args.genus, args.order, calc)
     all_passed = True
     for report in reports:
         print(json.dumps(report.to_json_dict()))
@@ -265,7 +223,7 @@ def _run(args) -> int:
 
     try:
         code = args.handler(args, calc)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RecursionError, MemoryError) as exc:

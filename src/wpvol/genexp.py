@@ -21,7 +21,9 @@ genus-1 free energy phi_1 = (1/24) log y' = (1/24) integral y''/y'
 (Itzykson-Zuber).  volume_series reads every v_{g,0..N} of one genus off
 phi_0, phi_1 or phi_g, and volume_table turns them into VolumeRecords; the
 kappa-to-tau volume() stays the single-(g, n) producer and the independent
-verifier in theorem_reports.
+verifier in theorem_reports.  verify_reports runs the verification suites:
+it builds phi_g once, on the caller's memo, and checks it against one fresh
+memo.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "induction_sides",
     "lemma_report",
     "theorem_reports",
+    "verify_reports",
     "volume_series",
     "volume_table",
 ]
@@ -155,16 +158,15 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
     return total
 
 
-def build_phi_g(g: int, ctx: GenusExpansionContext,
-                calc: Optional[TauCalculator] = None) -> Series:
+def build_phi_g(g: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:
     """The closed genus-g generating series, g >= 2, to ctx.order: the n = 0
     case of the sum in check_derivative_formula."""
     if g < 2:
         raise ValueError("the closed genus form starts at g = 2 (use build_phi0 for g = 0)")
-    return _closed_form(g, 0, ctx, calc if calc is not None else TauCalculator())
+    return _closed_form(g, 0, ctx, calc)
 
 
-def volume_series(g: int, n_max: int, calc: Optional[TauCalculator] = None) -> list:
+def volume_series(g: int, n_max: int, calc: TauCalculator) -> list:
     """[v_{g,0}, ..., v_{g,n_max}], the coefficients of one generating series:
     phi_0 for g = 0, phi_1 for g = 1 and the closed form phi_g for g >= 2."""
     if g < 0 or n_max < 0:
@@ -179,7 +181,7 @@ def volume_series(g: int, n_max: int, calc: Optional[TauCalculator] = None) -> l
     return list(phi.coeffs[: n_max + 1])
 
 
-def volume_table(g: int, n_max: int, calc: Optional[TauCalculator] = None) -> list:
+def volume_table(g: int, n_max: int, calc: TauCalculator) -> list:
     """VolumeRecords for n = 0..n_max, read off the genus-g generating series.
 
     V = v n! d!; the conventional zeros and negative dimensions have v = 0
@@ -195,14 +197,14 @@ def volume_table(g: int, n_max: int, calc: Optional[TauCalculator] = None) -> li
 
 class CheckReport:
     """Outcome of one exact verification, with the first offending
-    coefficient (or scalar pair) when it fails."""
+    coefficient (or scalar pair) when it fails; it passed when there is none."""
 
-    def __init__(self, check: str, passed: bool, g: Optional[int] = None,
+    def __init__(self, check: str, g: Optional[int] = None,
                  n: Optional[int] = None, i: Optional[int] = None,
                  mismatch: Optional[tuple] = None,  # (power or None, lhs, rhs)
                  detail: Optional[dict] = None):
         self.check = check
-        self.passed = passed
+        self.passed = mismatch is None
         self.g = g
         self.n = n
         self.i = i
@@ -230,30 +232,29 @@ class CheckReport:
         return out
 
 
-def check_derivative_formula(g: int, n: int, ctx: GenusExpansionContext,
-                             calc: Optional[TauCalculator] = None) -> CheckReport:
-    """Compare the n-th formal derivative of phi_g with its closed form
+def check_derivative_formula(g: int, n: int, phi: Series, ctx: GenusExpansionContext,
+                             calc: TauCalculator) -> CheckReport:
+    """Compare the n-th formal derivative of the series `phi` under test
+    (phi_g) with the closed form
 
         sum_{|l|=3g-3+n} <tau_0^n tau_2^{l_2} ...>_g
         * (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!
 
-    as truncated series (exactly, to the order both sides support)."""
+    with its correlators on `calc`, as truncated series (exactly, to the
+    order both sides support)."""
     if g < 2:
         raise ValueError("derivative check applies to g >= 2")
     if n < 0 or n > ctx.order:
         raise ValueError("need 0 <= n <= ctx.order")
-    if calc is None:
-        calc = TauCalculator()
     rhs = _closed_form(g, n, ctx, calc)
-    lhs = build_phi_g(g, ctx, calc)
+    lhs = phi
     for _ in range(n):
         lhs = lhs.derivative()
-    mm = first_mismatch(lhs, rhs)
-    return CheckReport("derivative_formula", mm is None, g=g, n=n, mismatch=mm)
+    return CheckReport("derivative_formula", g=g, n=n, mismatch=first_mismatch(lhs, rhs))
 
 
 def induction_sides(g: int, n: int, l: Mapping[int, int],
-                    calc: Optional[TauCalculator] = None) -> Tuple[Fraction, Fraction]:
+                    calc: TauCalculator) -> Tuple[Fraction, Fraction]:
     """Both sides of the index-shift identity that removes one tau_0:
 
         <tau_0^n prod tau_i^{l_i}> = l_2 (2(g-1) + (n-1) + (||l||-1))
@@ -272,8 +273,6 @@ def induction_sides(g: int, n: int, l: Mapping[int, int],
     weight = sum((i - 1) * mult for i, mult in l.items())
     if weight != 3 * g - 3 + n:
         raise ValueError(f"multi-index weight {weight} != dimension {3 * g - 3 + n}")
-    if calc is None:
-        calc = TauCalculator()
     lhs = calc.tau_batch(g, l.items(), zeros=n)
     rhs = Fraction(0)
     l2 = l.get(2, 0)
@@ -291,17 +290,14 @@ def lemma_report(i: int, ctx: GenusExpansionContext) -> CheckReport:
     """Exact coefficient comparison of the derivative-chain f_i with its
     functional-equation form."""
     mm = first_mismatch(ctx.f(i), build_f_lemma(i, ctx))
-    return CheckReport("f_functional_equation", mm is None, i=i, mismatch=mm)
+    return CheckReport("f_functional_equation", i=i, mismatch=mm)
 
 
-def theorem_reports(g: int, n_max: int, phi: Series,
-                    calc: Optional[TauCalculator] = None) -> list:
+def theorem_reports(g: int, n_max: int, phi: Series, calc: TauCalculator) -> list:
     """Per-coefficient comparison [x^n] phi == v_{g,n} for n = 0..n_max, the
     volumes from the kappa-to-tau sum on `calc`.  Given phi_g from the genus
     expansion and a memo of its own for `calc`, the two routes share nothing.
     """
-    if calc is None:
-        calc = TauCalculator()
     if n_max > phi.order:
         raise ValueError(f"series order {phi.order} < n_max {n_max}")
     reports = []
@@ -309,7 +305,49 @@ def theorem_reports(g: int, n_max: int, phi: Series,
         lhs = phi[n]
         rhs = volume(g, n, calc).v
         mm = None if lhs == rhs else (n, lhs, rhs)
-        reports.append(
-            CheckReport("genus_series_vs_volume", mm is None, g=g, n=n, mismatch=mm)
-        )
+        reports.append(CheckReport("genus_series_vs_volume", g=g, n=n, mismatch=mm))
+    return reports
+
+
+def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
+    """The reports of one verification suite ("lemma", "theorem1",
+    "derivative", "induction" or "all"), in that order.
+
+    phi_g is built once, on `calc`, the session memo a cache file may have
+    filled.  Everything it is checked against (the kappa-to-tau volumes, the
+    tau_0^n closed forms of its derivatives, the index-shift identity) reads
+    one fresh memo that no cache reaches, so a wrong cache value cannot pass
+    its own check.
+    """
+    if g < 2:
+        raise ValueError("verification suites need --genus >= 2")
+    if order < 1:
+        raise ValueError("--order must be >= 1")
+    lemma_top = 3 * g - 2 + 4
+    ctx = GenusExpansionContext(order=order, i_max=max(lemma_top, 10))
+    checker = TauCalculator()
+    reports = []
+    if suite in ("lemma", "all"):
+        for i in range(2, lemma_top + 1):
+            reports.append(lemma_report(i, ctx))
+        for i in range(2, 11):
+            expected = Fraction((-1) ** i, factorial(i - 1))
+            actual = ctx.f(i)[0]
+            mm = None if actual == expected else (0, actual, expected)
+            reports.append(CheckReport("f_value_at_zero", i=i, mismatch=mm))
+    if suite in ("theorem1", "derivative", "all"):
+        phi = build_phi_g(g, ctx, calc)
+    if suite in ("theorem1", "all"):
+        reports.extend(theorem_reports(g, order, phi, checker))
+    if suite in ("derivative", "all"):
+        for n in range(0, min(4, order) + 1):
+            reports.append(check_derivative_formula(g, n, phi, ctx, checker))
+    if suite in ("induction", "all"):
+        for n in range(1, min(4, order) + 1):
+            for l in enumerate_multiindices(3 * g - 3 + n, 3 * g - 2 + n):
+                lhs, rhs = induction_sides(g, n, l, checker)
+                mm = None if lhs == rhs else (None, lhs, rhs)
+                detail = {"l": {str(i): m for i, m in l.items()}}
+                reports.append(CheckReport("index_shift_identity", g=g, n=n, mismatch=mm,
+                                           detail=detail))
     return reports

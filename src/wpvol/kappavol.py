@@ -15,7 +15,7 @@ v_{g,n} = V_{g,n}/(n! d!) is what the generating series track.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Tuple
 
 from .taucalc import TauCalculator, factorial, format_rational
 
@@ -116,7 +116,7 @@ class VolumeRecord(NamedTuple):
             return mpmath.nstr(value, digits)
 
 
-def volume(g: int, n: int, calc: Optional[TauCalculator] = None) -> VolumeRecord:
+def volume(g: int, n: int, calc: TauCalculator) -> VolumeRecord:
     """V_{g,n} via the kappa-to-tau conversion; conventional zeros are looked
     up before any computation, and negative dimension also returns 0."""
     if g < 0 or n < 0:
@@ -124,8 +124,6 @@ def volume(g: int, n: int, calc: Optional[TauCalculator] = None) -> VolumeRecord
     dim = 3 * g - 3 + n
     if (g, n) in CONVENTIONAL_ZEROS or dim < 0:
         return VolumeRecord(g, n, dim, Fraction(0), Fraction(0))
-    if calc is None:
-        calc = TauCalculator()
     total = Fraction(0)
     for l in enumerate_multiindices(dim, max(3 * g - 2 + n, 2)):
         bracket = calc.tau_batch(g, l.items(), zeros=n)

@@ -1,9 +1,10 @@
 """Exact psi-class intersection numbers <tau_{d1} ... tau_{dn}>_g.
 
-Everything reduces to the normalization <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24:
-the string equation removes a tau_0 insertion, and the Dijkgraaf-Verlinde-
-Verlinde (KdV / Virasoro) recursion handles the rest; at pivot 1, once only
-tau_1's remain, it is the dilaton equation.  Marked points are
+Everything reduces to the normalization <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24
+through the Dijkgraaf-Verlinde-Verlinde (KdV / Virasoro) recursion.  At
+pivot 0, while a tau_0 remains, it is the string equation, which removes that
+tau_0; at pivot 1, once only tau_1's remain, it is the dilaton equation;
+otherwise it pivots on the largest index.  Marked points are
 distinguishable, so the genus-splitting sums run over ordered pairs of
 labeled submultisets.  Genus 0 needs no recursion: <tau_d>_0 =
 (n-3)!/prod d_i! (a multinomial coefficient) whenever the dimension rule holds.
@@ -39,9 +40,9 @@ The memo can be persisted to a plain-text cache file (one
 "g|d1,...,dn|p/q" entry per line holding <tau_ds>_g itself, indices sorted
 descending, lines sorted for diff-stability).  Loading rejects any line that
 gives a nonzero value to an unstable key or to one that breaks the
-dimension rule, or whose value times 2^(4g) prod (2d_i+1)!! is not an
-integer; saving writes a temporary file beside the target and renames it
-into place.
+dimension rule, a value <= 0 to any other key, or a key given before, and
+any value that times 2^(4g) prod (2d_i+1)!! is not an integer; saving
+writes a temporary file beside the target and renames it into place.
 
 The exact scalar helpers every command needs (factorial, format_rational,
 parse_rational) live here too, so a command that never touches a series
@@ -220,10 +221,13 @@ def load_cache(path: str) -> MemoStore:
                 genus, ds = canonical_key(genus, indices)
             except ValueError as exc:
                 raise CacheFormatError(line_no, str(exc)) from None
-            # tau() is 0 on unstable and dimension-breaking keys, so any
-            # other value there is corrupt
+            if (genus, ds) in entries:  # save_cache writes each key once
+                raise CacheFormatError(line_no, f"key {_render(genus, ds)} is given twice")
+            # tau() is 0 on unstable and dimension-breaking keys and positive
+            # on every other key, so any other value is corrupt
             n = len(ds)
-            if value and 2 * genus - 2 + n <= 0:
+            stable = 2 * genus - 2 + n > 0
+            if value and not stable:
                 raise CacheFormatError(
                     line_no, f"unstable key {_render(genus, ds)} has a nonzero value")
             if value and sum(ds) != 3 * genus - 3 + n:
@@ -235,6 +239,11 @@ def load_cache(path: str) -> MemoStore:
                 raise CacheFormatError(
                     line_no, f"value {value_text} of {_render(genus, ds)} times "
                              f"2^(4g) prod (2d+1)!! is not an integer")
+            if w <= 0 and stable and sum(ds) == 3 * genus - 3 + n:
+                raise CacheFormatError(
+                    line_no, f"key {_render(genus, ds)} has the nonpositive value {value_text}, "
+                             "but every stable key that obeys the dimension rule has a "
+                             "positive correlator")
             entries[genus, ds] = w
     return MemoStore(entries)
 
@@ -313,9 +322,10 @@ class TauCalculator:
     def _step(self, key: Key):
         """W(key) when no reduction is needed (0 for an unstable or
         dimension-breaking key, the torus base, the genus-0 closed form; the
-        last two are stored), else the generator of the reduction: string
-        while a tau_0 remains, DVV on the largest index otherwise (at pivot 1,
-        once only tau_1's remain, DVV is the dilaton equation)."""
+        last two are stored), else the generator of the DVV reduction: at
+        pivot 0 (the string equation) while a tau_0 remains, else on the
+        largest index (at pivot 1, once only tau_1's remain, the dilaton
+        equation)."""
         g, ds = key
         n = len(ds)
         if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
@@ -326,9 +336,7 @@ class TauCalculator:
         if key == (1, (1,)):
             self.store.entries[key] = 2
             return 2
-        if ds[-1] == 0:
-            return self._string(g, ds)
-        return self._dvv(g, ds, ds[0])
+        return self._dvv(g, ds, ds[0] if ds[-1] else 0)
 
     def _drive(self, gen, key: Optional[Key] = None) -> int:
         """Run reduction `gen` to its value, evaluating each child it yields
@@ -370,20 +378,6 @@ class TauCalculator:
     # Each looks its children up in the memo and yields only the misses; the
     # driver sends back the child's W.
 
-    def _string(self, g: int, ds: Tuple[int, ...]):
-        get = self.store.entries.get
-        rest = ds[:-1]
-        total = 0
-        for v, start, stop in _runs(rest):
-            if v:
-                # lowering the last copy of v keeps the tuple sorted
-                child = (g, rest[:stop - 1] + (v - 1,) + rest[stop:])
-                w = get(child)
-                if w is None:
-                    w = yield child
-                total += (2 * v + 1) * (stop - start) * w
-        return total
-
     def _dvv(self, g: int, ds: Tuple[int, ...], k: int):
         get = self.store.entries.get
         i = ds.index(k)
@@ -392,14 +386,20 @@ class TauCalculator:
 
         total = 0
         for v, start, stop in runs:
-            child = (g, _insert(rest[:start] + rest[start + 1:], k + v - 1))
+            if k:
+                child = (g, _insert(rest[:start] + rest[start + 1:], k + v - 1))
+            elif v:
+                # the string equation: lowering the last copy of v keeps the tuple sorted
+                child = (g, rest[:stop - 1] + (v - 1,) + rest[stop:])
+            else:
+                break  # <tau_{-1} ...> = 0
             w = get(child)
             if w is None:
                 w = yield child
             total += (2 * v + 1) * (stop - start) * w
         if k < 2:
-            # the dilaton equation: every merge child is (g, rest), the weights
-            # sum to 3(2g-2+|rest|) by the dimension rule, and a+b = -1 has no terms
+            # a+b = k-2 < 0 has no terms; at k = 1 (the dilaton equation) every
+            # merge child is (g, rest), and the weights sum to 3(2g-2+|rest|)
             return total
 
         split_sum = 0
@@ -445,7 +445,7 @@ class TauCalculator:
         genus, ds = canonical_key(genus, indices)
         if not ds or ds[-1] != 0:
             raise ValueError("string equation needs a tau_0 insertion")
-        return self._reduced(self._string(genus, ds), genus, ds)
+        return self._reduced(self._dvv(genus, ds, 0), genus, ds)
 
     def dilaton_reduced(self, genus: int, indices: Indices) -> Fraction:
         """Remove one tau_1 via the dilaton equation, picking up the Euler

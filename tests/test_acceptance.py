@@ -106,7 +106,8 @@ def test_criterion_4_master_crosscheck(calc):
 def test_criterion_5_proof_identities(calc):
     ctx = GenusExpansionContext(order=6, i_max=10)
     derivative_ok = all(
-        check_derivative_formula(2, n, ctx, calc).passed for n in range(5)
+        check_derivative_formula(2, n, build_phi_g(2, ctx, calc), ctx, calc).passed
+        for n in range(5)
     )
     induction_ok = True
     checked = 0

@@ -135,8 +135,8 @@ class TestVolume:
         data = json.loads(out)
         assert data["wp_volume"].startswith("0.4112335")  # pi^2/24
 
-    def test_digits_table_renders_from_records(self, capsys, monkeypatch):
-        expected = [volume(2, n).wp_volume(12) for n in range(5)]
+    def test_digits_table_renders_from_records(self, capsys, monkeypatch, calc):
+        expected = [volume(2, n, calc).wp_volume(12) for n in range(5)]
         calls = []
         real_volume = kappavol.volume
         monkeypatch.setattr(kappavol, "volume", lambda *a: calls.append(a) or real_volume(*a))
@@ -237,6 +237,28 @@ class TestVerify:
         first = json.loads(out.splitlines()[0])
         assert (first["n"], first["pass"]) == (0, False)
         assert first["first_mismatch"] == {"power": 0, "lhs": "17/3360", "rhs": "43/17280"}
+
+    def test_poisoned_cache_fails_derivative(self, capsys, tmp_path):
+        # phi_g is built on the cache, the tau_0^n closed forms on a fresh
+        # memo, so at n = 0 the same sum disagrees across the two memos
+        path = tmp_path / "poisoned.cache"
+        path.write_text("1|1|1/12\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "derivative",
+                               "--genus", "2", "--order", "3", "--cache", str(path))
+        assert code == EXIT_VERIFY_FAILED
+        first = json.loads(out.splitlines()[0])
+        assert (first["check"], first["n"], first["pass"]) == ("derivative_formula", 0, False)
+        assert first["first_mismatch"] == {"power": 0, "lhs": "17/3360", "rhs": "43/17280"}
+        assert path.read_text(encoding="utf-8") == "1|1|1/12\n"
+
+    def test_all_builds_phi_g_once(self, capsys, monkeypatch):
+        from wpvol import genexp
+        calls = []
+        real_build = genexp.build_phi_g
+        monkeypatch.setattr(genexp, "build_phi_g",
+                            lambda *a: calls.append(a[0]) or real_build(*a))
+        code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--genus", "2", "--order", "6")
+        assert (code, calls) == (EXIT_OK, [2])
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "theorem1",
@@ -369,6 +391,22 @@ class TestCache:
         assert (code, out) == (EXIT_IO, "")
         assert "line 2" in err
         assert path.read_text(encoding="utf-8") == "0|0,0,0|1\n1|1|1/7\n"
+
+    @pytest.mark.parametrize("text, argv, line", [
+        ("1|1|-1/24\n", ["volume", "--genus", "1", "--n", "1"], 1),
+        ("1|1|0\n", ["tau", "--genus", "1", "--ds", "1"], 1),
+        ("0|0,0,0|-1\n", ["tau", "--genus", "0", "--ds", "0,0,0"], 1),
+        ("1|1|1/24\n1|1|1/12\n", ["tau", "--genus", "1", "--ds", "1"], 2),
+    ], ids=["negative", "zero", "negative-genus0", "repeated-key"])
+    def test_value_no_correlator_has(self, capsys, tmp_path, text, argv, line):
+        # every stable key that obeys the dimension rule has a positive
+        # correlator, and save_cache writes each key once
+        path = tmp_path / "bad.cache"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--cache", str(path))
+        assert (code, out) == (EXIT_IO, "")
+        assert f"line {line}:" in err
+        assert path.read_text(encoding="utf-8") == text
 
     def test_value_that_breaks_the_recursion(self, capsys, tmp_path):
         # W(1, (1,)) = 3 passes the load check, but makes the DVV split sum

@@ -97,11 +97,11 @@ class TestVolumeSeries:
         # zero records for the conventional zeros and negative dimensions too
         assert volume_table(g, n_max, calc) == [volume(g, n, calc) for n in range(n_max + 1)]
 
-    def test_validation(self):
+    def test_validation(self, calc):
         with pytest.raises(ValueError):
-            volume_series(-1, 3)
+            volume_series(-1, 3, calc)
         with pytest.raises(ValueError):
-            volume_series(0, -1)
+            volume_series(0, -1, calc)
 
 
 class TestFChain:
@@ -159,9 +159,9 @@ class TestPhiG:
         ctx3 = GenusExpansionContext(order=2, i_max=7)
         assert build_phi_g(3, ctx3, calc)[0] == volume(3, 0, calc).v
 
-    def test_genus1_rejected(self, ctx):
+    def test_genus1_rejected(self, ctx, calc):
         with pytest.raises(ValueError):
-            build_phi_g(1, ctx)
+            build_phi_g(1, ctx, calc)
 
     def test_insufficient_context_rejected(self, calc):
         small = GenusExpansionContext(order=2, i_max=4)
@@ -176,14 +176,15 @@ class TestPhiG:
 class TestDerivativeFormula:
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_genus2(self, ctx, calc, n):
-        report = check_derivative_formula(2, n, ctx, calc)
+        report = check_derivative_formula(2, n, build_phi_g(2, ctx, calc), ctx, calc)
         assert report.passed, report.to_json_dict()
 
     def test_validation(self, ctx, calc):
+        phi2 = build_phi_g(2, ctx, calc)
         with pytest.raises(ValueError):
-            check_derivative_formula(2, 7, ctx, calc)  # needs i_max >= 11
+            check_derivative_formula(2, 7, phi2, ctx, calc)  # needs i_max >= 11
         with pytest.raises(ValueError):
-            check_derivative_formula(1, 0, ctx, calc)
+            check_derivative_formula(1, 0, phi2, ctx, calc)
 
 
 class TestInductionIdentity:
@@ -221,7 +222,7 @@ class TestInductionIdentity:
 
 class TestReportSerialization:
     def test_pass_line(self, ctx, calc):
-        rep = check_derivative_formula(2, 0, ctx, calc)
+        rep = check_derivative_formula(2, 0, build_phi_g(2, ctx, calc), ctx, calc)
         d = rep.to_json_dict()
         assert d == {
             "check": "derivative_formula", "g": 2, "n": 0,
@@ -231,7 +232,7 @@ class TestReportSerialization:
     def test_mismatch_rendering(self):
         from wpvol.genexp import CheckReport
 
-        rep = CheckReport("demo", False, g=2, n=3, mismatch=(5, F(1, 2), F(1, 3)))
+        rep = CheckReport("demo", g=2, n=3, mismatch=(5, F(1, 2), F(1, 3)))
         assert rep.to_json_dict()["first_mismatch"] == {
             "power": 5, "lhs": "1/2", "rhs": "1/3",
         }

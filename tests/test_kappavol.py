@@ -71,12 +71,12 @@ class TestEnumeration:
 class TestMultiIndex:
     """A multi-index is a plain {i: l_i} dict; induction_sides checks its shape."""
 
-    def test_validation(self):
+    def test_validation(self, calc):
         # weights match the dimension (0 at (0, 3), 1 at (0, 4)); the entries do not
         with pytest.raises(ValueError, match="start at i = 2"):
-            induction_sides(0, 3, {1: 1})
+            induction_sides(0, 3, {1: 1}, calc)
         with pytest.raises(ValueError, match=">= 0"):
-            induction_sides(0, 4, {2: -1, 3: 1})
+            induction_sides(0, 4, {2: -1, 3: 1}, calc)
 
 
 class TestVolume:
@@ -119,9 +119,9 @@ class TestVolume:
                     continue
                 assert volume(g, n, calc).V > 0, (g, n)
 
-    def test_validation(self):
+    def test_validation(self, calc):
         with pytest.raises(ValueError):
-            volume(-1, 0)
+            volume(-1, 0, calc)
 
     def test_table(self, calc):
         table = volume_table(0, 5, calc)
