@@ -19,18 +19,32 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 # the scalar helpers live in taucalc, which every command loads anyway
-from .taucalc import Scalar, _as_fraction, factorial, format_rational, parse_rational
+from .taucalc import _RATIONAL_RE, Scalar, _as_fraction, factorial, format_rational
 
 __all__ = [
     "Series",
     "bessel_x_of_y",
     "revert_lagrange",
     "double_factorial",
+    "parse_rational",
     "first_mismatch",
 ]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p" or "p/q"; reject anything else (including q = 0)."""
+    text = text.strip()
+    match = _RATIONAL_RE.match(text)
+    if not match:
+        raise ValueError(f"malformed rational {text!r}")
+    p, q = match.groups()
+    try:
+        return Fraction(int(p), int(q or 1))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"malformed rational {text!r} (zero denominator)") from exc
 
 
 @lru_cache(maxsize=None)

@@ -42,11 +42,12 @@ descending, lines sorted for diff-stability).  Loading rejects any line that
 gives a nonzero value to an unstable key or to one that breaks the
 dimension rule, a value <= 0 to any other key, or a key given before, and
 any value that times 2^(4g) prod (2d_i+1)!! is not an integer; saving
-writes a temporary file beside the target and renames it into place.
+writes a temporary file beside the target and renames it into place.  Neither
+builds a Fraction or scales a zero value, and loading parses, sums and scales
+only the indices before a key's trailing run of "0" tokens ((2*0+1)!! = 1).
 
-The exact scalar helpers every command needs (factorial, format_rational,
-parse_rational) live here too, so a command that never touches a series
-never loads qseries.
+The exact scalar helpers every command needs (factorial, format_rational)
+live here too, so a command that never touches a series never loads qseries.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import neg
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "MemoStore",
@@ -71,7 +72,6 @@ __all__ = [
     "load_cache",
     "factorial",
     "format_rational",
-    "parse_rational",
 ]
 
 Indices = Iterable[int]
@@ -79,6 +79,7 @@ Key = Tuple[int, Tuple[int, ...]]
 Scalar = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_INDEX_TEXT = tuple(map(str, range(256)))  # the index strings save_cache writes
 
 
 @lru_cache(maxsize=None)
@@ -106,19 +107,6 @@ def format_rational(value: Scalar) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q"; reject anything else (including q = 0)."""
-    text = text.strip()
-    match = _RATIONAL_RE.match(text)
-    if not match:
-        raise ValueError(f"malformed rational {text!r}")
-    p, q = match.groups()
-    try:
-        return Fraction(int(p), int(q or 1))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"malformed rational {text!r} (zero denominator)") from exc
-
-
 def canonical_key(genus: int, indices: Indices) -> Key:
     """The memo key (g, ds) of outside input: ints, genus >= 0, indices >= 0,
     ds sorted in descending order."""
@@ -143,7 +131,7 @@ def _odd_double_factorials(odd: list, top: int) -> list:
     return odd
 
 
-def _scale(genus: int, ds: Tuple[int, ...], odd: list) -> int:
+def _scale(genus: int, ds: Sequence[int], odd: list) -> int:
     """2^(4g) prod (2d_i+1)!!, the factor from <tau_ds>_g to W(g, ds)."""
     if ds:
         _odd_double_factorials(odd, ds[0])
@@ -178,8 +166,16 @@ def save_cache(store: MemoStore, path: str) -> None:
         if type(w) is not int:
             raise TypeError(f"memo entry {_render(genus, ds)} is a {type(w).__name__}, "
                             "not a normalized int")
-        value = Fraction(w, _scale(genus, ds, odd))
-        lines.append(f"{_render(genus, ds)}|{format_rational(value)}")
+        try:
+            indices = ",".join(map(_INDEX_TEXT.__getitem__, ds)) if ds else "-"
+        except IndexError:  # an index beyond the table
+            indices = ",".join(map(str, ds))
+        value = "0"  # unscaled: the scale of a large dimension-breaking key is huge
+        if w:
+            scale = _scale(genus, ds, odd)
+            g = gcd(w, scale)
+            value = f"{w // g}/{scale // g}" if g != scale else str(w // g)
+        lines.append(f"{genus}|{indices}|{value}")
     lines.sort()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -209,37 +205,51 @@ def load_cache(path: str) -> MemoStore:
                 genus = int(g_text)
             except ValueError:
                 raise CacheFormatError(line_no, f"malformed genus {g_text!r}") from None
-            if ds_text == "-":
-                indices: Tuple[int, ...] = ()
-            else:
-                try:
-                    indices = tuple(map(int, ds_text.split(",")))
-                except ValueError:
-                    raise CacheFormatError(line_no, f"malformed index list {ds_text!r}") from None
+            tokens = ds_text.split(",") if ds_text != "-" else []
+            n = len(tokens)
+            zeros = tokens.count("0")
+            if zeros and tokens.index("0") != n - zeros:
+                zeros = 0  # not one trailing run: every token is parsed
             try:
-                value = parse_rational(value_text)
-                genus, ds = canonical_key(genus, indices)
-            except ValueError as exc:
+                head = sorted(map(int, tokens[:n - zeros]), reverse=True)
+            except ValueError:
+                raise CacheFormatError(line_no, f"malformed index list {ds_text!r}") from None
+            text = value_text.strip()
+            match = _RATIONAL_RE.match(text)
+            if not match:
+                raise CacheFormatError(line_no, f"malformed rational {text!r}")
+            try:
+                p, q = int(match[1]), int(match[2] or 1)
+            except ValueError as exc:  # more digits than int() may convert
                 raise CacheFormatError(line_no, str(exc)) from None
+            if not q:
+                raise CacheFormatError(line_no, f"malformed rational {text!r} (zero denominator)")
+            if genus < 0:
+                raise CacheFormatError(line_no, f"genus must be >= 0, got {genus}")
+            if head and head[-1] < 0:
+                raise CacheFormatError(line_no, "tau indices must be >= 0")
+            ds = tuple(head) + (0,) * zeros
             if (genus, ds) in entries:  # save_cache writes each key once
                 raise CacheFormatError(line_no, f"key {_render(genus, ds)} is given twice")
             # tau() is 0 on unstable and dimension-breaking keys and positive
             # on every other key, so any other value is corrupt
-            n = len(ds)
             stable = 2 * genus - 2 + n > 0
-            if value and not stable:
-                raise CacheFormatError(
-                    line_no, f"unstable key {_render(genus, ds)} has a nonzero value")
-            if value and sum(ds) != 3 * genus - 3 + n:
-                raise CacheFormatError(
-                    line_no, f"key {_render(genus, ds)} breaks the dimension rule "
-                             f"sum(ds) = 3g-3+n = {3 * genus - 3 + n} but has a nonzero value")
-            w, r = divmod(value.numerator * _scale(genus, ds, odd), value.denominator)
-            if r:
-                raise CacheFormatError(
-                    line_no, f"value {value_text} of {_render(genus, ds)} times "
-                             f"2^(4g) prod (2d+1)!! is not an integer")
-            if w <= 0 and stable and sum(ds) == 3 * genus - 3 + n:
+            valid = stable and sum(head) == 3 * genus - 3 + n
+            w = 0  # unscaled, as in save_cache
+            if p:
+                if not stable:
+                    raise CacheFormatError(
+                        line_no, f"unstable key {_render(genus, ds)} has a nonzero value")
+                if not valid:
+                    raise CacheFormatError(
+                        line_no, f"key {_render(genus, ds)} breaks the dimension rule "
+                                 f"sum(ds) = 3g-3+n = {3 * genus - 3 + n} but has a nonzero value")
+                w, r = divmod(p * _scale(genus, head, odd), q)
+                if r:
+                    raise CacheFormatError(
+                        line_no, f"value {value_text} of {_render(genus, ds)} times "
+                                 f"2^(4g) prod (2d+1)!! is not an integer")
+            if w <= 0 and valid:
                 raise CacheFormatError(
                     line_no, f"key {_render(genus, ds)} has the nonpositive value {value_text}, "
                              "but every stable key that obeys the dimension rule has a "

@@ -1,18 +1,24 @@
 """Property tests: the product kernel, Series ring laws, reversion round trips,
-correlator invariants.
+correlator invariants, the cache file format.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 reproducible and fast.
 """
 
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpvol.qseries import Series, _mul_lists, double_factorial, factorial, revert_lagrange
-from wpvol.taucalc import TauCalculator, canonical_key
+from wpvol.kappavol import volume
+from wpvol.qseries import (Series, _mul_lists, double_factorial, factorial, parse_rational,
+                           revert_lagrange)
+from wpvol.taucalc import (CacheFormatError, MemoStore, TauCalculator, _render, _scale,
+                           canonical_key, format_rational, load_cache, save_cache)
 
 F = Fraction
 
@@ -109,6 +115,128 @@ def _ref_tau(g, ds):
         value = total / df(2 * k + 1)
     _REF_TAU[key] = value
     return value
+
+
+def _ref_load_cache(path):
+    """The Fraction-based loader the int one replaced, kept as the reference
+    for load_cache: every index and every value is parsed in full."""
+    entries = {}
+    odd = [1]
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split("|")
+            if len(parts) != 3:
+                raise CacheFormatError(line_no, f"expected 3 '|'-separated fields, got {len(parts)}")
+            g_text, ds_text, value_text = parts
+            try:
+                genus = int(g_text)
+            except ValueError:
+                raise CacheFormatError(line_no, f"malformed genus {g_text!r}") from None
+            if ds_text == "-":
+                indices = ()
+            else:
+                try:
+                    indices = tuple(map(int, ds_text.split(",")))
+                except ValueError:
+                    raise CacheFormatError(line_no, f"malformed index list {ds_text!r}") from None
+            try:
+                value = parse_rational(value_text)
+                genus, ds = canonical_key(genus, indices)
+            except ValueError as exc:
+                raise CacheFormatError(line_no, str(exc)) from None
+            if (genus, ds) in entries:
+                raise CacheFormatError(line_no, f"key {_render(genus, ds)} is given twice")
+            n = len(ds)
+            stable = 2 * genus - 2 + n > 0
+            if value and not stable:
+                raise CacheFormatError(
+                    line_no, f"unstable key {_render(genus, ds)} has a nonzero value")
+            if value and sum(ds) != 3 * genus - 3 + n:
+                raise CacheFormatError(
+                    line_no, f"key {_render(genus, ds)} breaks the dimension rule "
+                             f"sum(ds) = 3g-3+n = {3 * genus - 3 + n} but has a nonzero value")
+            w, r = divmod(value.numerator * _scale(genus, ds, odd), value.denominator)
+            if r:
+                raise CacheFormatError(
+                    line_no, f"value {value_text} of {_render(genus, ds)} times "
+                             f"2^(4g) prod (2d+1)!! is not an integer")
+            if w <= 0 and stable and sum(ds) == 3 * genus - 3 + n:
+                raise CacheFormatError(
+                    line_no, f"key {_render(genus, ds)} has the nonpositive value {value_text}, "
+                             "but every stable key that obeys the dimension rule has a "
+                             "positive correlator")
+            entries[genus, ds] = w
+    return MemoStore(entries)
+
+
+def _ref_cache_text(store):
+    """The file save_cache writes, built through Fraction and format_rational."""
+    lines = sorted(f"{_render(g, ds)}|{format_rational(F(w, _scale(g, ds, [1])))}"
+                   for (g, ds), w in store.entries.items())
+    return "".join(line + "\n" for line in lines)
+
+
+def _load_outcome(load, path):
+    """The entries `load` reads from `path`, or the line and message it rejects."""
+    try:
+        return load(path).entries
+    except CacheFormatError as exc:
+        return exc.line_no, str(exc)
+
+
+@st.composite
+def cache_entries(draw):
+    """(g, ds, value) that loads: a positive value whose W is an int on a
+    valid key, or 0 on an unstable or dimension-breaking one."""
+    if draw(st.booleans()):
+        g, ds = draw(valid_keys(n_max=6))
+        scale = _scale(*canonical_key(g, ds), [1])
+        return g, ds, F(draw(st.integers(1, 10 ** 6)), scale)
+    g = draw(st.integers(0, 3))
+    ds = draw(st.lists(st.integers(0, 6), max_size=6))
+    if 2 * g - 2 + len(ds) > 0 and sum(ds) == 3 * g - 3 + len(ds):
+        ds.append(0)  # one more tau_0 breaks the dimension rule
+    return g, ds, F(0)
+
+
+#: corrupt lines: each is rejected wherever it stands
+CORRUPT_LINES = ["1|1| 1/7", "1|1|-1/24 ", "1|-1,3|0", "1|1|0", "5|0|7", "0|0,0|1", "0|-|3",
+                 "0|0,0,0|-1", "1|1|1/0", "-1|1|1/0", "-1|1|1/24", "-1|-1,3|0", "1|2,0,-1|0",
+                 "1|-0,1|1/24", "1|1,|1", "1||1", "1|x|1/24", "x|1|1/24", "1|1|x", "1|1|1 / 24",
+                 "1|1|0.5", "1|1", "1|1|1|1"]
+
+#: lines that load, most of them not as save_cache writes them
+ODD_SPELLINGS = ["1|0,2|1/24", "1|2,00|1/24", "1|2, 0|2/48", "1|2,-0|1/24", "1|2,+0|+1/24",
+                 " 1|2,0| 1/24 ", "0|0,0,1,0|1", "0|00,0,0|1", "0|0,0,0|1", "2|-|0", "2|-|-0",
+                 "1|2,0,0|0/5", "0|20,0,0|0", "0|2_0,0,0|0", "1|\u0662,0|1/24", "0|0,0,0|\u0661"]
+
+
+@st.composite
+def cache_files(draw):
+    """The text of a cache file: canonical lines mixed with other spellings of
+    the same entries (unsorted indices, zeros in the middle, "00", "+0" and
+    "-0" tokens, unreduced or signed values, surrounding whitespace, blank
+    lines), repeated keys and corrupt lines."""
+    lines = []
+    for g, ds, value in draw(st.lists(cache_entries(), max_size=8)):
+        ds = sorted(ds, reverse=True)
+        if draw(st.integers(0, 3)) == 0:
+            ds = draw(st.permutations(ds))
+        tokens = [draw(st.sampled_from(["{}"] * 6 + ["0{}", "+{}", " {}"] + ["-{}"] * (d == 0)))
+                  .format(d) for d in ds]
+        k = draw(st.sampled_from([1, 1, 1, 2, 3]))
+        text = f"{value.numerator * k}/{value.denominator * k}" if k > 1 else format_rational(value)
+        text = draw(st.sampled_from(["", "", "", "+", " "])) + text
+        pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
+        lines.append(f"{pad}{g}|{','.join(tokens) or '-'}|{text}{pad}")
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", lines[-1]])))
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(CORRUPT_LINES)))
+    return "".join(line + "\n" for line in draw(st.permutations(lines)))
 
 
 def _assert_reduced_fractions(coeffs):
@@ -213,3 +341,42 @@ class TestCorrelators:
         if ds[slot]:
             lowered = ds[:slot] + [ds[slot] - 1] + ds[slot + 1:]
             assert calc.tau(g, lowered) == 0
+
+
+class TestCacheFile:
+    @pytest.mark.parametrize("line", ODD_SPELLINGS + CORRUPT_LINES)
+    def test_line_loads_like_the_fraction_loader(self, tmp_path, line):
+        path = tmp_path / "c.txt"
+        path.write_text(f"2|4|1/1152\n\n{line}\n", encoding="utf-8")
+        outcome = _load_outcome(load_cache, str(path))
+        assert outcome == _load_outcome(_ref_load_cache, str(path))
+        assert isinstance(outcome, dict) == (line in ODD_SPELLINGS)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(cache_files())
+    def test_loads_like_the_fraction_loader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.txt"
+            path.write_text(text, encoding="utf-8")
+            outcome = _load_outcome(load_cache, str(path))
+            assert outcome == _load_outcome(_ref_load_cache, str(path))
+            if isinstance(outcome, dict):
+                assert all(type(w) is int for w in outcome.values())
+                save_cache(MemoStore(outcome), str(path))
+                assert path.read_text(encoding="utf-8") == _ref_cache_text(MemoStore(outcome))
+
+    @PROPERTY
+    @given(st.lists(valid_keys(n_max=6), max_size=4), st.integers(0, 3), st.integers(0, 4))
+    def test_save_load_save_round_trip(self, keys, g, n):
+        calc = TauCalculator()
+        for key in keys:
+            calc.tau(*key)
+        volume(g, n, calc)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.txt", Path(tmp) / "second.txt"
+            save_cache(calc.store, str(first))
+            assert first.read_text(encoding="utf-8") == _ref_cache_text(calc.store)
+            loaded = load_cache(str(first))
+            assert loaded.entries == calc.store.entries
+            save_cache(loaded, str(second))
+            assert second.read_bytes() == first.read_bytes()

@@ -327,6 +327,28 @@ class TestCacheFile:
         path.write_text("5|0|0\n0|0,0|0\n", encoding="utf-8")
         assert load_cache(str(path)).entries == {(5, (0,)): F(0), (0, (0, 0)): F(0)}
 
+    @pytest.mark.parametrize("step", ["save", "load"])
+    def test_zero_value_is_never_scaled(self, tmp_path, monkeypatch, step):
+        # scaling <tau_20000 tau_0^2>_0 would build every (2d+1)!! up to
+        # d = 20000 (about a second; at d = 100000 the process runs out of memory)
+        real = taucalc._odd_double_factorials
+
+        def small_only(odd, top):
+            assert top < 100, f"a zero value was scaled up to (2*{top}+1)!!"
+            return real(odd, top)
+
+        path = tmp_path / "c.txt"
+        text = "0|20000,0,0|0\n1|1|1/24\n"
+        store = MemoStore({(0, (20000, 0, 0)): 0, (1, (1,)): 2})
+        if step == "load":
+            path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(taucalc, "_odd_double_factorials", small_only)
+        if step == "save":
+            save_cache(store, str(path))
+            assert path.read_text(encoding="utf-8") == text
+        else:
+            assert load_cache(str(path)).entries == store.entries
+
     def test_save_rejects_a_fraction_entry(self, tmp_path):
         path = tmp_path / "c.txt"
         with pytest.raises(TypeError):
