@@ -79,7 +79,6 @@ Key = Tuple[int, Tuple[int, ...]]
 Scalar = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-_INDEX_TEXT = tuple(map(str, range(256)))  # the index strings save_cache writes
 
 
 @lru_cache(maxsize=None)
@@ -166,16 +165,12 @@ def save_cache(store: MemoStore, path: str) -> None:
         if type(w) is not int:
             raise TypeError(f"memo entry {_render(genus, ds)} is a {type(w).__name__}, "
                             "not a normalized int")
-        try:
-            indices = ",".join(map(_INDEX_TEXT.__getitem__, ds)) if ds else "-"
-        except IndexError:  # an index beyond the table
-            indices = ",".join(map(str, ds))
         value = "0"  # unscaled: the scale of a large dimension-breaking key is huge
         if w:
             scale = _scale(genus, ds, odd)
             g = gcd(w, scale)
             value = f"{w // g}/{scale // g}" if g != scale else str(w // g)
-        lines.append(f"{genus}|{indices}|{value}")
+        lines.append(f"{_render(genus, ds)}|{value}")
     lines.sort()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:

@@ -349,6 +349,12 @@ class TestCacheFile:
         else:
             assert load_cache(str(path)).entries == store.entries
 
+    def test_save_writes_every_index_as_its_own_text(self, tmp_path):
+        # every index is written as str(d), a negative or large one too
+        path = tmp_path / "c.txt"
+        save_cache(MemoStore({(0, (-1,)): 0, (0, (300, 0)): 0}), str(path))
+        assert path.read_text(encoding="utf-8") == "0|-1|0\n0|300,0|0\n"
+
     def test_save_rejects_a_fraction_entry(self, tmp_path):
         path = tmp_path / "c.txt"
         with pytest.raises(TypeError):
