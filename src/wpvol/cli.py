@@ -47,8 +47,8 @@ def _parse_indices(text: str) -> List[int]:
 
 def _add_cache_option(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cache", metavar="PATH",
-                     help="load the correlator memo from PATH if present and save it back "
-                          "after a successful run that added entries (or created PATH)")
+                     help="load the correlator memo from PATH if present and save its core "
+                          "back after a successful run that added entries (or created PATH)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,11 +3,12 @@
 Everything reduces to the normalization <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24
 through the Dijkgraaf-Verlinde-Verlinde (KdV / Virasoro) recursion.  At
 pivot 0, while a tau_0 remains, it is the string equation, which removes that
-tau_0; at pivot 1, once only tau_1's remain, it is the dilaton equation;
-otherwise it pivots on the largest index.  Marked points are
-distinguishable, so the genus-splitting sums run over ordered pairs of
-labeled submultisets.  Genus 0 needs no recursion: <tau_d>_0 =
-(n-3)!/prod d_i! (a multinomial coefficient) whenever the dimension rule holds.
+tau_0; at pivot 1, while a tau_1 remains, it is the dilaton equation, which
+removes that tau_1; otherwise it pivots on the largest index, the only step
+with a genus split.  Marked points are distinguishable, so the
+genus-splitting sums run over ordered pairs of labeled submultisets.  Genus 0
+needs no recursion: <tau_d>_0 = (n-3)!/prod d_i! (a multinomial coefficient)
+whenever the dimension rule holds.
 
 A key is a plain tuple (g, ds), ds sorted in descending order; canonical_key
 builds it from outside input, and each reduction builds its child keys in
@@ -38,8 +39,9 @@ so a key is not limited by the recursion limit.
 
 The memo can be persisted to a plain-text cache file (one
 "g|d1,...,dn|p/q" entry per line holding <tau_ds>_g itself, indices sorted
-descending, lines sorted for diff-stability).  Loading rejects any line that
-gives a nonzero value to an unstable key or to one that breaks the
+descending, lines sorted for diff-stability).  Saving writes only the core
+keys, g >= 1 with every index >= 2, but any key loads.  Loading rejects any
+line that gives a nonzero value to an unstable key or to one that breaks the
 dimension rule, a value <= 0 to any other key, or a key given before, and
 any value that times 2^(4g) prod (2d_i+1)!! is not an integer; saving
 writes a temporary file beside the target and renames it into place.  Neither
@@ -56,6 +58,7 @@ import math
 import os
 import re
 from bisect import bisect_left
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
@@ -123,17 +126,17 @@ def _render(genus: int, ds: Tuple[int, ...]) -> str:
     return f"{genus}|{','.join(map(str, ds)) if ds else '-'}"
 
 
-def _odd_double_factorials(odd: list, top: int) -> list:
-    """Extend `odd` in place so that odd[d] = (2d+1)!! for every d <= top."""
-    while len(odd) <= top:
-        odd.append(odd[-1] * (2 * len(odd) + 1))
-    return odd
+class _OddDoubleFactorials(dict):
+    """d -> (2d+1)!! = (2d+2)! / (2^(d+1) (d+1)!), each computed on first use
+    without the smaller ones, so one large index costs one large number."""
+
+    def __missing__(self, d: int) -> int:
+        value = self[d] = math.factorial(2 * d + 2) // (math.factorial(d + 1) << (d + 1))
+        return value
 
 
-def _scale(genus: int, ds: Sequence[int], odd: list) -> int:
+def _scale(genus: int, ds: Sequence[int], odd: _OddDoubleFactorials) -> int:
     """2^(4g) prod (2d_i+1)!!, the factor from <tau_ds>_g to W(g, ds)."""
-    if ds:
-        _odd_double_factorials(odd, ds[0])
     return prod(map(odd.__getitem__, ds)) << (4 * genus)
 
 
@@ -157,14 +160,20 @@ class MemoStore:
 
 
 def save_cache(store: MemoStore, path: str) -> None:
-    """Write every entry as <tau_ds>_g to `path`, sorted for diffs; a non-int
-    entry raises TypeError before anything is written."""
-    odd = [1]
+    """Write the core entries (g >= 1, every index >= 2) as <tau_ds>_g to
+    `path`, sorted for diffs.  Every other key is one cheap step from the core
+    and is rederived on demand: genus 0 by the closed form, a key with a tau_0
+    by the string equation, one with a tau_1 by the dilaton equation.  A non-int
+    entry, core or not, raises TypeError before anything is written, and a file
+    that already holds these bytes is left as it is (inode and mtime too)."""
+    odd = _OddDoubleFactorials()
     lines = []
     for (genus, ds), w in store.entries.items():
         if type(w) is not int:
             raise TypeError(f"memo entry {_render(genus, ds)} is a {type(w).__name__}, "
                             "not a normalized int")
+        if genus < 1 or (ds and ds[-1] < 2):
+            continue  # not a core key
         value = "0"  # unscaled: the scale of a large dimension-breaking key is huge
         if w:
             scale = _scale(genus, ds, odd)
@@ -172,11 +181,14 @@ def save_cache(store: MemoStore, path: str) -> None:
             value = f"{w // g}/{scale // g}" if g != scale else str(w // g)
         lines.append(f"{_render(genus, ds)}|{value}")
     lines.sort()
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    with suppress(FileNotFoundError), open(path, "rb") as fh:
+        if fh.read() == data:
+            return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # only when the write or the rename failed
@@ -186,7 +198,7 @@ def save_cache(store: MemoStore, path: str) -> None:
 def load_cache(path: str) -> MemoStore:
     """Read a cache file back into normalized ints; the round trip is bit-exact."""
     entries: dict = {}
-    odd = [1]
+    odd = _OddDoubleFactorials()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -299,7 +311,7 @@ class TauCalculator:
 
     def __init__(self, store: Optional[MemoStore] = None):
         self.store = store if store is not None else MemoStore()
-        self._odd = [1]  # _odd[d] = (2d+1)!!, extended on demand
+        self._odd = _OddDoubleFactorials()
 
     # -- evaluation ----------------------------------------------------------
 
@@ -328,9 +340,9 @@ class TauCalculator:
         """W(key) when no reduction is needed (0 for an unstable or
         dimension-breaking key, the torus base, the genus-0 closed form; the
         last two are stored), else the generator of the DVV reduction: at
-        pivot 0 (the string equation) while a tau_0 remains, else on the
-        largest index (at pivot 1, once only tau_1's remain, the dilaton
-        equation)."""
+        pivot 0 (the string equation) while a tau_0 remains, else at pivot 1
+        (the dilaton equation) while a tau_1 remains, else on the largest
+        index."""
         g, ds = key
         n = len(ds)
         if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
@@ -341,7 +353,7 @@ class TauCalculator:
         if key == (1, (1,)):
             self.store.entries[key] = 2
             return 2
-        return self._dvv(g, ds, ds[0] if ds[-1] else 0)
+        return self._dvv(g, ds, ds[-1] if ds[-1] < 2 else ds[0])
 
     def _drive(self, gen, key: Optional[Key] = None) -> int:
         """Run reduction `gen` to its value, evaluating each child it yields
@@ -369,7 +381,7 @@ class TauCalculator:
     def _genus0(self, ds: Tuple[int, ...]) -> int:
         """W(0, ds) = (n-3)! prod (2d_i+1)!!/d_i!, the multinomial
         (n-3)!/prod d_i! taken as a product of binomials; ds descending."""
-        odd = _odd_double_factorials(self._odd, ds[0])
+        odd = self._odd
         w = 1
         total = 0
         for d in ds:

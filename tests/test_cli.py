@@ -62,12 +62,21 @@ class TestTau:
         assert len(expected) == 4434
         ds = ",".join(["1"] * 1600 + ["0"] * 3)
         path = tmp_path / "long.cache"
-        for _ in range(2):  # the second run loads the saved value back
+        for _ in range(2):  # a genus-0 key is not saved, so both runs derive it
             code, out, err = run_cli(capsys, "tau", "--genus", "0", "--ds", ds,
                                      "--cache", str(path))
             assert (code, out, err) == (EXIT_OK, expected + "\n", "")
             assert sys.get_int_max_str_digits() == limit
-        assert path.read_text(encoding="utf-8").endswith("|" + expected + "\n")
+        assert path.read_text(encoding="utf-8") == ""
+        # a core line with a 4434-digit value (not the true 1/1152, but one
+        # the loader accepts) loads, is saved back in full and prints
+        path.write_text(f"1|1|1/24\n2|4|{expected}\n", encoding="utf-8")
+        for argv in (["1", "--ds", "2,0"], ["2", "--ds", "4"]):
+            code, out, err = run_cli(capsys, "tau", "--genus", *argv, "--cache", str(path))
+            assert code == EXIT_OK and err == ""
+            assert sys.get_int_max_str_digits() == limit
+            assert path.read_text(encoding="utf-8") == f"2|4|{expected}\n"
+        assert out == expected + "\n"
 
     def test_600_point_key_evaluates(self, capsys):
         # a valid 600-point genus-0 key (value 1), once deeper than the recursion limit
@@ -292,15 +301,15 @@ class TestAsympt:
 class TestCache:
     def test_round_trip(self, capsys, tmp_path):
         path = tmp_path / "tau.cache"
-        code, out1, _ = run_cli(capsys, "tau", "--genus", "1", "--ds", "1",
+        code, out1, _ = run_cli(capsys, "tau", "--genus", "2", "--ds", "4",
                                 "--cache", str(path))
         assert code == EXIT_OK
         assert path.exists()
         text = path.read_text()
-        assert "1|1|1/24" in text
-        code, out2, _ = run_cli(capsys, "tau", "--genus", "1", "--ds", "1",
+        assert "2|4|1/1152" in text
+        code, out2, _ = run_cli(capsys, "tau", "--genus", "2", "--ds", "4",
                                 "--cache", str(path))
-        assert out1 == out2
+        assert out1 == out2 == "1/1152\n"
 
     def test_malformed_cache(self, capsys, tmp_path):
         path = tmp_path / "bad.cache"
@@ -331,11 +340,11 @@ class TestCache:
 
     def test_run_that_adds_entries_saves(self, capsys, tmp_path):
         path = tmp_path / "grow.cache"
-        path.write_text("1|1|1/24\n", encoding="utf-8")
-        code, _, _ = run_cli(capsys, "tau", "--genus", "1", "--ds", "2,0",
+        path.write_text("2|4|1/1152\n", encoding="utf-8")
+        code, _, _ = run_cli(capsys, "tau", "--genus", "2", "--ds", "3,2",
                              "--cache", str(path))
         assert code == EXIT_OK
-        assert path.read_text(encoding="utf-8") == "1|1|1/24\n1|2,0|1/24\n"
+        assert path.read_text(encoding="utf-8") == "2|3,2|29/5760\n2|4|1/1152\n"
 
     def test_failed_verify_leaves_the_file_alone(self, capsys, tmp_path):
         # the series side derives new keys from the wrong 1|1 value; saving
@@ -419,6 +428,36 @@ class TestCache:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "2|4" in err
         assert path.read_text(encoding="utf-8") == "1|1|1/16\n"
+
+    def test_poisoned_core_entry_fails_verify(self, capsys, tmp_path):
+        # the true <tau_4>_2 is 1/1152; the series side reads the cache, the
+        # kappa-to-tau side its own memo, so the two routes disagree
+        path = tmp_path / "poisoned.cache"
+        path.write_bytes(b"2|4|1/576\n")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "theorem1",
+                               "--genus", "2", "--order", "3", "--cache", str(path))
+        assert code == EXIT_VERIFY_FAILED
+        first = json.loads(out.splitlines()[0])
+        assert (first["n"], first["pass"]) == (0, False)
+        assert first["first_mismatch"] == {"power": 0, "lhs": "29/8640", "rhs": "43/17280"}
+        assert path.read_bytes() == b"2|4|1/576\n"
+
+    def test_warm_run_that_adds_no_core_entry_leaves_the_file_alone(self, capsys, tmp_path):
+        # the warm run rederives every non-core key, but the file already
+        # holds the core it would write, so it is not replaced
+        path = tmp_path / "core.cache"
+        argv = ["volume", "--genus", "2", "--n", "6", "--cache", str(path)]
+        _, cold, _ = run_cli(capsys, *argv)
+        before = path.stat()
+        text = path.read_text(encoding="utf-8")
+        assert text and all(line.split("|")[0] != "0" and
+                            min(map(int, line.split("|")[1].split(","))) >= 2
+                            for line in text.splitlines())
+        code, warm, _ = run_cli(capsys, *argv)
+        assert (code, warm) == (EXIT_OK, cold)
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert path.read_text(encoding="utf-8") == text
 
     def test_cache_warm_and_cold_agree(self, capsys, tmp_path):
         path = tmp_path / "warm.cache"

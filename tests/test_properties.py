@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from wpvol.kappavol import volume
 from wpvol.qseries import (Series, _mul_lists, double_factorial, factorial, parse_rational,
                            revert_lagrange)
-from wpvol.taucalc import (CacheFormatError, MemoStore, TauCalculator, _render, _scale,
-                           canonical_key, format_rational, load_cache, save_cache)
+from wpvol.taucalc import (CacheFormatError, MemoStore, TauCalculator, _OddDoubleFactorials,
+                           _render, _scale, canonical_key, format_rational, load_cache,
+                           save_cache)
 
 F = Fraction
 
@@ -121,7 +122,7 @@ def _ref_load_cache(path):
     """The Fraction-based loader the int one replaced, kept as the reference
     for load_cache: every index and every value is parsed in full."""
     entries = {}
-    odd = [1]
+    odd = _OddDoubleFactorials()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -172,10 +173,16 @@ def _ref_load_cache(path):
     return MemoStore(entries)
 
 
+def _core(entries):
+    """The entries save_cache writes: genus >= 1 with every index >= 2."""
+    return {(g, ds): w for (g, ds), w in entries.items() if g >= 1 and min(ds, default=2) >= 2}
+
+
 def _ref_cache_text(store):
     """The file save_cache writes, built through Fraction and format_rational."""
-    lines = sorted(f"{_render(g, ds)}|{format_rational(F(w, _scale(g, ds, [1])))}"
-                   for (g, ds), w in store.entries.items())
+    odd = _OddDoubleFactorials()
+    lines = sorted(f"{_render(g, ds)}|{format_rational(F(w, _scale(g, ds, odd)))}"
+                   for (g, ds), w in _core(store.entries).items())
     return "".join(line + "\n" for line in lines)
 
 
@@ -193,7 +200,7 @@ def cache_entries(draw):
     valid key, or 0 on an unstable or dimension-breaking one."""
     if draw(st.booleans()):
         g, ds = draw(valid_keys(n_max=6))
-        scale = _scale(*canonical_key(g, ds), [1])
+        scale = _scale(*canonical_key(g, ds), _OddDoubleFactorials())
         return g, ds, F(draw(st.integers(1, 10 ** 6)), scale)
     g = draw(st.integers(0, 3))
     ds = draw(st.lists(st.integers(0, 6), max_size=6))
@@ -377,6 +384,12 @@ class TestCacheFile:
             save_cache(calc.store, str(first))
             assert first.read_text(encoding="utf-8") == _ref_cache_text(calc.store)
             loaded = load_cache(str(first))
-            assert loaded.entries == calc.store.entries
+            assert loaded.entries == _core(calc.store.entries)
             save_cache(loaded, str(second))
             assert second.read_bytes() == first.read_bytes()
+            # the saved core rederives every other key the cold run stored
+            warm = TauCalculator(loaded)
+            assert volume(g, n, warm) == volume(g, n, TauCalculator())
+            for key in calc.store.entries:
+                assert warm.tau(*key) == calc.tau(*key)
+            assert warm.store.entries == calc.store.entries

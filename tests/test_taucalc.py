@@ -1,5 +1,6 @@
 import builtins
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -13,6 +14,7 @@ from wpvol.taucalc import (
     MemoStore,
     TauCalculator,
     canonical_key,
+    format_rational,
     load_cache,
     save_cache,
 )
@@ -264,6 +266,11 @@ class TestDeterminism:
         assert fresh.store.entries == cold.store.entries
 
 
+def core_entries(entries):
+    """The entries save_cache writes: genus >= 1 and every index >= 2."""
+    return {(g, ds): w for (g, ds), w in entries.items() if g >= 1 and min(ds, default=2) >= 2}
+
+
 class TestCacheFile:
     def test_round_trip(self, tmp_path):
         calc = TauCalculator()
@@ -272,10 +279,16 @@ class TestCacheFile:
         path = tmp_path / "tau.cache"
         save_cache(calc.store, str(path))
         loaded = load_cache(str(path))
-        assert loaded.entries == calc.store.entries
+        assert loaded.entries == core_entries(calc.store.entries)
+        assert (2, (3, 2)) in loaded.entries and len(loaded.entries) > 1
+        # every key the file left out is rederived to the same value
+        warm = TauCalculator(loaded)
+        for g, ds in calc.store.entries:
+            assert warm.tau(g, ds) == calc.tau(g, ds)
+        assert warm.store.entries == calc.store.entries
         # saving the loaded store reproduces the file byte for byte
         path2 = tmp_path / "tau2.cache"
-        save_cache(loaded, str(path2))
+        save_cache(load_cache(str(path)), str(path2))
         assert path.read_bytes() == path2.read_bytes()
 
     def test_known_line(self, tmp_path):
@@ -292,11 +305,12 @@ class TestCacheFile:
         assert store.entries == {(2, ()): F(0)}
 
     def test_lines_sorted(self, tmp_path):
-        store = MemoStore({(1, (1,)): 2, (0, (0, 0, 0)): 1})
+        # W(2, (4,)) = 2^8 9!! / 1152, W(1, (2, 2)) = 2^4 (5!!)^2 / 240
+        store = MemoStore({(2, (4,)): 210, (1, (2, 2)): 15})
         path = tmp_path / "c.txt"
         save_cache(store, str(path))
         lines = path.read_text().splitlines()
-        assert lines == sorted(lines) == ["0|0,0,0|1", "1|1|1/24"]
+        assert lines == sorted(lines) == ["1|2,2|1/240", "2|4|1/1152"]
 
     def test_malformed_rational(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -329,20 +343,20 @@ class TestCacheFile:
 
     @pytest.mark.parametrize("step", ["save", "load"])
     def test_zero_value_is_never_scaled(self, tmp_path, monkeypatch, step):
-        # scaling <tau_20000 tau_0^2>_0 would build every (2d+1)!! up to
-        # d = 20000 (about a second; at d = 100000 the process runs out of memory)
-        real = taucalc._odd_double_factorials
+        # a zero value on a dimension-breaking key is stored unscaled: its
+        # (2d+1)!! can be as large as the key's index makes it
+        real = taucalc._OddDoubleFactorials.__missing__
 
-        def small_only(odd, top):
-            assert top < 100, f"a zero value was scaled up to (2*{top}+1)!!"
-            return real(odd, top)
+        def small_only(odd, d):
+            assert d < 100, f"a zero value was scaled by (2*{d}+1)!!"
+            return real(odd, d)
 
         path = tmp_path / "c.txt"
-        text = "0|20000,0,0|0\n1|1|1/24\n"
-        store = MemoStore({(0, (20000, 0, 0)): 0, (1, (1,)): 2})
+        text = "1|20000,2|0\n2|4|1/1152\n"
+        store = MemoStore({(1, (20000, 2)): 0, (2, (4,)): 210})
         if step == "load":
             path.write_text(text, encoding="utf-8")
-        monkeypatch.setattr(taucalc, "_odd_double_factorials", small_only)
+        monkeypatch.setattr(taucalc._OddDoubleFactorials, "__missing__", small_only)
         if step == "save":
             save_cache(store, str(path))
             assert path.read_text(encoding="utf-8") == text
@@ -350,10 +364,10 @@ class TestCacheFile:
             assert load_cache(str(path)).entries == store.entries
 
     def test_save_writes_every_index_as_its_own_text(self, tmp_path):
-        # every index is written as str(d), a negative or large one too
+        # every index of a saved key is written as str(d), a large one too
         path = tmp_path / "c.txt"
-        save_cache(MemoStore({(0, (-1,)): 0, (0, (300, 0)): 0}), str(path))
-        assert path.read_text(encoding="utf-8") == "0|-1|0\n0|300,0|0\n"
+        save_cache(MemoStore({(1, (300, 2)): 0, (1, (300,)): 0}), str(path))
+        assert path.read_text(encoding="utf-8") == "1|300,2|0\n1|300|0\n"
 
     def test_save_rejects_a_fraction_entry(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -377,9 +391,10 @@ class TestCacheFile:
             g, ds, value = line.split("|")
             key = (int(g), [int(d) for d in ds.split(",")])
             assert warm.tau(*key) == cold.tau(*key) == F(value)
-        save_cache(warm.store, str(tmp_path / "again.txt"))
-        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
         assert len(cold.store.entries) == len(lines)
+        # none of these keys is core, so the next save writes none of them
+        save_cache(warm.store, str(path))
+        assert path.read_bytes() == b""
 
     def test_save_leaves_no_temporary_file(self, tmp_path):
         save_cache(MemoStore({(1, (1,)): 2}), str(tmp_path / "c.txt"))
@@ -396,6 +411,9 @@ class TestCacheFile:
             def __exit__(self, *exc):
                 self.fh.close()
 
+            def read(self):
+                return self.fh.read()
+
             def write(self, text):
                 raise OSError("no space left on device")
 
@@ -403,9 +421,81 @@ class TestCacheFile:
             return FullDisk(builtins.open(file, mode, **kwargs))
 
         path = tmp_path / "c.txt"
-        path.write_text("1|1|1/24\n", encoding="utf-8")
+        path.write_text("1|2,2|1/240\n", encoding="utf-8")
         monkeypatch.setattr(taucalc, "open", full_disk_open, raising=False)
         with pytest.raises(OSError):
-            save_cache(MemoStore({(0, (0, 0, 0)): 1}), str(path))
-        assert path.read_text(encoding="utf-8") == "1|1|1/24\n"
+            save_cache(MemoStore({(2, (4,)): 210}), str(path))
+        assert path.read_text(encoding="utf-8") == "1|2,2|1/240\n"
         assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+
+
+class ParentPivot(TauCalculator):
+    """The engine before dilaton first: it used the dilaton equation only
+    when every index was 1, and otherwise pivoted on the largest index."""
+
+    def _dvv(self, g, ds, k):
+        return super()._dvv(g, ds, k and ds[0])
+
+
+def full_cache_text(calc):
+    """Every memo entry as a cache line, the way save_cache wrote files
+    before it kept only the core keys."""
+    lines = sorted(f"{g}|{','.join(map(str, ds)) or '-'}|{format_rational(calc.tau(g, ds))}"
+                   for g, ds in list(calc.store.entries))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestCoreCache:
+    def test_save_writes_no_genus0_tau0_or_tau1_line(self, tmp_path):
+        calc = TauCalculator()
+        for g, n in [(0, 8), (1, 4), (2, 3), (3, 2)]:
+            volume(g, n, calc)
+        calc.tau(2, [1, 1, 1, 1, 1, 1, 1, 1, 1, 1])
+        path = tmp_path / "c.txt"
+        save_cache(calc.store, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(core_entries(calc.store.entries)) > 10
+        for line in lines:
+            g, ds, _ = line.split("|")
+            assert int(g) >= 1 and min(map(int, ds.split(","))) >= 2, line
+        assert load_cache(str(path)).entries == core_entries(calc.store.entries)
+
+    def test_parent_full_file_loads_and_the_next_save_keeps_its_core(self, tmp_path):
+        # the file the cache-reuse benchmark pre-warmed before core-only saves
+        jobs = [(0, 25), (5, 1), (2, 16)]
+        parent = ParentPivot()
+        for g, n in jobs:
+            volume(g, n, parent)
+        text = full_cache_text(parent)
+        lines = text.splitlines()
+        assert len(lines) == 9845
+        path = tmp_path / "full.txt"
+        path.write_text(text, encoding="utf-8")
+        warm = TauCalculator(load_cache(str(path)))
+        for g, n in jobs:
+            assert volume(g, n, warm) == volume(g, n, TauCalculator())
+        save_cache(warm.store, str(path))
+        saved = path.read_text(encoding="utf-8").splitlines()
+        assert saved == [line for line in lines if line.split("|")[0] != "0"
+                         and min(map(int, line.split("|")[1].split(","))) >= 2]
+        assert len(saved) == 121
+
+    @pytest.mark.parametrize("g, keys, core", [(6, 651, 297), (8, 3195, 1474)])
+    def test_memo_sizes_under_dilaton_first(self, g, keys, core):
+        calc = TauCalculator()
+        volume(g, 0, calc)
+        assert len(calc.store.entries) == keys
+        assert len(core_entries(calc.store.entries)) == core
+
+    def test_large_index_line_loads_in_small_memory(self, tmp_path):
+        # a 14-byte line; tabulating every (2d+1)!! up to d = 11998 took 128 MB
+        path = tmp_path / "c.txt"
+        path.write_text("4000|11998|1\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            store = load_cache(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert TauCalculator(store).tau(4000, [11998]) == 1
