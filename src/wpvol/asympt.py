@@ -6,14 +6,13 @@ singularity of y(x): the radius of convergence is x_c = x(u_c), where u_c is
 the smallest positive root of x'(u) = J0(2 sqrt(u)), i.e. u_c = (j_{0,1}/2)^2
 with j_{0,1} the first zero of the Bessel function J0.  So C = 1/x_c.
 
-The root and the radius are computed exactly: bisection on partial sums of
-the alternating series for J0(2 sqrt(u)), with the alternating-series
-remainder as a rigorous enclosure.  The partial sums run in plain integers
-over a common denominator, and each bisection step reads only the signs of
-the enclosure numerators.  The volumes the fits use are the coefficients of
-one generating series per genus (genexp.volume_series).  Everything
-downstream is carried as 50-digit decimals and reported at 10, so reruns are
-bit-identical.
+The root and the radius are computed exactly: Newton on dyadic rationals
+guesses u_c to 2^-240, and the guess is kept only if rigorous enclosures of
+J0(2 sqrt(u)) (alternating partial sums and remainder, in plain integers over
+a common denominator) have opposite signs at the two ends of its interval.
+The volumes the fits use are the coefficients of one generating series per
+genus (genexp.volume_series).  Everything downstream is carried as 50-digit
+decimals and reported at 10, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ REPORT_DIGITS = 10
 
 _REPORT_CTX = Context(prec=REPORT_DIGITS)
 
-_BISECTION_STEPS = 240
+_WIDTH_BITS = 240  # the certified interval around u_c is 2^-240 wide
+_NEWTON_BITS, _NEWTON_STEPS = 256, 12  # working precision, iteration cap
 _TAIL_TOL = Fraction(1, 10**80)
 
 
@@ -103,29 +103,36 @@ def _x_of_u_bracket(u: Fraction, tol: Fraction) -> Tuple[Fraction, Fraction]:
     return Fraction(lo, den), Fraction(hi, den)
 
 
+def _newton_guess() -> int:
+    """A guess for floor(u_c 2^_WIDTH_BITS): Newton on J(u) = J0(2 sqrt u) from
+    u = 3/2 with dJ/du = -x(u)/u, so u <- u + u J/x, on u = a/2^bits with `bits`
+    doubling up to _NEWTON_BITS and J, x read off their enclosure midpoints."""
+    a, bits = 3, 1
+    for _ in range(_NEWTON_STEPS):
+        new_bits = min(2 * bits, _NEWTON_BITS)
+        tol = Fraction(1, 1 << (new_bits + 8))
+        j_lo, j_hi, j_den = _enclosure_numerators(a, 1 << bits, 0, tol)
+        x_lo, x_hi, x_den = _enclosure_numerators(a, 1 << bits, 1, tol)
+        x_num = (x_lo + x_hi) * j_den  # J/x = (j_lo + j_hi) x_den / x_num
+        new_a = (a << (new_bits - bits)) * (x_num + (j_lo + j_hi) * x_den) // x_num
+        if bits == _NEWTON_BITS and new_a == a:
+            break
+        a, bits = new_a, new_bits
+    return a >> (_NEWTON_BITS - _WIDTH_BITS)
+
+
 @lru_cache(maxsize=1)
 def _critical_interval() -> Tuple[Fraction, Fraction]:
-    """Rational interval around u_c, the first positive root of J0(2 sqrt(u)).
+    """[a, a+1]/2^_WIDTH_BITS around u_c, the first positive root of J0(2 sqrt(u)).
 
-    The bisection keeps lo = a/2^s and hi = (a+1)/2^s as integers and reads
-    each step off the signs of the enclosure numerators (the common
-    denominator is positive), so no Fraction is built until the end.
-    """
-    if (_enclosure_numerators(1, 1, 0, _TAIL_TOL)[0] <= 0
-            or _enclosure_numerators(2, 1, 0, _TAIL_TOL)[1] >= 0):
-        raise RuntimeError("sign assumptions for the bisection bracket failed")
-    a, scale = 1, 1  # lo = a/scale, hi = (a+1)/scale
-    for _ in range(_BISECTION_STEPS):
-        # mid = (2a+1)/(2 scale), already in lowest terms
-        b_lo, b_hi, _ = _enclosure_numerators(2 * a + 1, 2 * scale, 0, _TAIL_TOL)
-        if b_lo > 0:
-            a, scale = 2 * a + 1, 2 * scale
-        elif b_hi < 0:
-            a, scale = 2 * a, 2 * scale
-        else:
-            # enclosure straddles zero: mid is already within the tail
-            # tolerance of the root, far below anything we report
-            break
+    The Newton guess a stands only if 1 <= a/2^w < 2 and the enclosures certify
+    J(a/2^w) > 0 > J((a+1)/2^w); J decreases on [1, 2], so that interval is
+    unique, the one a bisection of [1, 2] ends on."""
+    a, scale = _newton_guess(), 1 << _WIDTH_BITS
+    if not (scale <= a < 2 * scale
+            and _enclosure_numerators(a, scale, 0, _TAIL_TOL)[0] > 0
+            and _enclosure_numerators(a + 1, scale, 0, _TAIL_TOL)[1] < 0):
+        raise RuntimeError("the Newton guess for the Bessel zero failed its certificate")
     return Fraction(a, scale), Fraction(a + 1, scale)
 
 
@@ -148,7 +155,7 @@ def critical_point() -> Decimal:
 
 
 def bessel_j0_first_zero() -> Decimal:
-    """First positive zero of J0, from the bisected critical point."""
+    """First positive zero of J0, from the certified critical point."""
     u_lo, u_hi, _, _ = _critical_values()
     with localcontext(Context(prec=PRECISION)):
         return 2 * _to_decimal((u_lo + u_hi) / 2).sqrt()

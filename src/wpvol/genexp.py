@@ -28,6 +28,7 @@ memo.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
@@ -81,7 +82,7 @@ class GenusExpansionContext:
     Every derivative costs one order, so the construction works at order
     order + i_max internally and exposes series truncated to `order`; the
     exposed f_i are then reliable for all i <= i_max.  Immutable once built;
-    repeated powers of y' and of each f_i are cached per context.
+    powers of y' and of h_i = y' f_i, the closed form's factors, are cached.
     """
 
     def __init__(self, order: int, i_max: int):
@@ -111,8 +112,10 @@ class GenusExpansionContext:
     def y_prime_power(self, exponent: int) -> Series:
         return self._power(("y'", exponent), self.y_prime)
 
-    def f_power(self, i: int, exponent: int) -> Series:
-        return self._power((i, exponent), self.f(i))
+    def h_power(self, i: int, exponent: int) -> Series:
+        if (i, 1) not in self._powers:
+            self._powers[i, 1] = self.y_prime * self.f(i)
+        return self._power((i, exponent), self._powers[i, 1])
 
     def _power(self, key: Tuple, base: Series) -> Series:
         cached = self._powers.get(key)
@@ -141,7 +144,8 @@ def build_f_lemma(i: int, ctx: GenusExpansionContext, order: Optional[int] = Non
 
 def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:
     """sum_{|l|=3g-3+n} <tau_0^n tau_2^{l_2} ...>_g
-    * (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!, to ctx.order."""
+    * (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!, to ctx.order, summed as
+    (y')^(2(g-1)+n) * sum <...>_g prod h_i^{l_i}/l_i! with h_i = y' f_i."""
     if ctx.i_max < 3 * g - 2 + n:
         raise ValueError(f"context needs i_max >= {3 * g - 2 + n} for genus {g}")
     total = Series.zero(ctx.order)
@@ -149,13 +153,11 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
         bracket = calc.tau_batch(g, l.items(), zeros=n)
         if not bracket:
             continue
-        term = ctx.y_prime_power(2 * (g - 1) + n + sum(l.values()))
-        denom = 1
-        for i, mult in l.items():
-            term = term * ctx.f_power(i, mult)
-            denom *= factorial(mult)
-        total = total + term * (bracket / denom)
-    return total
+        term, *factors = (ctx.h_power(i, mult) for i, mult in l.items())
+        for factor in factors:
+            term = term * factor
+        total = total + term * (bracket / math.prod(map(factorial, l.values())))
+    return total * ctx.y_prime_power(2 * (g - 1) + n)
 
 
 def build_phi_g(g: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:

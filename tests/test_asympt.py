@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wpvol import asympt
 from wpvol.asympt import (
     GrowthFit,
     _j0_of_u_bracket,
@@ -101,6 +102,26 @@ class TestBesselZero:
         from wpvol.asympt import _critical_interval
 
         assert _critical_interval() == reference_critical_interval()
+
+    def test_cold_interval_needs_few_enclosures(self, monkeypatch):
+        # the 240-step bisection made 242 enclosure evaluations here
+        calls = []
+        enclosure = asympt._enclosure_numerators
+
+        def counting(*args):
+            calls.append(args)
+            return enclosure(*args)
+
+        monkeypatch.setattr(asympt, "_enclosure_numerators", counting)
+        assert asympt._critical_interval.__wrapped__() == asympt._critical_interval()
+        assert len(calls) <= 40
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_off_by_one_guess_fails_the_certificate(self, monkeypatch, offset):
+        a = int(asympt._critical_interval()[0] * 2**asympt._WIDTH_BITS)
+        monkeypatch.setattr(asympt, "_newton_guess", lambda: a + offset)
+        with pytest.raises(RuntimeError):
+            asympt._critical_interval.__wrapped__()
 
     def test_x_bracket(self):
         lo, hi = _x_of_u_bracket(F(1), F(1, 10**30))

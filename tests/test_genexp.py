@@ -4,6 +4,7 @@ import pytest
 
 from wpvol.genexp import (
     GenusExpansionContext,
+    _closed_form,
     build_f_lemma,
     build_phi0,
     build_phi1,
@@ -13,13 +14,32 @@ from wpvol.genexp import (
     induction_sides,
     lemma_report,
     theorem_reports,
+    verify_reports,
     volume_series,
     volume_table,
 )
 from wpvol.kappavol import enumerate_multiindices, volume
 from wpvol.qseries import Series, bessel_x_of_y, factorial
+from wpvol.taucalc import TauCalculator
 
 F = Fraction
+
+
+def _ref_closed_form(g, n, ctx, calc):
+    """The closed form summed term by term, each term carrying its own
+    (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!."""
+    total = Series.zero(ctx.order)
+    for l in enumerate_multiindices(3 * g - 3 + n, 3 * g - 2 + n):
+        bracket = calc.tau_batch(g, l.items(), zeros=n)
+        if not bracket:
+            continue
+        term = ctx.y_prime ** (2 * (g - 1) + n + sum(l.values()))
+        denom = 1
+        for i, mult in l.items():
+            term = term * ctx.f(i) ** mult
+            denom *= factorial(mult)
+        total = total + term * (bracket / denom)
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +191,32 @@ class TestPhiG:
     def test_master_crosscheck_small(self, ctx, calc):
         for report in theorem_reports(2, 6, build_phi_g(2, ctx, calc), calc):
             assert report.passed, report.to_json_dict()
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("order", [6, 10])
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_equals_term_by_term_sum(self, g, order):
+        # (y')^(2(g-1)+n) factored out of the sum changes no coefficient
+        ctx_g = GenusExpansionContext(order=order, i_max=3 * g + 2)
+        for n in range(5):
+            got = _closed_form(g, n, ctx_g, TauCalculator())
+            assert got == _ref_closed_form(g, n, ctx_g, TauCalculator()), (g, n)
+
+    def test_fewer_series_products(self, monkeypatch):
+        # the term-by-term sum made 519 Series.__mul__ calls here
+        calls = []
+        mul = Series.__mul__
+
+        def counting_mul(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Series, "__mul__", counting_mul)
+        monkeypatch.setattr(Series, "__rmul__", counting_mul)
+        reports = verify_reports("all", 3, 6, TauCalculator())
+        assert all(r.passed for r in reports)
+        assert len(calls) < 519
 
 
 class TestDerivativeFormula:
