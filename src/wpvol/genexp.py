@@ -34,7 +34,7 @@ from typing import Mapping, Optional, Tuple
 
 from .kappavol import VolumeRecord, enumerate_multiindices, volume
 from .qseries import Series, bessel_x_of_y, first_mismatch
-from .taucalc import TauCalculator, factorial, format_rational
+from .taucalc import TauCalculator, factorial, format_rational, rational_sum
 
 __all__ = [
     "GenusExpansionContext",
@@ -148,7 +148,7 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
     (y')^(2(g-1)+n) * sum <...>_g prod h_i^{l_i}/l_i! with h_i = y' f_i."""
     if ctx.i_max < 3 * g - 2 + n:
         raise ValueError(f"context needs i_max >= {3 * g - 2 + n} for genus {g}")
-    total = Series.zero(ctx.order)
+    terms = []  # (p, q, coefficients) of each nonzero term; each x^k is summed once
     for l in enumerate_multiindices(3 * g - 3 + n, 3 * g - 2 + n):
         bracket = calc.tau_batch(g, l.items(), zeros=n)
         if not bracket:
@@ -156,7 +156,10 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
         term, *factors = (ctx.h_power(i, mult) for i, mult in l.items())
         for factor in factors:
             term = term * factor
-        total = total + term * (bracket / math.prod(map(factorial, l.values())))
+        denom = bracket.denominator * math.prod(map(factorial, l.values()))
+        terms.append((bracket.numerator, denom, term.coeffs))
+    total = Series(rational_sum([(p * c[k].numerator, q * c[k].denominator) for p, q, c in terms])
+                   for k in range(ctx.order + 1))
     return total * ctx.y_prime_power(2 * (g - 1) + n)
 
 

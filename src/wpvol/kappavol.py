@@ -7,8 +7,9 @@ complex dimension d = 3g-3+n:
     V_{g,n}/d! = sum_{|l|=d} <tau_0^n tau_2^{l_2} tau_3^{l_3} ...>_g
                  * (-1)^(g-1+n+||l||) / prod_i l_i! ((i-1)!)^{l_i}
 
-with ||l|| = sum l_i.  The geometric volume of the moduli space carries an
-extra pi^(2d)/(n! d!) on top of V_{g,n}; the normalized value
+with ||l|| = sum l_i; volume() adds its terms as integer numerators over
+their lcm.  The geometric volume of the moduli space carries an extra
+pi^(2d)/(n! d!) on top of V_{g,n}; the normalized value
 v_{g,n} = V_{g,n}/(n! d!) is what the generating series track.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterator, NamedTuple, Tuple
 
-from .taucalc import TauCalculator, factorial, format_rational
+from .taucalc import TauCalculator, factorial, format_rational, rational_sum
 
 __all__ = [
     "VolumeRecord",
@@ -124,18 +125,17 @@ def volume(g: int, n: int, calc: TauCalculator) -> VolumeRecord:
     dim = 3 * g - 3 + n
     if (g, n) in CONVENTIONAL_ZEROS or dim < 0:
         return VolumeRecord(g, n, dim, Fraction(0), Fraction(0))
-    total = Fraction(0)
+    terms = []  # (signed numerator, denominator) of each nonzero term
     for l in enumerate_multiindices(dim, max(3 * g - 2 + n, 2)):
         bracket = calc.tau_batch(g, l.items(), zeros=n)
         if not bracket:
             continue
-        denom = 1
+        denom = bracket.denominator
         for i, mult in l.items():
             denom *= factorial(mult) * factorial(i - 1) ** mult
-        term = bracket / denom
-        if (g - 1 + n + sum(l.values())) % 2:
-            term = -term
-        total += term
+        sign = -1 if (g - 1 + n + sum(l.values())) % 2 else 1
+        terms.append((sign * bracket.numerator, denom))
+    total = rational_sum(terms)
     v = total / factorial(n)
     return VolumeRecord(g, n, dim, total * factorial(dim), v)
 

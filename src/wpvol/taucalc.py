@@ -1,14 +1,17 @@
 """Exact psi-class intersection numbers <tau_{d1} ... tau_{dn}>_g.
 
 Everything reduces to the normalization <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24
-through the Dijkgraaf-Verlinde-Verlinde (KdV / Virasoro) recursion.  At
-pivot 0, while a tau_0 remains, it is the string equation, which removes that
-tau_0; at pivot 1, while a tau_1 remains, it is the dilaton equation, which
-removes that tau_1; otherwise it pivots on the largest index, the only step
-with a genus split.  Marked points are distinguishable, so the
-genus-splitting sums run over ordered pairs of labeled submultisets.  Genus 0
-needs no recursion: <tau_d>_0 = (n-3)!/prod d_i! (a multinomial coefficient)
-whenever the dimension rule holds.
+through the Dijkgraaf-Verlinde-Verlinde (KdV / Virasoro) recursion, one
+rule per key.  While a tau_0 remains, the string equation removes it, fused
+with the dilaton equation on the tau_1 it frees (the paper's index-shift
+identity), so no key with a new tau_1 is stored.  Else, while a tau_1
+remains, DVV at pivot 1 is the dilaton equation; otherwise DVV pivots on the
+largest index, the only step with a genus split.  The *_reduced checks run
+the generic one-step DVV, which the fused step does not share.  Marked
+points are distinguishable, so the genus-splitting sums run over ordered
+pairs of labeled submultisets.  Genus 0 needs no recursion: <tau_d>_0 =
+(n-3)!/prod d_i! (a multinomial coefficient) whenever the dimension rule
+holds.
 
 A key is a plain tuple (g, ds), ds sorted in descending order; canonical_key
 builds it from outside input, and each reduction builds its child keys in
@@ -20,9 +23,10 @@ The memo holds plain ints, the normalized correlators (Liu-Xu)
 
     W(g, ds) = 2^(4g) * prod_i (2d_i+1)!! * <tau_ds>_g.
 
-In W every rule has integer coefficients: string (2d_j+1), DVV merge
-(2d_j+1), the DVV genus-reducing term times 2^4, the DVV split products
-unscaled (2^(4 g1) 2^(4 g2) = 2^(4g)), and the bases W(0,(0,0,0)) = 1 and
+In W every rule has integer coefficients: string (2d_j+1), fused
+string-dilaton 5 * 3(2g-2+m) for the m indices left, DVV merge (2d_j+1),
+the DVV genus-reducing term times 2^4, the DVV split products unscaled
+(2^(4 g1) 2^(4 g2) = 2^(4g)), and the bases W(0,(0,0,0)) = 1 and
 W(1,(1,)) = 2; one exact halving of the DVV split sum remains.  The double
 factorials clear every odd denominator.  The 2-adic scale 2^(4g) is a pinned
 invariant: over the keys of volume(g, n), g <= 6, the largest 2-adic
@@ -48,8 +52,8 @@ writes a temporary file beside the target and renames it into place.  Neither
 builds a Fraction or scales a zero value, and loading parses, sums and scales
 only the indices before a key's trailing run of "0" tokens ((2*0+1)!! = 1).
 
-The exact scalar helpers every command needs (factorial, format_rational)
-live here too, so a command that never touches a series never loads qseries.
+The exact scalar helpers (factorial, format_rational, rational_sum) live
+here too, so a command that never touches a series never loads qseries.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ __all__ = [
     "load_cache",
     "factorial",
     "format_rational",
+    "rational_sum",
 ]
 
 Indices = Iterable[int]
@@ -99,6 +104,13 @@ def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"exact rational required, got {type(value).__name__}")
+
+
+def rational_sum(terms: Sequence[Tuple[int, int]]) -> Fraction:
+    """The sum of the fractions p/q of (p, q) pairs, q > 0, added as ints over
+    the lcm of the q's: one gcd for the sum, none per term."""
+    common = math.lcm(*(q for _, q in terms))
+    return Fraction(sum(p * (common // q) for p, q in terms), common)
 
 
 def format_rational(value: Scalar) -> str:
@@ -339,10 +351,10 @@ class TauCalculator:
     def _step(self, key: Key):
         """W(key) when no reduction is needed (0 for an unstable or
         dimension-breaking key, the torus base, the genus-0 closed form; the
-        last two are stored), else the generator of the DVV reduction: at
-        pivot 0 (the string equation) while a tau_0 remains, else at pivot 1
-        (the dilaton equation) while a tau_1 remains, else on the largest
-        index."""
+        last two are stored), else the generator of its one reduction, in
+        this order: the fused string-dilaton step while a tau_0 remains, DVV
+        at pivot 1 (the dilaton equation) while a tau_1 remains, else DVV on
+        the largest index."""
         g, ds = key
         n = len(ds)
         if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
@@ -353,6 +365,8 @@ class TauCalculator:
         if key == (1, (1,)):
             self.store.entries[key] = 2
             return 2
+        if not ds[-1]:
+            return self._string(g, ds)
         return self._dvv(g, ds, ds[-1] if ds[-1] < 2 else ds[0])
 
     def _drive(self, gen, key: Optional[Key] = None) -> int:
@@ -394,6 +408,29 @@ class TauCalculator:
     # -- one-step reductions, as generators over normalized ints ---------------
     # Each looks its children up in the memo and yields only the misses; the
     # driver sends back the child's W.
+
+    def _string(self, g: int, ds: Tuple[int, ...]):
+        """The string equation on a key with a tau_0, g >= 1, fused with the
+        dilaton equation on the tau_1 it frees: lowering a 2 gives the child
+        without it, weight 5 * 3(2g-2+m) for its m = len(ds) - 2 indices,
+        except that <tau_0 tau_2>_1 lowers to the torus base <tau_1>_1."""
+        get = self.store.entries.get
+        head = ds[:ds.index(0)]  # lowering a tau_0 gives <tau_{-1} ...> = 0
+        total = count = 0
+        for j, (v, after) in enumerate(zip(head, head[1:] + (0,))):
+            count += 1
+            if after == v:
+                continue  # lowering only the last copy of v keeps the tuple sorted
+            if v == 2 and (g, ds) != (1, (2, 0)):
+                child, weight = (g, ds[:j] + ds[j + 1:-1]), 15 * (2 * g - 4 + len(ds))
+            else:
+                child, weight = (g, ds[:j] + (v - 1,) + ds[j + 1:-1]), 2 * v + 1
+            w = get(child)
+            if w is None:
+                w = yield child
+            total += weight * count * w
+            count = 0
+        return total
 
     def _dvv(self, g: int, ds: Tuple[int, ...], k: int):
         get = self.store.entries.get

@@ -16,6 +16,7 @@ from wpvol.cli import (
     main,
 )
 from wpvol.kappavol import volume
+from wpvol.taucalc import TauCalculator
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +247,29 @@ class TestVerify:
         first = json.loads(out.splitlines()[0])
         assert (first["n"], first["pass"]) == (0, False)
         assert first["first_mismatch"] == {"power": 0, "lhs": "17/3360", "rhs": "43/17280"}
+
+    def test_off_by_one_fused_dilaton_weight_fails_three_suites(self, capsys, monkeypatch):
+        # every lowered tau_2 weighted 5 * 3(2g-2+n), n the indices beside the
+        # tau_0, instead of 5 * 3(2g-3+n); induction_sides reads both sides
+        # through the engine, so there only its own coefficients can tell
+        fused = TauCalculator._string
+
+        def off_by_one(self, g, ds):
+            total = yield from fused(self, g, ds)
+            rest = ds[:-1]
+            if 2 in rest and (g, len(rest)) != (1, 1):
+                i = rest.index(2)
+                total += 15 * rest.count(2) * self.store.entries[g, rest[:i] + rest[i + 1:]]
+            return total
+
+        monkeypatch.setattr(TauCalculator, "_string", off_by_one)
+        for suite, failed, total in [("induction", 26, 38), ("theorem1", 4, 5),
+                                     ("derivative", 4, 5)]:
+            code, out, _ = run_cli(capsys, "verify", "--suite", suite,
+                                   "--genus", "2", "--order", "4")
+            reports = [json.loads(line) for line in out.splitlines()]
+            assert code == EXIT_VERIFY_FAILED, suite
+            assert (sum(not r["pass"] for r in reports), len(reports)) == (failed, total), suite
 
     def test_poisoned_cache_fails_derivative(self, capsys, tmp_path):
         # phi_g is built on the cache, the tau_0^n closed forms on a fresh
