@@ -1,7 +1,10 @@
 """Genus-expansion series: y(x), the derivative chain f_i, and phi_g.
 
 y(x) is the compositional inverse of x(y) = -sqrt(y) J0'(2 sqrt(y)); its
-double antiderivative is the genus-0 generating series phi_0.  The chain
+double antiderivative is the genus-0 generating series phi_0.  Bessel's
+equation y x''(y) + x(y) = 0 becomes y y'' = x (y')^3 for the inverse, and
+build_y solves that ODE by an integer recurrence in O(N^2) multiplications
+(qseries.revert_lagrange is its independent cross-check).  The chain
 
     f_1 = 1 - 1/y',   f_2 = y''/(y')^3,   f_i = f_{i-1}'/y'   (i >= 3)
 
@@ -33,7 +36,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
 from .kappavol import VolumeRecord, enumerate_multiindices, volume
-from .qseries import Series, bessel_x_of_y, first_mismatch
+from .qseries import Series, first_mismatch
 from .taucalc import TauCalculator, factorial, format_rational, rational_sum
 
 __all__ = [
@@ -55,8 +58,38 @@ __all__ = [
 
 
 def build_y(order: int) -> Series:
-    """y(x) with y(0) = 0, y'(0) = 1, by reverting the Bessel-derivative series."""
-    return bessel_x_of_y(order).revert()
+    """y(x) with y(0) = 0, y'(0) = 1, the inverse of the Bessel series x(y).
+
+    Solves y y'' = x (y')^3 in the integers P_k = (k!)^2 [x^k] y', so that
+    P_{n-1} = (n-1)! n! y_n = V_{0,n+2}.  With Q_k = (k!)^2 [x^k] (y')^2 and
+    T_k = (k!)^2 [x^k] (y')^3, the x^m coefficient of the ODE reads
+
+        (m+1) P_m = m (m+1) T_{m-1}
+                    - sum_{i=2..m} C(m+1,i) C(m-1,i-1) P_{i-1} P_{m+1-i},
+
+    where Q_k = sum_i C(k,i)^2 P_i P_{k-i} and
+    T_k = sum_i C(k,i)^2 Q_i P_{k-i} use only P_0..P_k.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    p, q = [1], []  # P_0..P_{m-1} and Q_0..Q_{m-2} on entry to step m
+    for m in range(1, order):
+        row = [math.comb(m - 1, i) for i in range(m)]
+        squares = [c * c for c in row]
+        rev = p[::-1]  # P_{m-1}, ..., P_0
+        q.append(sum(c * a * b for c, a, b in zip(squares, p, rev)))
+        t = sum(c * a * b for c, a, b in zip(squares, q, rev))
+        s = sum(math.comb(m + 1, i) * c * a * b
+                for i, c, a, b in zip(range(2, m + 1), row[1:], p[1:], rev))
+        p_m, rem = divmod(m * (m + 1) * t - s, m + 1)
+        if rem:
+            raise ArithmeticError(f"y(x): P_{m} is not an integer")
+        p.append(p_m)
+    coeffs, fact = [0], 1
+    for n, p_n in enumerate(p, 1):  # y_n = P_{n-1} / ((n-1)! n!)
+        coeffs.append(Fraction(p_n, fact * fact * n))
+        fact *= n
+    return Series(coeffs)
 
 
 def build_phi0(order: int) -> Series:

@@ -6,16 +6,16 @@ an exact rational in lowest terms and nothing is ever rounded.  A
 x^(N+1) and beyond are *unknown*, not zero, so binary operations truncate
 conservatively to the smaller operand order and never pad with zeros.
 
-Products (and with them powers, composition and reversion) run over integer
-numerators on one common denominator per operand; each result coefficient
-is reduced once, so it is still a ``Fraction`` in lowest terms.
+Products (and with them powers, composition and the Lagrange reversion)
+run over integer numerators on one common denominator per operand; each
+result coefficient is reduced once, so it is still a ``Fraction`` in lowest
+terms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 # the scalar helpers live in taucalc, which every command loads anyway
@@ -25,13 +25,11 @@ __all__ = [
     "Series",
     "bessel_x_of_y",
     "revert_lagrange",
-    "double_factorial",
     "parse_rational",
     "first_mismatch",
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -45,14 +43,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(p), int(q or 1))
     except ZeroDivisionError as exc:
         raise ValueError(f"malformed rational {text!r} (zero denominator)") from exc
-
-
-@lru_cache(maxsize=None)
-def double_factorial(n: int) -> int:
-    """n!! = n(n-2)(n-4)... with the conventions (-1)!! = 0!! = 1."""
-    if n < -1:
-        raise ValueError(f"double factorial of {n} is undefined here")
-    return math.prod(range(n, 0, -2))
 
 
 def _mul_lists(a: list, b: list, n: int) -> list:
@@ -202,9 +192,6 @@ class Series:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
     # -- calculus ------------------------------------------------------------
 
     def derivative(self) -> "Series":
@@ -246,46 +233,10 @@ class Series:
         n = min(self.order, inner.order)
         return Series(_compose_lists(list(self._coeffs[: n + 1]), list(inner._coeffs[: n + 1]), n))
 
-    def revert(self) -> "Series":
-        """Compositional inverse by Newton iteration.
-
-        Given a(x) with a(0) = 0 and a'(0) != 0, returns b with
-        a(b(x)) = x to this order.  Each step doubles the number of correct
-        coefficients: if b is exact to order p and e = a(b) - x, then
-        b - e*b' is exact to order 2p.  (revert_lagrange is the independent
-        reference implementation.)
-        """
-        if self.order < 1:
-            raise ValueError("reversion needs order >= 1")
-        if self._coeffs[0]:
-            raise ValueError("reversion needs a zero constant term")
-        if not self._coeffs[1]:
-            raise ValueError("reversion needs an invertible linear coefficient")
-        n = self.order
-        a = list(self._coeffs)
-        b = [_ZERO, 1 / a[1]]
-        prec = 1
-        while prec < n:
-            prec = min(2 * prec, n)
-            cur = b + [_ZERO] * (prec + 1 - len(b))
-            err = _compose_lists(a[: prec + 1], cur, prec)
-            err[1] -= _ONE
-            dcur = [(k + 1) * cur[k + 1] for k in range(prec)]
-            corr = _mul_lists(err, dcur, prec)
-            b = [cur[k] - corr[k] for k in range(prec + 1)]
-        return Series(b)
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coeffs": [format_rational(c) for c in self._coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Series":
-        coeffs = [parse_rational(c) for c in data["coeffs"]]
-        if data["order"] != len(coeffs) - 1:
-            raise ValueError("inconsistent order and coefficient count")
-        return cls(coeffs)
 
     def __repr__(self) -> str:
         shown = ", ".join(format_rational(c) for c in self._coeffs)
@@ -309,8 +260,8 @@ def bessel_x_of_y(order: int) -> Series:
 def revert_lagrange(series: Series) -> Series:
     """Compositional inverse via Lagrange inversion: b_n = [y^(n-1)] (y/a)^n / n.
 
-    Kept deliberately independent of Series.revert so the two can verify
-    each other.
+    Independent of genexp.build_y's integer ODE recurrence, so each checks
+    the other on the Bessel series.
     """
     if series.order < 1:
         raise ValueError("reversion needs order >= 1")

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from oracles import newton_revert
 from wpvol.genexp import (
     GenusExpansionContext,
     _closed_form,
@@ -19,7 +21,7 @@ from wpvol.genexp import (
     volume_table,
 )
 from wpvol.kappavol import enumerate_multiindices, volume
-from wpvol.qseries import Series, bessel_x_of_y, factorial
+from wpvol.qseries import Series, _mul_lists, bessel_x_of_y, factorial, revert_lagrange
 from wpvol.taucalc import TauCalculator
 
 F = Fraction
@@ -40,6 +42,15 @@ def _ref_closed_form(g, n, ctx, calc):
             denom *= factorial(mult)
         total = total + term * (bracket / denom)
     return total
+
+
+def _ode_holds(y):
+    """y * y'' == x * (y')^3 through order N - 2, by plain truncated products."""
+    n, y1 = y.order, y.derivative()
+    lhs = _mul_lists(list(y.coeffs), list(y1.derivative().coeffs), n - 2)
+    d = list(y1.coeffs)
+    cube = _mul_lists(_mul_lists(d, d, n - 1), d, n - 1)
+    return lhs == [0] + cube[: n - 2]
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +78,39 @@ class TestY:
         volumes = [y[n] * factorial(n) * factorial(n - 1) for n in range(1, 63)]
         assert all(v.denominator == 1 for v in volumes)
         assert volumes[:7] == [1, 1, 5, 61, 1379, 49946, 2648967]
+
+    def test_order_validation(self):
+        for order in (0, -1):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                build_y(order)
+
+    @pytest.mark.parametrize("order", [*range(1, 41), 64])
+    def test_equals_lagrange_reversion(self, order):
+        assert build_y(order) == revert_lagrange(bessel_x_of_y(order))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 17, 40, 62])
+    def test_equals_newton_reversion(self, order):
+        assert build_y(order) == newton_revert(bessel_x_of_y(order))
+
+    @pytest.mark.parametrize("order", [2, 3, 40, 64])
+    def test_solves_the_bessel_ode(self, order):
+        y = build_y(order)
+        assert y.order == order
+        assert _ode_holds(y)
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (3, 1), (3, 2), (5, 3), (8, 4), (20, 19)])
+    def test_one_weight_off_by_one_is_caught(self, monkeypatch, n, k):
+        # C(n, k) one too large in the recurrence: its exactness check fires,
+        # or both the Lagrange reversion and the ODE reject the result
+        comb = math.comb
+        with monkeypatch.context() as patched:
+            patched.setattr(math, "comb", lambda a, b: comb(a, b) + (a == n and b == k))
+            try:
+                y = build_y(32)
+            except ArithmeticError:
+                return
+        assert y != revert_lagrange(bessel_x_of_y(32))
+        assert not _ode_holds(y)
 
     def test_inverse_function_identity(self):
         # differentiate x(y(x)) = x: x'(y) o y  *  y' = 1

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import double_factorial, newton_revert, series_from_json_dict
 from wpvol import qseries
 from wpvol.qseries import (
     Series,
     bessel_x_of_y,
-    double_factorial,
     factorial,
     first_mismatch,
     format_rational,
@@ -216,18 +216,18 @@ class TestCompose:
 class TestRevert:
     def test_identity(self):
         x = Series.identity(6)
-        assert x.revert() == x
+        assert newton_revert(x) == x
 
     def test_linear(self):
-        assert S(0, 2).revert() == S(0, F(1, 2))
+        assert newton_revert(S(0, 2)) == S(0, F(1, 2))
 
     def test_bessel_inverse_low_order(self):
-        y = bessel_x_of_y(3).revert()
+        y = newton_revert(bessel_x_of_y(3))
         assert y == S(0, 1, F(1, 2), F(5, 12))
 
     def test_round_trip_bessel(self):
         a = bessel_x_of_y(12)
-        b = a.revert()
+        b = newton_revert(a)
         assert a.compose(b) == Series.identity(12)
         assert b.compose(a) == Series.identity(12)
 
@@ -235,29 +235,29 @@ class TestRevert:
         rng = random.Random(19)
         for _ in range(15):
             a = random_series(rng, rng.randint(1, 10), zero_constant=True, unit_linear=True)
-            b = a.revert()
+            b = newton_revert(a)
             ident = Series.identity(a.order)
             assert a.compose(b) == ident
             assert b.compose(a) == ident
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            S(1, 1).revert()
+            newton_revert(S(1, 1))
         with pytest.raises(ValueError):
-            S(0, 0, 1).revert()
+            newton_revert(S(0, 0, 1))
         with pytest.raises(ValueError):
-            S(3).revert()
+            newton_revert(S(3))
 
     def test_newton_agrees_with_lagrange(self):
         rng = random.Random(23)
-        assert bessel_x_of_y(20).revert() == revert_lagrange(bessel_x_of_y(20))
+        assert newton_revert(bessel_x_of_y(20)) == revert_lagrange(bessel_x_of_y(20))
         for _ in range(10):
             a = random_series(rng, rng.randint(1, 12), zero_constant=True, unit_linear=True)
-            assert a.revert() == revert_lagrange(a)
+            assert newton_revert(a) == revert_lagrange(a)
 
     def test_newton_agrees_with_lagrange_at_order_62(self):
-        # the order that `series --phi 0 --order 64` reverts
-        assert bessel_x_of_y(62).revert() == revert_lagrange(bessel_x_of_y(62))
+        # the order of the y(x) that `series --phi 0 --order 64` builds
+        assert newton_revert(bessel_x_of_y(62)) == revert_lagrange(bessel_x_of_y(62))
 
 
 class TestBesselSeries:
@@ -279,11 +279,11 @@ class TestSerialization:
         s = S(0, 1, F(-1, 2), F(1, 12))
         d = s.to_json_dict()
         assert d == {"order": 3, "coeffs": ["0", "1", "-1/2", "1/12"]}
-        assert Series.from_json_dict(d) == s
+        assert series_from_json_dict(d) == s
 
     def test_json_validates_order(self):
         with pytest.raises(ValueError):
-            Series.from_json_dict({"order": 2, "coeffs": ["1"]})
+            series_from_json_dict({"order": 2, "coeffs": ["1"]})
 
 
 class TestFirstMismatch:
