@@ -1,10 +1,11 @@
-"""Growth of the normalized volumes v_{g,n} = V_{g,n}/(n!(3g-3+n)!).
+"""Growth of the normalized volumes v_{g,n} = V_{g,n}/(n!(3g-3+n)!), for `asympt`.
 
 For large n the volumes behave like C^n * n^(-1 + 5(g-1)/2) with a growth
 constant C independent of the genus.  C is predicted by the dominant
 singularity of y(x): the radius of convergence is x_c = x(u_c), where u_c is
 the smallest positive root of x'(u) = J0(2 sqrt(u)), i.e. u_c = (j_{0,1}/2)^2
-with j_{0,1} the first zero of the Bessel function J0.  So C = 1/x_c.
+with j_{0,1} the first zero of the Bessel function J0.  So C = 1/x_c
+(predicted_growth_constant), and fit_growth fits the law to exact volumes.
 
 The root and the radius are computed exactly: Newton on dyadic rationals
 guesses u_c to 2^-240, and the guess is kept only if rigorous enclosures of
@@ -20,7 +21,7 @@ from __future__ import annotations
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 from .genexp import volume_series
 from .taucalc import TauCalculator
@@ -29,14 +30,9 @@ __all__ = [
     "GrowthFit",
     "PRECISION",
     "REPORT_DIGITS",
-    "bessel_j0_first_zero",
-    "critical_point",
     "critical_radius",
     "predicted_growth_constant",
     "fit_growth",
-    "compare_growth_constants",
-    "growth_ratio_diagnostic",
-    "predicted_exponent",
 ]
 
 #: digits carried internally / reported in JSON
@@ -91,18 +87,6 @@ def _enclosure_numerators(p: int, q: int, start: int, tol: Fraction) -> Tuple[in
                 return num - tail, num + tail, den * nxt
 
 
-def _j0_of_u_bracket(u: Fraction, tol: Fraction) -> Tuple[Fraction, Fraction]:
-    """Rigorous enclosure of J0(2 sqrt(u)) = sum_m (-u)^m / (m!)^2 for u >= 0."""
-    lo, hi, den = _enclosure_numerators(u.numerator, u.denominator, 0, tol)
-    return Fraction(lo, den), Fraction(hi, den)
-
-
-def _x_of_u_bracket(u: Fraction, tol: Fraction) -> Tuple[Fraction, Fraction]:
-    """Enclosure of x(u) = sum_{k>=1} (-1)^(k-1) u^k / ((k-1)! k!), same scheme."""
-    lo, hi, den = _enclosure_numerators(u.numerator, u.denominator, 1, tol)
-    return Fraction(lo, den), Fraction(hi, den)
-
-
 def _newton_guess() -> int:
     """A guess for floor(u_c 2^_WIDTH_BITS): Newton on J(u) = J0(2 sqrt u) from
     u = 3/2 with dJ/du = -x(u)/u, so u <- u + u J/x, on u = a/2^bits with `bits`
@@ -137,46 +121,21 @@ def _critical_interval() -> Tuple[Fraction, Fraction]:
 
 
 @lru_cache(maxsize=1)
-def _critical_values() -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(u_lo, u_hi, x_lo, x_hi): enclosures of the critical point and radius."""
+def critical_radius() -> Decimal:
+    """x_c = x(u_c), the radius of convergence of y(x): x at the midpoint of the
+    u_c interval, whose enclosure is within 2^-240 + _TAIL_TOL of x_c since
+    |dx/du| = |J0(2 sqrt u)| <= 1."""
     u_lo, u_hi = _critical_interval()
     mid = (u_lo + u_hi) / 2
-    x_lo, x_hi = _x_of_u_bracket(mid, _TAIL_TOL)
-    # |dx/du| = |J0(2 sqrt u)| <= 1, so the u-interval widens x by at most its width
-    pad = u_hi - u_lo
-    return u_lo, u_hi, x_lo - pad, x_hi + pad
-
-
-def critical_point() -> Decimal:
-    """u_c = (j_{0,1}/2)^2, where y(x) stops converging."""
-    u_lo, u_hi, _, _ = _critical_values()
+    lo, hi, den = _enclosure_numerators(mid.numerator, mid.denominator, 1, _TAIL_TOL)
     with localcontext(Context(prec=PRECISION)):
-        return +_to_decimal((u_lo + u_hi) / 2)
-
-
-def bessel_j0_first_zero() -> Decimal:
-    """First positive zero of J0, from the certified critical point."""
-    u_lo, u_hi, _, _ = _critical_values()
-    with localcontext(Context(prec=PRECISION)):
-        return 2 * _to_decimal((u_lo + u_hi) / 2).sqrt()
-
-
-def critical_radius() -> Decimal:
-    """x_c = x(u_c), the radius of convergence of y(x)."""
-    _, _, x_lo, x_hi = _critical_values()
-    with localcontext(Context(prec=PRECISION)):
-        return +_to_decimal((x_lo + x_hi) / 2)
+        return +_to_decimal(Fraction(lo + hi, 2 * den))
 
 
 def predicted_growth_constant() -> Decimal:
     """C = 1/x_c, correct to well over 10 digits."""
     with localcontext(Context(prec=PRECISION)):
         return 1 / critical_radius()
-
-
-def predicted_exponent(g: int) -> Fraction:
-    """The power of n in the growth law: -1 + 5(g-1)/2."""
-    return Fraction(-1) + Fraction(5 * (g - 1), 2)
 
 
 class GrowthFit(NamedTuple):
@@ -189,18 +148,17 @@ class GrowthFit(NamedTuple):
     exponent_est: Decimal
     residual: Decimal
 
-    def to_json_dict(self, predicted: Optional[Decimal] = None) -> dict:
-        out = {
+    def to_json_dict(self, predicted: Decimal) -> dict:
+        with localcontext(Context(prec=PRECISION)):
+            rel_dev = abs(self.c_est - predicted) / predicted
+        return {
             "g": self.g,
             "C_est": _fmt(self.c_est),
             "exponent_est": _fmt(self.exponent_est),
+            "predicted_C": _fmt(predicted),
+            "rel_dev": _fmt(rel_dev),
+            "n_range": [self.n_min, self.n_max],
         }
-        if predicted is not None:
-            out["predicted_C"] = _fmt(predicted)
-            with localcontext(Context(prec=PRECISION)):
-                out["rel_dev"] = _fmt(abs(self.c_est - predicted) / predicted)
-        out["n_range"] = [self.n_min, self.n_max]
-        return out
 
 
 def _solve3(mat, vec):
@@ -234,7 +192,7 @@ def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> GrowthFit
     if len(ns) < 6:
         raise ValueError("growth fit needs at least 6 data points")
     if n_min < 0:
-        raise ValueError("genus and point count must be >= 0")
+        raise ValueError("--n-min must be >= 0")
     values = volume_series(g, n_max, calc)[n_min:]
     if any(v <= 0 for v in values):
         raise ValueError("growth fit needs positive normalized volumes")
@@ -255,48 +213,3 @@ def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> GrowthFit
         residual = (sq / len(rows)).sqrt()
         c_est = beta[0].exp()
     return GrowthFit(g, n_min, n_max, c_est, beta[1], residual)
-
-
-def compare_growth_constants(g_list: Sequence[int], n_max: int, calc: TauCalculator,
-                             n_min: Optional[int] = None) -> dict:
-    """Fit each genus over [n_min or n_max//2, n_max] and report every fitted
-    constant against the Bessel prediction, plus pairwise deviations when
-    more than one genus is given."""
-    low = n_max // 2 if n_min is None else n_min
-    fits = [fit_growth(g, low, n_max, calc) for g in g_list]
-    predicted = predicted_growth_constant()
-    report = {
-        "predicted_C": _fmt(predicted),
-        "fits": [fit.to_json_dict(predicted) for fit in fits],
-    }
-    if len(fits) > 1:
-        pairwise = []
-        with localcontext(Context(prec=PRECISION)):
-            for a in range(len(fits)):
-                for b in range(a + 1, len(fits)):
-                    dev = abs(fits[a].c_est - fits[b].c_est) / fits[b].c_est
-                    pairwise.append(
-                        {"g_a": fits[a].g, "g_b": fits[b].g, "rel_dev": _fmt(dev)}
-                    )
-        report["pairwise"] = pairwise
-    return report
-
-
-def growth_ratio_diagnostic(g: int, n_min: int, n_max: int, calc: TauCalculator) -> list:
-    """The sequence v_{g,n+1}/v_{g,n} * ((n+1)/n)^(-e) with e the predicted
-    exponent; it should settle toward the growth constant over the range.
-    Needs n_min >= 1 and v_{g,n} > 0 for every n in [n_min, n_max]."""
-    if n_min < 1:
-        raise ValueError("growth ratios need n_min >= 1")
-    vs = volume_series(g, max(n_min, n_max), calc)
-    if any(v <= 0 for v in vs[n_min:n_max + 1]):
-        raise ValueError("growth ratios need positive normalized volumes")
-    e = predicted_exponent(g)
-    out = []
-    with localcontext(Context(prec=PRECISION)):
-        de = _to_decimal(e)
-        for n in range(n_min, n_max):
-            ratio = vs[n + 1] / vs[n]
-            scale = ((Decimal(n + 1) / Decimal(n)).ln() * de).exp()
-            out.append(_to_decimal(ratio) / scale)
-    return out

@@ -133,6 +133,8 @@ def _volume_plain(rec, digits):
 def _cmd_volume(args, calc: TauCalculator) -> int:
     if args.digits is not None and args.digits < 1:
         raise ValueError("--digits must be >= 1")
+    if args.digits is not None and args.format == "csv":
+        raise ValueError("--digits has no column in --format csv")
     if args.table is not None:
         if args.table < 0:
             raise ValueError("--table must be >= 0")

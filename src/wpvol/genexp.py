@@ -157,7 +157,7 @@ class GenusExpansionContext:
         return cached
 
 
-def build_f_lemma(i: int, ctx: GenusExpansionContext, order: Optional[int] = None) -> Series:
+def build_f_lemma(i: int, ctx: GenusExpansionContext) -> Series:
     """f_i through its functional equation
     f_i = sum_{k>=0} (-1)^(i+k) / (i+k-1)! * y^k / k!, composed with y(x).
 
@@ -168,11 +168,9 @@ def build_f_lemma(i: int, ctx: GenusExpansionContext, order: Optional[int] = Non
     """
     if i < 2:
         raise ValueError("the functional-equation form is asserted only for i >= 2")
-    n = ctx.order if order is None else min(order, ctx.order)
-    outer = Series(
-        Fraction((-1) ** (i + k), factorial(i + k - 1) * factorial(k)) for k in range(n + 1)
-    )
-    return outer.compose(ctx.y.truncate(n))
+    outer = Series(Fraction((-1) ** (i + k), factorial(i + k - 1) * factorial(k))
+                   for k in range(ctx.order + 1))
+    return outer.compose(ctx.y)
 
 
 def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:
@@ -182,7 +180,7 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
     if ctx.i_max < 3 * g - 2 + n:
         raise ValueError(f"context needs i_max >= {3 * g - 2 + n} for genus {g}")
     terms = []  # (p, q, coefficients) of each nonzero term; each x^k is summed once
-    for l in enumerate_multiindices(3 * g - 3 + n, 3 * g - 2 + n):
+    for l in enumerate_multiindices(3 * g - 3 + n):
         bracket = calc.tau_batch(g, l.items(), zeros=n)
         if not bracket:
             continue
@@ -382,7 +380,7 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
             reports.append(check_derivative_formula(g, n, phi, ctx, checker))
     if suite in ("induction", "all"):
         for n in range(1, min(4, order) + 1):
-            for l in enumerate_multiindices(3 * g - 3 + n, 3 * g - 2 + n):
+            for l in enumerate_multiindices(3 * g - 3 + n):
                 lhs, rhs = induction_sides(g, n, l, checker)
                 mm = None if lhs == rhs else (None, lhs, rhs)
                 detail = {"l": {str(i): m for i, m in l.items()}}

@@ -7,10 +7,13 @@ complex dimension d = 3g-3+n:
     V_{g,n}/d! = sum_{|l|=d} <tau_0^n tau_2^{l_2} tau_3^{l_3} ...>_g
                  * (-1)^(g-1+n+||l||) / prod_i l_i! ((i-1)!)^{l_i}
 
-with ||l|| = sum l_i; volume() adds its terms as integer numerators over
-their lcm.  The geometric volume of the moduli space carries an extra
-pi^(2d)/(n! d!) on top of V_{g,n}; the normalized value
-v_{g,n} = V_{g,n}/(n! d!) is what the generating series track.
+with ||l|| = sum l_i.  The multi-indices of weight d are the partitions of d
+(a part p is one l_{p+1}), enumerated in lexicographic order; volume() adds
+its terms as integer numerators over their lcm.  It serves `volume --n` and
+the kappa-to-tau side of the `verify` checks.  The geometric volume of the
+moduli space carries an extra pi^(2d)/(n! d!) on top of V_{g,n}; the
+normalized value v_{g,n} = V_{g,n}/(n! d!) is what the generating series
+track.
 """
 
 from __future__ import annotations
@@ -51,22 +54,17 @@ def _ascending_partitions(n: int) -> Iterator[Tuple[int, ...]]:
         yield tuple(a[: k + 1])
 
 
-def enumerate_multiindices(weight: int, max_i: int) -> Iterator[Dict[int, int]]:
-    """Every multi-index with |l| = weight and indices 2 <= i <= max_i, once each,
-    as an {i: l_i} dict with ascending keys and no zero entries.
+def enumerate_multiindices(weight: int) -> Iterator[Dict[int, int]]:
+    """Every multi-index with |l| = weight, once each, as an {i: l_i} dict with
+    ascending keys i >= 2 and no zero entries.
 
-    Equivalent to the partitions of `weight` into parts <= max_i - 1 (a part p
-    contributes one l_{p+1}); yielded in lexicographic order of the ascending
-    part tuples, so downstream output is reproducible.
+    One per partition of `weight` (a part p contributes one l_{p+1}); yielded
+    in lexicographic order of the ascending part tuples, the order in which
+    `verify` prints each l.
     """
     if weight < 0:
         raise ValueError("weight must be >= 0")
-    if max_i < 2:
-        raise ValueError("max_i must be >= 2")
-    max_part = max_i - 1
     for parts in _ascending_partitions(weight):
-        if parts and parts[-1] > max_part:
-            continue
         counts: dict = {}
         for p in parts:
             counts[p + 1] = counts.get(p + 1, 0) + 1
@@ -126,7 +124,7 @@ def volume(g: int, n: int, calc: TauCalculator) -> VolumeRecord:
     if (g, n) in CONVENTIONAL_ZEROS or dim < 0:
         return VolumeRecord(g, n, dim, Fraction(0), Fraction(0))
     terms = []  # (signed numerator, denominator) of each nonzero term
-    for l in enumerate_multiindices(dim, max(3 * g - 2 + n, 2)):
+    for l in enumerate_multiindices(dim):
         bracket = calc.tau_batch(g, l.items(), zeros=n)
         if not bracket:
             continue

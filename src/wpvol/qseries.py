@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 # the scalar helpers live in taucalc, which every command loads anyway
 from .taucalc import _RATIONAL_RE, Scalar, _as_fraction, factorial, format_rational
@@ -100,17 +100,6 @@ class Series:
             raise ValueError("order must be >= 0")
         return cls([value] + [0] * order)
 
-    @classmethod
-    def identity(cls, order: int) -> "Series":
-        """The series x, to the given order."""
-        if order < 1:
-            raise ValueError("the identity series needs order >= 1")
-        return cls([0, 1] + [0] * (order - 1))
-
-    @classmethod
-    def zero(cls, order: int = 0) -> "Series":
-        return cls([0] * (order + 1))
-
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
@@ -119,15 +108,10 @@ class Series:
     def coeffs(self) -> tuple:
         return self._coeffs
 
-    def coefficient(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient of x^{k} is beyond truncation order {self.order}")
         return self._coeffs[k]
-
-    __getitem__ = coefficient
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coeffs)
 
     def truncate(self, order: int) -> "Series":
         """Forget coefficients above `order`; never extends."""
@@ -280,17 +264,10 @@ def revert_lagrange(series: Series) -> Series:
     return Series(out)
 
 
-def first_mismatch(
-    a: Series, b: Series, upto: Optional[int] = None
-) -> Optional[tuple]:
-    """First (power, a_coeff, b_coeff) where the series differ, or None.
-
-    Compares through min(a.order, b.order, upto).
-    """
-    top = min(a.order, b.order)
-    if upto is not None:
-        top = min(top, upto)
-    for k in range(top + 1):
+def first_mismatch(a: Series, b: Series) -> Optional[tuple]:
+    """First (power, a_coeff, b_coeff) where the series differ through
+    min(a.order, b.order), or None."""
+    for k in range(min(a.order, b.order) + 1):
         if a[k] != b[k]:
             return (k, a[k], b[k])
     return None

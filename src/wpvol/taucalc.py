@@ -44,11 +44,12 @@ so a key is not limited by the recursion limit.
 The memo can be persisted to a plain-text cache file (one
 "g|d1,...,dn|p/q" entry per line holding <tau_ds>_g itself, indices sorted
 descending, lines sorted for diff-stability).  Saving writes only the core
-keys, g >= 1 with every index >= 2, but any key loads.  Loading rejects any
-line that gives a nonzero value to an unstable key or to one that breaks the
-dimension rule, a value <= 0 to any other key, or a key given before, and
-any value that times 2^(4g) prod (2d_i+1)!! is not an integer; saving
-writes a temporary file beside the target and renames it into place.  Neither
+keys, g >= 1 with every index >= 2, but any key loads.  Loading rejects a
+line that is not UTF-8 text, any line that gives a nonzero value to an
+unstable key or to one that breaks the dimension rule, a value <= 0 to any
+other key, or a key given before, and any value that times
+2^(4g) prod (2d_i+1)!! is not an integer; saving writes a temporary file
+beside the target and renames it into place.  Neither
 builds a Fraction or scales a zero value, and loading parses, sums and scales
 only the indices before a key's trailing run of "0" tokens ((2*0+1)!! = 1).
 
@@ -211,9 +212,12 @@ def load_cache(path: str) -> MemoStore:
     """Read a cache file back into normalized ints; the round trip is bit-exact."""
     entries: dict = {}
     odd = _OddDoubleFactorials()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh.read().splitlines(), start=1):  # \n, \r\n or \r
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise CacheFormatError(line_no, "not UTF-8 text") from None
             if not line:
                 continue
             parts = line.split("|")

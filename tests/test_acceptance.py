@@ -46,7 +46,7 @@ def test_criterion_2_reversion_suite(calc):
     t0 = time.time()
     x_of_y = bessel_x_of_y(40)
     y = build_y(40)
-    round_trip = x_of_y.compose(y) == Series.identity(40)
+    round_trip = x_of_y.compose(y) == Series([0, 1] + [0] * 39)
     # x^2, x^3 coefficients forced by the volumes, themselves computed through
     # the independent correlator route
     v04 = volume(0, 4, calc).V
@@ -114,7 +114,7 @@ def test_criterion_5_proof_identities(calc):
     for g in (2, 3):
         for n in range(1, 5):
             weight = 3 * g - 3 + n
-            for l in enumerate_multiindices(weight, 3 * g - 2 + n):
+            for l in enumerate_multiindices(weight):
                 lhs, rhs = induction_sides(g, n, l, calc)
                 induction_ok = induction_ok and lhs == rhs
                 checked += 1

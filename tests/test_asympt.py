@@ -1,24 +1,55 @@
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from wpvol import asympt
 from wpvol.asympt import (
+    PRECISION,
     GrowthFit,
-    _j0_of_u_bracket,
-    _x_of_u_bracket,
-    bessel_j0_first_zero,
-    compare_growth_constants,
-    critical_point,
+    _critical_interval,
+    _enclosure_numerators,
     critical_radius,
     fit_growth,
-    growth_ratio_diagnostic,
-    predicted_exponent,
     predicted_growth_constant,
 )
+from wpvol.genexp import volume_series
 
 F = Fraction
+
+
+def j0_bracket(u, tol):
+    """Enclosure of J0(2 sqrt(u)) = sum_m (-u)^m / (m!)^2 as two Fractions."""
+    lo, hi, den = _enclosure_numerators(u.numerator, u.denominator, 0, tol)
+    return F(lo, den), F(hi, den)
+
+
+def x_bracket(u, tol):
+    """Enclosure of x(u) = sum_{k>=1} (-1)^(k-1) u^k / ((k-1)! k!) as two Fractions."""
+    lo, hi, den = _enclosure_numerators(u.numerator, u.denominator, 1, tol)
+    return F(lo, den), F(hi, den)
+
+
+def critical_point():
+    """u_c = (j_{0,1}/2)^2 to 50 digits, the midpoint of the certified interval."""
+    lo, hi = _critical_interval()
+    mid = (lo + hi) / 2
+    with localcontext(Context(prec=PRECISION)):
+        return Decimal(mid.numerator) / Decimal(mid.denominator)
+
+
+def growth_ratios(g, n_min, n_max, calc):
+    """v_{g,n+1}/v_{g,n} * ((n+1)/n)^(-e) for n_min <= n < n_max, with
+    e = -1 + 5(g-1)/2 the exponent of the growth law."""
+    vs = volume_series(g, n_max, calc)
+    out = []
+    with localcontext(Context(prec=PRECISION)):
+        e = Decimal(-1) + Decimal(5 * (g - 1)) / 2
+        for n in range(n_min, n_max):
+            ratio = vs[n + 1] / vs[n]
+            scale = ((Decimal(n + 1) / Decimal(n)).ln() * e).exp()
+            out.append(Decimal(ratio.numerator) / Decimal(ratio.denominator) / scale)
+    return out
 
 # first zero of J0, long-known reference digits
 J01_REFERENCE = "2.404825557695772768621631879326454"
@@ -72,22 +103,22 @@ BRACKET_POINTS = [F(0), F(1), F(3, 2), F(2), F(50), F(3 * 2**238 + 12345, 2**240
 
 class TestBesselZero:
     def test_first_zero_digits(self):
-        assert str(bessel_j0_first_zero()).startswith(J01_REFERENCE)
+        with localcontext(Context(prec=PRECISION)):
+            j01 = 2 * critical_point().sqrt()
+        assert str(j01).startswith(J01_REFERENCE)
 
     def test_critical_point_is_square_of_half_zero(self):
         assert str(critical_point()).startswith("1.445796490736696")
 
     def test_derivative_vanishes_at_critical_point(self):
         # x'(u_c) = J0(2 sqrt(u_c)) must enclose something tiny
-        from wpvol.asympt import _critical_interval
-
         lo, hi = _critical_interval()
         mid = (lo + hi) / 2
-        b_lo, b_hi = _j0_of_u_bracket(mid, F(1, 10**80))
+        b_lo, b_hi = j0_bracket(mid, F(1, 10**80))
         assert max(abs(b_lo), abs(b_hi)) < F(1, 10**50)
 
     def test_bracket_is_rigorous(self):
-        lo, hi = _j0_of_u_bracket(F(1), F(1, 10**30))
+        lo, hi = j0_bracket(F(1), F(1, 10**30))
         assert lo < hi < lo + F(1, 10**29)
         # J0(2) = 0.22389077914123566805...
         assert abs((lo + hi) / 2 - F(22389077914123566805, 10**20)) < F(1, 10**19)
@@ -95,12 +126,10 @@ class TestBesselZero:
     @pytest.mark.parametrize("tol", [F(1, 10**30), F(1, 10**80)])
     @pytest.mark.parametrize("u", BRACKET_POINTS)
     def test_integer_brackets_equal_fraction_sum(self, u, tol):
-        assert _j0_of_u_bracket(u, tol) == reference_j0_bracket(u, tol)
-        assert _x_of_u_bracket(u, tol) == reference_x_bracket(u, tol)
+        assert j0_bracket(u, tol) == reference_j0_bracket(u, tol)
+        assert x_bracket(u, tol) == reference_x_bracket(u, tol)
 
     def test_interval_equals_fraction_bisection(self):
-        from wpvol.asympt import _critical_interval
-
         assert _critical_interval() == reference_critical_interval()
 
     def test_cold_interval_needs_few_enclosures(self, monkeypatch):
@@ -124,7 +153,7 @@ class TestBesselZero:
             asympt._critical_interval.__wrapped__()
 
     def test_x_bracket(self):
-        lo, hi = _x_of_u_bracket(F(1), F(1, 10**30))
+        lo, hi = x_bracket(F(1), F(1, 10**30))
         assert lo < hi < lo + F(1, 10**29)
         # x(1) = J1(2) = 0.5767248077568733872...
         assert abs((lo + hi) / 2 - F(5767248077568733872, 10**19)) < F(1, 10**18)
@@ -139,10 +168,6 @@ class TestPrediction:
 
     def test_repeatable(self):
         assert predicted_growth_constant() == predicted_growth_constant()
-
-    def test_exponents(self):
-        assert predicted_exponent(0) == F(-7, 2)
-        assert predicted_exponent(2) == F(3, 2)
 
 
 class TestFit:
@@ -161,6 +186,8 @@ class TestFit:
     def test_non_positive_rejected(self, calc):
         with pytest.raises(ValueError):
             fit_growth(1, 0, 8, calc)  # v_{1,0} = 0
+        with pytest.raises(ValueError, match="--n-min must be >= 0"):
+            fit_growth(0, -5, 20, calc)
 
     def test_deterministic(self, calc):
         assert fit_growth(0, 10, 16, calc) == fit_growth(0, 10, 16, calc)
@@ -175,36 +202,23 @@ class TestFit:
 
 
 class TestCompare:
-    def test_single_genus_has_no_pairwise(self, calc):
-        report = compare_growth_constants([0], 16, n_min=10, calc=calc)
-        assert "pairwise" not in report
-        assert len(report["fits"]) == 1
-
     def test_two_genera(self, calc):
-        report = compare_growth_constants([0, 2], 14, n_min=8, calc=calc)
-        assert len(report["pairwise"]) == 1
-        entry = report["pairwise"][0]
-        assert entry["g_a"] == 0 and entry["g_b"] == 2
-        assert Decimal(entry["rel_dev"]) < Decimal("0.2")
-
-    def test_default_window(self, calc):
-        report = compare_growth_constants([0], 16, calc=calc)
-        assert report["fits"][0]["n_range"] == [8, 16]
+        # C does not depend on the genus: fits at g = 0 and g = 2 agree
+        a, b = fit_growth(0, 8, 14, calc), fit_growth(2, 8, 14, calc)
+        with localcontext(Context(prec=PRECISION)):
+            assert abs(a.c_est - b.c_est) / b.c_est < Decimal("0.2")
 
 
 class TestRatioDiagnostic:
     def test_settles_toward_constant(self, calc):
-        seq = growth_ratio_diagnostic(0, 12, 24, calc)
+        seq = growth_ratios(0, 12, 24, calc)
         diffs = [abs(b - a) for a, b in zip(seq, seq[1:])]
         assert all(later <= earlier for earlier, later in zip(diffs, diffs[1:]))
         # drifting toward the predicted constant, not away from it
         C = predicted_growth_constant()
         assert abs(seq[-1] - C) < abs(seq[0] - C)
 
-    @pytest.mark.parametrize("g, n_min, n_max", [(0, 0, 8), (0, 1, 8), (1, 0, 8), (2, 0, 8)])
-    def test_zero_volume_or_n_min_zero_rejected(self, calc, g, n_min, n_max):
-        with pytest.raises(ValueError):
-            growth_ratio_diagnostic(g, n_min, n_max, calc)
-
     def test_first_positive_window_accepted(self, calc):
-        assert len(growth_ratio_diagnostic(1, 1, 8, calc)) == 7
+        # v_{1,0} = 0, but v_{1,n} > 0 from n = 1 on, so that window has every ratio
+        assert all(v > 0 for v in volume_series(1, 8, calc)[1:])
+        assert len(growth_ratios(1, 1, 8, calc)) == 7

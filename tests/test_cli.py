@@ -145,6 +145,12 @@ class TestVolume:
         data = json.loads(out)
         assert data["wp_volume"].startswith("0.4112335")  # pi^2/24
 
+    def test_digits_with_csv_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "volume", "--genus", "1", "--n", "1",
+                                 "--digits", "10", "--format", "csv")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --digits has no column in --format csv\n"
+
     def test_digits_table_renders_from_records(self, capsys, monkeypatch, calc):
         expected = [volume(2, n, calc).wp_volume(12) for n in range(5)]
         calls = []
@@ -320,6 +326,9 @@ class TestAsympt:
         code, _, err = run_cli(capsys, "asympt", "--genus", "0", "--n-max", "9",
                                "--n-min", "7")
         assert code == EXIT_USAGE
+        code, out, err = run_cli(capsys, "asympt", "--genus", "0", "--n-max", "20",
+                                 "--n-min", "-5")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --n-min must be >= 0\n")
 
 
 class TestCache:
@@ -342,6 +351,16 @@ class TestCache:
                                "--cache", str(path))
         assert code == EXIT_IO
         assert "line 1" in err
+
+    def test_cache_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.cache"
+        data = b"1|1|1/24\n\xff\xfe|1|1\n"
+        path.write_bytes(data)
+        inode = os.stat(path).st_ino
+        code, out, err = run_cli(capsys, "tau", "--genus", "1", "--ds", "1",
+                                 "--cache", str(path))
+        assert (code, out, err) == (EXIT_IO, "", "error: cache line 2: not UTF-8 text\n")
+        assert path.read_bytes() == data and os.stat(path).st_ino == inode
 
     def test_dimension_breaking_cache_line(self, capsys, tmp_path):
         path = tmp_path / "bad.cache"

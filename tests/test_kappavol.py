@@ -14,12 +14,10 @@ from wpvol.qseries import factorial
 F = Fraction
 
 
-def count_partitions(n, max_part):
+def count_partitions(n):
     """Direct partition counter, independent of the enumerator."""
-    if n == 0:
-        return 1
     table = [1] + [0] * n
-    for part in range(1, max_part + 1):
+    for part in range(1, n + 1):
         for total in range(part, n + 1):
             table[total] += table[total - part]
     return table[n]
@@ -27,45 +25,35 @@ def count_partitions(n, max_part):
 
 class TestEnumeration:
     def test_weight_zero(self):
-        assert list(enumerate_multiindices(0, 5)) == [{}]
+        assert list(enumerate_multiindices(0)) == [{}]
 
     def test_weight_two(self):
-        got = list(enumerate_multiindices(2, 4))
+        got = list(enumerate_multiindices(2))
         assert got == [{2: 2}, {3: 1}]
 
     def test_weight_three(self):
-        got = list(enumerate_multiindices(3, 5))
+        got = list(enumerate_multiindices(3))
         assert got == [{2: 3}, {2: 1, 3: 1}, {4: 1}]
-
-    def test_max_index_bound(self):
-        got = list(enumerate_multiindices(3, 3))
-        assert {4: 1} not in got
-        assert len(got) == 2
 
     def test_counts_match_partition_numbers(self):
         for weight in range(0, 14):
-            for max_i in (2, 3, 5, weight + 1, weight + 5):
-                if max_i < 2:
-                    continue
-                got = sum(1 for _ in enumerate_multiindices(weight, max_i))
-                assert got == count_partitions(weight, max_i - 1)
+            got = sum(1 for _ in enumerate_multiindices(weight))
+            assert got == count_partitions(weight)
 
     def test_every_weight_correct(self):
-        for l in enumerate_multiindices(9, 10):
+        for l in enumerate_multiindices(9):
             assert sum((i - 1) * m for i, m in l.items()) == 9
             assert list(l) == sorted(l) and min(l) >= 2
             assert all(m >= 1 for m in l.values())
 
     def test_deterministic_order(self):
-        a = list(enumerate_multiindices(6, 7))
-        b = list(enumerate_multiindices(6, 7))
+        a = list(enumerate_multiindices(6))
+        b = list(enumerate_multiindices(6))
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            list(enumerate_multiindices(-1, 4))
-        with pytest.raises(ValueError):
-            list(enumerate_multiindices(3, 1))
+            list(enumerate_multiindices(-1))
 
 
 class TestMultiIndex:

@@ -278,7 +278,7 @@ class TestSeriesRing:
     @given(series_tuples(3))
     def test_addition_is_a_commutative_group(self, abc):
         a, b, c = abc
-        zero = Series.zero(a.order)
+        zero = Series([0] * (a.order + 1))
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
         assert a + zero == a
@@ -314,7 +314,7 @@ class TestReversion:
     @given(revertible_series())
     def test_round_trip_against_lagrange(self, a):
         b = newton_revert(a)
-        identity = Series.identity(a.order)
+        identity = Series([0, 1] + [0] * (a.order - 1))
         assert b == revert_lagrange(a)
         assert a.compose(b) == identity
         assert b.compose(a) == identity
