@@ -9,17 +9,17 @@ cache whose values contradict the recursion and a failed verification.
 All output is deterministic: identical invocations print identical bytes,
 whatever the state of the optional correlator cache.
 
-Each command imports only the modules it runs, inside its handler: `tau`
-needs the correlator engine alone, `volume --n` adds the kappa-to-tau sum,
-and only the series commands load the series modules.
+Each command imports only what it runs, inside its handler: `tau` needs the
+correlator engine alone, `volume --n` adds the kappa-to-tau sum, only the
+series commands load the series modules, and `json` loads only for JSON
+output.  There is no argparse: `parse_args` reads the options from `COMMANDS`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from .taucalc import (CacheFormatError, InconsistentMemoError, TauCalculator, format_rational,
@@ -45,63 +45,97 @@ def _parse_indices(text: str) -> List[int]:
     return ds
 
 
-def _add_cache_option(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cache", metavar="PATH",
-                     help="load the correlator memo from PATH if present and save its core "
-                          "back after a successful run that added entries (or created PATH)")
+_GENUS = (int, True, None, "the genus g")
+_CACHE = (str, False, None, "load the correlator memo from CACHE if present and save its core "
+                            "back after a successful run that added entries (or created CACHE)")
+
+#: command -> (help, {option: (type, required, default, help)}, the options of which
+#: exactly one must be given); a tuple for the type lists the choices of a string
+COMMANDS = {
+    "tau": ("one tau-correlator", {
+        "--genus": _GENUS, "--ds": (str, True, None, "comma-separated tau indices, '-' for none"),
+        "--format": (("plain", "json"), False, "plain", "output format"), "--cache": _CACHE}, ()),
+    "volume": ("V_{g,n} records", {
+        "--genus": _GENUS, "--n": (int, False, None, "the number of points (or give --table)"),
+        "--table": (int, False, None, "print records for n = 0..TABLE instead of a single n"),
+        "--format": (("plain", "json", "csv"), False, "plain", "output format"),
+        "--digits": (int, False, None, "also print v * pi^(2 dim) to this many significant digits"),
+        "--cache": _CACHE}, ("--n", "--table")),
+    "series": ("generating series phi_g", {
+        "--phi": _GENUS, "--order": (int, True, None, "the number of coefficients"),
+        "--format": (("plain", "json"), False, "json", "output format"), "--cache": _CACHE}, ()),
+    "verify": ("run the exact verification suites", {
+        "--suite": (SUITES, True, None, "the checks to run"), "--genus": _GENUS,
+        "--order": (int, True, None, "the series order"), "--cache": _CACHE}, ()),
+    "asympt": ("growth-law fit against the Bessel prediction", {
+        "--genus": _GENUS, "--n-max": (int, True, None, "upper end of the fit window"),
+        "--n-min": (int, False, None, "lower end of the fit window (default: n_max // 2)"),
+        "--cache": _CACHE}, ()),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wpvol",
-        description="Exact Weil-Petersson volumes of moduli spaces and their "
-                    "generating series, verified two independent ways.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help(command: Optional[str]) -> None:
+    if command is None:
+        about, rows = __doc__.splitlines()[0], [(name, cmd[0]) for name, cmd in COMMANDS.items()]
+    else:
+        about, options, _ = COMMANDS[command]
+        rows = [(name + (" {" + ",".join(kind) + "}" if isinstance(kind, tuple) else
+                         " " + name[2:].upper()),
+                 text + (" (required)" if required else f" (default: {default})" * bool(default)))
+                for name, (kind, required, default, text) in options.items()]
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    sys.stdout.write(f"usage: wpvol {command or 'COMMAND'} [options]\n\n{about}\n\n"  # one write
+                     + "".join(f"  {left:<27} {text}".rstrip() + "\n" for left, text in rows))
 
-    p_tau = sub.add_parser("tau", help="one tau-correlator")
-    p_tau.add_argument("--genus", type=int, required=True)
-    p_tau.add_argument("--ds", required=True,
-                       help="comma-separated tau indices, '-' for none")
-    p_tau.add_argument("--format", choices=("plain", "json"), default="plain")
-    _add_cache_option(p_tau)
-    p_tau.set_defaults(handler=_cmd_tau)
 
-    p_vol = sub.add_parser("volume", help="V_{g,n} records")
-    p_vol.add_argument("--genus", type=int, required=True)
-    mode = p_vol.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--n", type=int)
-    mode.add_argument("--table", type=int, metavar="N_MAX",
-                      help="print records for n = 0..N_MAX instead of a single n")
-    p_vol.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p_vol.add_argument("--digits", type=int,
-                       help="also render v * pi^(2 dim) to this many significant digits")
-    _add_cache_option(p_vol)
-    p_vol.set_defaults(handler=_cmd_volume)
+def parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The command and option values of `argv`, read from `COMMANDS` as argparse would, or
+    None after printing the help for -h/--help; a usage error raises ValueError."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return _help(None)
+    if command not in COMMANDS:
+        raise ValueError(f"argument command: invalid choice: {command!r} (choose from "
+                         f"{', '.join(map(repr, COMMANDS))})" if argv else
+                         "the following arguments are required: command")
+    _, options, one_of = COMMANDS[command]
+    rest, values = list(argv[1:]), {}
+    while rest:
+        token = rest.pop(0)
+        name, eq, value = token.partition("=")
+        names = [name] if name in options else \
+            [n for n in (*options, "--help") if name[:2] == "--" and n.startswith(name)]
+        if token == "-h" or names == ["--help"]:
+            return _help(command)
+        if len(names) != 1:
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(names)}"
+                             if names else f"unrecognized arguments: {token}")
+        name, kind = names[0], options[names[0]][0]
+        if not eq:  # a value may start with '-' when it is '-' or a negative number
+            if not rest or rest[0][:1] == "-" and rest[0] != "-" and not rest[0][1:].isdecimal():
+                raise ValueError(f"argument {name}: expected one argument")
+            value = rest.pop(0)
+        try:
+            values[name] = value = int(value) if kind is int else value
+        except ValueError:
+            raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"argument {name}: invalid choice: {value!r} (choose from "
+                             f"{', '.join(map(repr, kind))})")
+    missing = [name for name, opt in options.items() if opt[1] and name not in values]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    given = [name for name in one_of if name in values]
+    if len(given) != 1 and one_of:
+        raise ValueError(f"argument {given[-1]}: not allowed with argument {given[0]}" if given
+                         else f"one of the arguments {' '.join(one_of)} is required")
+    return SimpleNamespace(command=command, **{name[2:].replace("-", "_"): values.get(name, opt[2])
+                                               for name, opt in options.items()})
 
-    p_ser = sub.add_parser("series", help="generating series phi_g")
-    p_ser.add_argument("--phi", type=int, required=True, metavar="G")
-    p_ser.add_argument("--order", type=int, required=True)
-    p_ser.add_argument("--format", choices=("plain", "json"), default="json")
-    _add_cache_option(p_ser)
-    p_ser.set_defaults(handler=_cmd_series)
 
-    p_ver = sub.add_parser("verify", help="run the exact verification suites")
-    p_ver.add_argument("--suite", choices=SUITES, required=True)
-    p_ver.add_argument("--genus", type=int, required=True)
-    p_ver.add_argument("--order", type=int, required=True)
-    _add_cache_option(p_ver)
-    p_ver.set_defaults(handler=_cmd_verify)
-
-    p_asy = sub.add_parser("asympt", help="growth-law fit against the Bessel prediction")
-    p_asy.add_argument("--genus", type=int, required=True)
-    p_asy.add_argument("--n-max", type=int, required=True)
-    p_asy.add_argument("--n-min", type=int,
-                       help="lower end of the fit window (default: n_max // 2)")
-    _add_cache_option(p_asy)
-    p_asy.set_defaults(handler=_cmd_asympt)
-
-    return parser
+def _print_json(data) -> None:
+    import json  # only the commands that print JSON pay for loading it
+    print(json.dumps(data))
 
 
 def _cmd_tau(args, calc: TauCalculator) -> int:
@@ -109,7 +143,7 @@ def _cmd_tau(args, calc: TauCalculator) -> int:
     value = calc.tau(args.genus, ds)
     if args.format == "json":
         key_ds = sorted(ds, reverse=True)
-        print(json.dumps({"g": args.genus, "ds": key_ds, "value": format_rational(value)}))
+        _print_json({"g": args.genus, "ds": key_ds, "value": format_rational(value)})
     else:
         print(format_rational(value))
     return EXIT_OK
@@ -149,7 +183,7 @@ def _cmd_volume(args, calc: TauCalculator) -> int:
             print(rec.csv_row())
     elif args.format == "json":
         payload = [_volume_json(rec, args.digits) for rec in records]
-        print(json.dumps(payload if args.table is not None else payload[0]))
+        _print_json(payload if args.table is not None else payload[0])
     else:
         for rec in records:
             print(_volume_plain(rec, args.digits))
@@ -170,7 +204,7 @@ def _cmd_series(args, calc: TauCalculator) -> int:
         for k, coeff in enumerate(phi.coeffs):
             print(f"x^{k}: {format_rational(coeff)}")
     else:
-        print(json.dumps(phi.to_json_dict()))
+        _print_json(phi.to_json_dict())
     return EXIT_OK
 
 
@@ -179,7 +213,7 @@ def _cmd_verify(args, calc: TauCalculator) -> int:
     reports = verify_reports(args.suite, args.genus, args.order, calc)
     all_passed = True
     for report in reports:
-        print(json.dumps(report.to_json_dict()))
+        _print_json(report.to_json_dict())
         all_passed = all_passed and report.passed
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
@@ -189,20 +223,19 @@ def _cmd_asympt(args, calc: TauCalculator) -> int:
     n_max = args.n_max
     n_min = args.n_min if args.n_min is not None else n_max // 2
     fit = fit_growth(args.genus, n_min, n_max, calc)
-    print(json.dumps(fit.to_json_dict(predicted_growth_constant())))
+    _print_json(fit.to_json_dict(predicted_growth_constant()))
     return EXIT_OK
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # exact values print and load at any length
     try:
-        return _run(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        sys.set_int_max_str_digits(0)  # exact values print and load at any length
+        return EXIT_OK if args is None else _run(args)
+    except ValueError as exc:  # a usage error, or an input the command rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except KeyboardInterrupt:  # during the cache load, the command or the save
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
@@ -211,7 +244,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(args) -> int:
-    cache_path = getattr(args, "cache", None)
+    cache_path = args.cache
     cache_existed = bool(cache_path) and os.path.exists(cache_path)
     store = None
     if cache_existed:
@@ -224,10 +257,7 @@ def _run(args) -> int:
     loaded = len(calc.store.entries)  # the memo only grows, so equal size means unchanged
 
     try:
-        code = args.handler(args, calc)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = globals()["_cmd_" + args.command](args, calc)
     except (RecursionError, MemoryError) as exc:
         print(f"error: input too deep or too large to evaluate ({type(exc).__name__})",
               file=sys.stderr)

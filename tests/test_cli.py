@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -518,18 +519,79 @@ class TestUsage:
     def test_missing_required(self, capsys):
         assert main(["tau", "--genus", "1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, name", [
+        ([], "command"),
+        (["bogus"], "bogus"),
+        (["tau", "--genus", "1", "--ds", "1", "--bogus"], "--bogus"),
+        (["tau", "--genus", "1", "--ds"], "--ds"),
+        (["tau", "--ds", "--genus", "1"], "--ds"),
+        (["tau", "--genus", "x", "--ds", "1"], "--genus"),
+        (["verify", "--suite", "bogus", "--genus", "2", "--order", "2"], "--suite"),
+        (["verify", "--suite", "all", "--genus", "2"], "--order"),
+        (["volume", "--genus", "0", "--n", "3", "--table", "4"], "--table"),
+        (["volume", "--genus", "0"], "--n"),
+        (["asympt", "--genus", "0", "--n", "12"], "--n"),
+        # a value may start with '-': this one reaches the handler's own check
+        (["asympt", "--genus", "0", "--n-max", "12", "--n-min", "-5"],
+         "error: --n-min must be >= 0"),
+    ], ids=["no-command", "unknown-command", "unknown-option", "missing-value",
+            "option-as-value", "bad-int", "bad-choice", "missing-required", "n-and-table",
+            "neither-n-nor-table", "ambiguous-prefix", "negative-value"])
+    def test_usage_error_names_the_argument(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "error:" in err.splitlines()[-1] and name in err.splitlines()[-1]
 
-#: run one command in a fresh interpreter (pytest itself loads `inspect`),
-#: then print its exit code, the wpvol modules it loaded, and whether the
-#: standard library's dataclasses or inspect got loaded
+    @pytest.mark.parametrize("argv", [
+        ["tau", "--genus=1", "--ds=1"],
+        ["tau", "--gen", "1", "--ds", "1"],  # a unique prefix
+        ["tau", "--genus", "1", "--ds", "1", "--format", "json", "--format", "plain"],
+    ], ids=["equals", "prefix", "repeated"])
+    def test_option_spellings(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (EXIT_OK, "1/24\n", "")
+
+    @pytest.mark.parametrize("argv, names", [
+        (["-h"], ["tau", "volume", "series", "verify", "asympt"]),
+        (["--help"], ["tau", "volume", "series", "verify", "asympt"]),
+        (["tau", "-h"], ["--genus", "--ds", "--format", "--cache"]),
+        (["volume", "--help"], ["--genus", "--n", "--table", "--format", "--digits", "--cache"]),
+        (["series", "-h"], ["--phi", "--order", "--format", "--cache"]),
+        (["verify", "--help"], ["--suite", "--genus", "--order", "--cache"]),
+        (["asympt", "-h"], ["--genus", "--n-max", "--n-min", "--cache"]),
+    ], ids=["top-h", "top-help", "tau", "volume", "series", "verify", "asympt"])
+    def test_help_lists_every_option(self, capsys, argv, names):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert set(names) <= set(re.findall(r"[\w-]+", out))
+
+    def test_exact_name_wins_over_a_prefix(self, monkeypatch):
+        # no command has an option that prefixes another one yet, so add one
+        opt = (int, False, None, "")
+        monkeypatch.setitem(cli.COMMANDS, "probe", ("", {"--n": opt, "--n-max": opt}, ()))
+        args = cli.parse_args(["probe", "--n", "1", "--n-m", "2"])
+        assert (args.n, args.n_max) == (1, 2)
+
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["wpvol", "tau", "--genus", "1", "--ds", "1"])
+        assert main() == EXIT_OK
+        assert capsys.readouterr().out == "1/24\n"
+
+
+#: run one command in a fresh interpreter (pytest itself loads `inspect`), take
+#: the modules loaded when it returns, then print its exit code, the wpvol
+#: modules among them, and which of the standard library's heavier modules it
+#: loaded: argparse and its gettext and locale, json, dataclasses, inspect
 IMPORT_PROBE = """
-import json, os, sys
+import os, sys
 from wpvol import cli
 sys.stdout = open(os.devnull, "w")
 rc = cli.main(sys.argv[1:])
+loaded = set(sys.modules)
 sys.stdout = sys.__stdout__
-print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "wpvol"),
-                  sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)]))
+import json
+stdlib = ("argparse", "dataclasses", "gettext", "inspect", "json", "locale")
+print(json.dumps([rc, sorted(m for m in loaded if m.split(".")[0] == "wpvol"),
+                  [m for m in stdlib if m in loaded]]))
 """
 
 CORE = ["wpvol", "wpvol.cli", "wpvol.taucalc"]
@@ -537,19 +599,24 @@ SERIES = sorted(CORE + ["wpvol.kappavol", "wpvol.qseries", "wpvol.genexp"])
 
 
 class TestImports:
-    @pytest.mark.parametrize("argv, modules", [
-        (["tau", "--genus", "1", "--ds", "1"], CORE),
+    @pytest.mark.parametrize("argv, modules, stdlib", [
+        (["tau", "--genus", "1", "--ds", "1"], CORE, []),
+        (["tau", "--genus", "1", "--ds", "1", "--format", "json"], CORE, ["json"]),
         (["volume", "--genus", "2", "--n", "3", "--format", "json"],
-         sorted(CORE + ["wpvol.kappavol"])),
-        (["volume", "--genus", "2", "--table", "3"], SERIES),
-        (["series", "--phi", "2", "--order", "3"], SERIES),
-        (["verify", "--suite", "all", "--genus", "2", "--order", "2"], SERIES),
-        (["asympt", "--genus", "0", "--n-max", "12"], sorted(SERIES + ["wpvol.asympt"])),
-    ], ids=["tau", "volume-n", "volume-table", "series", "verify", "asympt"])
-    def test_each_command_loads_only_what_it_runs(self, argv, modules):
+         sorted(CORE + ["wpvol.kappavol"]), ["json"]),
+        (["volume", "--genus", "2", "--n", "3", "--format", "csv"],
+         sorted(CORE + ["wpvol.kappavol"]), []),
+        (["volume", "--genus", "2", "--table", "3"], SERIES, []),
+        (["series", "--phi", "2", "--order", "3"], SERIES, ["json"]),
+        (["verify", "--suite", "all", "--genus", "2", "--order", "2"], SERIES, ["json"]),
+        (["asympt", "--genus", "0", "--n-max", "12"], sorted(SERIES + ["wpvol.asympt"]),
+         ["json"]),
+    ], ids=["tau", "tau-json", "volume-n", "volume-csv", "volume-table", "series", "verify",
+            "asympt"])
+    def test_each_command_loads_only_what_it_runs(self, argv, modules, stdlib):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [EXIT_OK, modules, []]
+        assert json.loads(proc.stdout) == [EXIT_OK, modules, stdlib]
