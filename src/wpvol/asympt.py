@@ -146,7 +146,6 @@ class GrowthFit(NamedTuple):
     n_max: int
     c_est: Decimal
     exponent_est: Decimal
-    residual: Decimal
 
     def to_json_dict(self, predicted: Decimal) -> dict:
         with localcontext(Context(prec=PRECISION)):
@@ -206,10 +205,5 @@ def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> GrowthFit
         ata = [[sum(r[a] * r[b] for r in rows) for b in range(3)] for a in range(3)]
         aty = [sum(r[a] * t for r, t in zip(rows, targets)) for a in range(3)]
         beta = _solve3(ata, aty)
-        sq = Decimal(0)
-        for r, t in zip(rows, targets):
-            err = t - sum(r[c] * beta[c] for c in range(3))
-            sq += err * err
-        residual = (sq / len(rows)).sqrt()
         c_est = beta[0].exp()
-    return GrowthFit(g, n_min, n_max, c_est, beta[1], residual)
+    return GrowthFit(g, n_min, n_max, c_est, beta[1])

@@ -13,14 +13,24 @@ Each command imports only what it runs, inside its handler: `tau` needs the
 correlator engine alone, `volume --n` adds the kappa-to-tau sum, only the
 series commands load the series modules, and `json` loads only for JSON
 output.  There is no argparse: `parse_args` reads the options from `COMMANDS`.
+
+`main(argv)` returns the exit code and never freezes the heap, so tests and
+library callers run it in process.  `python -m wpvol.cli` and the `wpvol`
+script enter through `run()`: `main` on sys.argv, then `gc.freeze()` and an
+orderly exit (atexit handlers run, stdout and stderr are flushed) whose final
+collections skip the heap the OS is about to reclaim.  `main` flushes stdout
+before the cache is saved, so a reader that closes the pipe early
+(`wpvol ... | head`) gets exit 3 and one `error:` line, and the cache file is
+left as it was.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from .taucalc import (CacheFormatError, InconsistentMemoError, TauCalculator, format_rational,
                       load_cache, save_cache)
@@ -62,7 +72,7 @@ COMMANDS = {
         "--digits": (int, False, None, "also print v * pi^(2 dim) to this many significant digits"),
         "--cache": _CACHE}, ("--n", "--table")),
     "series": ("generating series phi_g", {
-        "--phi": _GENUS, "--order": (int, True, None, "the number of coefficients"),
+        "--phi": _GENUS, "--order": (int, True, None, "print the coefficients of x^0..x^ORDER"),
         "--format": (("plain", "json"), False, "json", "output format"), "--cache": _CACHE}, ()),
     "verify": ("run the exact verification suites", {
         "--suite": (SUITES, True, None, "the checks to run"), "--genus": _GENUS,
@@ -232,7 +242,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         sys.set_int_max_str_digits(0)  # exact values print and load at any length
-        return EXIT_OK if args is None else _run(args)
+        code = EXIT_OK if args is None else _run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:  # the reader closed stdout before the output was written
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the interpreter's final flush cannot fail
+        try:
+            print("error: stdout was closed before the output was written", file=sys.stderr)
+        except BrokenPipeError:  # stderr goes to the same pipe (`2>&1 | head`)
+            os.dup2(devnull, sys.stderr.fileno())
+        os.close(devnull)
+        return EXIT_IO
     except ValueError as exc:  # a usage error, or an input the command rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -267,6 +288,7 @@ def _run(args) -> int:
         return EXIT_IO
 
     if code == EXIT_OK and cache_path and (not cache_existed or len(calc.store.entries) != loaded):
+        sys.stdout.flush()  # a closed pipe fails the run before the cache is saved
         try:
             save_cache(calc.store, cache_path)
         except OSError as exc:
@@ -275,5 +297,12 @@ def _run(args) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """The program entry: `main` on sys.argv, then exit without collecting the heap."""
+    code = main()
+    gc.freeze()  # the finalizer's collections skip every object alive now
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

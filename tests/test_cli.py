@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -577,6 +578,14 @@ class TestUsage:
         assert capsys.readouterr().out == "1/24\n"
 
 
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
+def cli_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's wpvol."""
+    return dict(os.environ, PYTHONPATH=SRC, **extra)
+
+
 #: run one command in a fresh interpreter (pytest itself loads `inspect`), take
 #: the modules loaded when it returns, then print its exit code, the wpvol
 #: modules among them, and which of the standard library's heavier modules it
@@ -614,9 +623,91 @@ class TestImports:
     ], ids=["tau", "tau-json", "volume-n", "volume-csv", "volume-table", "series", "verify",
             "asympt"])
     def test_each_command_loads_only_what_it_runs(self, argv, modules, stdlib):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=cli_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [EXIT_OK, modules, stdlib]
+
+
+#: run the program as `python -m wpvol.cli` does, with an atexit hook that
+#: prints on stderr how many objects the collector holds frozen at exit
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+assert gc.get_freeze_count() == 0
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("wpvol.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestProcessExit:
+    @pytest.mark.parametrize("argv, code, out", [
+        (["tau", "--genus", "1", "--ds", "1"], EXIT_OK, "1/24\n"),
+        (["tau", "--genus", "x", "--ds", "1"], EXIT_USAGE, ""),
+    ])
+    def test_program_entry_freezes_the_heap(self, argv, code, out):
+        proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], env=cli_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        label, count = proc.stderr.splitlines()[-1].split()
+        assert label == "frozen" and int(count) > 0
+
+    def test_main_in_process_never_freezes(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["volume", "--genus", "2", "--n", "3"]) == EXIT_OK
+        assert main(["tau", "--genus", "x", "--ds", "1"]) == EXIT_USAGE
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_program_entry(self):
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
+            assert 'wpvol = "wpvol.cli:run"\n' in fh.readlines()
+
+    @staticmethod
+    def run_without_reader(argv, unbuffered, stderr_too=False):
+        """Run the program with a stdout pipe whose read end is already closed."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run([sys.executable, "-m", "wpvol.cli", *argv], stdout=write_end,
+                                  stderr=write_end if stderr_too else subprocess.PIPE, text=True,
+                                  timeout=60, env=cli_env(PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write_end)
+
+    # unbuffered, the first write fails; buffered, the flush in main or before the save does
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["tau", "--genus", "1", "--ds", "1"], ["--help"]],
+                             ids=["tau", "help"])
+    def test_stdout_without_a_reader_exits_3(self, argv, unbuffered):
+        proc = self.run_without_reader(argv, unbuffered)
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr == "error: stdout was closed before the output was written\n"
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_stderr_to_the_same_closed_pipe_exits_3(self, unbuffered):
+        proc = self.run_without_reader(["tau", "--genus", "1", "--ds", "1"], unbuffered,
+                                       stderr_too=True)
+        assert proc.returncode == EXIT_IO
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_stdout_without_a_reader_keeps_the_cache(self, capsys, tmp_path, unbuffered):
+        path = tmp_path / "c.txt"
+        assert main(["tau", "--genus", "2", "--ds", "4", "--cache", str(path)]) == EXIT_OK
+        before = path.read_bytes()
+        job = ["volume", "--genus", "2", "--n", "3", "--cache", str(path)]
+        proc = self.run_without_reader(job, unbuffered)
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr == "error: stdout was closed before the output was written\n"
+        assert path.read_bytes() == before
+        assert main(job) == EXIT_OK and path.read_bytes() != before  # a run with a reader saves
+
+    def test_reader_that_closes_early_gets_exit_3(self):
+        proc = subprocess.Popen([sys.executable, "-m", "wpvol.cli", "series", "--phi", "0",
+                                 "--order", "300", "--format", "plain"], env=cli_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(20)  # the output is far larger than a pipe holds
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_IO
+        assert head == b"x^0: 0\nx^1: 0\nx^2: 0"
+        assert err == "error: stdout was closed before the output was written\n"

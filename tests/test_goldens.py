@@ -1,10 +1,13 @@
-"""Every benchmark job prints its golden bytes, run in-process."""
+"""Every benchmark job prints its golden bytes, run in-process; one job of each
+workload also does as a `python -m wpvol.cli` process, the way the benchmark
+runs it, so the program entry and its exit are covered too."""
 
 import shutil
 
 import pytest
 
-from wpbench.jobs import WORKLOADS, all_jobs, digest, job_key, load_goldens
+from wpbench.jobs import (BENCH_DIR, WORKLOADS, all_jobs, check, digest, job_key, load_goldens,
+                          run_job)
 from wpvol.cli import EXIT_OK, main
 
 GOLDENS = load_goldens()
@@ -44,3 +47,26 @@ def test_cached_job_prints_its_golden_bytes_warm(capsys, tmp_path, prewarmed, jo
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert digest(out.encode()) == GOLDENS[job_key(job)]
+
+
+@pytest.fixture
+def without_bytecode(monkeypatch):
+    """Each job compiles the modules it imports, as on the benchmark's machine."""
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+
+
+@pytest.mark.parametrize("workload", [w.name for w in WORKLOADS.values() if not w.uses_cache])
+def test_job_prints_its_golden_bytes_as_a_process(tmp_path, without_bytecode, workload):
+    job = WORKLOADS[workload].slots[0][0]
+    result = run_job(job, BENCH_DIR.parent, tmp_path)
+    assert result.returncode == EXIT_OK
+    assert check(result, GOLDENS)
+
+
+def test_cached_job_prints_its_golden_bytes_as_a_process(tmp_path, without_bytecode, prewarmed):
+    job = WORKLOADS["cache-reuse"].slots[0][0]
+    path = tmp_path / "cache.txt"
+    shutil.copyfile(prewarmed, path)
+    result = run_job(job, BENCH_DIR.parent, tmp_path, cache=path)
+    assert result.returncode == EXIT_OK
+    assert check(result, GOLDENS)
