@@ -2,16 +2,16 @@
 
 Everything reduces to the normalization <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24
 through the Dijkgraaf-Verlinde-Verlinde (KdV / Virasoro) recursion, one
-rule per key.  While a tau_0 remains, the string equation removes it, fused
-with the dilaton equation on the tau_1 it frees (the paper's index-shift
-identity), so no key with a new tau_1 is stored.  Else, while a tau_1
-remains, DVV at pivot 1 is the dilaton equation; otherwise DVV pivots on the
-largest index, the only step with a genus split.  The *_reduced checks run
-the generic one-step DVV, which the fused step does not share.  Marked
-points are distinguishable, so the genus-splitting sums run over ordered
-pairs of labeled submultisets.  Genus 0 needs no recursion: <tau_d>_0 =
-(n-3)!/prod d_i! (a multinomial coefficient) whenever the dimension rule
-holds.
+rule per key, chosen by its smallest index, and one implementation per rule:
+  - a tau_0: the string equation removes it, fused with the dilaton equation
+    on the tau_1 it frees (the paper's index-shift identity), so no key with
+    a new tau_1 is stored;
+  - a tau_1: the dilaton equation, one child;
+  - otherwise: DVV on the largest index, the only step with a genus split.
+Marked points are distinguishable, so the genus-splitting sums run over
+ordered pairs of labeled submultisets.  Genus 0 needs no recursion:
+<tau_d>_0 = (n-3)!/prod d_i! (a multinomial coefficient) whenever the
+dimension rule holds.
 
 A key is a plain tuple (g, ds), ds sorted in descending order; canonical_key
 builds it from outside input, and each reduction builds its child keys in
@@ -24,17 +24,18 @@ The memo holds plain ints, the normalized correlators (Liu-Xu)
     W(g, ds) = 2^(4g) * prod_i (2d_i+1)!! * <tau_ds>_g.
 
 In W every rule has integer coefficients: string (2d_j+1), fused
-string-dilaton 5 * 3(2g-2+m) for the m indices left, DVV merge (2d_j+1),
-the DVV genus-reducing term times 2^4, the DVV split products unscaled
-(2^(4 g1) 2^(4 g2) = 2^(4g)), and the bases W(0,(0,0,0)) = 1 and
-W(1,(1,)) = 2; one exact halving of the DVV split sum remains.  The double
-factorials clear every odd denominator.  The 2-adic scale 2^(4g) is a pinned
-invariant: over the keys of volume(g, n), g <= 6, the largest 2-adic
-exponent of a denominator of <tau_ds>_g is 3g + v2(g!) (3, 7, 10, 15, 18,
-22), below 4g and attained by <tau_{3g-2}>_g = 1/(24^g g!).  A wrong cache
+string-dilaton 5 * 3(2g-2+m) for the m indices left, dilaton 3(2g-3+n) for
+the n indices of the key, DVV merge (2d_j+1), the DVV genus-reducing term
+times 2^4, the DVV split products unscaled (2^(4 g1) 2^(4 g2) = 2^(4g)), and
+the bases W(0,(0,0,0)) = 1 and W(1,(1,)) = 2; one exact halving of the DVV
+split sum remains.  The double factorials clear every odd denominator.  The
+2-adic scale 2^(4g) is a pinned invariant: over the keys of volume(g, n),
+g <= 6, the largest 2-adic exponent of a denominator of <tau_ds>_g is
+3g + v2(g!) (3, 7, 10, 15, 18, 22), below 4g and attained by
+<tau_{3g-2}>_g = 1/(24^g g!).  A wrong cache
 value can still break it, so the halving raises InconsistentMemoError on a
-remainder instead of rounding.  tau() and the *_reduced methods build one
-Fraction(W, 2^(4g) prod (2d_i+1)!!) at the boundary.
+remainder instead of rounding.  tau() builds one Fraction(W, 2^(4g) prod
+(2d_i+1)!!) at the boundary.
 
 Evaluation keeps an explicit worklist, not the interpreter's call stack:
 each reduction is a generator that looks its children up in the memo and
@@ -355,10 +356,9 @@ class TauCalculator:
     def _step(self, key: Key):
         """W(key) when no reduction is needed (0 for an unstable or
         dimension-breaking key, the torus base, the genus-0 closed form; the
-        last two are stored), else the generator of its one reduction, in
-        this order: the fused string-dilaton step while a tau_0 remains, DVV
-        at pivot 1 (the dilaton equation) while a tau_1 remains, else DVV on
-        the largest index."""
+        last two are stored), else the generator of its one reduction, by
+        the smallest index: the fused string-dilaton step on a tau_0, the
+        dilaton equation on a tau_1, else DVV on the largest index."""
         g, ds = key
         n = len(ds)
         if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
@@ -371,12 +371,14 @@ class TauCalculator:
             return 2
         if not ds[-1]:
             return self._string(g, ds)
-        return self._dvv(g, ds, ds[-1] if ds[-1] < 2 else ds[0])
+        if ds[-1] == 1:
+            return self._dilaton(g, ds)
+        return self._dvv(g, ds)
 
-    def _drive(self, gen, key: Optional[Key] = None) -> int:
-        """Run reduction `gen` to its value, evaluating each child it yields
-        on an explicit stack of generators; the value of every key on the
-        stack, `key` included when given, is stored in the memo."""
+    def _drive(self, gen, key: Key) -> int:
+        """Run reduction `gen` of `key` to its value, evaluating each child it
+        yields on an explicit stack of generators; the value of every key on
+        the stack is stored in the memo."""
         memo = self.store.entries
         stack = [(key, gen)]
         sent = None
@@ -385,9 +387,7 @@ class TauCalculator:
             try:
                 child = gen.send(sent)
             except StopIteration as done:
-                sent = done.value
-                if top is not None:
-                    memo[top] = sent
+                sent = memo[top] = done.value
                 stack.pop()
                 continue
             sent = self._step(child)
@@ -436,29 +436,30 @@ class TauCalculator:
             count = 0
         return total
 
-    def _dvv(self, g: int, ds: Tuple[int, ...], k: int):
+    def _dilaton(self, g: int, ds: Tuple[int, ...]):
+        """The dilaton equation on a key with a tau_1: <tau_1 rest>_g =
+        (2g-2+|rest|) <rest>_g, so W(g, ds) = 3(2g-3+n) W(g, ds[:-1])."""
+        child = (g, ds[:-1])
+        w = self.store.entries.get(child)
+        if w is None:
+            w = yield child
+        return 3 * (2 * g - 3 + len(ds)) * w
+
+    def _dvv(self, g: int, ds: Tuple[int, ...]):
+        """DVV on the largest index k = ds[0] >= 2: the merge terms, the
+        genus-lowering terms over a+b = k-2 and half the split products over
+        ordered pairs of labeled submultisets I + J of the other indices."""
         get = self.store.entries.get
-        i = ds.index(k)
-        rest = ds[:i] + ds[i + 1:]
+        k, rest = ds[0], ds[1:]
         runs = _runs(rest)
 
         total = 0
         for v, start, stop in runs:
-            if k:
-                child = (g, _insert(rest[:start] + rest[start + 1:], k + v - 1))
-            elif v:
-                # the string equation: lowering the last copy of v keeps the tuple sorted
-                child = (g, rest[:stop - 1] + (v - 1,) + rest[stop:])
-            else:
-                break  # <tau_{-1} ...> = 0
+            child = (g, _insert(rest[:start] + rest[start + 1:], k + v - 1))
             w = get(child)
             if w is None:
                 w = yield child
             total += (2 * v + 1) * (stop - start) * w
-        if k < 2:
-            # a+b = k-2 < 0 has no terms; at k = 1 (the dilaton equation) every
-            # merge child is (g, rest), and the weights sum to 3(2g-2+|rest|)
-            return total
 
         split_sum = 0
         if g >= 1:
@@ -491,44 +492,3 @@ class TauCalculator:
             raise InconsistentMemoError(f"DVV split sum of {_render(g, ds)} is odd: "
                                         "a memo entry is not a normalized correlator")
         return total + half
-
-    # -- one-step reductions (exposed for the consistency suite) --------------
-
-    def _reduced(self, gen, genus: int, ds: Tuple[int, ...]) -> Fraction:
-        return Fraction(self._drive(gen), _scale(genus, ds, self._odd))
-
-    def string_reduced(self, genus: int, indices: Indices) -> Fraction:
-        """Remove one tau_0 via the string equation: sum over lowering each
-        other index by one (indices already at 0 drop out)."""
-        genus, ds = canonical_key(genus, indices)
-        if not ds or ds[-1] != 0:
-            raise ValueError("string equation needs a tau_0 insertion")
-        return self._reduced(self._dvv(genus, ds, 0), genus, ds)
-
-    def dilaton_reduced(self, genus: int, indices: Indices) -> Fraction:
-        """Remove one tau_1 via the dilaton equation, picking up the Euler
-        factor 2g - 2 + n of the remaining n-pointed correlator; this is the
-        DVV recursion at pivot 1."""
-        genus, ds = canonical_key(genus, indices)
-        if 1 not in ds:
-            raise ValueError("dilaton equation needs a tau_1 insertion")
-        return self._reduced(self._dvv(genus, ds, 1), genus, ds)
-
-    def dvv_reduced(self, genus: int, indices: Indices, pivot: int) -> Fraction:
-        """One application of the DVV recursion, pivoting on an index k >= 2:
-
-            (2k+1)!! <tau_k prod tau_{d_j}>_g =
-                sum_j [(2(k+d_j)-1)!! / (2d_j-1)!!] <tau_{k+d_j-1} rest_j>_g
-              + 1/2 sum_{a+b=k-2} (2a+1)!!(2b+1)!! [ <tau_a tau_b rest>_{g-1}
-                  + sum_{g1+g2=g, I+J=rest} <tau_a I>_{g1} <tau_b J>_{g2} ]
-
-        with (-1)!! = 1, unstable terms equal to 0, and the splitting sum over
-        ordered pairs of labeled submultisets.  The pivot may be any index
-        >= 2 present in the key; the result does not depend on the choice.
-        """
-        if pivot < 2:
-            raise ValueError("DVV recursion pivots on an index >= 2")
-        genus, ds = canonical_key(genus, indices)
-        if pivot not in ds:
-            raise ValueError(f"pivot {pivot} not present in {list(ds)}")
-        return self._reduced(self._dvv(genus, ds, pivot), genus, ds)

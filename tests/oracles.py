@@ -49,6 +49,95 @@ def double_factorial(n: int) -> int:
     return math.prod(range(n, 0, -2))
 
 
+# -- correlators ----------------------------------------------------------------
+# One function per reduction rule, in Fraction arithmetic on labeled points,
+# with the double factorials written out.  Each takes `tau(g, ds)` for its
+# children: a test passes `TauCalculator().tau` to check one step of the
+# engine, and `ref_tau` passes itself.
+
+
+def _without(ds, d):
+    """`ds` sorted descending, without one copy of `d`; ValueError if absent."""
+    rest = sorted(ds, reverse=True)
+    rest.remove(d)
+    return tuple(rest)
+
+
+def string_step(tau, g, ds):
+    """<tau_0 prod tau_{d_j}>_g = sum_j <... tau_{d_j - 1} ...>_g, the string
+    equation (the terms with d_j = 0 drop out); not for <tau_0^3>_0."""
+    if 0 not in ds:
+        raise ValueError("string equation needs a tau_0 insertion")
+    rest = _without(ds, 0)
+    return sum((tau(g, rest[:j] + (d - 1,) + rest[j + 1:]) for j, d in enumerate(rest) if d),
+               Fraction(0))
+
+
+def dilaton_step(tau, g, ds):
+    """<tau_1 rest>_g = (2g - 2 + |rest|) <rest>_g, the dilaton equation; not
+    for <tau_1>_1."""
+    if 1 not in ds:
+        raise ValueError("dilaton equation needs a tau_1 insertion")
+    rest = _without(ds, 1)
+    return (2 * g - 2 + len(rest)) * tau(g, rest)
+
+
+def dvv_step(tau, g, ds, k):
+    """One DVV step on a tau_k, k >= 2 any index of the key:
+
+        (2k+1)!! <tau_k prod tau_{d_j}>_g =
+            sum_j [(2(k+d_j)-1)!! / (2d_j-1)!!] <tau_{k+d_j-1} rest_j>_g
+          + 1/2 sum_{a+b=k-2} (2a+1)!!(2b+1)!! [ <tau_a tau_b rest>_{g-1}
+              + sum_{g1+g2=g, I+J=rest} <tau_a I>_{g1} <tau_b J>_{g2} ]
+
+    with (-1)!! = 1 and the splitting sum over every subset of the positions
+    of rest and every g1."""
+    if k < 2:
+        raise ValueError("DVV recursion pivots on an index >= 2")
+    if k not in ds:
+        raise ValueError(f"pivot {k} not present in {list(ds)}")
+    df = double_factorial
+    rest = _without(ds, k)
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        total += Fraction(df(2 * (k + d) - 1), df(2 * d - 1)) * tau(
+            g, rest[:j] + (k + d - 1,) + rest[j + 1:])
+    for a in range(k - 1):
+        b = k - 2 - a
+        inner = tau(g - 1, rest + (a, b)) if g else Fraction(0)
+        for mask in range(2 ** len(rest)):
+            part = tuple(d for j, d in enumerate(rest) if mask >> j & 1)
+            complement = tuple(d for j, d in enumerate(rest) if not mask >> j & 1)
+            for g1 in range(g + 1):
+                inner += tau(g1, part + (a,)) * tau(g - g1, complement + (b,))
+        total += Fraction(df(2 * a + 1) * df(2 * b + 1), 2) * inner
+    return total / df(2 * k + 1)
+
+
+def ref_tau(g, ds):
+    """<tau_ds>_g from the three rules above and the two base values: the
+    string equation while a tau_0 remains, the dilaton equation when every
+    index is 1, otherwise DVV on the largest index; 0 for an unstable or
+    dimension-breaking key."""
+    return _ref_tau(g, tuple(sorted(ds, reverse=True)))
+
+
+@lru_cache(maxsize=None)
+def _ref_tau(g, ds):
+    n = len(ds)
+    if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
+        return Fraction(0)
+    if (g, ds) == (0, (0, 0, 0)):
+        return Fraction(1)
+    if (g, ds) == (1, (1,)):
+        return Fraction(1, 24)
+    if not ds[-1]:
+        return string_step(ref_tau, g, ds)
+    if ds[0] == 1:
+        return dilaton_step(ref_tau, g, ds)
+    return dvv_step(ref_tau, g, ds, ds[0])
+
+
 def series_from_json_dict(data: dict) -> Series:
     """The inverse of `Series.to_json_dict`."""
     coeffs = [parse_rational(c) for c in data["coeffs"]]

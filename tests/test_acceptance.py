@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import dilaton_step, dvv_step, string_step
 from wpvol.asympt import fit_growth, predicted_growth_constant
 from wpvol.cli import main
 from wpvol.genexp import (
@@ -152,10 +153,10 @@ def test_criterion_6_correlator_consistency(calc):
         ok = ok and calc.tau(g, bumped) == 0
         if 0 in ds and 1 in ds:
             both_reductions += 1
-            ok = ok and calc.string_reduced(g, ds) == calc.dilaton_reduced(g, ds)
+            ok = ok and string_step(calc.tau, g, ds) == dilaton_step(calc.tau, g, ds)
 
     pinning = 15 * calc.tau(1, [2, 0]) == 3 * calc.tau(1, [1]) + F(1, 2)
-    pinning = pinning and calc.dvv_reduced(1, [2, 0], pivot=2) == calc.tau(1, [2, 0])
+    pinning = pinning and dvv_step(calc.tau, 1, [2, 0], 2) == calc.tau(1, [2, 0])
     report(
         "criterion 6 (200 randomized keys + DVV pinning equation)",
         ok and pinning and both_reductions >= 20,

@@ -1,8 +1,9 @@
-"""Every name in a `wpvol` module's `__all__` is used by the program.
+"""Every name in a `wpvol` module's `__all__`, and every public attribute of
+a class defined in `wpvol`, is used by the program.
 
 A name counts as used when some module in `src/wpvol` or `wpbench` loads it,
-reads it as an attribute or imports it, outside the name's own top-level
-definition.  A name that only the tests call belongs in `tests/`.
+reads it as an attribute or imports it, outside the name's own definition.
+A name that only the tests call belongs in `tests/`.
 """
 
 import ast
@@ -29,18 +30,53 @@ def _exports(tree):
 
 def _references(tree, skip=None):
     """Names loaded, attributes read and names imported in `tree`, outside the
-    top-level def or class named `skip`."""
+    node `skip`."""
     found = set()
-    for top in tree.body:
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip:
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
             continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-            elif isinstance(node, ast.alias):
-                found.add(node.name)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _top_level(tree, name):
+    """The top-level def or class named `name`, if any."""
+    return next((node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name == name), None)
+
+
+def _public_attributes(tree):
+    """(name, defining node) of each public method, class attribute and field
+    in the body of each top-level class of `tree`."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def _used_elsewhere(path):
+    """Every name referenced by a user module other than `path`."""
+    found = set()
+    for user in USERS:
+        if user != path:
+            found |= _references(_parse(user))
     return found
 
 
@@ -48,10 +84,17 @@ def _references(tree, skip=None):
                          ids=lambda p: p.stem)
 def test_every_export_is_used(path):
     tree = _parse(path)
-    elsewhere = set()
-    for user in USERS:
-        if user != path:
-            elsewhere |= _references(_parse(user))
-    unused = [name for name in _exports(tree)
-              if name not in elsewhere and name not in _references(tree, skip=name)]
+    elsewhere = _used_elsewhere(path)
+    unused = [name for name in _exports(tree) if name not in elsewhere
+              and name not in _references(tree, skip=_top_level(tree, name))]
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if any(_public_attributes(_parse(p)))],
+                         ids=lambda p: p.stem)
+def test_every_public_class_attribute_is_used(path):
+    tree = _parse(path)
+    elsewhere = _used_elsewhere(path)
+    unused = [name for name, node in _public_attributes(tree) if name not in elsewhere
+              and name not in _references(tree, skip=node)]
     assert unused == []

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import double_factorial, newton_revert
+from oracles import newton_revert, ref_tau
 from wpvol.kappavol import volume
 from wpvol.qseries import Series, _mul_lists, factorial, parse_rational, revert_lagrange
 from wpvol.taucalc import (CacheFormatError, MemoStore, TauCalculator, _OddDoubleFactorials,
@@ -69,53 +69,6 @@ def _ref_mul(a, b, n):
         for j, bj in enumerate(b[: n + 1 - i]):
             out[i + j] += F(ai) * bj
     return out
-
-
-_REF_TAU = {}
-
-
-def _ref_tau(g, ds):
-    """The recursive Fraction engine the integer one replaced, kept as the
-    reference for TauCalculator: string, dilaton and DVV on labeled points,
-    with the double factorials written out, the halving and the final
-    division done in Fractions, and the splitting sum over every subset of
-    positions and every g1."""
-    ds = tuple(sorted(ds, reverse=True))
-    n = len(ds)
-    if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
-        return F(0)
-    key = (g, ds)
-    if key in _REF_TAU:
-        return _REF_TAU[key]
-    if key == (0, (0, 0, 0)):
-        value = F(1)
-    elif key == (1, (1,)):
-        value = F(1, 24)
-    elif ds[-1] == 0:
-        rest = ds[:-1]
-        value = sum((_ref_tau(g, rest[:j] + (d - 1,) + rest[j + 1:])
-                     for j, d in enumerate(rest) if d), F(0))
-    elif ds[0] == 1:
-        value = (2 * g - 2 + n - 1) * _ref_tau(g, ds[1:])
-    else:
-        df = double_factorial
-        k, rest = ds[0], ds[1:]
-        total = F(0)
-        for j, d in enumerate(rest):
-            total += F(df(2 * (k + d) - 1), df(2 * d - 1)) * _ref_tau(
-                g, rest[:j] + (k + d - 1,) + rest[j + 1:])
-        for a in range(k - 1):
-            b = k - 2 - a
-            inner = _ref_tau(g - 1, rest + (a, b)) if g else F(0)
-            for mask in range(2 ** len(rest)):
-                part = tuple(d for j, d in enumerate(rest) if mask >> j & 1)
-                complement = tuple(d for j, d in enumerate(rest) if not mask >> j & 1)
-                for g1 in range(g + 1):
-                    inner += _ref_tau(g1, part + (a,)) * _ref_tau(g - g1, complement + (b,))
-            total += F(df(2 * a + 1) * df(2 * b + 1), 2) * inner
-        value = total / df(2 * k + 1)
-    _REF_TAU[key] = value
-    return value
 
 
 def _ref_load_cache(path):
@@ -326,7 +279,7 @@ class TestCorrelators:
     def test_matches_the_fraction_recursion(self, key):
         g, ds = key
         calc = TauCalculator()
-        assert calc.tau(g, ds) == _ref_tau(g, ds)
+        assert calc.tau(g, ds) == ref_tau(g, ds)
         assert type(calc.store.entries[canonical_key(g, ds)]) is int
         assert all(type(w) is int for w in calc.store.entries.values())
 

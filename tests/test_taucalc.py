@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from oracles import dilaton_step, dvv_step, ref_tau, string_step
 from wpvol import taucalc
 from wpvol.kappavol import volume
 from wpvol.taucalc import (
@@ -111,13 +112,13 @@ class TestReductions:
 
     def test_reducers_validate(self, calc):
         with pytest.raises(ValueError):
-            calc.string_reduced(0, [1, 1, 1])
+            string_step(calc.tau, 0, [1, 1, 1])
         with pytest.raises(ValueError):
-            calc.dilaton_reduced(0, [2, 0, 0])
+            dilaton_step(calc.tau, 0, [2, 0, 0])
         with pytest.raises(ValueError):
-            calc.dvv_reduced(1, [2, 0], pivot=1)
+            dvv_step(calc.tau, 1, [2, 0], 1)
         with pytest.raises(ValueError):
-            calc.dvv_reduced(1, [2, 0], pivot=3)
+            dvv_step(calc.tau, 1, [2, 0], 3)
 
 
 class TestDVVNormalization:
@@ -125,13 +126,13 @@ class TestDVVNormalization:
         # the recursion applied to <tau_2 tau_0>_1 forces 15 t = 3 t + 1/2
         t = calc.tau(1, [1])
         assert 15 * calc.tau(1, [2, 0]) == 3 * t + F(1, 2)
-        assert calc.dvv_reduced(1, [2, 0], pivot=2) == F(1, 24)
+        assert dvv_step(calc.tau, 1, [2, 0], 2) == F(1, 24)
 
     def test_dvv_agrees_with_string_route(self, calc):
         # keys whose tau() path is pure string reduction
         for g, ds in [(1, (2, 0)), (1, (3, 0, 0)), (0, (2, 0, 0, 0, 0))]:
             for pivot in sorted({d for d in ds if d >= 2}):
-                assert calc.dvv_reduced(g, ds, pivot) == calc.tau(g, ds)
+                assert dvv_step(calc.tau, g, ds, pivot) == calc.tau(g, ds)
 
     def test_dvv_pivot_invariance_randomized(self, calc):
         rng = random.Random(202)
@@ -150,8 +151,50 @@ class TestDVVNormalization:
                 continue
             reference = calc.tau(g, ds)
             for pivot in pivots:
-                assert calc.dvv_reduced(g, ds, pivot) == reference
+                assert dvv_step(calc.tau, g, ds, pivot) == reference
             checked += 1
+
+
+class TestOraclesSeeMutants:
+    # the one-step oracles read the engine only for the children, so a wrong
+    # coefficient in the step that tau() runs on the key shows up
+    @staticmethod
+    def agreements(keys, step):
+        calc = TauCalculator()
+        return [(calc.tau(g, ds) == ref_tau(g, ds), calc.tau(g, ds) == step(calc.tau, g, ds))
+                for g, ds in keys]
+
+    def test_off_by_one_dilaton_euler_factor(self, monkeypatch):
+        keys = [(2, (4, 1)), (1, (1, 1, 1, 1, 1)), (3, (7, 1, 1)), (2, (3, 2, 1, 1))]
+        assert self.agreements(keys, dilaton_step) == [(True, True)] * 4
+        dilaton = TauCalculator._dilaton
+
+        def off_by_one(self, g, ds):
+            w = yield from dilaton(self, g, ds)
+            return w // (2 * g - 3 + len(ds)) * (2 * g - 2 + len(ds))
+
+        monkeypatch.setattr(TauCalculator, "_dilaton", off_by_one)
+        assert self.agreements(keys, dilaton_step) == [(False, False)] * 4
+
+    def test_dvv_merge_weight_off_by_one(self, monkeypatch):
+        # the first merge term weighted (2d+1)m + 1 instead of (2d+1)m
+        keys = [(2, (3, 2)), (2, (2, 2, 2)), (3, (4, 4)), (3, (3, 3, 2, 2))]
+
+        def at_largest(tau, g, ds):
+            return dvv_step(tau, g, ds, ds[0])
+
+        assert self.agreements(keys, at_largest) == [(True, True)] * 4
+        dvv = TauCalculator._dvv
+
+        def off_by_one(self, g, ds):
+            total = yield from dvv(self, g, ds)
+            k, rest = ds[0], ds[1:]
+            if rest:
+                total += self.store.entries[g, taucalc._insert(rest[1:], k + rest[0] - 1)]
+            return total
+
+        monkeypatch.setattr(TauCalculator, "_dvv", off_by_one)
+        assert self.agreements(keys, at_largest) == [(False, False)] * 4
 
 
 def _partitions(total, parts, largest):
@@ -176,7 +219,7 @@ class TestGenus0ClosedForm:
                 value = calc.tau(0, ds)
                 assert value == genus0_closed_form(ds), ds
                 for pivot in sorted({d for d in ds if d >= 2}):
-                    assert calc.dvv_reduced(0, ds, pivot) == value, (ds, pivot)
+                    assert dvv_step(calc.tau, 0, ds, pivot) == value, (ds, pivot)
                     checked += 1
         assert checked == 45  # (key, pivot) pairs
 
@@ -229,8 +272,8 @@ class TestInvariance:
                  (1, (2, 1, 0)), (2, (5, 1, 0))]
         for g, ds in cases:
             assert sum(ds) == 3 * g - 3 + len(ds)
-            assert calc.string_reduced(g, ds) == calc.dilaton_reduced(g, ds)
-            assert calc.tau(g, ds) == calc.string_reduced(g, ds)
+            assert string_step(calc.tau, g, ds) == dilaton_step(calc.tau, g, ds)
+            assert calc.tau(g, ds) == string_step(calc.tau, g, ds)
 
     def test_non_negative(self, calc):
         rng = random.Random(404)
@@ -430,16 +473,34 @@ class TestCacheFile:
 
 
 class ParentPivot(TauCalculator):
-    """The engine before dilaton first: the string equation (DVV at pivot 0)
-    while a tau_0 remained, the dilaton equation only when every index was 1,
-    and otherwise DVV on the largest index."""
+    """The engine before dilaton first: the plain string equation while a
+    tau_0 remained, the dilaton equation only when every index was 1, and
+    otherwise DVV on the largest index."""
 
     def _step(self, key):
         w = super()._step(key)
         if type(w) is int:
             return w
         g, ds = key
-        return self._dvv(g, ds, ds[-1] and ds[0])
+        if not ds[-1]:
+            return self._plain_string(g, ds)
+        return w if ds[0] == 1 else self._dvv(g, ds)
+
+    def _plain_string(self, g, ds):
+        """The string equation over W, not fused with the dilaton equation:
+        lowering the last copy of each value v > 0 weighs (2v+1) per copy."""
+        get = self.store.entries.get
+        rest = ds[:-1]
+        total = 0
+        for v, start, stop in taucalc._runs(rest):
+            if not v:
+                break  # <tau_{-1} ...> = 0
+            child = (g, rest[:stop - 1] + (v - 1,) + rest[stop:])
+            w = get(child)
+            if w is None:
+                w = yield child
+            total += (2 * v + 1) * (stop - start) * w
+        return total
 
 
 def full_cache_text(calc):
@@ -533,6 +594,6 @@ class TestFusedStringDilaton:
                 continue
             calc = TauCalculator()
             value = calc.tau(g, ds)
-            assert value == calc.string_reduced(g, ds) == calc.dilaton_reduced(g, ds), (g, ds)
+            assert value == string_step(calc.tau, g, ds) == dilaton_step(calc.tau, g, ds), (g, ds)
             assert value == parent.tau(g, ds), (g, ds)
             checked += 1
