@@ -6,7 +6,7 @@ equation y x''(y) + x(y) = 0 becomes y y'' = x (y')^3 for the inverse, and
 build_y solves that ODE by an integer recurrence in O(N^2) multiplications
 (qseries.revert_lagrange is its independent cross-check).  The chain
 
-    f_1 = 1 - 1/y',   f_2 = y''/(y')^3,   f_i = f_{i-1}'/y'   (i >= 3)
+    f_1 = 1 - 1/y',   f_i = f_{i-1}'/y'   (i >= 2, so f_2 = y''/(y')^3)
 
 feeds the closed genus-g form (g >= 2)
 
@@ -115,7 +115,8 @@ class GenusExpansionContext:
     Every derivative costs one order, so the construction works at order
     order + i_max internally and exposes series truncated to `order`; the
     exposed f_i are then reliable for all i <= i_max.  Immutable once built;
-    powers of y' and of h_i = y' f_i, the closed form's factors, are cached.
+    powers of y' and of h_i = y' f_i = f_{i-1}', the closed form's factors,
+    are cached in one table.
     """
 
     def __init__(self, order: int, i_max: int):
@@ -127,15 +128,17 @@ class GenusExpansionContext:
         y = build_y(work)
         y_prime = y.derivative()
         inv_y_prime = y_prime.reciprocal()
-        f = {1: 1 - inv_y_prime, 2: y_prime.derivative() * inv_y_prime**3}
-        for i in range(3, i_max + 1):
-            f[i] = f[i - 1].derivative() * inv_y_prime
+        f = {1: 1 - inv_y_prime}
+        h = {"y'": y_prime}  # the bases of the power table
+        for i in range(2, i_max + 1):
+            h[i] = f[i - 1].derivative()
+            f[i] = h[i] * inv_y_prime
         self.order = order
         self.i_max = i_max
         self.y = y.truncate(order)
         self.y_prime = y_prime.truncate(order)
         self._f = {i: s.truncate(order) for i, s in f.items()}
-        self._powers: dict = {}
+        self._powers = {(i, 1): s.truncate(order) for i, s in h.items()}
 
     def f(self, i: int) -> Series:
         if not 1 <= i <= self.i_max:
@@ -143,18 +146,13 @@ class GenusExpansionContext:
         return self._f[i]
 
     def y_prime_power(self, exponent: int) -> Series:
-        return self._power(("y'", exponent), self.y_prime)
+        return self.h_power("y'", exponent)
 
-    def h_power(self, i: int, exponent: int) -> Series:
-        if (i, 1) not in self._powers:
-            self._powers[i, 1] = self.y_prime * self.f(i)
-        return self._power((i, exponent), self._powers[i, 1])
-
-    def _power(self, key: Tuple, base: Series) -> Series:
-        cached = self._powers.get(key)
-        if cached is None:
-            cached = self._powers[key] = base ** key[1]
-        return cached
+    def h_power(self, i, exponent: int) -> Series:
+        power = self._powers.get((i, exponent))
+        if power is None:
+            power = self._powers[i, exponent] = self._powers[i, 1] ** exponent
+        return power
 
 
 def build_f_lemma(i: int, ctx: GenusExpansionContext) -> Series:
@@ -220,8 +218,8 @@ def volume_series(g: int, n_max: int, calc: TauCalculator) -> list:
 def volume_table(g: int, n_max: int, calc: TauCalculator) -> list:
     """VolumeRecords for n = 0..n_max, read off the genus-g generating series.
 
-    V = v n! d!; the conventional zeros and negative dimensions have v = 0
-    and get the same zero records as volume().
+    V = v n! d!; the unstable (g, n) have v = 0 and get the same zero
+    records as volume().
     """
     records = []
     for n, v in enumerate(volume_series(g, n_max, calc)):
@@ -232,30 +230,17 @@ def volume_table(g: int, n_max: int, calc: TauCalculator) -> list:
 
 
 class CheckReport:
-    """Outcome of one exact verification, with the first offending
-    coefficient (or scalar pair) when it fails; it passed when there is none."""
+    """Outcome of one exact verification: its check, its fields (g, n, i, l)
+    and its first mismatch (power or None, lhs, rhs), None when it passed."""
 
-    def __init__(self, check: str, g: Optional[int] = None,
-                 n: Optional[int] = None, i: Optional[int] = None,
-                 mismatch: Optional[tuple] = None,  # (power or None, lhs, rhs)
-                 detail: Optional[dict] = None):
+    def __init__(self, check: str, mismatch: Optional[tuple] = None, **fields):
         self.check = check
         self.passed = mismatch is None
-        self.g = g
-        self.n = n
-        self.i = i
         self.mismatch = mismatch
-        self.detail = detail
+        self.fields = fields
 
     def to_json_dict(self) -> dict:
-        out: dict = {"check": self.check}
-        for field in ("g", "n", "i"):
-            value = getattr(self, field)
-            if value is not None:
-                out[field] = value
-        if self.detail:
-            out.update(self.detail)
-        out["pass"] = self.passed
+        out = {"check": self.check, **self.fields, "pass": self.passed}
         if self.mismatch is None:
             out["first_mismatch"] = None
         else:
@@ -332,7 +317,9 @@ def lemma_report(i: int, ctx: GenusExpansionContext) -> CheckReport:
 def theorem_reports(g: int, n_max: int, phi: Series, calc: TauCalculator) -> list:
     """Per-coefficient comparison [x^n] phi == v_{g,n} for n = 0..n_max, the
     volumes from the kappa-to-tau sum on `calc`.  Given phi_g from the genus
-    expansion and a memo of its own for `calc`, the two routes share nothing.
+    expansion and a memo of its own for `calc`, the two routes share no memo
+    entry but run the same engine code, so an engine rule wrong on both (a
+    wrong dilaton factor) passes; ROADMAP items 6 and 11 add routes that don't.
     """
     if n_max > phi.order:
         raise ValueError(f"series order {phi.order} < n_max {n_max}")
@@ -383,7 +370,6 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
             for l in enumerate_multiindices(3 * g - 3 + n):
                 lhs, rhs = induction_sides(g, n, l, checker)
                 mm = None if lhs == rhs else (None, lhs, rhs)
-                detail = {"l": {str(i): m for i, m in l.items()}}
                 reports.append(CheckReport("index_shift_identity", g=g, n=n, mismatch=mm,
-                                           detail=detail))
+                                           l={str(i): m for i, m in l.items()}))
     return reports

@@ -27,11 +27,7 @@ __all__ = [
     "VolumeRecord",
     "enumerate_multiindices",
     "volume",
-    "CONVENTIONAL_ZEROS",
 ]
-
-#: (g, n) pairs that are defined to have V = 0 rather than computed.
-CONVENTIONAL_ZEROS = frozenset({(0, 0), (0, 1), (0, 2), (1, 0)})
 
 
 def _ascending_partitions(n: int) -> Iterator[Tuple[int, ...]]:
@@ -116,12 +112,12 @@ class VolumeRecord(NamedTuple):
 
 
 def volume(g: int, n: int, calc: TauCalculator) -> VolumeRecord:
-    """V_{g,n} via the kappa-to-tau conversion; conventional zeros are looked
-    up before any computation, and negative dimension also returns 0."""
+    """V_{g,n} via the kappa-to-tau conversion; 0 for a negative dimension, and
+    for the unstable (1, 0) from the engine's <>_1 = 0, which it does not store."""
     if g < 0 or n < 0:
         raise ValueError("genus and point count must be >= 0")
     dim = 3 * g - 3 + n
-    if (g, n) in CONVENTIONAL_ZEROS or dim < 0:
+    if dim < 0:
         return VolumeRecord(g, n, dim, Fraction(0), Fraction(0))
     terms = []  # (signed numerator, denominator) of each nonzero term
     for l in enumerate_multiindices(dim):

@@ -50,9 +50,8 @@ line that is not UTF-8 text, any line that gives a nonzero value to an
 unstable key or to one that breaks the dimension rule, a value <= 0 to any
 other key, or a key given before, and any value that times
 2^(4g) prod (2d_i+1)!! is not an integer; saving writes a temporary file
-beside the target and renames it into place.  Neither
-builds a Fraction or scales a zero value, and loading parses, sums and scales
-only the indices before a key's trailing run of "0" tokens ((2*0+1)!! = 1).
+beside the target and renames it into place.  Neither builds a Fraction or
+scales a zero value.
 
 The exact scalar helpers (factorial, format_rational, rational_sum) live
 here too, so a command that never touches a series never loads qseries.
@@ -66,8 +65,7 @@ import re
 from bisect import bisect_left
 from contextlib import suppress
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, factorial, gcd, prod
 from operator import neg
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -89,14 +87,6 @@ Key = Tuple[int, Tuple[int, ...]]
 Scalar = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-
-
-@lru_cache(maxsize=None)
-def factorial(n: int) -> int:
-    """n! as an exact integer, memoized."""
-    if n < 0:
-        raise ValueError(f"factorial of negative argument {n}")
-    return math.factorial(n)
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -145,7 +135,7 @@ class _OddDoubleFactorials(dict):
     without the smaller ones, so one large index costs one large number."""
 
     def __missing__(self, d: int) -> int:
-        value = self[d] = math.factorial(2 * d + 2) // (math.factorial(d + 1) << (d + 1))
+        value = self[d] = factorial(2 * d + 2) // (factorial(d + 1) << (d + 1))
         return value
 
 
@@ -155,11 +145,10 @@ def _scale(genus: int, ds: Sequence[int], odd: _OddDoubleFactorials) -> int:
 
 
 class CacheFormatError(ValueError):
-    """Malformed correlator cache file; carries the offending line number."""
+    """Malformed correlator cache file; the message names the offending line."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"cache line {line_no}: {reason}")
-        self.line_no = line_no
 
 
 class InconsistentMemoError(ArithmeticError):
@@ -230,12 +219,8 @@ def load_cache(path: str) -> MemoStore:
             except ValueError:
                 raise CacheFormatError(line_no, f"malformed genus {g_text!r}") from None
             tokens = ds_text.split(",") if ds_text != "-" else []
-            n = len(tokens)
-            zeros = tokens.count("0")
-            if zeros and tokens.index("0") != n - zeros:
-                zeros = 0  # not one trailing run: every token is parsed
             try:
-                head = sorted(map(int, tokens[:n - zeros]), reverse=True)
+                ds = tuple(sorted(map(int, tokens), reverse=True))
             except ValueError:
                 raise CacheFormatError(line_no, f"malformed index list {ds_text!r}") from None
             text = value_text.strip()
@@ -250,15 +235,15 @@ def load_cache(path: str) -> MemoStore:
                 raise CacheFormatError(line_no, f"malformed rational {text!r} (zero denominator)")
             if genus < 0:
                 raise CacheFormatError(line_no, f"genus must be >= 0, got {genus}")
-            if head and head[-1] < 0:
+            if ds and ds[-1] < 0:
                 raise CacheFormatError(line_no, "tau indices must be >= 0")
-            ds = tuple(head) + (0,) * zeros
             if (genus, ds) in entries:  # save_cache writes each key once
                 raise CacheFormatError(line_no, f"key {_render(genus, ds)} is given twice")
             # tau() is 0 on unstable and dimension-breaking keys and positive
             # on every other key, so any other value is corrupt
+            n = len(ds)
             stable = 2 * genus - 2 + n > 0
-            valid = stable and sum(head) == 3 * genus - 3 + n
+            valid = stable and sum(ds) == 3 * genus - 3 + n
             w = 0  # unscaled, as in save_cache
             if p:
                 if not stable:
@@ -268,7 +253,7 @@ def load_cache(path: str) -> MemoStore:
                     raise CacheFormatError(
                         line_no, f"key {_render(genus, ds)} breaks the dimension rule "
                                  f"sum(ds) = 3g-3+n = {3 * genus - 3 + n} but has a nonzero value")
-                w, r = divmod(p * _scale(genus, head, odd), q)
+                w, r = divmod(p * _scale(genus, ds, odd), q)
                 if r:
                     raise CacheFormatError(
                         line_no, f"value {value_text} of {_render(genus, ds)} times "
@@ -446,7 +431,7 @@ class TauCalculator:
         return 3 * (2 * g - 3 + len(ds)) * w
 
     def _dvv(self, g: int, ds: Tuple[int, ...]):
-        """DVV on the largest index k = ds[0] >= 2: the merge terms, the
+        """DVV on the largest index k = ds[0] >= 2, g >= 1: the merge terms, the
         genus-lowering terms over a+b = k-2 and half the split products over
         ordered pairs of labeled submultisets I + J of the other indices."""
         get = self.store.entries.get
@@ -462,13 +447,12 @@ class TauCalculator:
             total += (2 * v + 1) * (stop - start) * w
 
         split_sum = 0
-        if g >= 1:
-            for a in range(k - 1):
-                child = (g - 1, _insert(_insert(rest, a), k - 2 - a))
-                w = get(child)
-                if w is None:
-                    w = yield child
-                split_sum += w << 4
+        for a in range(k - 1):
+            child = (g - 1, _insert(_insert(rest, a), k - 2 - a))
+            w = get(child)
+            if w is None:
+                w = yield child
+            split_sum += w << 4
         for shift, part, weight, complement in _ordered_splits(runs):
             # a runs over the values with shift + a = 3 g1, 0 <= g1 <= g
             low = max(0, -shift)

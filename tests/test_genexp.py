@@ -181,9 +181,16 @@ class TestFChain:
             assert ctx10.f(i)[0] == F((-1) ** i, factorial(i - 1))
 
     def test_f2_consistent_with_chain_rule(self, ctx):
-        # f_2 = y''/(y')^3 equals f_1'/y' as well (to the shared order)
-        via_chain = ctx.f(1).derivative() * ctx.y_prime.reciprocal()
-        assert ctx.f(2).truncate(via_chain.order) == via_chain
+        # the chain builds f_2 = f_1'/y'; it equals y''/(y')^3 (to the shared order)
+        closed = ctx.y_prime.derivative() * ctx.y_prime.reciprocal() ** 3
+        assert ctx.f(2).truncate(closed.order) == closed
+
+    @pytest.mark.parametrize("order, i_max", [(12, 8), (2, 10)])
+    def test_h_is_y_prime_times_f(self, order, i_max):
+        # the stored factors h_i = f_{i-1}' of the closed form equal y' f_i
+        ctx = GenusExpansionContext(order=order, i_max=i_max)
+        for i in range(2, i_max + 1):
+            assert ctx.h_power(i, 1) == ctx.y_prime * ctx.f(i), i
 
     def test_range_validation(self, ctx):
         with pytest.raises(ValueError):

@@ -4,14 +4,17 @@ import pytest
 
 from wpvol.genexp import induction_sides, volume_table
 from wpvol.kappavol import (
-    CONVENTIONAL_ZEROS,
     VolumeRecord,
     enumerate_multiindices,
     volume,
 )
 from wpvol.qseries import factorial
+from wpvol.taucalc import TauCalculator
 
 F = Fraction
+
+#: the unstable (g, n) pairs, whose volumes are 0 by convention
+UNSTABLE = [(0, 0), (0, 1), (0, 2), (1, 0)]
 
 
 def count_partitions(n):
@@ -69,9 +72,15 @@ class TestMultiIndex:
 
 class TestVolume:
     def test_conventions(self, calc):
-        for g, n in CONVENTIONAL_ZEROS:
+        for g, n in UNSTABLE:
             rec = volume(g, n, calc)
             assert rec.V == 0 and rec.v == 0
+            assert rec == volume_table(g, n, calc)[n]
+
+    def test_torus_without_points_stores_nothing(self):
+        calc = TauCalculator()
+        assert volume(1, 0, calc).V == 0
+        assert calc.store.entries == {}
 
     def test_sphere_three_points(self, calc):
         rec = volume(0, 3, calc)
@@ -103,7 +112,7 @@ class TestVolume:
     def test_positive_for_stable(self, calc):
         for g in range(4):
             for n in range(8):
-                if (g, n) in CONVENTIONAL_ZEROS or 3 * g - 3 + n < 0:
+                if (g, n) in UNSTABLE:
                     continue
                 assert volume(g, n, calc).V > 0, (g, n)
 

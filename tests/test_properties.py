@@ -140,11 +140,11 @@ def _ref_cache_text(store):
 
 
 def _load_outcome(load, path):
-    """The entries `load` reads from `path`, or the line and message it rejects."""
+    """The entries `load` reads from `path`, or the message, line included, it rejects."""
     try:
         return load(path).entries
     except CacheFormatError as exc:
-        return exc.line_no, str(exc)
+        return str(exc)
 
 
 @st.composite
