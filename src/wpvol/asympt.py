@@ -160,25 +160,18 @@ class GrowthFit(NamedTuple):
         }
 
 
+def _det3(m) -> Decimal:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _solve3(mat, vec):
-    """3x3 linear solve over Decimal, partial pivoting."""
-    m = [list(row) + [v] for row, v in zip(mat, vec)]
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(m[r][col]))
-        if not m[piv][col]:
-            raise ArithmeticError("singular normal equations")
-        m[col], m[piv] = m[piv], m[col]
-        for r in range(col + 1, 3):
-            factor = m[r][col] / m[col][col]
-            for c in range(col, 4):
-                m[r][c] -= factor * m[col][c]
-    out = [Decimal(0)] * 3
-    for r in (2, 1, 0):
-        s = m[r][3]
-        for c in range(r + 1, 3):
-            s -= m[r][c] * out[c]
-        out[r] = s / m[r][r]
-    return out
+    """3x3 linear solve over Decimal by Cramer's rule."""
+    det = _det3(mat)
+    if not det:
+        raise ArithmeticError("singular normal equations")
+    return [_det3([[*row[:k], v, *row[k + 1:]] for row, v in zip(mat, vec)]) / det
+            for k in range(3)]
 
 
 def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> GrowthFit:
@@ -190,8 +183,8 @@ def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> GrowthFit
     ns = list(range(n_min, n_max + 1))
     if len(ns) < 6:
         raise ValueError("growth fit needs at least 6 data points")
-    if n_min < 0:
-        raise ValueError("--n-min must be >= 0")
+    if n_min < 1:  # the basis holds ln n
+        raise ValueError("--n-min must be >= 1")
     values = volume_series(g, n_max, calc)[n_min:]
     if any(v <= 0 for v in values):
         raise ValueError("growth fit needs positive normalized volumes")

@@ -14,10 +14,12 @@ feeds the closed genus-g form (g >= 2)
             * (y')^(2(g-1)+||l||) * prod_i f_i^{l_i}/l_i!
 
 whose x^n coefficient must reproduce the normalized volume v_{g,n} computed
-through the independent kappa-to-tau route.  The f_i also satisfy functional
-equations as series in y, checked here coefficient by coefficient, and the
-n-th derivative of phi_g has the same shape with tau_0^n inserted; both
-identities are verified exactly.
+through the independent kappa-to-tau route.  It reads its brackets from
+kappavol.brackets, the loop that route sums too, and its powers of y' and
+h_i = y' f_i from one table in GenusExpansionContext, built one product at
+a time.  The f_i also satisfy functional equations as series in y, checked
+here coefficient by coefficient, and the n-th derivative of phi_g has the
+same shape with tau_0^n inserted; both identities are verified exactly.
 
 Genus 1 has no closed form of that shape; its generating series is the
 genus-1 free energy phi_1 = (1/24) log y' = (1/24) integral y''/y'
@@ -35,7 +37,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
-from .kappavol import VolumeRecord, enumerate_multiindices, volume
+from .kappavol import VolumeRecord, brackets, enumerate_multiindices, volume
 from .qseries import Series, first_mismatch
 from .taucalc import TauCalculator, factorial, format_rational, rational_sum
 
@@ -114,9 +116,9 @@ class GenusExpansionContext:
 
     Every derivative costs one order, so the construction works at order
     order + i_max internally and exposes series truncated to `order`; the
-    exposed f_i are then reliable for all i <= i_max.  Immutable once built;
-    powers of y' and of h_i = y' f_i = f_{i-1}', the closed form's factors,
-    are cached in one table.
+    exposed f_i are then reliable for all i <= i_max.  The closed form's
+    factors, the powers of y' (base "y'") and of h_i = y' f_i = f_{i-1}', come
+    from one table that h_power extends one product at a time.
     """
 
     def __init__(self, order: int, i_max: int):
@@ -136,23 +138,23 @@ class GenusExpansionContext:
         self.order = order
         self.i_max = i_max
         self.y = y.truncate(order)
-        self.y_prime = y_prime.truncate(order)
         self._f = {i: s.truncate(order) for i, s in f.items()}
-        self._powers = {(i, 1): s.truncate(order) for i, s in h.items()}
+        self._powers = {i: [s.truncate(order)] for i, s in h.items()}  # base -> [b, b^2, ...]
 
     def f(self, i: int) -> Series:
         if not 1 <= i <= self.i_max:
             raise ValueError(f"f_{i} not built; context holds i = 1..{self.i_max}")
         return self._f[i]
 
-    def y_prime_power(self, exponent: int) -> Series:
-        return self.h_power("y'", exponent)
-
     def h_power(self, i, exponent: int) -> Series:
-        power = self._powers.get((i, exponent))
-        if power is None:
-            power = self._powers[i, exponent] = self._powers[i, 1] ** exponent
-        return power
+        """h_i^exponent, or (y')^exponent for i = "y'"; each power above the
+        highest one held costs one product."""
+        if exponent < 1:
+            raise ValueError("the power table starts at exponent 1")
+        powers = self._powers[i]
+        while len(powers) < exponent:
+            powers.append(powers[-1] * powers[0])
+        return powers[exponent - 1]
 
 
 def build_f_lemma(i: int, ctx: GenusExpansionContext) -> Series:
@@ -178,18 +180,12 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
     if ctx.i_max < 3 * g - 2 + n:
         raise ValueError(f"context needs i_max >= {3 * g - 2 + n} for genus {g}")
     terms = []  # (p, q, coefficients) of each nonzero term; each x^k is summed once
-    for l in enumerate_multiindices(3 * g - 3 + n):
-        bracket = calc.tau_batch(g, l.items(), zeros=n)
-        if not bracket:
-            continue
-        term, *factors = (ctx.h_power(i, mult) for i, mult in l.items())
-        for factor in factors:
-            term = term * factor
-        denom = bracket.denominator * math.prod(map(factorial, l.values()))
-        terms.append((bracket.numerator, denom, term.coeffs))
+    for l, p, q in brackets(g, n, calc):
+        first, *factors = (ctx.h_power(i, mult) for i, mult in l.items())
+        terms.append((p, q, math.prod(factors, start=first).coeffs))
     total = Series(rational_sum([(p * c[k].numerator, q * c[k].denominator) for p, q, c in terms])
                    for k in range(ctx.order + 1))
-    return total * ctx.y_prime_power(2 * (g - 1) + n)
+    return total * ctx.h_power("y'", 2 * (g - 1) + n)
 
 
 def build_phi_g(g: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:

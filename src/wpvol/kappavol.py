@@ -8,8 +8,10 @@ complex dimension d = 3g-3+n:
                  * (-1)^(g-1+n+||l||) / prod_i l_i! ((i-1)!)^{l_i}
 
 with ||l|| = sum l_i.  The multi-indices of weight d are the partitions of d
-(a part p is one l_{p+1}), enumerated in lexicographic order; volume() adds
-its terms as integer numerators over their lcm.  It serves `volume --n` and
+(a part p is one l_{p+1}), enumerated in lexicographic order.  brackets()
+is the one loop over them: it yields each nonzero bracket over prod l_i!,
+which this sum and genexp's closed form of phi_g both weigh.  volume() adds
+its terms as integer numerators over their lcm; it serves `volume --n` and
 the kappa-to-tau side of the `verify` checks.  The geometric volume of the
 moduli space carries an extra pi^(2d)/(n! d!) on top of V_{g,n}; the
 normalized value v_{g,n} = V_{g,n}/(n! d!) is what the generating series
@@ -18,6 +20,7 @@ track.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterator, NamedTuple, Tuple
 
@@ -25,6 +28,7 @@ from .taucalc import TauCalculator, factorial, format_rational, rational_sum
 
 __all__ = [
     "VolumeRecord",
+    "brackets",
     "enumerate_multiindices",
     "volume",
 ]
@@ -111,6 +115,16 @@ class VolumeRecord(NamedTuple):
             return mpmath.nstr(value, digits)
 
 
+def brackets(g: int, n: int, calc: TauCalculator) -> Iterator[Tuple[Dict[int, int], int, int]]:
+    """(l, p, q) for each multi-index l of weight 3g-3+n whose bracket is
+    nonzero, with p/q = <tau_0^n prod tau_i^{l_i}>_g / prod l_i!; the one loop
+    over brackets that volume() and the closed form of phi_g both read."""
+    for l in enumerate_multiindices(3 * g - 3 + n):
+        bracket = calc.tau_batch(g, l.items(), zeros=n)
+        if bracket:
+            yield l, bracket.numerator, bracket.denominator * math.prod(map(factorial, l.values()))
+
+
 def volume(g: int, n: int, calc: TauCalculator) -> VolumeRecord:
     """V_{g,n} via the kappa-to-tau conversion; 0 for a negative dimension, and
     for the unstable (1, 0) from the engine's <>_1 = 0, which it does not store."""
@@ -119,17 +133,8 @@ def volume(g: int, n: int, calc: TauCalculator) -> VolumeRecord:
     dim = 3 * g - 3 + n
     if dim < 0:
         return VolumeRecord(g, n, dim, Fraction(0), Fraction(0))
-    terms = []  # (signed numerator, denominator) of each nonzero term
-    for l in enumerate_multiindices(dim):
-        bracket = calc.tau_batch(g, l.items(), zeros=n)
-        if not bracket:
-            continue
-        denom = bracket.denominator
-        for i, mult in l.items():
-            denom *= factorial(mult) * factorial(i - 1) ** mult
-        sign = -1 if (g - 1 + n + sum(l.values())) % 2 else 1
-        terms.append((sign * bracket.numerator, denom))
-    total = rational_sum(terms)
+    total = rational_sum([((-1) ** (g - 1 + n + sum(l.values())) * p,
+                           q * math.prod(factorial(i - 1) ** m for i, m in l.items()))
+                          for l, p, q in brackets(g, n, calc)])
     v = total / factorial(n)
     return VolumeRecord(g, n, dim, total * factorial(dim), v)
-

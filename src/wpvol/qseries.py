@@ -6,10 +6,9 @@ an exact rational in lowest terms and nothing is ever rounded.  A
 x^(N+1) and beyond are *unknown*, not zero, so binary operations truncate
 conservatively to the smaller operand order and never pad with zeros.
 
-Products (and with them powers, composition and the Lagrange reversion)
-run over integer numerators on one common denominator per operand; each
-result coefficient is reduced once, so it is still a ``Fraction`` in lowest
-terms.
+Products (and with them composition and the Lagrange reversion) run over
+integer numerators on one common denominator per operand; each result
+coefficient is reduced once, so it is still a ``Fraction`` in lowest terms.
 """
 
 from __future__ import annotations
@@ -94,12 +93,6 @@ class Series:
             raise ValueError("a series needs at least its constant coefficient")
         self._coeffs = cs
 
-    @classmethod
-    def constant(cls, value: Scalar, order: int = 0) -> "Series":
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        return cls([value] + [0] * order)
-
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
@@ -154,22 +147,6 @@ class Series:
         if not c:
             raise ZeroDivisionError("division of a series by zero")
         return self * (1 / c)
-
-    def __pow__(self, exponent: int) -> "Series":
-        """Integer power by binary exponentiation; order is preserved."""
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series powers take a non-negative integer exponent")
-        if not exponent:
-            return Series.constant(1, self.order)
-        base, e = self, exponent
-        while not e & 1:
-            base, e = base * base, e >> 1
-        result = base  # the lowest set bit: no product with the constant 1
-        while e := e >> 1:
-            base = base * base
-            if e & 1:
-                result = result * base
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):

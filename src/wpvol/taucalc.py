@@ -454,17 +454,13 @@ class TauCalculator:
                 w = yield child
             split_sum += w << 4
         for shift, part, weight, complement in _ordered_splits(runs):
-            # a runs over the values with shift + a = 3 g1, 0 <= g1 <= g
-            low = max(0, -shift)
-            low += -(shift + low) % 3
-            for a in range(low, min(k - 2, 3 * g - shift) + 1, 3):
+            # a runs over shift + a = 3 g1 <= 3 g; indices >= 2 give shift >= 2, g1 >= 1, first > 0
+            for a in range(-shift % 3, min(k - 2, 3 * g - shift) + 1, 3):
                 g1 = (shift + a) // 3
                 child = (g1, _insert(part, a))
                 first = get(child)
                 if first is None:
                     first = yield child
-                if not first:
-                    continue
                 child = (g - g1, _insert(complement, k - 2 - a))
                 second = get(child)
                 if second is None:

@@ -1,6 +1,7 @@
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from wpvol import asympt
@@ -186,8 +187,28 @@ class TestFit:
     def test_non_positive_rejected(self, calc):
         with pytest.raises(ValueError):
             fit_growth(1, 0, 8, calc)  # v_{1,0} = 0
-        with pytest.raises(ValueError, match="--n-min must be >= 0"):
+        with pytest.raises(ValueError, match="--n-min must be >= 1"):
             fit_growth(0, -5, 20, calc)
+
+    def test_window_from_zero_rejected(self, calc):
+        # ln 0 sits in the basis; at genus >= 2, v_{g,0} > 0 lets it reach the fit
+        with pytest.raises(ValueError, match="--n-min must be >= 1"):
+            fit_growth(2, 0, 10, calc)
+
+    @pytest.mark.parametrize("g, n_min, n_max", [(0, 3, 9), (0, 8, 20), (0, 14, 38),
+                                                 (2, 1, 10), (2, 5, 13), (2, 12, 24)])
+    def test_matches_lu_solve(self, calc, g, n_min, n_max):
+        # the same normal equations solved by mpmath's LU at 50 digits
+        ns = range(n_min, n_max + 1)
+        values = volume_series(g, n_max, calc)[n_min:]
+        fit = fit_growth(g, n_min, n_max, calc)
+        with mpmath.workdps(PRECISION):
+            a = mpmath.matrix([[n, mpmath.log(n), 1] for n in ns])
+            y = mpmath.matrix([mpmath.log(mpmath.mpf(v.numerator) / v.denominator)
+                               for v in values])
+            beta = mpmath.lu_solve(a.T * a, a.T * y)
+            for est, ref in ((fit.c_est, mpmath.exp(beta[0])), (fit.exponent_est, beta[1])):
+                assert abs(mpmath.mpf(str(est)) - ref) <= mpmath.mpf("1e-30") * abs(ref)
 
     def test_deterministic(self, calc):
         assert fit_growth(0, 10, 16, calc) == fit_growth(0, 10, 16, calc)

@@ -330,7 +330,13 @@ class TestAsympt:
         assert code == EXIT_USAGE
         code, out, err = run_cli(capsys, "asympt", "--genus", "0", "--n-max", "20",
                                  "--n-min", "-5")
-        assert (code, out, err) == (EXIT_USAGE, "", "error: --n-min must be >= 0\n")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --n-min must be >= 1\n")
+
+    def test_window_from_zero(self, capsys):
+        # the fit's basis holds ln n, so the window starts at n = 1 at every genus
+        code, out, err = run_cli(capsys, "asympt", "--genus", "2", "--n-max", "10",
+                                 "--n-min", "0")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --n-min must be >= 1\n")
 
 
 class TestCache:
@@ -534,7 +540,7 @@ class TestUsage:
         (["asympt", "--genus", "0", "--n", "12"], "--n"),
         # a value may start with '-': this one reaches the handler's own check
         (["asympt", "--genus", "0", "--n-max", "12", "--n-min", "-5"],
-         "error: --n-min must be >= 0"),
+         "error: --n-min must be >= 1"),
     ], ids=["no-command", "unknown-command", "unknown-option", "missing-value",
             "option-as-value", "bad-int", "bad-choice", "missing-required", "n-and-table",
             "neither-n-nor-table", "ambiguous-prefix", "negative-value"])

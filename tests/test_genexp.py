@@ -27,6 +27,14 @@ from wpvol.taucalc import TauCalculator
 F = Fraction
 
 
+def _power(s, e):
+    """s^e, e >= 1, as e - 1 plain products."""
+    out = s
+    for _ in range(e - 1):
+        out = out * s
+    return out
+
+
 def _ref_closed_form(g, n, ctx, calc):
     """The closed form summed term by term, each term carrying its own
     (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!."""
@@ -35,10 +43,10 @@ def _ref_closed_form(g, n, ctx, calc):
         bracket = calc.tau_batch(g, l.items(), zeros=n)
         if not bracket:
             continue
-        term = ctx.y_prime ** (2 * (g - 1) + n + sum(l.values()))
+        term = _power(ctx.h_power("y'", 1), 2 * (g - 1) + n + sum(l.values()))
         denom = 1
         for i, mult in l.items():
-            term = term * ctx.f(i) ** mult
+            term = term * _power(ctx.f(i), mult)
             denom *= factorial(mult)
         total = total + term * (bracket / denom)
     return total
@@ -117,7 +125,7 @@ class TestY:
         order = 10
         y = build_y(order)
         lhs = bessel_x_of_y(order).derivative().compose(y) * y.derivative()
-        assert lhs == Series.constant(1, order - 1)
+        assert lhs == Series([1] + [0] * (order - 1))
 
 
 class TestPhi0:
@@ -182,7 +190,8 @@ class TestFChain:
 
     def test_f2_consistent_with_chain_rule(self, ctx):
         # the chain builds f_2 = f_1'/y'; it equals y''/(y')^3 (to the shared order)
-        closed = ctx.y_prime.derivative() * ctx.y_prime.reciprocal() ** 3
+        y_prime = ctx.h_power("y'", 1)
+        closed = y_prime.derivative() * _power(y_prime.reciprocal(), 3)
         assert ctx.f(2).truncate(closed.order) == closed
 
     @pytest.mark.parametrize("order, i_max", [(12, 8), (2, 10)])
@@ -190,7 +199,7 @@ class TestFChain:
         # the stored factors h_i = f_{i-1}' of the closed form equal y' f_i
         ctx = GenusExpansionContext(order=order, i_max=i_max)
         for i in range(2, i_max + 1):
-            assert ctx.h_power(i, 1) == ctx.y_prime * ctx.f(i), i
+            assert ctx.h_power(i, 1) == ctx.h_power("y'", 1) * ctx.f(i), i
 
     def test_range_validation(self, ctx):
         with pytest.raises(ValueError):

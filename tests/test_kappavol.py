@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import ref_tau
 from wpvol.genexp import induction_sides, volume_table
 from wpvol.kappavol import (
     VolumeRecord,
+    brackets,
     enumerate_multiindices,
     volume,
 )
@@ -68,6 +70,24 @@ class TestMultiIndex:
             induction_sides(0, 3, {1: 1}, calc)
         with pytest.raises(ValueError, match=">= 0"):
             induction_sides(0, 4, {2: -1, 3: 1}, calc)
+
+
+class TestBrackets:
+    def test_unstable_torus_yields_nothing(self, calc):
+        assert list(brackets(1, 0, calc)) == []
+
+    @pytest.mark.parametrize("g, n", [(2, 3), (0, 8), (4, 0)])
+    def test_one_entry_per_nonzero_bracket(self, calc, g, n):
+        expected = []
+        for l in enumerate_multiindices(3 * g - 3 + n):
+            ds = [0] * n + [i for i, m in l.items() for _ in range(m)]
+            denom = 1
+            for m in l.values():
+                denom *= factorial(m)
+            if ref_tau(g, ds):
+                expected.append((l, ref_tau(g, ds) / denom))
+        got = [(l, F(p, q)) for l, p, q in brackets(g, n, calc)]
+        assert got == expected and expected
 
 
 class TestVolume:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import double_factorial, newton_revert, series_from_json_dict
-from wpvol import qseries
+from wpvol.genexp import GenusExpansionContext
 from wpvol.qseries import (
     Series,
     bessel_x_of_y,
@@ -30,6 +30,18 @@ def X(order):
 
 def ZERO(order):
     return Series([0] * (order + 1))
+
+
+def _count_series_products(monkeypatch):
+    """From now on, record each call to Series.__mul__."""
+    mul, calls = Series.__mul__, []
+
+    def counting_mul(*args):
+        calls.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(Series, "__mul__", counting_mul)
+    return calls
 
 
 def random_series(rng, order, unit_constant=False, zero_constant=False, unit_linear=False):
@@ -90,7 +102,6 @@ class TestConstruction:
     def test_order(self):
         assert S(1, 2, 3).order == 2
         assert X(5).order == 5
-        assert Series.constant(7, 3).coeffs == (7, 0, 0, 0)
 
     def test_coefficient_bounds(self):
         s = S(1, 2)
@@ -118,7 +129,7 @@ class TestRingOps:
     def test_mul(self):
         assert S(1, 1, 0) * S(1, -1, 0) == S(1, 0, -1)
         a = S(2, 3, 5)
-        assert a * Series.constant(1, 2) == a
+        assert a * Series([1] + [0] * 2) == a
         # x * x at order 1: the x^2 term is beyond order
         x = X(1)
         assert x * x == S(0, 0)
@@ -128,28 +139,36 @@ class TestRingOps:
         assert S(0, 1) * F(1, 2) == S(0, F(1, 2))
         assert S(1, 2) / 2 == S(F(1, 2), 1)
 
-    def test_pow(self):
-        x = X(4)
-        assert (1 + x) ** 3 == S(1, 3, 3, 1, 0)
-        assert x**0 == Series.constant(1, 4)
+    def test_pow(self, monkeypatch):
+        # the closed form's power table: one product per new power, from the highest held
+        ctx = GenusExpansionContext(12, 10)
+        calls = _count_series_products(monkeypatch)
+        ctx.h_power(2, 6)
+        assert len(calls) == 5
+        ctx.h_power(2, 7)
+        assert len(calls) == 6
+        with pytest.raises(KeyError):
+            ctx.h_power(99, 2)
         with pytest.raises(ValueError):
-            x ** (-1)
+            ctx.h_power(2, 0)
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("exponent, products", [(0, 0), (1, 0), (2, 1), (7, 4)])
     def test_pow_is_repeated_product(self, monkeypatch, exponent, products):
-        a = S(F(2, 3), -1, F(5, 7), 0, F(-1, 4), 3)
-        expected = Series.constant(1, a.order)
+        # with the table holding powers up to exponent - products (at least 1),
+        # h_power(2, exponent) makes `products` products; exponent 0 is rejected
+        ctx = GenusExpansionContext(12, 10)
+        base = ctx.h_power(2, 1)
+        expected = Series([1] + [0] * base.order)
         for _ in range(exponent):
-            expected = expected * a
-        kernel, calls = qseries._mul_lists, []
-
-        def counting_kernel(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(qseries, "_mul_lists", counting_kernel)
-        assert a**exponent == expected
-        # squarings plus one product per further set bit, none with the constant 1
+            expected = expected * base
+        ctx.h_power(2, max(1, exponent - products))
+        calls = _count_series_products(monkeypatch)
+        if exponent:
+            assert ctx.h_power(2, exponent) == expected
+        else:
+            with pytest.raises(ValueError):
+                ctx.h_power(2, exponent)
         assert len(calls) == products
 
     def test_mul_commutes_randomized(self):
@@ -163,7 +182,7 @@ class TestRingOps:
 class TestCalculus:
     def test_derivative_examples(self):
         assert S(0, 1, F(1, 2), F(5, 12)).derivative() == S(1, 1, F(5, 4))
-        assert Series.constant(9, 3).derivative() == ZERO(2)
+        assert Series([9] + [0] * 3).derivative() == ZERO(2)
         k = 6
         s = Series([0] * k + [F(1, factorial(k))])
         assert s.derivative() == Series([0] * (k - 1) + [F(1, factorial(k - 1))])
@@ -173,7 +192,7 @@ class TestCalculus:
             S(3).derivative()
 
     def test_antiderivative_examples(self):
-        assert Series.constant(1, 0).antiderivative() == S(0, 1)
+        assert Series([1]).antiderivative() == S(0, 1)
         assert X(1).antiderivative(1) == S(1, 0, F(1, 2))
 
     def test_antiderivative_inverts_derivative(self):
@@ -184,7 +203,7 @@ class TestCalculus:
 
     def test_reciprocal_geometric(self):
         assert S(1, -1, 0, 0).reciprocal() == S(1, 1, 1, 1)
-        assert Series.constant(1, 0).reciprocal() == S(1)
+        assert Series([1]).reciprocal() == S(1)
         assert S(1, 1, F(5, 4)).reciprocal() == S(1, -1, F(-1, 4))
 
     def test_reciprocal_zero_rejected(self):
@@ -195,7 +214,7 @@ class TestCalculus:
         rng = random.Random(13)
         for _ in range(25):
             a = random_series(rng, rng.randint(0, 8), unit_constant=True)
-            assert a * a.reciprocal() == Series.constant(1, a.order)
+            assert a * a.reciprocal() == Series([1] + [0] * a.order)
 
 
 class TestCompose:
