@@ -204,17 +204,13 @@ def _cmd_series(args, calc: TauCalculator) -> int:
     g, order = args.phi, args.order
     if g < 0 or order < 1:
         raise ValueError("--phi needs genus >= 0 and --order >= 1")
-    if g == 1:
-        raise ValueError("series --phi takes genus 0 or >= 2; the genus 1 volumes "
-                         "come from `volume --genus 1`")
     from .genexp import volume_series
-    from .qseries import Series
-    phi = Series(volume_series(g, order, calc))
+    coeffs = volume_series(g, order, calc)
     if args.format == "plain":
-        for k, coeff in enumerate(phi.coeffs):
+        for k, coeff in enumerate(coeffs):
             print(f"x^{k}: {format_rational(coeff)}")
     else:
-        _print_json(phi.to_json_dict())
+        _print_json({"order": order, "coeffs": [format_rational(c) for c in coeffs]})
     return EXIT_OK
 
 

@@ -21,14 +21,14 @@ a time.  The f_i also satisfy functional equations as series in y, checked
 here coefficient by coefficient, and the n-th derivative of phi_g has the
 same shape with tau_0^n inserted; both identities are verified exactly.
 
-Genus 1 has no closed form of that shape; its generating series is the
-genus-1 free energy phi_1 = (1/24) log y' = (1/24) integral y''/y'
-(Itzykson-Zuber).  volume_series reads every v_{g,0..N} of one genus off
-phi_0, phi_1 or phi_g, and volume_table turns them into VolumeRecords; the
-kappa-to-tau volume() stays the single-(g, n) producer and the independent
-verifier in theorem_reports.  verify_reports runs the verification suites:
-it builds phi_g once, on the caller's memo, and checks it against one fresh
-memo.
+At genus 1 that derivative form is stable from n = 1: phi_1' = <tau_0 tau_2>_1
+y' h_2 = y''/(24 y') is the derivative of the genus-1 free energy (1/24) log y'
+(Itzykson-Zuber), so build_phi_g gives every phi_g with g >= 1.  volume_series
+reads every v_{g,0..N} of one genus off phi_0 or phi_g, and volume_table turns
+them into VolumeRecords; the kappa-to-tau volume() stays the single-(g, n)
+producer and the independent verifier in verify_reports, which runs the
+suites: it builds phi_g once, on the caller's memo, and checks it against one
+fresh memo.
 """
 
 from __future__ import annotations
@@ -46,13 +46,10 @@ __all__ = [
     "CheckReport",
     "build_y",
     "build_phi0",
-    "build_phi1",
     "build_f_lemma",
     "build_phi_g",
     "check_derivative_formula",
     "induction_sides",
-    "lemma_report",
-    "theorem_reports",
     "verify_reports",
     "volume_series",
     "volume_table",
@@ -100,15 +97,6 @@ def build_phi0(order: int) -> Series:
     if order < 3:
         raise ValueError("phi_0 needs order >= 3")
     return build_y(order - 2).antiderivative(0).antiderivative(0)
-
-
-def build_phi1(order: int) -> Series:
-    """phi_1 = (1/24) log y' = (1/24) integral y''/y', the genus-1 generating
-    series; its constant term is v_{1,0} = 0."""
-    if order < 1:
-        raise ValueError("phi_1 needs order >= 1")
-    y_prime = build_y(order + 1).derivative()
-    return (y_prime.derivative() * y_prime.reciprocal() / 24).antiderivative(0)
 
 
 class GenusExpansionContext:
@@ -189,25 +177,28 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
 
 
 def build_phi_g(g: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:
-    """The closed genus-g generating series, g >= 2, to ctx.order: the n = 0
-    case of the sum in check_derivative_formula."""
-    if g < 2:
-        raise ValueError("the closed genus form starts at g = 2 (use build_phi0 for g = 0)")
-    return _closed_form(g, 0, ctx, calc)
+    """phi_g for g >= 1 to ctx.order: the n-fold antiderivative of the sum in
+    check_derivative_formula at the smallest stable n, 0 for g >= 2 and 1 for
+    g = 1, where phi_1' = <tau_0 tau_2>_1 y' h_2 = y''/(24 y') and v_{1,0} = 0."""
+    if g < 1:
+        raise ValueError("the closed genus form starts at g = 1 (use build_phi0 for g = 0)")
+    n = max(0, 3 - 2 * g)  # the smallest n with 2g - 2 + n > 0
+    phi = _closed_form(g, n, ctx, calc)
+    for _ in range(n):
+        phi = phi.antiderivative(0)
+    return phi.truncate(ctx.order) if n else phi
 
 
 def volume_series(g: int, n_max: int, calc: TauCalculator) -> list:
     """[v_{g,0}, ..., v_{g,n_max}], the coefficients of one generating series:
-    phi_0 for g = 0, phi_1 for g = 1 and the closed form phi_g for g >= 2."""
+    phi_0 for g = 0 and phi_g from the closed form for g >= 1."""
     if g < 0 or n_max < 0:
         raise ValueError("genus and point count must be >= 0")
     order = max(n_max, 3)
     if g == 0:
         phi = build_phi0(order)
-    elif g == 1:
-        phi = build_phi1(order)
     else:
-        phi = build_phi_g(g, GenusExpansionContext(order, 3 * g - 2), calc)
+        phi = build_phi_g(g, GenusExpansionContext(order, max(3 * g - 2, 2)), calc)
     return list(phi.coeffs[: n_max + 1])
 
 
@@ -303,31 +294,6 @@ def induction_sides(g: int, n: int, l: Mapping[int, int],
     return lhs, rhs
 
 
-def lemma_report(i: int, ctx: GenusExpansionContext) -> CheckReport:
-    """Exact coefficient comparison of the derivative-chain f_i with its
-    functional-equation form."""
-    mm = first_mismatch(ctx.f(i), build_f_lemma(i, ctx))
-    return CheckReport("f_functional_equation", i=i, mismatch=mm)
-
-
-def theorem_reports(g: int, n_max: int, phi: Series, calc: TauCalculator) -> list:
-    """Per-coefficient comparison [x^n] phi == v_{g,n} for n = 0..n_max, the
-    volumes from the kappa-to-tau sum on `calc`.  Given phi_g from the genus
-    expansion and a memo of its own for `calc`, the two routes share no memo
-    entry but run the same engine code, so an engine rule wrong on both (a
-    wrong dilaton factor) passes; ROADMAP items 6 and 11 add routes that don't.
-    """
-    if n_max > phi.order:
-        raise ValueError(f"series order {phi.order} < n_max {n_max}")
-    reports = []
-    for n in range(n_max + 1):
-        lhs = phi[n]
-        rhs = volume(g, n, calc).v
-        mm = None if lhs == rhs else (n, lhs, rhs)
-        reports.append(CheckReport("genus_series_vs_volume", g=g, n=n, mismatch=mm))
-    return reports
-
-
 def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
     """The reports of one verification suite ("lemma", "theorem1",
     "derivative", "induction" or "all"), in that order.
@@ -336,7 +302,9 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
     filled.  Everything it is checked against (the kappa-to-tau volumes, the
     tau_0^n closed forms of its derivatives, the index-shift identity) reads
     one fresh memo that no cache reaches, so a wrong cache value cannot pass
-    its own check.
+    its own check.  The two routes share no memo entry but run the same
+    engine code, so an engine rule wrong on both (a wrong dilaton factor)
+    passes; ROADMAP items 6 and 11 add routes that don't.
     """
     if g < 2:
         raise ValueError("verification suites need --genus >= 2")
@@ -348,7 +316,8 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
     reports = []
     if suite in ("lemma", "all"):
         for i in range(2, lemma_top + 1):
-            reports.append(lemma_report(i, ctx))
+            mm = first_mismatch(ctx.f(i), build_f_lemma(i, ctx))
+            reports.append(CheckReport("f_functional_equation", i=i, mismatch=mm))
         for i in range(2, 11):
             expected = Fraction((-1) ** i, factorial(i - 1))
             actual = ctx.f(i)[0]
@@ -357,7 +326,10 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
     if suite in ("theorem1", "derivative", "all"):
         phi = build_phi_g(g, ctx, calc)
     if suite in ("theorem1", "all"):
-        reports.extend(theorem_reports(g, order, phi, checker))
+        for n in range(order + 1):
+            lhs, rhs = phi[n], volume(g, n, checker).v
+            mm = None if lhs == rhs else (n, lhs, rhs)
+            reports.append(CheckReport("genus_series_vs_volume", g=g, n=n, mismatch=mm))
     if suite in ("derivative", "all"):
         for n in range(0, min(4, order) + 1):
             reports.append(check_derivative_formula(g, n, phi, ctx, checker))

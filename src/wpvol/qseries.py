@@ -142,12 +142,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Series":
-        c = _as_fraction(other)
-        if not c:
-            raise ZeroDivisionError("division of a series by zero")
-        return self * (1 / c)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -193,11 +187,6 @@ class Series:
             raise ValueError("composition needs an inner series with zero constant term")
         n = min(self.order, inner.order)
         return Series(_compose_lists(list(self._coeffs[: n + 1]), list(inner._coeffs[: n + 1]), n))
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [format_rational(c) for c in self._coeffs]}
 
     def __repr__(self) -> str:
         shown = ", ".join(format_rational(c) for c in self._coeffs)

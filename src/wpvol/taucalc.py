@@ -401,8 +401,8 @@ class TauCalculator:
     def _string(self, g: int, ds: Tuple[int, ...]):
         """The string equation on a key with a tau_0, g >= 1, fused with the
         dilaton equation on the tau_1 it frees: lowering a 2 gives the child
-        without it, weight 5 * 3(2g-2+m) for its m = len(ds) - 2 indices,
-        except that <tau_0 tau_2>_1 lowers to the torus base <tau_1>_1."""
+        without it, weight 5 * 3(2g-2+m) for its m = len(ds) - 2 indices, when
+        that child is stable (2g-2+m > 0); else the tau_1 stays in the child."""
         get = self.store.entries.get
         head = ds[:ds.index(0)]  # lowering a tau_0 gives <tau_{-1} ...> = 0
         total = count = 0
@@ -410,7 +410,7 @@ class TauCalculator:
             count += 1
             if after == v:
                 continue  # lowering only the last copy of v keeps the tuple sorted
-            if v == 2 and (g, ds) != (1, (2, 0)):
+            if v == 2 and 2 * g + len(ds) > 4:
                 child, weight = (g, ds[:j] + ds[j + 1:-1]), 15 * (2 * g - 4 + len(ds))
             else:
                 child, weight = (g, ds[:j] + (v - 1,) + ds[j + 1:-1]), 2 * v + 1

@@ -8,7 +8,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from wpvol.qseries import Series, _compose_lists, _mul_lists, parse_rational
+from wpvol.qseries import (
+    Series,
+    _compose_lists,
+    _mul_lists,
+    bessel_x_of_y,
+    parse_rational,
+    revert_lagrange,
+)
 
 
 def newton_revert(series: Series) -> Series:
@@ -39,6 +46,14 @@ def newton_revert(series: Series) -> Series:
         corr = _mul_lists(err, dcur, prec)
         b = [cur[k] - corr[k] for k in range(prec + 1)]
     return Series(b)
+
+
+def ref_phi1(order: int) -> Series:
+    """phi_1 = (1/24) log y' = (1/24) integral y''/y' to `order`, with y from
+    the Lagrange reversion of the Bessel series: the genus-1 reference for
+    `genexp.build_phi_g`, which runs no correlator engine."""
+    y_prime = revert_lagrange(bessel_x_of_y(order + 1)).derivative()
+    return (y_prime.derivative() * y_prime.reciprocal()).antiderivative(0) * Fraction(1, 24)
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +154,8 @@ def _ref_tau(g, ds):
 
 
 def series_from_json_dict(data: dict) -> Series:
-    """The inverse of `Series.to_json_dict`."""
+    """The Series that the `series` command's JSON {"order": N, "coeffs":
+    [...]} describes; ValueError if N does not match the coefficient count."""
     coeffs = [parse_rational(c) for c in data["coeffs"]]
     if data["order"] != len(coeffs) - 1:
         raise ValueError("inconsistent order and coefficient count")

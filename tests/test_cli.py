@@ -192,10 +192,14 @@ class TestSeries:
         lines = out.splitlines()
         assert lines[0] == "x^0: 43/17280"
 
-    def test_phi1_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "series", "--phi", "1", "--order", "5")
-        assert code == EXIT_USAGE
-        assert "genus 1" in err
+    def test_phi1_plain_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "series", "--phi", "1", "--order", "6",
+                               "--format", "plain")
+        assert code == EXIT_OK
+        assert out == ("x^0: 0\nx^1: 1/24\nx^2: 1/32\nx^3: 7/216\nx^4: 529/13824\n"
+                       "x^5: 16751/345600\nx^6: 99767/1555200\n")
+        code, out, _ = run_cli(capsys, "series", "--phi", "1", "--order", "3")
+        assert out == '{"order": 3, "coeffs": ["0", "1/24", "1/32", "7/216"]}\n'
 
     def test_low_order_phi0(self, capsys):
         code, out, _ = run_cli(capsys, "series", "--phi", "0", "--order", "1")

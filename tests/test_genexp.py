@@ -3,19 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import newton_revert
+from oracles import newton_revert, ref_phi1
 from wpvol.genexp import (
     GenusExpansionContext,
     _closed_form,
     build_f_lemma,
     build_phi0,
-    build_phi1,
     build_phi_g,
     build_y,
     check_derivative_formula,
     induction_sides,
-    lemma_report,
-    theorem_reports,
     verify_reports,
     volume_series,
     volume_table,
@@ -149,13 +146,21 @@ class TestPhi0:
 
 
 class TestPhi1:
-    def test_low_coefficients(self):
+    def test_low_coefficients(self, calc):
         # v_{1,0} = 0 by convention, v_{1,1} = <tau_1>_1 = 1/24
-        assert build_phi1(3).coeffs[:2] == (0, F(1, 24))
+        ctx = GenusExpansionContext(3, 2)
+        assert build_phi_g(1, ctx, calc).coeffs[:2] == (0, F(1, 24))
 
     def test_order_validation(self):
+        # phi_1 is built to ctx.order, and a context starts at order 1
         with pytest.raises(ValueError):
-            build_phi1(0)
+            GenusExpansionContext(0, 2)
+
+    @pytest.mark.parametrize("order", [1, 3, 12, 40])
+    def test_matches_reference(self, calc, order):
+        ref = ref_phi1(order)
+        assert build_phi_g(1, GenusExpansionContext(order, 2), calc) == ref
+        assert volume_series(1, order, calc) == list(ref.coeffs)
 
 
 class TestVolumeSeries:
@@ -213,10 +218,11 @@ class TestFunctionalEquation:
         for i in range(2, 9):
             assert build_f_lemma(i, ctx) == ctx.f(i), i
 
-    def test_report_helper(self, ctx):
-        rep = lemma_report(5, ctx)
-        assert rep.passed and rep.mismatch is None
-        assert rep.to_json_dict()["check"] == "f_functional_equation"
+    def test_report_helper(self, calc):
+        reps = [r for r in verify_reports("lemma", 2, 6, calc)
+                if r.check == "f_functional_equation"]
+        assert [r.fields["i"] for r in reps] == list(range(2, 9))
+        assert all(r.passed and r.mismatch is None for r in reps)
 
     def test_truncated_order(self, ctx):
         low = GenusExpansionContext(order=3, i_max=ctx.i_max)
@@ -240,17 +246,20 @@ class TestPhiG:
         ctx3 = GenusExpansionContext(order=2, i_max=7)
         assert build_phi_g(3, ctx3, calc)[0] == volume(3, 0, calc).v
 
-    def test_genus1_rejected(self, ctx, calc):
-        with pytest.raises(ValueError):
-            build_phi_g(1, ctx, calc)
+    def test_genus0_rejected(self, ctx, calc):
+        with pytest.raises(ValueError, match="build_phi0"):
+            build_phi_g(0, ctx, calc)
 
     def test_insufficient_context_rejected(self, calc):
         small = GenusExpansionContext(order=2, i_max=4)
         with pytest.raises(ValueError):
             build_phi_g(3, small, calc)
 
-    def test_master_crosscheck_small(self, ctx, calc):
-        for report in theorem_reports(2, 6, build_phi_g(2, ctx, calc), calc):
+    def test_master_crosscheck_small(self, calc):
+        reports = verify_reports("theorem1", 2, 6, calc)
+        assert [(r.check, r.fields["n"]) for r in reports] == [
+            ("genus_series_vs_volume", n) for n in range(7)]
+        for report in reports:
             assert report.passed, report.to_json_dict()
 
 
