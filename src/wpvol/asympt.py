@@ -12,7 +12,8 @@ guesses u_c to 2^-240, and the guess is kept only if rigorous enclosures of
 J0(2 sqrt(u)) (alternating partial sums and remainder, in plain integers over
 a common denominator) have opposite signs at the two ends of its interval.
 The volumes the fits use are the coefficients of one generating series per
-genus (genexp.volume_series).  Everything downstream is carried as 50-digit
+genus (genexp.volume_series, which at genus 0 integrates y' three times and
+builds no 1/y').  Everything downstream is carried as 50-digit
 decimals and reported at 10, so reruns are bit-identical.
 """
 

@@ -17,18 +17,21 @@ whose x^n coefficient must reproduce the normalized volume v_{g,n} computed
 through the independent kappa-to-tau route.  It reads its brackets from
 kappavol.brackets, the loop that route sums too, and its powers of y' and
 h_i = y' f_i from one table in GenusExpansionContext, built one product at
-a time.  The f_i also satisfy functional equations as series in y, checked
+a time; the context builds y and y' and grows the chain only as far as it
+is read.  The f_i also satisfy functional equations as series in y, checked
 here coefficient by coefficient, and the n-th derivative of phi_g has the
 same shape with tau_0^n inserted; both identities are verified exactly.
 
-At genus 1 that derivative form is stable from n = 1: phi_1' = <tau_0 tau_2>_1
-y' h_2 = y''/(24 y') is the derivative of the genus-1 free energy (1/24) log y'
-(Itzykson-Zuber), so build_phi_g gives every phi_g with g >= 1.  volume_series
-reads every v_{g,0..N} of one genus off phi_0 or phi_g, and volume_table turns
-them into VolumeRecords; the kappa-to-tau volume() stays the single-(g, n)
-producer and the independent verifier in verify_reports, which runs the
-suites: it builds phi_g once, on the caller's memo, and checks it against one
-fresh memo.
+Below genus 2 that derivative form is stable from the smallest n with
+2g - 2 + n > 0: phi_0''' = <tau_0^3>_0 y' = y', an empty product of f_i, and
+phi_1' = <tau_0 tau_2>_1 y' h_2 = y''/(24 y'), the derivative of the genus-1
+free energy (1/24) log y' (Itzykson-Zuber).  So build_phi_g gives every
+phi_g as the n-fold antiderivative of that form, and at genus 0 it reads y'
+alone.  volume_series reads every v_{g,0..N} of one genus off phi_g, and
+volume_table turns them into VolumeRecords; the kappa-to-tau volume() stays
+the single-(g, n) producer and the independent verifier in verify_reports,
+which runs the suites: it builds phi_g once, on the caller's memo, and
+checks it against one fresh memo.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ __all__ = [
     "GenusExpansionContext",
     "CheckReport",
     "build_y",
-    "build_phi0",
     "build_f_lemma",
     "build_phi_g",
     "check_derivative_formula",
@@ -91,48 +93,48 @@ def build_y(order: int) -> Series:
     return Series(coeffs)
 
 
-def build_phi0(order: int) -> Series:
-    """phi_0, the genus-0 generating series: double antiderivative of y,
-    both constants zero (its x^0..x^2 coefficients vanish)."""
-    if order < 3:
-        raise ValueError("phi_0 needs order >= 3")
-    return build_y(order - 2).antiderivative(0).antiderivative(0)
-
-
 class GenusExpansionContext:
     """y, y', and the f_i chain, all valid to a common truncation order.
 
-    Every derivative costs one order, so the construction works at order
-    order + i_max internally and exposes series truncated to `order`; the
-    exposed f_i are then reliable for all i <= i_max.  The closed form's
-    factors, the powers of y' (base "y'") and of h_i = y' f_i = f_{i-1}', come
-    from one table that h_power extends one product at a time.
+    Every derivative costs one order, so y is built to order + i_max and each
+    series is exposed truncated to `order`; the f_i are then reliable for all
+    i <= i_max.  The rest is built on first read and only as far as read:
+    h_i = f_{i-1}' needs 1/y' and f_1..f_{i-1}, f_i = h_i/y' one product more.
+    The closed form's factors, the powers of y' (base "y'") and of h_i = y' f_i,
+    come from one table that h_power extends one product at a time.
     """
 
     def __init__(self, order: int, i_max: int):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if i_max < 2:
-            raise ValueError("i_max must be >= 2")
-        work = order + i_max
-        y = build_y(work)
-        y_prime = y.derivative()
-        inv_y_prime = y_prime.reciprocal()
-        f = {1: 1 - inv_y_prime}
-        h = {"y'": y_prime}  # the bases of the power table
-        for i in range(2, i_max + 1):
-            h[i] = f[i - 1].derivative()
-            f[i] = h[i] * inv_y_prime
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        if i_max < 1:
+            raise ValueError("i_max must be >= 1")
+        y = build_y(order + i_max)
         self.order = order
         self.i_max = i_max
         self.y = y.truncate(order)
-        self._f = {i: s.truncate(order) for i, s in f.items()}
-        self._powers = {i: [s.truncate(order)] for i, s in h.items()}  # base -> [b, b^2, ...]
+        self._h = {"y'": y.derivative()}  # the bases of the power table, untruncated
+        self._f = {}  # f_i, untruncated
+        self._powers = {i: [] for i in ["y'", *range(2, i_max + 1)]}  # base -> [b, b^2, ...]
+
+    def _chain_h(self, i) -> Series:
+        if i not in self._h:
+            self._h[i] = self._chain_f(i - 1).derivative()
+        return self._h[i]
+
+    def _chain_f(self, i: int) -> Series:
+        if i not in self._f:
+            if i == 1:
+                self._inv_y_prime = self._h["y'"].reciprocal()
+                self._f[1] = 1 - self._inv_y_prime
+            else:  # h_i builds f_1, and with it 1/y', first
+                self._f[i] = self._chain_h(i) * self._inv_y_prime
+        return self._f[i]
 
     def f(self, i: int) -> Series:
         if not 1 <= i <= self.i_max:
             raise ValueError(f"f_{i} not built; context holds i = 1..{self.i_max}")
-        return self._f[i]
+        return self._chain_f(i).truncate(self.order)
 
     def h_power(self, i, exponent: int) -> Series:
         """h_i^exponent, or (y')^exponent for i = "y'"; each power above the
@@ -140,6 +142,8 @@ class GenusExpansionContext:
         if exponent < 1:
             raise ValueError("the power table starts at exponent 1")
         powers = self._powers[i]
+        if not powers:
+            powers.append(self._chain_h(i).truncate(self.order))
         while len(powers) < exponent:
             powers.append(powers[-1] * powers[0])
         return powers[exponent - 1]
@@ -169,51 +173,40 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
         raise ValueError(f"context needs i_max >= {3 * g - 2 + n} for genus {g}")
     terms = []  # (p, q, coefficients) of each nonzero term; each x^k is summed once
     for l, p, q in brackets(g, n, calc):
-        first, *factors = (ctx.h_power(i, mult) for i, mult in l.items())
-        terms.append((p, q, math.prod(factors, start=first).coeffs))
+        # the empty product is the unit; another starts at its first factor, one product fewer
+        first, *rest = [ctx.h_power(i, m) for i, m in l.items()] or [Series([1] + [0] * ctx.order)]
+        terms.append((p, q, math.prod(rest, start=first).coeffs))
     total = Series(rational_sum([(p * c[k].numerator, q * c[k].denominator) for p, q, c in terms])
                    for k in range(ctx.order + 1))
     return total * ctx.h_power("y'", 2 * (g - 1) + n)
 
 
 def build_phi_g(g: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:
-    """phi_g for g >= 1 to ctx.order: the n-fold antiderivative of the sum in
-    check_derivative_formula at the smallest stable n, 0 for g >= 2 and 1 for
-    g = 1, where phi_1' = <tau_0 tau_2>_1 y' h_2 = y''/(24 y') and v_{1,0} = 0."""
-    if g < 1:
-        raise ValueError("the closed genus form starts at g = 1 (use build_phi0 for g = 0)")
+    """phi_g to ctx.order: the n-fold antiderivative (constants zero) of the
+    sum in check_derivative_formula at the smallest stable n.  That is n = 3
+    for g = 0, where phi_0''' = <tau_0^3>_0 y' = y'; n = 1 for g = 1, where
+    phi_1' = <tau_0 tau_2>_1 y' h_2 = y''/(24 y'); and n = 0 for g >= 2."""
+    if g < 0:
+        raise ValueError("genus must be >= 0")
     n = max(0, 3 - 2 * g)  # the smallest n with 2g - 2 + n > 0
     phi = _closed_form(g, n, ctx, calc)
     for _ in range(n):
         phi = phi.antiderivative(0)
-    return phi.truncate(ctx.order) if n else phi
+    return phi.truncate(ctx.order)
 
 
 def volume_series(g: int, n_max: int, calc: TauCalculator) -> list:
-    """[v_{g,0}, ..., v_{g,n_max}], the coefficients of one generating series:
-    phi_0 for g = 0 and phi_g from the closed form for g >= 1."""
+    """[v_{g,0}, ..., v_{g,n_max}], the coefficients of phi_g, from a context
+    holding the 3g - 2 + n factors of build_phi_g's closed form at its n."""
     if g < 0 or n_max < 0:
         raise ValueError("genus and point count must be >= 0")
-    order = max(n_max, 3)
-    if g == 0:
-        phi = build_phi0(order)
-    else:
-        phi = build_phi_g(g, GenusExpansionContext(order, max(3 * g - 2, 2)), calc)
-    return list(phi.coeffs[: n_max + 1])
+    ctx = GenusExpansionContext(n_max, 3 * g - 2 + max(0, 3 - 2 * g))
+    return list(build_phi_g(g, ctx, calc).coeffs)
 
 
 def volume_table(g: int, n_max: int, calc: TauCalculator) -> list:
-    """VolumeRecords for n = 0..n_max, read off the genus-g generating series.
-
-    V = v n! d!; the unstable (g, n) have v = 0 and get the same zero
-    records as volume().
-    """
-    records = []
-    for n, v in enumerate(volume_series(g, n_max, calc)):
-        dim = 3 * g - 3 + n
-        big_v = v * factorial(n) * factorial(dim) if v else v
-        records.append(VolumeRecord(g, n, dim, big_v, v))
-    return records
+    """VolumeRecords for n = 0..n_max, read off the genus-g generating series."""
+    return [VolumeRecord(g, n, v) for n, v in enumerate(volume_series(g, n_max, calc))]
 
 
 class CheckReport:

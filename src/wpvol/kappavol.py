@@ -72,13 +72,20 @@ def enumerate_multiindices(weight: int) -> Iterator[Dict[int, int]]:
 
 
 class VolumeRecord(NamedTuple):
-    """One volume: exact V = <kappa_1^dim>, normalized v = V/(n! dim!)."""
+    """One volume, from its normalized v = V/(n! dim!): the dimension and the
+    exact V = <kappa_1^dim> are derived here, 0 where v is (dim may be < 0)."""
 
     g: int
     n: int
-    dim: int
-    V: Fraction
     v: Fraction
+
+    @property
+    def dim(self) -> int:
+        return 3 * self.g - 3 + self.n
+
+    @property
+    def V(self) -> Fraction:
+        return self.v * factorial(self.n) * factorial(self.dim) if self.v else self.v
 
     @property
     def pi_power(self) -> int:
@@ -130,11 +137,9 @@ def volume(g: int, n: int, calc: TauCalculator) -> VolumeRecord:
     for the unstable (1, 0) from the engine's <>_1 = 0, which it does not store."""
     if g < 0 or n < 0:
         raise ValueError("genus and point count must be >= 0")
-    dim = 3 * g - 3 + n
-    if dim < 0:
-        return VolumeRecord(g, n, dim, Fraction(0), Fraction(0))
+    if 3 * g - 3 + n < 0:
+        return VolumeRecord(g, n, Fraction(0))
     total = rational_sum([((-1) ** (g - 1 + n + sum(l.values())) * p,
                            q * math.prod(factorial(i - 1) ** m for i, m in l.items()))
                           for l, p, q in brackets(g, n, calc)])
-    v = total / factorial(n)
-    return VolumeRecord(g, n, dim, total * factorial(dim), v)
+    return VolumeRecord(g, n, total / factorial(n))

@@ -48,6 +48,14 @@ def newton_revert(series: Series) -> Series:
     return Series(b)
 
 
+def ref_phi0(order: int) -> Series:
+    """phi_0, the double antiderivative of y to `order`, with y from the
+    Lagrange reversion of the Bessel series: the genus-0 reference for
+    `genexp.build_phi_g`, which runs no correlator engine."""
+    y = revert_lagrange(bessel_x_of_y(order))
+    return y.antiderivative(0).antiderivative(0).truncate(order)
+
+
 def ref_phi1(order: int) -> Series:
     """phi_1 = (1/24) log y' = (1/24) integral y''/y' to `order`, with y from
     the Lagrange reversion of the Bessel series: the genus-1 reference for

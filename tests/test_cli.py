@@ -206,7 +206,7 @@ class TestSeries:
         assert json.loads(out)["coeffs"] == ["0", "0"]
 
     def test_low_order_phi2_bytes(self, capsys):
-        # below order 3 the series is built at order 3 and cut back
+        # below order 3 too, the series is built at the order asked for
         code, out, _ = run_cli(capsys, "series", "--phi", "2", "--order", "2")
         assert code == EXIT_OK
         assert out == '{"order": 2, "coeffs": ["43/17280", "29/3072", "787/30720"]}\n'
@@ -513,6 +513,24 @@ class TestCache:
         after = path.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
         assert path.read_text(encoding="utf-8") == text
+
+    def test_genus0_table_saves_onto_an_existing_cache_unchanged(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        # the genus-0 series reads <tau_0^3>_0 into the memo, so the run saves,
+        # but a save keeps core keys only, which the file already holds
+        path = tmp_path / "core.cache"
+        run_cli(capsys, "volume", "--genus", "2", "--n", "4", "--cache", str(path))
+        before, data = path.stat(), path.read_bytes()
+        saves = []
+        save = cli.save_cache
+        monkeypatch.setattr(cli, "save_cache", lambda *args: saves.append(save(*args)))
+        code, out, _ = run_cli(capsys, "volume", "--genus", "0", "--table", "8",
+                               "--cache", str(path))
+        assert (code, len(saves)) == (EXIT_OK, 1)
+        assert out.splitlines()[-1] == "g=0 n=8 dim=5 V=49946 v=24973/2419200"
+        after = path.stat()
+        assert path.read_bytes() == data
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_cache_warm_and_cold_agree(self, capsys, tmp_path):
         path = tmp_path / "warm.cache"

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import newton_revert, ref_phi1
+from oracles import newton_revert, ref_phi0, ref_phi1
+from wpvol.asympt import fit_growth
 from wpvol.genexp import (
     GenusExpansionContext,
     _closed_form,
     build_f_lemma,
-    build_phi0,
     build_phi_g,
     build_y,
     check_derivative_formula,
@@ -126,23 +126,27 @@ class TestY:
 
 
 class TestPhi0:
-    def test_coefficients(self):
-        phi0 = build_phi0(6)
-        assert phi0[0] == 0 and phi0[1] == 0 and phi0[2] == 0
-        assert phi0[3] == F(1, 6)
-        assert phi0[4] == F(1, 24)
+    def test_coefficients(self, calc):
+        phi0 = build_phi_g(0, GenusExpansionContext(6, 1), calc)
+        assert phi0.coeffs[:5] == (0, 0, 0, F(1, 6), F(1, 24))
 
-    def test_second_derivative_is_y(self):
-        assert build_phi0(9).derivative().derivative() == build_y(7)
+    def test_second_derivative_is_y(self, calc):
+        phi0 = build_phi_g(0, GenusExpansionContext(9, 1), calc)
+        assert phi0.derivative().derivative() == build_y(7)
 
     def test_matches_volume_route(self, calc):
-        phi0 = build_phi0(10)
-        for n in range(11):
-            assert phi0[n] == volume(0, n, calc).v, n
+        assert volume_series(0, 10, calc) == [volume(0, n, calc).v for n in range(11)]
 
     def test_order_validation(self):
+        # phi_0 is built to ctx.order, and a context starts at order 0
         with pytest.raises(ValueError):
-            build_phi0(2)
+            GenusExpansionContext(-1, 1)
+
+    @pytest.mark.parametrize("order", [1, 3, 12, 40, 64])
+    def test_matches_reference(self, calc, order):
+        ref = ref_phi0(order)
+        assert build_phi_g(0, GenusExpansionContext(order, 1), calc) == ref
+        assert volume_series(0, order, calc) == list(ref.coeffs)
 
 
 class TestPhi1:
@@ -152,9 +156,9 @@ class TestPhi1:
         assert build_phi_g(1, ctx, calc).coeffs[:2] == (0, F(1, 24))
 
     def test_order_validation(self):
-        # phi_1 is built to ctx.order, and a context starts at order 1
+        # phi_1 is built to ctx.order, and a context starts at order 0
         with pytest.raises(ValueError):
-            GenusExpansionContext(0, 2)
+            GenusExpansionContext(-1, 2)
 
     @pytest.mark.parametrize("order", [1, 3, 12, 40])
     def test_matches_reference(self, calc, order):
@@ -213,6 +217,22 @@ class TestFChain:
             ctx.f(0)
 
 
+class TestOnDemandContext:
+    def test_genus0_builds_no_reciprocal(self, monkeypatch):
+        # phi_0''' = y' reads y' alone, so no genus-0 series, table or fit
+        # builds 1/y' or any f_i
+        jobs = (lambda: volume_series(0, 40, TauCalculator()),
+                lambda: volume_table(0, 24, TauCalculator()),
+                lambda: fit_growth(0, 8, 20, TauCalculator()))
+        expected = [job() for job in jobs]
+
+        def refuse(self):
+            raise AssertionError("a genus-0 job built 1/y'")
+
+        monkeypatch.setattr(Series, "reciprocal", refuse)
+        assert [job() for job in jobs] == expected
+
+
 class TestFunctionalEquation:
     def test_matches_chain_definition(self, ctx):
         for i in range(2, 9):
@@ -246,9 +266,9 @@ class TestPhiG:
         ctx3 = GenusExpansionContext(order=2, i_max=7)
         assert build_phi_g(3, ctx3, calc)[0] == volume(3, 0, calc).v
 
-    def test_genus0_rejected(self, ctx, calc):
-        with pytest.raises(ValueError, match="build_phi0"):
-            build_phi_g(0, ctx, calc)
+    def test_negative_genus_rejected(self, ctx, calc):
+        with pytest.raises(ValueError, match="genus must be >= 0"):
+            build_phi_g(-1, ctx, calc)
 
     def test_insufficient_context_rejected(self, calc):
         small = GenusExpansionContext(order=2, i_max=4)

@@ -143,6 +143,7 @@ class TestRingOps:
     def test_pow(self, monkeypatch):
         # the closed form's power table: one product per new power, from the highest held
         ctx = GenusExpansionContext(12, 10)
+        ctx.f(1)  # f_1 = 1 - 1/y', which h_2 = f_1' reads, takes no product
         calls = _count_series_products(monkeypatch)
         ctx.h_power(2, 6)
         assert len(calls) == 5
@@ -153,6 +154,18 @@ class TestRingOps:
         with pytest.raises(ValueError):
             ctx.h_power(2, 0)
         assert len(calls) == 6
+
+    @pytest.mark.parametrize("i_max", [2, 5, 10])
+    def test_h_power_reads_build_no_f_i_max(self, monkeypatch, i_max):
+        # h_i = f_{i-1}' needs f_1..f_{i-1}: the bases make one product for
+        # each of f_2..f_{i_max - 1}, and only f(i_max) makes f_{i_max}
+        calls = _count_series_products(monkeypatch)
+        ctx = GenusExpansionContext(12, i_max)
+        for i in ["y'", *range(2, i_max + 1)]:
+            ctx.h_power(i, 1)
+        assert len(calls) == i_max - 2
+        ctx.f(i_max)
+        assert len(calls) == i_max - 1
 
     @pytest.mark.parametrize("exponent, products", [(0, 0), (1, 0), (2, 1), (7, 4)])
     def test_pow_is_repeated_product(self, monkeypatch, exponent, products):
