@@ -201,16 +201,13 @@ def _cmd_volume(args, calc: TauCalculator) -> int:
 
 
 def _cmd_series(args, calc: TauCalculator) -> int:
-    g, order = args.phi, args.order
-    if g < 0 or order < 1:
-        raise ValueError("--phi needs genus >= 0 and --order >= 1")
     from .genexp import volume_series
-    coeffs = volume_series(g, order, calc)
+    coeffs = volume_series(args.phi, args.order, calc)
     if args.format == "plain":
         for k, coeff in enumerate(coeffs):
             print(f"x^{k}: {format_rational(coeff)}")
     else:
-        _print_json({"order": order, "coeffs": [format_rational(c) for c in coeffs]})
+        _print_json({"order": args.order, "coeffs": [format_rational(c) for c in coeffs]})
     return EXIT_OK
 
 

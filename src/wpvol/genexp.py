@@ -8,7 +8,7 @@ build_y solves that ODE by an integer recurrence in O(N^2) multiplications
 
     f_1 = 1 - 1/y',   f_i = f_{i-1}'/y'   (i >= 2, so f_2 = y''/(y')^3)
 
-feeds the closed genus-g form (g >= 2)
+feeds the closed genus-g form, at n = 0 for g >= 2,
 
     phi_g = sum_{|l|=3g-3} <tau_2^{l_2} ... tau_{3g-2}^{l_{3g-2}}>_g
             * (y')^(2(g-1)+||l||) * prod_i f_i^{l_i}/l_i!
@@ -19,19 +19,18 @@ kappavol.brackets, the loop that route sums too, and its powers of y' and
 h_i = y' f_i from one table in GenusExpansionContext, built one product at
 a time; the context builds y and y' and grows the chain only as far as it
 is read.  The f_i also satisfy functional equations as series in y, checked
-here coefficient by coefficient, and the n-th derivative of phi_g has the
-same shape with tau_0^n inserted; both identities are verified exactly.
-
-Below genus 2 that derivative form is stable from the smallest n with
-2g - 2 + n > 0: phi_0''' = <tau_0^3>_0 y' = y', an empty product of f_i, and
+here coefficient by coefficient, and at every stable (g, n), 2g - 2 + n > 0,
+the n-th derivative of phi_g has the same shape with tau_0^n inserted; both
+identities are verified exactly.  Below genus 2 the smallest stable n is
+positive: phi_0''' = <tau_0^3>_0 y' = y', an empty product of f_i, and
 phi_1' = <tau_0 tau_2>_1 y' h_2 = y''/(24 y'), the derivative of the genus-1
 free energy (1/24) log y' (Itzykson-Zuber).  So build_phi_g gives every
 phi_g as the n-fold antiderivative of that form, and at genus 0 it reads y'
 alone.  volume_series reads every v_{g,0..N} of one genus off phi_g, and
 volume_table turns them into VolumeRecords; the kappa-to-tau volume() stays
 the single-(g, n) producer and the independent verifier in verify_reports,
-which runs the suites: it builds phi_g once, on the caller's memo, and
-checks it against one fresh memo.
+which runs the suites at every genus from that smallest n: it builds phi_g
+once, on the caller's memo, and checks it against one fresh memo.
 """
 
 from __future__ import annotations
@@ -169,6 +168,8 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
     """sum_{|l|=3g-3+n} <tau_0^n tau_2^{l_2} ...>_g
     * (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!, to ctx.order, summed as
     (y')^(2(g-1)+n) * sum <...>_g prod h_i^{l_i}/l_i! with h_i = y' f_i."""
+    if 2 * g - 2 + n <= 0:
+        raise ValueError(f"(g, n) = ({g}, {n}) is unstable: 2g - 2 + n <= 0")
     if ctx.i_max < 3 * g - 2 + n:
         raise ValueError(f"context needs i_max >= {3 * g - 2 + n} for genus {g}")
     terms = []  # (p, q, coefficients) of each nonzero term; each x^k is summed once
@@ -242,9 +243,7 @@ def check_derivative_formula(g: int, n: int, phi: Series, ctx: GenusExpansionCon
         * (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!
 
     with its correlators on `calc`, as truncated series (exactly, to the
-    order both sides support)."""
-    if g < 2:
-        raise ValueError("derivative check applies to g >= 2")
+    order both sides support), at any genus and any stable n, 2g - 2 + n > 0."""
     if n < 0 or n > ctx.order:
         raise ValueError("need 0 <= n <= ctx.order")
     rhs = _closed_form(g, n, ctx, calc)
@@ -264,8 +263,6 @@ def induction_sides(g: int, n: int, l: Mapping[int, int],
 
     (string equation followed by dilaton on the freed tau_1), for a
     multi-index l given as an {i: l_i} mapping with i >= 2 and l_i >= 0."""
-    if n < 1:
-        raise ValueError("the identity removes a tau_0, so n >= 1")
     for i, mult in l.items():
         if i < 2:
             raise ValueError(f"multi-index entries start at i = 2, got {i}")
@@ -274,6 +271,8 @@ def induction_sides(g: int, n: int, l: Mapping[int, int],
     weight = sum((i - 1) * mult for i, mult in l.items())
     if weight != 3 * g - 3 + n:
         raise ValueError(f"multi-index weight {weight} != dimension {3 * g - 3 + n}")
+    if n < 1 or 2 * g - 3 + n <= 0:  # the child of the step must be stable, as in _string
+        raise ValueError("the fused string-dilaton step needs n >= 1 and 2g - 3 + n > 0")
     lhs = calc.tau_batch(g, l.items(), zeros=n)
     rhs = Fraction(0)
     l2 = l.get(2, 0)
@@ -289,7 +288,9 @@ def induction_sides(g: int, n: int, l: Mapping[int, int],
 
 def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
     """The reports of one verification suite ("lemma", "theorem1",
-    "derivative", "induction" or "all"), in that order.
+    "derivative", "induction" or "all"), in that order, at any genus g >= 0.
+    From the smallest stable n_s = max(0, 3 - 2g), derivative checks n_s..n_s + 4
+    and induction n_s + 1..n_s + 4, up to `order`; an empty suite is an error.
 
     phi_g is built once, on `calc`, the session memo a cache file may have
     filled.  Everything it is checked against (the kappa-to-tau volumes, the
@@ -299,11 +300,11 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
     engine code, so an engine rule wrong on both (a wrong dilaton factor)
     passes; ROADMAP items 6 and 11 add routes that don't.
     """
-    if g < 2:
-        raise ValueError("verification suites need --genus >= 2")
-    if order < 1:
-        raise ValueError("--order must be >= 1")
-    lemma_top = 3 * g - 2 + 4
+    if g < 0:
+        raise ValueError("--genus must be >= 0")
+    n_s = max(0, 3 - 2 * g)  # the smallest n with 2g - 2 + n > 0
+    top = min(n_s + 4, order)
+    lemma_top = 3 * g - 2 + n_s + 4  # the highest f_i the derivative window reads
     ctx = GenusExpansionContext(order=order, i_max=max(lemma_top, 10))
     checker = TauCalculator()
     reports = []
@@ -324,13 +325,15 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
             mm = None if lhs == rhs else (n, lhs, rhs)
             reports.append(CheckReport("genus_series_vs_volume", g=g, n=n, mismatch=mm))
     if suite in ("derivative", "all"):
-        for n in range(0, min(4, order) + 1):
+        for n in range(n_s, top + 1):
             reports.append(check_derivative_formula(g, n, phi, ctx, checker))
     if suite in ("induction", "all"):
-        for n in range(1, min(4, order) + 1):
+        for n in range(n_s + 1, top + 1):
             for l in enumerate_multiindices(3 * g - 3 + n):
                 lhs, rhs = induction_sides(g, n, l, checker)
                 mm = None if lhs == rhs else (None, lhs, rhs)
                 reports.append(CheckReport("index_shift_identity", g=g, n=n, mismatch=mm,
                                            l={str(i): m for i, m in l.items()}))
+    if not reports:
+        raise ValueError(f"suite {suite} has no check at genus {g} and order {order}")
     return reports

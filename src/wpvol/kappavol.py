@@ -60,10 +60,10 @@ def enumerate_multiindices(weight: int) -> Iterator[Dict[int, int]]:
 
     One per partition of `weight` (a part p contributes one l_{p+1}); yielded
     in lexicographic order of the ascending part tuples, the order in which
-    `verify` prints each l.
+    `verify` prints each l.  No multi-index has a negative weight.
     """
     if weight < 0:
-        raise ValueError("weight must be >= 0")
+        return
     for parts in _ascending_partitions(weight):
         counts: dict = {}
         for p in parts:
@@ -133,12 +133,11 @@ def brackets(g: int, n: int, calc: TauCalculator) -> Iterator[Tuple[Dict[int, in
 
 
 def volume(g: int, n: int, calc: TauCalculator) -> VolumeRecord:
-    """V_{g,n} via the kappa-to-tau conversion; 0 for a negative dimension, and
-    for the unstable (1, 0) from the engine's <>_1 = 0, which it does not store."""
+    """V_{g,n} via the kappa-to-tau conversion; 0 from the empty sum for a
+    negative dimension, and for the unstable (1, 0) from the engine's <>_1 = 0,
+    which it does not store."""
     if g < 0 or n < 0:
         raise ValueError("genus and point count must be >= 0")
-    if 3 * g - 3 + n < 0:
-        return VolumeRecord(g, n, Fraction(0))
     total = rational_sum([((-1) ** (g - 1 + n + sum(l.values())) * p,
                            q * math.prod(factorial(i - 1) ** m for i, m in l.items()))
                           for l, p, q in brackets(g, n, calc)])

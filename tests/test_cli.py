@@ -211,6 +211,16 @@ class TestSeries:
         assert code == EXIT_OK
         assert out == '{"order": 2, "coeffs": ["43/17280", "29/3072", "787/30720"]}\n'
 
+    def test_order_zero_bytes(self, capsys):
+        assert run_cli(capsys, "series", "--phi", "2", "--order", "0") == \
+            (EXIT_OK, '{"order": 0, "coeffs": ["43/17280"]}\n', "")
+
+    @pytest.mark.parametrize("phi, order", [("-1", "3"), ("2", "-1")])
+    def test_negative_genus_or_order_rejected(self, capsys, phi, order):
+        code, out, err = run_cli(capsys, "series", "--phi", phi, "--order", order)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestVerify:
     def test_all_passes(self, capsys):
@@ -234,10 +244,36 @@ class TestVerify:
                              "--genus", "2", "--order", "4")
         assert code == EXIT_USAGE
 
-    def test_genus1_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--suite", "all",
-                             "--genus", "1", "--order", "4")
-        assert code == EXIT_USAGE
+    def test_negative_genus_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all",
+                                 "--genus", "-1", "--order", "4")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --genus must be >= 0\n")
+
+    @pytest.mark.parametrize("suite, g, order", [("derivative", 0, 2), ("induction", 0, 3),
+                                                 ("induction", 1, 1), ("induction", 2, 0)])
+    def test_empty_suite_is_a_usage_error(self, capsys, suite, g, order):
+        # a suite with no check in its window would otherwise pass vacuously
+        code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                 "--genus", str(g), "--order", str(order))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: suite ")
+
+    @pytest.mark.parametrize("g", [0, 1])
+    @pytest.mark.parametrize("suite", ["lemma", "theorem1", "derivative", "induction"])
+    def test_every_suite_passes_below_genus2(self, capsys, suite, g):
+        # the derivative window starts at the smallest stable n, the induction
+        # window one later, where the fused step's child is stable
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite,
+                               "--genus", str(g), "--order", "10")
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert code == EXIT_OK and reports and all(r["pass"] for r in reports)
+        n_s = 3 - 2 * g
+        ns = {"lemma": [], "theorem1": list(range(11)), "derivative": list(range(n_s, n_s + 5)),
+              "induction": list(range(n_s + 1, n_s + 5))}[suite]
+        assert sorted({r["n"] for r in reports if "n" in r}) == ns
+        if suite == "lemma":  # f_2 up to the highest f_i the derivative window reads
+            assert [r["i"] for r in reports if r["check"] == "f_functional_equation"] == \
+                list(range(2, 3 * g + n_s + 3))
 
     def test_induction_suite_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "induction",
@@ -259,6 +295,18 @@ class TestVerify:
         first = json.loads(out.splitlines()[0])
         assert (first["n"], first["pass"]) == (0, False)
         assert first["first_mismatch"] == {"power": 0, "lhs": "17/3360", "rhs": "43/17280"}
+
+    def test_poisoned_cache_fails_theorem1_at_genus1(self, capsys, tmp_path):
+        # phi_1 reads <tau_0 tau_2>_1 = <tau_1>_1 off the cache, so v_{1,1} doubles
+        path = tmp_path / "poisoned.cache"
+        path.write_text("1|1|1/12\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "theorem1",
+                               "--genus", "1", "--order", "3", "--cache", str(path))
+        assert code == EXIT_VERIFY_FAILED
+        first = next(json.loads(line) for line in out.splitlines() if '"pass": false' in line)
+        assert (first["n"], first["first_mismatch"]) == \
+            (1, {"power": 1, "lhs": "1/12", "rhs": "1/24"})
+        assert path.read_text(encoding="utf-8") == "1|1|1/12\n"
 
     def test_off_by_one_fused_dilaton_weight_fails_three_suites(self, capsys, monkeypatch):
         # every lowered tau_2 weighted 5 * 3(2g-2+n), n the indices beside the

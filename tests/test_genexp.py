@@ -319,8 +319,9 @@ class TestDerivativeFormula:
         phi2 = build_phi_g(2, ctx, calc)
         with pytest.raises(ValueError):
             check_derivative_formula(2, 7, phi2, ctx, calc)  # needs i_max >= 11
-        with pytest.raises(ValueError):
-            check_derivative_formula(1, 0, phi2, ctx, calc)
+        for g, n in ((1, 0), (0, 0), (0, 2)):  # 2g - 2 + n <= 0: no closed form
+            with pytest.raises(ValueError, match="unstable"):
+                check_derivative_formula(g, n, phi2, ctx, calc)
 
 
 class TestInductionIdentity:
@@ -354,6 +355,13 @@ class TestInductionIdentity:
             induction_sides(2, 0, {2: 3}, calc)
         with pytest.raises(ValueError):
             induction_sides(2, 1, {2: 1}, calc)
+
+    @pytest.mark.parametrize("g, n, l", [(1, 1, {2: 1}), (0, 3, {})])
+    def test_unstable_child_rejected(self, calc, g, n, l):
+        # at (1, 1) the step weighs <tau_1>_1 by the dilaton equation on the
+        # unstable <>_1, and no string step reaches the base <tau_0^3>_0
+        with pytest.raises(ValueError, match=r"2g - 3 \+ n > 0"):
+            induction_sides(g, n, l, calc)
 
 
 class TestReportSerialization:

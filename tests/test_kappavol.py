@@ -57,8 +57,8 @@ class TestEnumeration:
         assert a == b
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            list(enumerate_multiindices(-1))
+        # no multi-index has a negative weight, so an unstable volume is the empty sum
+        assert list(enumerate_multiindices(-1)) == []
 
 
 class TestMultiIndex:
