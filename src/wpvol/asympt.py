@@ -185,7 +185,7 @@ def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> GrowthFit
     if len(ns) < 6:
         raise ValueError("growth fit needs at least 6 data points")
     if n_min < 1:  # the basis holds ln n
-        raise ValueError("--n-min must be >= 1")
+        raise ValueError("n_min must be >= 1")
     values = volume_series(g, n_max, calc)[n_min:]
     if any(v <= 0 for v in values):
         raise ValueError("growth fit needs positive normalized volumes")

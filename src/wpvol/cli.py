@@ -12,7 +12,9 @@ whatever the state of the optional correlator cache.
 Each command imports only what it runs, inside its handler: `tau` needs the
 correlator engine alone, `volume --n` adds the kappa-to-tau sum, only the
 series commands load the series modules, and `json` loads only for JSON
-output.  There is no argparse: `parse_args` reads the options from `COMMANDS`.
+output.  There is no argparse: `parse_args` reads the options from `COMMANDS`,
+which also holds each int option's least value.  `volume` renders each record
+from one ordered field dict as plain text, JSON or CSV.
 
 `main(argv)` returns the exit code and never freezes the heap, so tests and
 library callers run it in process.  `python -m wpvol.cli` and the `wpvol`
@@ -29,6 +31,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import List, NoReturn, Optional
 
@@ -55,31 +58,32 @@ def _parse_indices(text: str) -> List[int]:
     return ds
 
 
-_GENUS = (int, True, None, "the genus g")
+_GENUS = (0, True, None, "the genus g")
 _CACHE = (str, False, None, "load the correlator memo from CACHE if present and save its core "
                             "back after a successful run that added entries (or created CACHE)")
 
-#: command -> (help, {option: (type, required, default, help)}, the options of which
-#: exactly one must be given); a tuple for the type lists the choices of a string
+#: command -> (help, {option: (kind, required, default, help)}, the options of which
+#: exactly one must be given); the kind is str, a tuple of a string's choices, or the
+#: least value of an int option
 COMMANDS = {
     "tau": ("one tau-correlator", {
         "--genus": _GENUS, "--ds": (str, True, None, "comma-separated tau indices, '-' for none"),
         "--format": (("plain", "json"), False, "plain", "output format"), "--cache": _CACHE}, ()),
     "volume": ("V_{g,n} records", {
-        "--genus": _GENUS, "--n": (int, False, None, "the number of points (or give --table)"),
-        "--table": (int, False, None, "print records for n = 0..TABLE instead of a single n"),
+        "--genus": _GENUS, "--n": (0, False, None, "the number of points (or give --table)"),
+        "--table": (0, False, None, "print records for n = 0..TABLE instead of a single n"),
         "--format": (("plain", "json", "csv"), False, "plain", "output format"),
-        "--digits": (int, False, None, "also print v * pi^(2 dim) to this many significant digits"),
+        "--digits": (1, False, None, "also print v * pi^(2 dim) to this many significant digits"),
         "--cache": _CACHE}, ("--n", "--table")),
     "series": ("generating series phi_g", {
-        "--phi": _GENUS, "--order": (int, True, None, "print the coefficients of x^0..x^ORDER"),
+        "--phi": _GENUS, "--order": (0, True, None, "print the coefficients of x^0..x^ORDER"),
         "--format": (("plain", "json"), False, "json", "output format"), "--cache": _CACHE}, ()),
     "verify": ("run the exact verification suites", {
         "--suite": (SUITES, True, None, "the checks to run"), "--genus": _GENUS,
-        "--order": (int, True, None, "the series order"), "--cache": _CACHE}, ()),
+        "--order": (0, True, None, "the series order"), "--cache": _CACHE}, ()),
     "asympt": ("growth-law fit against the Bessel prediction", {
-        "--genus": _GENUS, "--n-max": (int, True, None, "upper end of the fit window"),
-        "--n-min": (int, False, None, "lower end of the fit window (default: n_max // 2)"),
+        "--genus": _GENUS, "--n-max": (1, True, None, "upper end of the fit window"),
+        "--n-min": (1, False, None, "lower end of the fit window (default: n_max // 2)"),
         "--cache": _CACHE}, ()),
 }
 
@@ -100,7 +104,9 @@ def _help(command: Optional[str]) -> None:
 
 def parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
     """The command and option values of `argv`, read from `COMMANDS` as argparse would, or
-    None after printing the help for -h/--help; a usage error raises ValueError."""
+    None after printing the help for -h/--help; a usage error raises ValueError.  The
+    value an int option ends up with (a repeated option keeps its last) is checked
+    against its least value."""
     command = argv[0] if argv else None
     if command in ("-h", "--help"):
         return _help(None)
@@ -126,7 +132,7 @@ def parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
                 raise ValueError(f"argument {name}: expected one argument")
             value = rest.pop(0)
         try:
-            values[name] = value = int(value) if kind is int else value
+            values[name] = value = int(value) if isinstance(kind, int) else value
         except ValueError:
             raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
         if isinstance(kind, tuple) and value not in kind:
@@ -139,6 +145,9 @@ def parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
     if len(given) != 1 and one_of:
         raise ValueError(f"argument {given[-1]}: not allowed with argument {given[0]}" if given
                          else f"one of the arguments {' '.join(one_of)} is required")
+    for name, (kind, *_) in options.items():
+        if isinstance(kind, int) and values.get(name, kind) < kind:
+            raise ValueError(f"{name} must be >= {kind}")
     return SimpleNamespace(command=command, **{name[2:].replace("-", "_"): values.get(name, opt[2])
                                                for name, opt in options.items()})
 
@@ -159,44 +168,51 @@ def _cmd_tau(args, calc: TauCalculator) -> int:
     return EXIT_OK
 
 
-def _volume_json(rec, digits):
-    data = rec.to_json_dict()
-    if digits:
-        data["wp_volume"] = rec.wp_volume(digits)
-    return data
+def _wp_volume(v: Fraction, power: int, digits: int) -> str:
+    """The geometric volume v * pi^power to `digits` significant digits; the
+    only place floating evaluation happens."""
+    if not v:
+        return "0"
+    import mpmath  # only --digits pays for loading it
 
-
-def _volume_plain(rec, digits):
-    line = (f"g={rec.g} n={rec.n} dim={rec.dim} "
-            f"V={format_rational(rec.V)} v={format_rational(rec.v)}")
-    if digits:
-        line += f" wp_volume={rec.wp_volume(digits)} (v*pi^{rec.pi_power})"
-    return line
+    with mpmath.workdps(digits + 10):
+        value = mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator) * mpmath.pi ** power
+        return mpmath.nstr(value, digits)
 
 
 def _cmd_volume(args, calc: TauCalculator) -> int:
-    if args.digits is not None and args.digits < 1:
-        raise ValueError("--digits must be >= 1")
     if args.digits is not None and args.format == "csv":
         raise ValueError("--digits has no column in --format csv")
     if args.table is not None:
-        if args.table < 0:
-            raise ValueError("--table must be >= 0")
-        from .genexp import volume_table
-        records = volume_table(args.genus, args.table, calc)
+        from .genexp import volume_series
+        from .kappavol import VolumeRecord
+        records = [VolumeRecord(args.genus, n, v)
+                   for n, v in enumerate(volume_series(args.genus, args.table, calc))]
     else:
         from .kappavol import volume
         records = [volume(args.genus, args.n, calc)]
+    rows = []  # each record's ordered fields, rendered in the chosen format
+    for rec in records:
+        fields = {"g": rec.g, "n": rec.n, "dim": rec.dim, "V": format_rational(rec.V),
+                  "v": format_rational(rec.v)}
+        power = 2 * rec.dim
+        wp = args.digits and _wp_volume(rec.v, power, args.digits)
+        if args.format == "csv":
+            rows.append(",".join(map(str, fields.values())))
+        elif args.format == "json":
+            fields["pi_power"] = power
+            if wp:
+                fields["wp_volume"] = wp
+            rows.append(fields)
+        else:
+            rows.append(" ".join(f"{key}={value}" for key, value in fields.items())
+                        + (f" wp_volume={wp} (v*pi^{power})" if wp else ""))
+    if args.format == "json":
+        _print_json(rows if args.table is not None else rows[0])
+        return EXIT_OK
     if args.format == "csv":
-        print("g,n,dim,V,v")
-        for rec in records:
-            print(rec.csv_row())
-    elif args.format == "json":
-        payload = [_volume_json(rec, args.digits) for rec in records]
-        _print_json(payload if args.table is not None else payload[0])
-    else:
-        for rec in records:
-            print(_volume_plain(rec, args.digits))
+        rows.insert(0, ",".join(fields))  # the header names the fields
+    print("\n".join(rows))
     return EXIT_OK
 
 

@@ -26,8 +26,8 @@ positive: phi_0''' = <tau_0^3>_0 y' = y', an empty product of f_i, and
 phi_1' = <tau_0 tau_2>_1 y' h_2 = y''/(24 y'), the derivative of the genus-1
 free energy (1/24) log y' (Itzykson-Zuber).  So build_phi_g gives every
 phi_g as the n-fold antiderivative of that form, and at genus 0 it reads y'
-alone.  volume_series reads every v_{g,0..N} of one genus off phi_g, and
-volume_table turns them into VolumeRecords; the kappa-to-tau volume() stays
+alone.  volume_series reads every v_{g,0..N} of one genus off phi_g, the
+records `volume --table` prints; the kappa-to-tau volume() stays
 the single-(g, n) producer and the independent verifier in verify_reports,
 which runs the suites at every genus from that smallest n: it builds phi_g
 once, on the caller's memo, and checks it against one fresh memo.
@@ -39,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
-from .kappavol import VolumeRecord, brackets, enumerate_multiindices, volume
+from .kappavol import brackets, enumerate_multiindices, volume
 from .qseries import Series, first_mismatch
 from .taucalc import TauCalculator, factorial, format_rational, rational_sum
 
@@ -53,7 +53,6 @@ __all__ = [
     "induction_sides",
     "verify_reports",
     "volume_series",
-    "volume_table",
 ]
 
 
@@ -200,14 +199,9 @@ def volume_series(g: int, n_max: int, calc: TauCalculator) -> list:
     """[v_{g,0}, ..., v_{g,n_max}], the coefficients of phi_g, from a context
     holding the 3g - 2 + n factors of build_phi_g's closed form at its n."""
     if g < 0 or n_max < 0:
-        raise ValueError("genus and point count must be >= 0")
+        raise ValueError("g and n_max must be >= 0")
     ctx = GenusExpansionContext(n_max, 3 * g - 2 + max(0, 3 - 2 * g))
     return list(build_phi_g(g, ctx, calc).coeffs)
-
-
-def volume_table(g: int, n_max: int, calc: TauCalculator) -> list:
-    """VolumeRecords for n = 0..n_max, read off the genus-g generating series."""
-    return [VolumeRecord(g, n, v) for n, v in enumerate(volume_series(g, n_max, calc))]
 
 
 class CheckReport:
@@ -298,10 +292,8 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
     one fresh memo that no cache reaches, so a wrong cache value cannot pass
     its own check.  The two routes share no memo entry but run the same
     engine code, so an engine rule wrong on both (a wrong dilaton factor)
-    passes; ROADMAP items 6 and 11 add routes that don't.
+    passes; ROADMAP items 4 and 7 add routes that don't.
     """
-    if g < 0:
-        raise ValueError("--genus must be >= 0")
     n_s = max(0, 3 - 2 * g)  # the smallest n with 2g - 2 + n > 0
     top = min(n_s + 4, order)
     lemma_top = 3 * g - 2 + n_s + 4  # the highest f_i the derivative window reads

@@ -15,7 +15,8 @@ its terms as integer numerators over their lcm; it serves `volume --n` and
 the kappa-to-tau side of the `verify` checks.  The geometric volume of the
 moduli space carries an extra pi^(2d)/(n! d!) on top of V_{g,n}; the
 normalized value v_{g,n} = V_{g,n}/(n! d!) is what the generating series
-track.
+track.  A VolumeRecord holds g, n and v and derives d and V; the CLI
+renders it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterator, NamedTuple, Tuple
 
-from .taucalc import TauCalculator, factorial, format_rational, rational_sum
+from .taucalc import TauCalculator, factorial, rational_sum
 
 __all__ = [
     "VolumeRecord",
@@ -86,40 +87,6 @@ class VolumeRecord(NamedTuple):
     @property
     def V(self) -> Fraction:
         return self.v * factorial(self.n) * factorial(self.dim) if self.v else self.v
-
-    @property
-    def pi_power(self) -> int:
-        return 2 * self.dim
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "n": self.n,
-            "dim": self.dim,
-            "V": format_rational(self.V),
-            "v": format_rational(self.v),
-            "pi_power": self.pi_power,
-        }
-
-    def csv_row(self) -> str:
-        return f"{self.g},{self.n},{self.dim},{format_rational(self.V)},{format_rational(self.v)}"
-
-    def wp_volume(self, digits: int) -> str:
-        """The geometric volume v * pi^(2 dim) to `digits` significant
-        digits; the only place floating evaluation happens."""
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        if not self.v:
-            return "0"
-        import mpmath
-
-        with mpmath.workdps(digits + 10):
-            value = (
-                mpmath.mpf(self.v.numerator)
-                / mpmath.mpf(self.v.denominator)
-                * mpmath.pi ** self.pi_power
-            )
-            return mpmath.nstr(value, digits)
 
 
 def brackets(g: int, n: int, calc: TauCalculator) -> Iterator[Tuple[Dict[int, int], int, int]]:

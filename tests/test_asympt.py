@@ -187,12 +187,12 @@ class TestFit:
     def test_non_positive_rejected(self, calc):
         with pytest.raises(ValueError):
             fit_growth(1, 0, 8, calc)  # v_{1,0} = 0
-        with pytest.raises(ValueError, match="--n-min must be >= 1"):
+        with pytest.raises(ValueError, match="n_min must be >= 1"):
             fit_growth(0, -5, 20, calc)
 
     def test_window_from_zero_rejected(self, calc):
         # ln 0 sits in the basis; at genus >= 2, v_{g,0} > 0 lets it reach the fit
-        with pytest.raises(ValueError, match="--n-min must be >= 1"):
+        with pytest.raises(ValueError, match="n_min must be >= 1"):
             fit_growth(2, 0, 10, calc)
 
     @pytest.mark.parametrize("g, n_min, n_max", [(0, 3, 9), (0, 8, 20), (0, 14, 38),

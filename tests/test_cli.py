@@ -17,7 +17,6 @@ from wpvol.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from wpvol.kappavol import volume
 from wpvol.taucalc import TauCalculator
 
 
@@ -153,8 +152,10 @@ class TestVolume:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: --digits has no column in --format csv\n"
 
-    def test_digits_table_renders_from_records(self, capsys, monkeypatch, calc):
-        expected = [volume(2, n, calc).wp_volume(12) for n in range(5)]
+    def test_digits_table_renders_from_records(self, capsys, monkeypatch):
+        expected = [json.loads(run_cli(capsys, "volume", "--genus", "2", "--n", str(n), "--format",
+                                       "json", "--digits", "12")[1])["wp_volume"]
+                    for n in range(5)]
         calls = []
         real_volume = kappavol.volume
         monkeypatch.setattr(kappavol, "volume", lambda *a: calls.append(a) or real_volume(*a))
@@ -163,6 +164,24 @@ class TestVolume:
         assert code == EXIT_OK
         assert [row["wp_volume"] for row in json.loads(out)] == expected
         assert calls == []  # the table comes from the series, rendered per record
+
+    @pytest.mark.parametrize("argv, out", [
+        (["--genus", "0", "--n", "40", "--digits", "12"],
+         "g=0 n=40 dim=37 V=888489430635893265682284586971369625459582546719812666342983137053792"
+         "810591312793894169471180 v=153187832868257459600393894305408556113721128744795287300514"
+         "3339747918638950539299817533571/19362166382727709211944767217375623819931171715955368503"
+         "425754506366812160000000000000000 wp_volume=4.86811583866e+38 (v*pi^74)\n"),
+        (["--genus", "0", "--n", "4", "--digits", "1"],
+         "g=0 n=4 dim=1 V=1 v=1/24 wp_volume=0.4 (v*pi^2)\n"),
+        (["--genus", "1", "--table", "2", "--digits", "3", "--format", "json"],
+         '[{"g": 1, "n": 0, "dim": 0, "V": "0", "v": "0", "pi_power": 0, "wp_volume": "0"}, '
+         '{"g": 1, "n": 1, "dim": 1, "V": "1/24", "v": "1/24", "pi_power": 2, "wp_volume": '
+         '"0.411"}, {"g": 1, "n": 2, "dim": 2, "V": "1/8", "v": "1/32", "pi_power": 4, '
+         '"wp_volume": "3.04"}]\n'),
+    ], ids=["40-points", "one-digit", "json-table"])
+    def test_digits_bytes(self, capsys, argv, out):
+        # no benchmark job runs --digits, so its bytes are pinned here
+        assert run_cli(capsys, "volume", *argv) == (EXIT_OK, out, "")
 
     def test_requires_a_mode(self, capsys):
         code, _, err = run_cli(capsys, "volume", "--genus", "0")
@@ -608,7 +627,7 @@ class TestUsage:
         (["volume", "--genus", "0", "--n", "3", "--table", "4"], "--table"),
         (["volume", "--genus", "0"], "--n"),
         (["asympt", "--genus", "0", "--n", "12"], "--n"),
-        # a value may start with '-': this one reaches the handler's own check
+        # a value may start with '-': this one reaches the parser's least-value check
         (["asympt", "--genus", "0", "--n-max", "12", "--n-min", "-5"],
          "error: --n-min must be >= 1"),
     ], ids=["no-command", "unknown-command", "unknown-option", "missing-value",
@@ -641,9 +660,48 @@ class TestUsage:
         assert (code, err) == (EXIT_OK, "")
         assert set(names) <= set(re.findall(r"[\w-]+", out))
 
+    #: (command, int option, its least value, the other options of the run, and whether
+    #: that run is valid at the least value)
+    BOUNDS = [
+        ("tau", "--genus", 0, ["--ds", "0,0,0"], True),
+        ("volume", "--genus", 0, ["--n", "3"], True),
+        ("volume", "--n", 0, ["--genus", "2"], True),
+        ("volume", "--table", 0, ["--genus", "2"], True),
+        ("volume", "--digits", 1, ["--genus", "0", "--n", "4"], True),
+        ("series", "--phi", 0, ["--order", "3"], True),
+        ("series", "--order", 0, ["--phi", "2"], True),
+        ("verify", "--genus", 0, ["--suite", "theorem1", "--order", "3"], True),
+        ("verify", "--order", 0, ["--suite", "theorem1", "--genus", "2"], True),
+        ("asympt", "--genus", 0, ["--n-max", "16", "--n-min", "10"], True),
+        ("asympt", "--n-max", 1, ["--genus", "2"], False),  # a fit needs 6 points
+        ("asympt", "--n-min", 1, ["--genus", "2", "--n-max", "6"], True),
+    ]
+
+    def test_bounds_cover_every_int_option(self):
+        assert sorted((command, name, least) for command, name, least, *_ in self.BOUNDS) == \
+            sorted((command, name, kind) for command, (_, options, _) in cli.COMMANDS.items()
+                   for name, (kind, *_) in options.items() if isinstance(kind, int))
+
+    @pytest.mark.parametrize("command, name, least, others, valid", BOUNDS,
+                             ids=[f"{c}-{n[2:]}" for c, n, *_ in BOUNDS])
+    def test_int_option_below_its_least_value(self, capsys, command, name, least, others,
+                                              valid):
+        assert run_cli(capsys, command, *others, name, str(least - 1)) == \
+            (EXIT_USAGE, "", f"error: {name} must be >= {least}\n")
+        if valid:
+            code, out, err = run_cli(capsys, command, *others, name, str(least))
+            assert (code, err) == (EXIT_OK, "") and out
+
+    def test_repeated_option_is_checked_at_its_last_value(self, capsys):
+        argv = ["volume", "--genus", "2", "--n", "1"]
+        assert run_cli(capsys, *argv, "--digits", "0", "--digits", "5") == \
+            (EXIT_OK, "g=2 n=1 dim=4 V=29/128 v=29/3072 wp_volume=89.573 (v*pi^8)\n", "")
+        assert run_cli(capsys, *argv, "--digits", "5", "--digits", "0") == \
+            (EXIT_USAGE, "", "error: --digits must be >= 1\n")
+
     def test_exact_name_wins_over_a_prefix(self, monkeypatch):
         # no command has an option that prefixes another one yet, so add one
-        opt = (int, False, None, "")
+        opt = (0, False, None, "")  # an int option whose least value is 0
         monkeypatch.setitem(cli.COMMANDS, "probe", ("", {"--n": opt, "--n-max": opt}, ()))
         args = cli.parse_args(["probe", "--n", "1", "--n-m", "2"])
         assert (args.n, args.n_max) == (1, 2)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from oracles import newton_revert, ref_phi0, ref_phi1
 from wpvol.asympt import fit_growth
+from wpvol.cli import EXIT_OK, main
 from wpvol.genexp import (
     GenusExpansionContext,
     _closed_form,
@@ -15,7 +17,6 @@ from wpvol.genexp import (
     induction_sides,
     verify_reports,
     volume_series,
-    volume_table,
 )
 from wpvol.kappavol import enumerate_multiindices, volume
 from wpvol.qseries import Series, _mul_lists, bessel_x_of_y, factorial, revert_lagrange
@@ -174,9 +175,24 @@ class TestVolumeSeries:
         assert volume_series(g, n_max, calc) == [volume(g, n, calc).v for n in range(n_max + 1)]
 
     @pytest.mark.parametrize("g, n_max", [(0, 9), (1, 6), (2, 5), (3, 2)])
-    def test_table_records_match_volume(self, calc, g, n_max):
-        # zero records for the conventional zeros and negative dimensions too
-        assert volume_table(g, n_max, calc) == [volume(g, n, calc) for n in range(n_max + 1)]
+    def test_table_records_match_volume(self, capsys, g, n_max):
+        # `volume --table` reads its records off this series, `volume --n` sums
+        # the kappa-to-tau brackets: every row agrees in every format, zero
+        # records for the conventional zeros and negative dimensions too
+        def run(*argv):
+            assert main(["volume", "--genus", str(g), *argv]) == EXIT_OK
+            return capsys.readouterr().out
+
+        for fmt in ("plain", "json", "csv"):
+            table = run("--table", str(n_max), "--format", fmt)
+            singles = [run("--n", str(n), "--format", fmt) for n in range(n_max + 1)]
+            if fmt == "json":
+                assert json.loads(table) == [json.loads(single) for single in singles]
+            elif fmt == "csv":
+                header, *rows = table.splitlines()
+                assert [s.splitlines() for s in singles] == [[header, row] for row in rows]
+            else:
+                assert table == "".join(singles)
 
     def test_validation(self, calc):
         with pytest.raises(ValueError):
@@ -218,11 +234,14 @@ class TestFChain:
 
 
 class TestOnDemandContext:
-    def test_genus0_builds_no_reciprocal(self, monkeypatch):
+    def test_genus0_builds_no_reciprocal(self, capsys, monkeypatch):
         # phi_0''' = y' reads y' alone, so no genus-0 series, table or fit
         # builds 1/y' or any f_i
-        jobs = (lambda: volume_series(0, 40, TauCalculator()),
-                lambda: volume_table(0, 24, TauCalculator()),
+        def table():  # `volume --table`, whose records come from volume_series
+            assert main(["volume", "--genus", "0", "--table", "24"]) == EXIT_OK
+            return capsys.readouterr().out
+
+        jobs = (lambda: volume_series(0, 40, TauCalculator()), table,
                 lambda: fit_growth(0, 8, 20, TauCalculator()))
         expected = [job() for job in jobs]
 

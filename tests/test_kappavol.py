@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from oracles import ref_tau
-from wpvol.genexp import induction_sides, volume_table
+from wpvol.cli import EXIT_OK, main
+from wpvol.genexp import induction_sides, volume_series
 from wpvol.kappavol import (
     VolumeRecord,
     brackets,
@@ -95,7 +97,7 @@ class TestVolume:
         for g, n in UNSTABLE:
             rec = volume(g, n, calc)
             assert rec.V == 0 and rec.v == 0
-            assert rec == volume_table(g, n, calc)[n]
+            assert rec.v == volume_series(g, n, calc)[n]
 
     def test_torus_without_points_stores_nothing(self):
         calc = TauCalculator()
@@ -141,40 +143,53 @@ class TestVolume:
             volume(-1, 0, calc)
 
     def test_table(self, calc):
-        table = volume_table(0, 5, calc)
+        table = [VolumeRecord(0, n, v) for n, v in enumerate(volume_series(0, 5, calc))]
         assert [rec.V for rec in table] == [0, 0, 0, 1, 1, 5]
 
 
+def volume_out(capsys, *argv):
+    """The stdout of a successful `wpvol volume` run, which renders the records."""
+    assert main(["volume", *argv]) == EXIT_OK
+    return capsys.readouterr().out
+
+
+def volume_json(capsys, g, n, digits):
+    return json.loads(volume_out(capsys, "--genus", str(g), "--n", str(n), "--format", "json",
+                                 "--digits", str(digits)))
+
+
 class TestDisplay:
-    def test_sphere(self, calc):
-        rec = volume(0, 3, calc)
-        assert (rec.v, rec.pi_power) == (F(1, 6), 0)
-        assert rec.wp_volume(12).startswith("0.16666666666")
+    """v * pi^(2 dim), as `volume --digits` prints it."""
 
-    def test_torus(self, calc):
-        rec = volume(1, 1, calc)
-        assert (rec.v, rec.pi_power) == (F(1, 24), 2)
+    def test_sphere(self, capsys):
+        rec = volume_json(capsys, 0, 3, 12)
+        assert (rec["v"], rec["pi_power"]) == ("1/6", 0)
+        assert rec["wp_volume"].startswith("0.16666666666")
 
-    def test_genus2(self, calc):
-        rec = volume(2, 0, calc)
-        assert (rec.v, rec.pi_power) == (F(43, 17280), 6)
+    def test_torus(self, capsys):
+        rec = volume_json(capsys, 1, 1, 12)
+        assert (rec["v"], rec["pi_power"]) == ("1/24", 2)
+
+    def test_genus2(self, capsys):
+        rec = volume_json(capsys, 2, 0, 10)
+        assert (rec["v"], rec["pi_power"]) == ("43/17280", 6)
         # 43/17280 * pi^6 = 2.3921...
-        assert rec.wp_volume(10).startswith("2.392")
+        assert rec["wp_volume"].startswith("2.392")
 
-    def test_zero(self, calc):
-        rec = volume(1, 0, calc)
-        assert (rec.v, rec.pi_power, rec.wp_volume(10)) == (F(0), 0, "0")
+    def test_zero(self, capsys):
+        rec = volume_json(capsys, 1, 0, 10)
+        assert (rec["v"], rec["pi_power"], rec["wp_volume"]) == ("0", 0, "0")
 
-    def test_repeatable(self, calc):
-        assert volume(2, 1, calc).wp_volume(15) == volume(2, 1, calc).wp_volume(15)
+    def test_repeatable(self, capsys):
+        assert volume_json(capsys, 2, 1, 15) == volume_json(capsys, 2, 1, 15)
 
 
 class TestRecordOutput:
-    def test_json(self, calc):
-        rec = volume(2, 0, calc)
-        assert rec.to_json_dict() == {
+    def test_json(self, capsys):
+        assert json.loads(volume_out(capsys, "--genus", "2", "--n", "0", "--format", "json")) == {
             "g": 2, "n": 0, "dim": 3, "V": "43/2880", "v": "43/17280", "pi_power": 6,
         }
 
-    def test_csv(self, calc):
-        assert volume(0, 5, calc).csv_row() == "0,5,2,5,1/48"
+    def test_csv(self, capsys):
+        assert volume_out(capsys, "--genus", "0", "--n", "5", "--format", "csv") == \
+            "g,n,dim,V,v\n0,5,2,5,1/48\n"
