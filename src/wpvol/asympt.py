@@ -13,8 +13,8 @@ J0(2 sqrt(u)) (alternating partial sums and remainder, in plain integers over
 a common denominator) have opposite signs at the two ends of its interval.
 The volumes the fits use are the coefficients of one generating series per
 genus (genexp.volume_series, which at genus 0 integrates y' three times and
-builds no 1/y').  Everything downstream is carried as 50-digit
-decimals and reported at 10, so reruns are bit-identical.
+builds no 1/y').  Everything downstream is carried as 50-digit decimals,
+so reruns are bit-identical; `cli` rounds them to 10 digits to print them.
 """
 
 from __future__ import annotations
@@ -22,33 +22,24 @@ from __future__ import annotations
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from .genexp import volume_series
 from .taucalc import TauCalculator
 
 __all__ = [
-    "GrowthFit",
     "PRECISION",
-    "REPORT_DIGITS",
     "critical_radius",
     "predicted_growth_constant",
     "fit_growth",
 ]
 
-#: digits carried internally / reported in JSON
+#: digits carried by every decimal
 PRECISION = 50
-REPORT_DIGITS = 10
-
-_REPORT_CTX = Context(prec=REPORT_DIGITS)
 
 _WIDTH_BITS = 240  # the certified interval around u_c is 2^-240 wide
 _NEWTON_BITS, _NEWTON_STEPS = 256, 12  # working precision, iteration cap
 _TAIL_TOL = Fraction(1, 10**80)
-
-
-def _fmt(x: Decimal) -> str:
-    return str(_REPORT_CTX.create_decimal(x))
 
 
 def _to_decimal(q: Fraction) -> Decimal:
@@ -139,28 +130,6 @@ def predicted_growth_constant() -> Decimal:
         return 1 / critical_radius()
 
 
-class GrowthFit(NamedTuple):
-    """Least-squares fit of log v_{g,n} = n log C + e log n + const."""
-
-    g: int
-    n_min: int
-    n_max: int
-    c_est: Decimal
-    exponent_est: Decimal
-
-    def to_json_dict(self, predicted: Decimal) -> dict:
-        with localcontext(Context(prec=PRECISION)):
-            rel_dev = abs(self.c_est - predicted) / predicted
-        return {
-            "g": self.g,
-            "C_est": _fmt(self.c_est),
-            "exponent_est": _fmt(self.exponent_est),
-            "predicted_C": _fmt(predicted),
-            "rel_dev": _fmt(rel_dev),
-            "n_range": [self.n_min, self.n_max],
-        }
-
-
 def _det3(m) -> Decimal:
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -175,8 +144,9 @@ def _solve3(mat, vec):
             for k in range(3)]
 
 
-def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> GrowthFit:
-    """Fit the growth law to the exact volumes over n in [n_min, n_max].
+def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> Tuple[Decimal, Decimal]:
+    """(C, e), the least-squares fit of log v_{g,n} = n log C + e log n + const
+    to the exact volumes over n in [n_min, n_max].
 
     Needs at least 6 data points with v_{g,n} > 0; the exact rationals are
     converted to 50-digit decimals only here, at the very last step.
@@ -199,5 +169,4 @@ def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> GrowthFit
         ata = [[sum(r[a] * r[b] for r in rows) for b in range(3)] for a in range(3)]
         aty = [sum(r[a] * t for r, t in zip(rows, targets)) for a in range(3)]
         beta = _solve3(ata, aty)
-        c_est = beta[0].exp()
-    return GrowthFit(g, n_min, n_max, c_est, beta[1])
+        return beta[0].exp(), beta[1]

@@ -13,8 +13,9 @@ Each command imports only what it runs, inside its handler: `tau` needs the
 correlator engine alone, `volume --n` adds the kappa-to-tau sum, only the
 series commands load the series modules, and `json` loads only for JSON
 output.  There is no argparse: `parse_args` reads the options from `COMMANDS`,
-which also holds each int option's least value.  `volume` renders each record
-from one ordered field dict as plain text, JSON or CSV.
+which also holds each int option's least value.  The library returns exact
+values and only this module renders them: `volume` each record from one field
+dict as plain text, JSON or CSV, `verify` each report, `asympt` its decimals.
 
 `main(argv)` returns the exit code and never freezes the heap, so tests and
 library callers run it in process.  `python -m wpvol.cli` and the `wpvol`
@@ -31,7 +32,6 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import List, NoReturn, Optional
 
@@ -168,9 +168,9 @@ def _cmd_tau(args, calc: TauCalculator) -> int:
     return EXIT_OK
 
 
-def _wp_volume(v: Fraction, power: int, digits: int) -> str:
-    """The geometric volume v * pi^power to `digits` significant digits; the
-    only place floating evaluation happens."""
+def _wp_volume(v, power: int, digits: int) -> str:
+    """The geometric volume v * pi^power of the exact rational v, to `digits`
+    significant digits; the only place floating evaluation happens."""
     if not v:
         return "0"
     import mpmath  # only --digits pays for loading it
@@ -230,19 +230,28 @@ def _cmd_series(args, calc: TauCalculator) -> int:
 def _cmd_verify(args, calc: TauCalculator) -> int:
     from .genexp import verify_reports
     reports = verify_reports(args.suite, args.genus, args.order, calc)
-    all_passed = True
     for report in reports:
-        _print_json(report.to_json_dict())
-        all_passed = all_passed and report.passed
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+        mismatch = None
+        if report.mismatch:
+            power, lhs, rhs = report.mismatch
+            mismatch = {"power": power, "lhs": format_rational(lhs), "rhs": format_rational(rhs)}
+        _print_json({"check": report.check, **report.fields, "pass": report.passed,
+                     "first_mismatch": mismatch})
+    return EXIT_OK if all(report.passed for report in reports) else EXIT_VERIFY_FAILED
 
 
 def _cmd_asympt(args, calc: TauCalculator) -> int:
-    from .asympt import fit_growth, predicted_growth_constant
-    n_max = args.n_max
-    n_min = args.n_min if args.n_min is not None else n_max // 2
-    fit = fit_growth(args.genus, n_min, n_max, calc)
-    _print_json(fit.to_json_dict(predicted_growth_constant()))
+    from decimal import Context, localcontext
+    from .asympt import PRECISION, fit_growth, predicted_growth_constant
+    n_min = args.n_min if args.n_min is not None else args.n_max // 2
+    c_est, exponent = fit_growth(args.genus, n_min, args.n_max, calc)
+    predicted = predicted_growth_constant()
+    with localcontext(Context(prec=PRECISION)):
+        rel_dev = abs(c_est - predicted) / predicted
+    round10 = Context(prec=10).create_decimal  # every decimal prints at 10 significant digits
+    _print_json({"g": args.genus, "C_est": str(round10(c_est)),
+                 "exponent_est": str(round10(exponent)), "predicted_C": str(round10(predicted)),
+                 "rel_dev": str(round10(rel_dev)), "n_range": [n_min, args.n_max]})
     return EXIT_OK
 
 

@@ -30,7 +30,8 @@ alone.  volume_series reads every v_{g,0..N} of one genus off phi_g, the
 records `volume --table` prints; the kappa-to-tau volume() stays
 the single-(g, n) producer and the independent verifier in verify_reports,
 which runs the suites at every genus from that smallest n: it builds phi_g
-once, on the caller's memo, and checks it against one fresh memo.
+once, on the caller's memo, and checks it against one fresh memo.  Each
+check is a CheckReport of the two sides it compares; `cli` renders it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Mapping, Optional, Tuple
 
 from .kappavol import brackets, enumerate_multiindices, volume
 from .qseries import Series, first_mismatch
-from .taucalc import TauCalculator, factorial, format_rational, rational_sum
+from .taucalc import TauCalculator, factorial, rational_sum
 
 __all__ = [
     "GenusExpansionContext",
@@ -205,27 +206,19 @@ def volume_series(g: int, n_max: int, calc: TauCalculator) -> list:
 
 
 class CheckReport:
-    """Outcome of one exact verification: its check, its fields (g, n, i, l)
-    and its first mismatch (power or None, lhs, rhs), None when it passed."""
+    """Outcome of one exact comparison of `lhs` with `rhs`: its check, its
+    fields (g, n, i, l) and its first mismatch (power, lhs, rhs), None when it
+    passed.  Two series are compared coefficient by coefficient; two values
+    are compared whole, and a mismatch is reported at `power`."""
 
-    def __init__(self, check: str, mismatch: Optional[tuple] = None, **fields):
+    def __init__(self, check: str, lhs, rhs, power: Optional[int] = None, **fields):
         self.check = check
-        self.passed = mismatch is None
-        self.mismatch = mismatch
-        self.fields = fields
-
-    def to_json_dict(self) -> dict:
-        out = {"check": self.check, **self.fields, "pass": self.passed}
-        if self.mismatch is None:
-            out["first_mismatch"] = None
+        if isinstance(lhs, Series):
+            self.mismatch = first_mismatch(lhs, rhs)
         else:
-            power, lhs, rhs = self.mismatch
-            out["first_mismatch"] = {
-                "power": power,
-                "lhs": format_rational(lhs),
-                "rhs": format_rational(rhs),
-            }
-        return out
+            self.mismatch = None if lhs == rhs else (power, lhs, rhs)
+        self.passed = self.mismatch is None
+        self.fields = fields
 
 
 def check_derivative_formula(g: int, n: int, phi: Series, ctx: GenusExpansionContext,
@@ -244,7 +237,7 @@ def check_derivative_formula(g: int, n: int, phi: Series, ctx: GenusExpansionCon
     lhs = phi
     for _ in range(n):
         lhs = lhs.derivative()
-    return CheckReport("derivative_formula", g=g, n=n, mismatch=first_mismatch(lhs, rhs))
+    return CheckReport("derivative_formula", lhs, rhs, g=g, n=n)
 
 
 def induction_sides(g: int, n: int, l: Mapping[int, int],
@@ -294,6 +287,8 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
     engine code, so an engine rule wrong on both (a wrong dilaton factor)
     passes; ROADMAP items 4 and 7 add routes that don't.
     """
+    if g < 0:
+        raise ValueError("g must be >= 0")
     n_s = max(0, 3 - 2 * g)  # the smallest n with 2g - 2 + n > 0
     top = min(n_s + 4, order)
     lemma_top = 3 * g - 2 + n_s + 4  # the highest f_i the derivative window reads
@@ -302,20 +297,17 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
     reports = []
     if suite in ("lemma", "all"):
         for i in range(2, lemma_top + 1):
-            mm = first_mismatch(ctx.f(i), build_f_lemma(i, ctx))
-            reports.append(CheckReport("f_functional_equation", i=i, mismatch=mm))
+            reports.append(CheckReport("f_functional_equation", ctx.f(i), build_f_lemma(i, ctx),
+                                       i=i))
         for i in range(2, 11):
-            expected = Fraction((-1) ** i, factorial(i - 1))
-            actual = ctx.f(i)[0]
-            mm = None if actual == expected else (0, actual, expected)
-            reports.append(CheckReport("f_value_at_zero", i=i, mismatch=mm))
+            reports.append(CheckReport("f_value_at_zero", ctx.f(i)[0],
+                                       Fraction((-1) ** i, factorial(i - 1)), power=0, i=i))
     if suite in ("theorem1", "derivative", "all"):
         phi = build_phi_g(g, ctx, calc)
     if suite in ("theorem1", "all"):
         for n in range(order + 1):
-            lhs, rhs = phi[n], volume(g, n, checker).v
-            mm = None if lhs == rhs else (n, lhs, rhs)
-            reports.append(CheckReport("genus_series_vs_volume", g=g, n=n, mismatch=mm))
+            reports.append(CheckReport("genus_series_vs_volume", phi[n], volume(g, n, checker).v,
+                                       power=n, g=g, n=n))
     if suite in ("derivative", "all"):
         for n in range(n_s, top + 1):
             reports.append(check_derivative_formula(g, n, phi, ctx, checker))
@@ -323,8 +315,7 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
         for n in range(n_s + 1, top + 1):
             for l in enumerate_multiindices(3 * g - 3 + n):
                 lhs, rhs = induction_sides(g, n, l, checker)
-                mm = None if lhs == rhs else (None, lhs, rhs)
-                reports.append(CheckReport("index_shift_identity", g=g, n=n, mismatch=mm,
+                reports.append(CheckReport("index_shift_identity", lhs, rhs, g=g, n=n,
                                            l={str(i): m for i, m in l.items()}))
     if not reports:
         raise ValueError(f"suite {suite} has no check at genus {g} and order {order}")

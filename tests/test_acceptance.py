@@ -167,18 +167,18 @@ def test_criterion_6_correlator_consistency(calc):
 def test_criterion_7_asymptotics(calc):
     t0 = time.time()
     predicted = predicted_growth_constant()
-    fit0 = fit_growth(0, 15, 30, calc)
-    exp0_ok = abs(fit0.exponent_est - Decimal("-3.5")) <= Decimal("0.5")
-    c0_ok = abs(fit0.c_est - predicted) / predicted <= Decimal("0.02")
-    fit2 = fit_growth(2, 10, 20, calc)
-    exp2_ok = abs(fit2.exponent_est - Decimal("1.5")) <= Decimal("0.5")
-    c2_ok = abs(fit2.c_est - fit0.c_est) / fit0.c_est <= Decimal("0.10")
+    c0, exp0 = fit_growth(0, 15, 30, calc)
+    exp0_ok = abs(exp0 - Decimal("-3.5")) <= Decimal("0.5")
+    c0_ok = abs(c0 - predicted) / predicted <= Decimal("0.02")
+    c2, exp2 = fit_growth(2, 10, 20, calc)
+    exp2_ok = abs(exp2 - Decimal("1.5")) <= Decimal("0.5")
+    c2_ok = abs(c2 - c0) / c0 <= Decimal("0.10")
     elapsed = time.time() - t0
     report(
         "criterion 7 (growth exponents and constant vs Bessel prediction)",
         exp0_ok and c0_ok and exp2_ok and c2_ok,
-        f"{elapsed:.1f}s, exp0={fit0.exponent_est:.4f}, exp2={fit2.exponent_est:.4f}, "
-        f"C0={fit0.c_est:.6f}, C2={fit2.c_est:.6f}, predicted={predicted:.6f}",
+        f"{elapsed:.1f}s, exp0={exp0:.4f}, exp2={exp2:.4f}, "
+        f"C0={c0:.6f}, C2={c2:.6f}, predicted={predicted:.6f}",
     )
 
 

@@ -1,3 +1,4 @@
+import json
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -7,13 +8,13 @@ import pytest
 from wpvol import asympt
 from wpvol.asympt import (
     PRECISION,
-    GrowthFit,
     _critical_interval,
     _enclosure_numerators,
     critical_radius,
     fit_growth,
     predicted_growth_constant,
 )
+from wpvol.cli import EXIT_OK, main
 from wpvol.genexp import volume_series
 
 F = Fraction
@@ -175,9 +176,9 @@ class TestFit:
     def test_genus0_window(self, calc):
         # a deliberately small window; the full-range bounds live in the
         # acceptance suite
-        fit = fit_growth(0, 12, 22, calc)
-        assert abs(fit.exponent_est - Decimal("-3.5")) < Decimal("0.7")
-        rel = abs(fit.c_est - predicted_growth_constant()) / predicted_growth_constant()
+        c_est, exponent = fit_growth(0, 12, 22, calc)
+        assert abs(exponent - Decimal("-3.5")) < Decimal("0.7")
+        rel = abs(c_est - predicted_growth_constant()) / predicted_growth_constant()
         assert rel < Decimal("0.025")
 
     def test_too_few_points(self, calc):
@@ -201,33 +202,36 @@ class TestFit:
         # the same normal equations solved by mpmath's LU at 50 digits
         ns = range(n_min, n_max + 1)
         values = volume_series(g, n_max, calc)[n_min:]
-        fit = fit_growth(g, n_min, n_max, calc)
+        c_est, exponent = fit_growth(g, n_min, n_max, calc)
         with mpmath.workdps(PRECISION):
             a = mpmath.matrix([[n, mpmath.log(n), 1] for n in ns])
             y = mpmath.matrix([mpmath.log(mpmath.mpf(v.numerator) / v.denominator)
                                for v in values])
             beta = mpmath.lu_solve(a.T * a, a.T * y)
-            for est, ref in ((fit.c_est, mpmath.exp(beta[0])), (fit.exponent_est, beta[1])):
+            for est, ref in ((c_est, mpmath.exp(beta[0])), (exponent, beta[1])):
                 assert abs(mpmath.mpf(str(est)) - ref) <= mpmath.mpf("1e-30") * abs(ref)
 
     def test_deterministic(self, calc):
         assert fit_growth(0, 10, 16, calc) == fit_growth(0, 10, 16, calc)
 
-    def test_json_shape(self, calc):
-        fit = fit_growth(0, 10, 16, calc)
-        d = fit.to_json_dict(predicted_growth_constant())
+    def test_json_shape(self, capsys, calc):
+        assert main(["asympt", "--genus", "0", "--n-max", "16", "--n-min", "10"]) == EXIT_OK
+        d = json.loads(capsys.readouterr().out)
         assert sorted(d) == ["C_est", "exponent_est", "g", "n_range", "predicted_C", "rel_dev"]
-        assert d["n_range"] == [10, 16]
-        # strings carry 10 significant digits
+        assert (d["g"], d["n_range"]) == (0, [10, 16])
+        # strings carry the fit's exact decimals at 10 significant digits
         assert len(d["predicted_C"].replace(".", "").lstrip("0")) == 10
+        c_est, exponent = fit_growth(0, 10, 16, calc)
+        digits = Context(prec=10).create_decimal
+        assert (d["C_est"], d["exponent_est"]) == (str(digits(c_est)), str(digits(exponent)))
 
 
 class TestCompare:
     def test_two_genera(self, calc):
         # C does not depend on the genus: fits at g = 0 and g = 2 agree
-        a, b = fit_growth(0, 8, 14, calc), fit_growth(2, 8, 14, calc)
+        (a, _), (b, _) = fit_growth(0, 8, 14, calc), fit_growth(2, 8, 14, calc)
         with localcontext(Context(prec=PRECISION)):
-            assert abs(a.c_est - b.c_est) / b.c_est < Decimal("0.2")
+            assert abs(a - b) / b < Decimal("0.2")
 
 
 class TestRatioDiagnostic:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -302,6 +303,17 @@ class TestVerify:
                 '"pass": true, "first_mismatch": null}}\n')
         assert out == "".join(line.format(l) for l in (
             '{"2": 4}', '{"2": 2, "3": 1}', '{"2": 1, "4": 1}', '{"3": 2}', '{"5": 1}'))
+
+    def test_unequal_induction_sides_fail_with_no_power(self, capsys, monkeypatch):
+        # the index shift compares two correlators, not two series: no power to name
+        from wpvol import genexp
+        monkeypatch.setattr(genexp, "induction_sides", lambda *args: (F(1, 2), F(1, 3)))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "induction",
+                               "--genus", "2", "--order", "1")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines()[0] == (
+            '{"check": "index_shift_identity", "g": 2, "n": 1, "l": {"2": 4}, "pass": false, '
+            '"first_mismatch": {"power": null, "lhs": "1/2", "rhs": "1/3"}}')
 
     def test_poisoned_cache_fails_theorem1(self, capsys, tmp_path):
         # the true <tau_1>_1 is 1/24; the series side reads the cache, the

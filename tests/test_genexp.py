@@ -6,7 +6,7 @@ import pytest
 
 from oracles import newton_revert, ref_phi0, ref_phi1
 from wpvol.asympt import fit_growth
-from wpvol.cli import EXIT_OK, main
+from wpvol.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from wpvol.genexp import (
     GenusExpansionContext,
     _closed_form,
@@ -299,7 +299,7 @@ class TestPhiG:
         assert [(r.check, r.fields["n"]) for r in reports] == [
             ("genus_series_vs_volume", n) for n in range(7)]
         for report in reports:
-            assert report.passed, report.to_json_dict()
+            assert report.passed, report.mismatch
 
 
 class TestClosedForm:
@@ -332,7 +332,7 @@ class TestDerivativeFormula:
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_genus2(self, ctx, calc, n):
         report = check_derivative_formula(2, n, build_phi_g(2, ctx, calc), ctx, calc)
-        assert report.passed, report.to_json_dict()
+        assert report.passed, report.mismatch
 
     def test_validation(self, ctx, calc):
         phi2 = build_phi_g(2, ctx, calc)
@@ -384,18 +384,30 @@ class TestInductionIdentity:
 
 
 class TestReportSerialization:
-    def test_pass_line(self, ctx, calc):
-        rep = check_derivative_formula(2, 0, build_phi_g(2, ctx, calc), ctx, calc)
-        d = rep.to_json_dict()
-        assert d == {
+    def test_pass_line(self, capsys):
+        assert main(["verify", "--suite", "derivative", "--genus", "2", "--order", "6"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out.splitlines()[0]) == {
             "check": "derivative_formula", "g": 2, "n": 0,
             "pass": True, "first_mismatch": None,
         }
 
-    def test_mismatch_rendering(self):
-        from wpvol.genexp import CheckReport
+    def test_mismatch_rendering(self, capsys, monkeypatch):
+        from wpvol import genexp
 
-        rep = CheckReport("demo", g=2, n=3, mismatch=(5, F(1, 2), F(1, 3)))
-        assert rep.to_json_dict()["first_mismatch"] == {
-            "power": 5, "lhs": "1/2", "rhs": "1/3",
-        }
+        rep = genexp.CheckReport("demo", F(1, 2), F(1, 3), power=5, g=2, n=3)
+        monkeypatch.setattr(genexp, "verify_reports", lambda *args: [rep])
+        code = main(["verify", "--suite", "all", "--genus", "2", "--order", "6"])
+        assert code == EXIT_VERIFY_FAILED
+        assert capsys.readouterr().out == (
+            '{"check": "demo", "g": 2, "n": 3, "pass": false, '
+            '"first_mismatch": {"power": 5, "lhs": "1/2", "rhs": "1/3"}}\n')
+
+
+@pytest.mark.parametrize("suite", ["lemma", "theorem1", "derivative", "induction", "all"])
+def test_every_suite_rejects_a_negative_genus(suite, monkeypatch):
+    # raised before any context is built
+    from wpvol import genexp
+
+    monkeypatch.setattr(genexp, "GenusExpansionContext", None)
+    with pytest.raises(ValueError, match="g must be >= 0"):
+        verify_reports(suite, -1, 4, TauCalculator())
