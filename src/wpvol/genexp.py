@@ -18,9 +18,10 @@ through the independent kappa-to-tau route.  It reads its brackets from
 kappavol.brackets, the loop that route sums too, and its powers of y' and
 h_i = y' f_i from one table in GenusExpansionContext, built one product at
 a time; the context builds y and y' and grows the chain only as far as it
-is read.  The f_i also satisfy functional equations as series in y, checked
-here coefficient by coefficient, and at every stable (g, n), 2g - 2 + n > 0,
-the n-th derivative of phi_g has the same shape with tau_0^n inserted; both
+is read.  The f_i also satisfy functional equations as series in y, summed
+over the powers of y from the same table and checked here coefficient by
+coefficient, and at every stable (g, n), 2g - 2 + n > 0, the n-th
+derivative of phi_g has the same shape with tau_0^n inserted; both
 identities are verified exactly.  Below genus 2 the smallest stable n is
 positive: phi_0''' = <tau_0^3>_0 y' = y', an empty product of f_i, and
 phi_1' = <tau_0 tau_2>_1 y' h_2 = y''/(24 y'), the derivative of the genus-1
@@ -99,8 +100,9 @@ class GenusExpansionContext:
     series is exposed truncated to `order`; the f_i are then reliable for all
     i <= i_max.  The rest is built on first read and only as far as read:
     h_i = f_{i-1}' needs 1/y' and f_1..f_{i-1}, f_i = h_i/y' one product more.
-    The closed form's factors, the powers of y' (base "y'") and of h_i = y' f_i,
-    come from one table that h_power extends one product at a time.
+    The powers of y (base "y"), which the lemma sums, and the closed form's
+    factors, the powers of y' (base "y'") and of h_i = y' f_i (base i), come
+    from one table that h_power extends one product at a time.
     """
 
     def __init__(self, order: int, i_max: int):
@@ -111,10 +113,9 @@ class GenusExpansionContext:
         y = build_y(order + i_max)
         self.order = order
         self.i_max = i_max
-        self.y = y.truncate(order)
-        self._h = {"y'": y.derivative()}  # the bases of the power table, untruncated
+        self._h = {"y": y, "y'": y.derivative()}  # the bases of the power table, untruncated
         self._f = {}  # f_i, untruncated
-        self._powers = {i: [] for i in ["y'", *range(2, i_max + 1)]}  # base -> [b, b^2, ...]
+        self._powers = {i: [] for i in ["y", "y'", *range(2, i_max + 1)]}  # base -> [b, b^2, ...]
 
     def _chain_h(self, i) -> Series:
         if i not in self._h:
@@ -136,8 +137,8 @@ class GenusExpansionContext:
         return self._chain_f(i).truncate(self.order)
 
     def h_power(self, i, exponent: int) -> Series:
-        """h_i^exponent, or (y')^exponent for i = "y'"; each power above the
-        highest one held costs one product."""
+        """h_i^exponent, or y^exponent for i = "y" and (y')^exponent for
+        i = "y'"; each power above the highest one held costs one product."""
         if exponent < 1:
             raise ValueError("the power table starts at exponent 1")
         powers = self._powers[i]
@@ -150,18 +151,23 @@ class GenusExpansionContext:
 
 def build_f_lemma(i: int, ctx: GenusExpansionContext) -> Series:
     """f_i through its functional equation
-    f_i = sum_{k>=0} (-1)^(i+k) / (i+k-1)! * y^k / k!, composed with y(x).
+    f_i = sum_{k>=0} (-1)^(i+k) / (i+k-1)! * y^k / k!, a series in y(x)
+    summed with the powers y^k from ctx's table.
 
     Only asserted for i >= 2: at i = 1 the k = 0 term would contradict
     f_1(0) = 0, and the identity there holds only with the sum started at
     k = 1, so i = 1 is rejected rather than picking a reading.
-    Since y has valuation 1, summing k up to the truncation order is exact.
+    Since y has valuation 1, y^k = O(x^k): the x^j coefficient sums k = 1..j
+    beside the constant k = 0 term, and k stops at the truncation order.
     """
     if i < 2:
         raise ValueError("the functional-equation form is asserted only for i >= 2")
-    outer = Series(Fraction((-1) ** (i + k), factorial(i + k - 1) * factorial(k))
-                   for k in range(ctx.order + 1))
-    return outer.compose(ctx.y)
+    powers = [ctx.h_power("y", k).coeffs for k in range(1, ctx.order + 1)]
+    return Series([Fraction((-1) ** i, factorial(i - 1))] + [
+        rational_sum([((-1) ** (i + k) * c[j].numerator,
+                       factorial(i + k - 1) * factorial(k) * c[j].denominator)
+                      for k, c in enumerate(powers[:j], 1)])
+        for j in range(1, ctx.order + 1)])
 
 
 def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:

@@ -6,7 +6,7 @@ an exact rational in lowest terms and nothing is ever rounded.  A
 x^(N+1) and beyond are *unknown*, not zero, so binary operations truncate
 conservatively to the smaller operand order and never pad with zeros.
 
-Products (and with them composition and the Lagrange reversion) run over
+Products (and with them powers and the Lagrange reversion) run over
 integer numerators on one common denominator per operand; each result
 coefficient is reduced once, so it is still a ``Fraction`` in lowest terms.
 """
@@ -64,19 +64,6 @@ def _mul_lists(a: list, b: list, n: int) -> list:
                     out[j] += ai * bj
     d = da * db
     return [Fraction(c, d) for c in out]
-
-
-def _compose_lists(outer: list, inner: list, n: int) -> list:
-    """Horner evaluation of outer at inner (inner[0] must vanish), order n.
-
-    The partial result after adding outer[i] is multiplied by inner**i later,
-    which has valuation >= i, so it is needed only through order n - i.
-    """
-    res: list = []
-    for i in range(len(outer) - 1, -1, -1):
-        res = _mul_lists(res, inner, n - i)
-        res[0] += outer[i]
-    return res
 
 
 class Series:
@@ -176,17 +163,6 @@ class Series:
                     s += ak * out[m - k]
             out.append(-inv0 * s)
         return Series(out)
-
-    def compose(self, inner: "Series") -> "Series":
-        """self(inner(x)), truncated at the smaller order.
-
-        The inner series must vanish at 0, otherwise every outer coefficient
-        would contribute to each result coefficient.
-        """
-        if inner._coeffs[0]:
-            raise ValueError("composition needs an inner series with zero constant term")
-        n = min(self.order, inner.order)
-        return Series(_compose_lists(list(self._coeffs[: n + 1]), list(inner._coeffs[: n + 1]), n))
 
     def __repr__(self) -> str:
         shown = ", ".join(format_rational(c) for c in self._coeffs)

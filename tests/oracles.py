@@ -8,14 +8,33 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from wpvol.qseries import (
-    Series,
-    _compose_lists,
-    _mul_lists,
-    bessel_x_of_y,
-    parse_rational,
-    revert_lagrange,
-)
+from wpvol.qseries import Series, _mul_lists, bessel_x_of_y, parse_rational, revert_lagrange
+
+
+def _compose_lists(outer: list, inner: list, n: int) -> list:
+    """Horner evaluation of outer at inner (inner[0] must vanish), order n.
+
+    The partial result after adding outer[i] is multiplied by inner**i later,
+    which has valuation >= i, so it is needed only through order n - i.
+    """
+    res: list = []
+    for i in range(len(outer) - 1, -1, -1):
+        res = _mul_lists(res, inner, n - i)
+        res[0] += outer[i]
+    return res
+
+
+def compose(outer: Series, inner: Series) -> Series:
+    """outer(inner(x)), truncated at the smaller order, by Horner's rule: the
+    reference for `genexp.build_f_lemma`, which sums the powers of y instead.
+
+    The inner series must vanish at 0, otherwise every outer coefficient
+    would contribute to each result coefficient.
+    """
+    if inner.coeffs[0]:
+        raise ValueError("composition needs an inner series with zero constant term")
+    n = min(outer.order, inner.order)
+    return Series(_compose_lists(list(outer.coeffs[: n + 1]), list(inner.coeffs[: n + 1]), n))
 
 
 def newton_revert(series: Series) -> Series:

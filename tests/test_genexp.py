@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import newton_revert, ref_phi0, ref_phi1
+from oracles import compose, newton_revert, ref_phi0, ref_phi1
 from wpvol.asympt import fit_growth
 from wpvol.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from wpvol.genexp import (
@@ -122,7 +122,7 @@ class TestY:
         # differentiate x(y(x)) = x: x'(y) o y  *  y' = 1
         order = 10
         y = build_y(order)
-        lhs = bessel_x_of_y(order).derivative().compose(y) * y.derivative()
+        lhs = compose(bessel_x_of_y(order).derivative(), y) * y.derivative()
         assert lhs == Series([1] + [0] * (order - 1))
 
 
@@ -262,6 +262,16 @@ class TestFunctionalEquation:
                 if r.check == "f_functional_equation"]
         assert [r.fields["i"] for r in reps] == list(range(2, 9))
         assert all(r.passed and r.mismatch is None for r in reps)
+
+    @pytest.mark.parametrize("order", [0, 1, 12, 30])
+    def test_matches_composition_oracle(self, order):
+        # the sum over the table's powers of y against Horner's rule on build_y
+        ctx = GenusExpansionContext(order=order, i_max=12)
+        y = build_y(order + 1).truncate(order)
+        for i in range(2, 13):
+            outer = Series(F((-1) ** (i + k), factorial(i + k - 1) * factorial(k))
+                           for k in range(order + 1))
+            assert build_f_lemma(i, ctx) == compose(outer, y), i
 
     def test_truncated_order(self, ctx):
         low = GenusExpansionContext(order=3, i_max=ctx.i_max)
