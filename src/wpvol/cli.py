@@ -12,10 +12,13 @@ whatever the state of the optional correlator cache.
 Each command imports only what it runs, inside its handler: `tau` needs the
 correlator engine alone, `volume --n` adds the kappa-to-tau sum, only the
 series commands load the series modules, and `json` loads only for JSON
-output.  There is no argparse: `parse_args` reads the options from `COMMANDS`,
-which also holds each int option's least value.  The library returns exact
-values and only this module renders them: `volume` each record from one field
-dict as plain text, JSON or CSV, `verify` each report, `asympt` its decimals.
+output.  Exact values arrive as reduced int pairs, and `format_rational` is
+the one renderer of them and of the series' Fractions, so `volume --n` loads
+neither `fractions` nor `decimal`.  There is no argparse: `parse_args` reads
+the options from `COMMANDS`, which also holds each int option's least value.
+The library returns exact values and only this module renders them: `volume`
+each record from one field dict as plain text, JSON or CSV, `verify` each
+report, `asympt` its decimals.
 
 `main(argv)` returns the exit code and never freezes the heap, so tests and
 library callers run it in process.  `python -m wpvol.cli` and the `wpvol`
@@ -35,8 +38,8 @@ import sys
 from types import SimpleNamespace
 from typing import List, NoReturn, Optional
 
-from .taucalc import (CacheFormatError, InconsistentMemoError, TauCalculator, format_rational,
-                      load_cache, save_cache)
+from .taucalc import (CacheFormatError, InconsistentMemoError, TauCalculator, factorial,
+                      format_rational, load_cache, reduced, save_cache)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -168,15 +171,15 @@ def _cmd_tau(args, calc: TauCalculator) -> int:
     return EXIT_OK
 
 
-def _wp_volume(v, power: int, digits: int) -> str:
-    """The geometric volume v * pi^power of the exact rational v, to `digits`
-    significant digits; the only place floating evaluation happens."""
-    if not v:
+def _wp_volume(p: int, q: int, power: int, digits: int) -> str:
+    """The geometric volume v * pi^power of the exact rational v = p/q, to
+    `digits` significant digits; the only place floating evaluation happens."""
+    if not p:
         return "0"
     import mpmath  # only --digits pays for loading it
 
     with mpmath.workdps(digits + 10):
-        value = mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator) * mpmath.pi ** power
+        value = mpmath.mpf(p) / mpmath.mpf(q) * mpmath.pi ** power
         return mpmath.nstr(value, digits)
 
 
@@ -186,17 +189,18 @@ def _cmd_volume(args, calc: TauCalculator) -> int:
     if args.table is not None:
         from .genexp import volume_series
         from .kappavol import VolumeRecord
-        records = [VolumeRecord(args.genus, n, v)
+        records = [VolumeRecord(args.genus, n, v.numerator, v.denominator)
                    for n, v in enumerate(volume_series(args.genus, args.table, calc))]
     else:
         from .kappavol import volume
         records = [volume(args.genus, args.n, calc)]
     rows = []  # each record's ordered fields, rendered in the chosen format
     for rec in records:
-        fields = {"g": rec.g, "n": rec.n, "dim": rec.dim, "V": format_rational(rec.V),
-                  "v": format_rational(rec.v)}
+        big_v = reduced(rec.p * factorial(rec.n) * factorial(rec.dim), rec.q) if rec.p else (0, 1)
+        fields = {"g": rec.g, "n": rec.n, "dim": rec.dim, "V": format_rational(*big_v),
+                  "v": format_rational(rec.p, rec.q)}
         power = 2 * rec.dim
-        wp = args.digits and _wp_volume(rec.v, power, args.digits)
+        wp = args.digits and _wp_volume(rec.p, rec.q, power, args.digits)
         if args.format == "csv":
             rows.append(",".join(map(str, fields.values())))
         elif args.format == "json":

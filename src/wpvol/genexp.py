@@ -164,9 +164,9 @@ def build_f_lemma(i: int, ctx: GenusExpansionContext) -> Series:
         raise ValueError("the functional-equation form is asserted only for i >= 2")
     powers = [ctx.h_power("y", k).coeffs for k in range(1, ctx.order + 1)]
     return Series([Fraction((-1) ** i, factorial(i - 1))] + [
-        rational_sum([((-1) ** (i + k) * c[j].numerator,
-                       factorial(i + k - 1) * factorial(k) * c[j].denominator)
-                      for k, c in enumerate(powers[:j], 1)])
+        Fraction(*rational_sum([((-1) ** (i + k) * c[j].numerator,
+                                 factorial(i + k - 1) * factorial(k) * c[j].denominator)
+                                for k, c in enumerate(powers[:j], 1)]))
         for j in range(1, ctx.order + 1)])
 
 
@@ -183,7 +183,8 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
         # the empty product is the unit; another starts at its first factor, one product fewer
         first, *rest = [ctx.h_power(i, m) for i, m in l.items()] or [Series([1] + [0] * ctx.order)]
         terms.append((p, q, math.prod(rest, start=first).coeffs))
-    total = Series(rational_sum([(p * c[k].numerator, q * c[k].denominator) for p, q, c in terms])
+    total = Series(Fraction(*rational_sum([(p * c[k].numerator, q * c[k].denominator)
+                                           for p, q, c in terms]))
                    for k in range(ctx.order + 1))
     return total * ctx.h_power("y'", 2 * (g - 1) + n)
 
@@ -266,16 +267,16 @@ def induction_sides(g: int, n: int, l: Mapping[int, int],
         raise ValueError(f"multi-index weight {weight} != dimension {3 * g - 3 + n}")
     if n < 1 or 2 * g - 3 + n <= 0:  # the child of the step must be stable, as in _string
         raise ValueError("the fused string-dilaton step needs n >= 1 and 2g - 3 + n > 0")
-    lhs = calc.tau_batch(g, l.items(), zeros=n)
+    lhs = Fraction(*calc.tau_batch(g, l.items(), zeros=n))
     rhs = Fraction(0)
     l2 = l.get(2, 0)
     if l2:
         euler = 2 * (g - 1) + (n - 1) + (sum(l.values()) - 1)
-        rhs += l2 * euler * calc.tau_batch(g, {**l, 2: l2 - 1}.items(), zeros=n - 1)
+        rhs += l2 * euler * Fraction(*calc.tau_batch(g, {**l, 2: l2 - 1}.items(), zeros=n - 1))
     for j, mult in l.items():
         if j >= 3 and mult:
             shifted = {**l, j: mult - 1, j - 1: l.get(j - 1, 0) + 1}
-            rhs += mult * calc.tau_batch(g, shifted.items(), zeros=n - 1)
+            rhs += mult * Fraction(*calc.tau_batch(g, shifted.items(), zeros=n - 1))
     return lhs, rhs
 
 

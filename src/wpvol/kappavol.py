@@ -9,20 +9,20 @@ complex dimension d = 3g-3+n:
 
 with ||l|| = sum l_i.  The multi-indices of weight d are the partitions of d
 (a part p is one l_{p+1}), enumerated in lexicographic order.  brackets()
-is the one loop over them: it yields each nonzero bracket over prod l_i!,
-which this sum and genexp's closed form of phi_g both weigh.  volume() adds
-its terms as integer numerators over their lcm; it serves `volume --n` and
-the kappa-to-tau side of the `verify` checks.  The geometric volume of the
+is the one loop over them: it yields each nonzero bracket over prod l_i! as
+an int pair, which this sum and genexp's closed form of phi_g both weigh.
+volume() adds its terms, n! included, as integer numerators over their lcm
+and reduces once; it serves `volume --n` and the kappa-to-tau side of the
+`verify` checks.  The geometric volume of the
 moduli space carries an extra pi^(2d)/(n! d!) on top of V_{g,n}; the
 normalized value v_{g,n} = V_{g,n}/(n! d!) is what the generating series
-track.  A VolumeRecord holds g, n and v and derives d and V; the CLI
-renders it.
+track.  A VolumeRecord holds g, n and v = p/q as ints and derives d; its v
+builds a Fraction only when read.  The CLI renders the ints.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, Iterator, NamedTuple, Tuple
 
 from .taucalc import TauCalculator, factorial, rational_sum
@@ -73,20 +73,23 @@ def enumerate_multiindices(weight: int) -> Iterator[Dict[int, int]]:
 
 
 class VolumeRecord(NamedTuple):
-    """One volume, from its normalized v = V/(n! dim!): the dimension and the
-    exact V = <kappa_1^dim> are derived here, 0 where v is (dim may be < 0)."""
+    """One volume, from its normalized v = V/(n! dim!) = p/q in lowest terms,
+    q > 0, with V = <kappa_1^dim>; the dimension is derived here (it may be
+    < 0, where p is 0)."""
 
     g: int
     n: int
-    v: Fraction
+    p: int
+    q: int
 
     @property
     def dim(self) -> int:
         return 3 * self.g - 3 + self.n
 
     @property
-    def V(self) -> Fraction:
-        return self.v * factorial(self.n) * factorial(self.dim) if self.v else self.v
+    def v(self) -> "Fraction":
+        from fractions import Fraction  # only a caller that asks for one loads it
+        return Fraction(self.p, self.q)
 
 
 def brackets(g: int, n: int, calc: TauCalculator) -> Iterator[Tuple[Dict[int, int], int, int]]:
@@ -94,9 +97,9 @@ def brackets(g: int, n: int, calc: TauCalculator) -> Iterator[Tuple[Dict[int, in
     nonzero, with p/q = <tau_0^n prod tau_i^{l_i}>_g / prod l_i!; the one loop
     over brackets that volume() and the closed form of phi_g both read."""
     for l in enumerate_multiindices(3 * g - 3 + n):
-        bracket = calc.tau_batch(g, l.items(), zeros=n)
-        if bracket:
-            yield l, bracket.numerator, bracket.denominator * math.prod(map(factorial, l.values()))
+        p, q = calc.tau_batch(g, l.items(), zeros=n)
+        if p:
+            yield l, p, q * math.prod(map(factorial, l.values()))
 
 
 def volume(g: int, n: int, calc: TauCalculator) -> VolumeRecord:
@@ -105,7 +108,7 @@ def volume(g: int, n: int, calc: TauCalculator) -> VolumeRecord:
     which it does not store."""
     if g < 0 or n < 0:
         raise ValueError("genus and point count must be >= 0")
-    total = rational_sum([((-1) ** (g - 1 + n + sum(l.values())) * p,
-                           q * math.prod(factorial(i - 1) ** m for i, m in l.items()))
-                          for l, p, q in brackets(g, n, calc)])
-    return VolumeRecord(g, n, total / factorial(n))
+    return VolumeRecord(g, n, *rational_sum([
+        ((-1) ** (g - 1 + n + sum(l.values())) * p,
+         math.prod((factorial(i - 1) ** m for i, m in l.items()), start=q * factorial(n)))
+        for l, p, q in brackets(g, n, calc)]))

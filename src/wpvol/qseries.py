@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 # the scalar helpers live in taucalc, which every command loads anyway
-from .taucalc import _RATIONAL_RE, Scalar, _as_fraction, factorial, format_rational
+from .taucalc import _RATIONAL_RE, factorial, format_rational
 
 __all__ = [
     "Series",
@@ -29,6 +29,16 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+Scalar = Union[int, Fraction]
+
+
+def _as_fraction(value: Scalar) -> Fraction:
+    # floats are rejected everywhere: exactness is the whole point
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"exact rational required, got {type(value).__name__}")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -34,8 +34,9 @@ g <= 6, the largest 2-adic exponent of a denominator of <tau_ds>_g is
 3g + v2(g!) (3, 7, 10, 15, 18, 22), below 4g and attained by
 <tau_{3g-2}>_g = 1/(24^g g!).  A wrong cache
 value can still break it, so the halving raises InconsistentMemoError on a
-remainder instead of rounding.  tau() builds one Fraction(W, 2^(4g) prod
-(2d_i+1)!!) at the boundary.
+remainder instead of rounding.  A correlator leaves the engine as the pair
+(p, q) of W / (2^(4g) prod (2d_i+1)!!) in lowest terms, q > 0, from
+tau_batch; only tau() builds a Fraction from it, for library callers.
 
 Evaluation keeps an explicit worklist, not the interpreter's call stack:
 each reduction is a generator that looks its children up in the memo and
@@ -53,8 +54,9 @@ other key, or a key given before, and any value that times
 beside the target and renames it into place.  Neither builds a Fraction or
 scales a zero value.
 
-The exact scalar helpers (factorial, format_rational, rational_sum) live
-here too, so a command that never touches a series never loads qseries.
+The exact scalar helpers (factorial, format_rational, rational_sum, reduced)
+live here too and work on int pairs, so a command that never touches a series
+loads neither qseries nor fractions.
 """
 
 from __future__ import annotations
@@ -64,10 +66,9 @@ import os
 import re
 from bisect import bisect_left
 from contextlib import suppress
-from fractions import Fraction
 from math import comb, factorial, gcd, prod
 from operator import neg
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "MemoStore",
@@ -80,37 +81,32 @@ __all__ = [
     "factorial",
     "format_rational",
     "rational_sum",
+    "reduced",
 ]
 
 Indices = Iterable[int]
 Key = Tuple[int, Tuple[int, ...]]
-Scalar = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    # floats are rejected everywhere: exactness is the whole point
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exact rational required, got {type(value).__name__}")
+def reduced(p: int, q: int) -> Tuple[int, int]:
+    """The pair (p, q), q > 0, in lowest terms; (0, 1) for p = 0."""
+    d = gcd(p, q)
+    return p // d, q // d
 
 
-def rational_sum(terms: Sequence[Tuple[int, int]]) -> Fraction:
-    """The sum of the fractions p/q of (p, q) pairs, q > 0, added as ints over
-    the lcm of the q's: one gcd for the sum, none per term."""
+def rational_sum(terms: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """The sum of the fractions p/q of (p, q) pairs, q > 0, as a reduced pair:
+    added as ints over the lcm of the q's, one gcd for the sum, none per term."""
     common = math.lcm(*(q for _, q in terms))
-    return Fraction(sum(p * (common // q) for p, q in terms), common)
+    return reduced(sum(p * (common // q) for p, q in terms), common)
 
 
-def format_rational(value: Scalar) -> str:
-    """Render p/q, omitting the denominator when it is 1."""
-    q = _as_fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def format_rational(p, q: int = 1) -> str:
+    """Render the reduced pair p/q, omitting the denominator when it is 1; a
+    Fraction (or an int) given alone renders the same way, by its own str()."""
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 def canonical_key(genus: int, indices: Indices) -> Key:
@@ -177,11 +173,8 @@ def save_cache(store: MemoStore, path: str) -> None:
                             "not a normalized int")
         if genus < 1 or (ds and ds[-1] < 2):
             continue  # not a core key
-        value = "0"  # unscaled: the scale of a large dimension-breaking key is huge
-        if w:
-            scale = _scale(genus, ds, odd)
-            g = gcd(w, scale)
-            value = f"{w // g}/{scale // g}" if g != scale else str(w // g)
+        # unscaled zero: the scale of a large dimension-breaking key is huge
+        value = format_rational(*reduced(w, _scale(genus, ds, odd))) if w else "0"
         lines.append(f"{_render(genus, ds)}|{value}")
     lines.sort()
     data = "".join(line + "\n" for line in lines).encode("utf-8")
@@ -317,24 +310,26 @@ class TauCalculator:
 
     # -- evaluation ----------------------------------------------------------
 
-    def tau(self, genus: int, indices: Indices) -> Fraction:
+    def tau(self, genus: int, indices: Indices) -> "Fraction":
         """<tau_{d1} ... tau_{dn}>_g; 0 for unstable keys or dimension mismatch."""
-        key = canonical_key(genus, indices)
+        from fractions import Fraction  # only a caller that asks for one loads it
+        return Fraction(*self.tau_batch(genus, ((d, 1) for d in indices)))
+
+    def tau_batch(self, genus: int, pairs, zeros: int = 0) -> Tuple[int, int]:
+        """Correlator of a multiplicity vector given as (i, mult) pairs, with
+        `zeros` extra tau_0's, as the reduced pair (p, q), q > 0: (0, 1) for
+        unstable keys or dimension mismatch.  The one producer of a value."""
+        ds = [0] * zeros
+        for i, mult in pairs:
+            ds.extend([i] * mult)
+        key = canonical_key(genus, ds)
         w = self.store.entries.get(key)
         if w is None:
             w = self._step(key)
             if type(w) is not int:
                 w = self._drive(w, key)
         # a zero W skips the scale, which can be huge on a dimension-breaking key
-        return Fraction(w, _scale(*key, self._odd)) if w else Fraction(0)
-
-    def tau_batch(self, genus: int, pairs, zeros: int = 0) -> Fraction:
-        """Correlator of a multiplicity vector given as (i, mult) pairs, with
-        `zeros` extra tau_0's."""
-        ds = [0] * zeros
-        for i, mult in pairs:
-            ds.extend([i] * mult)
-        return self.tau(genus, ds)
+        return reduced(w, _scale(*key, self._odd)) if w else (0, 1)
 
     # -- the worklist ----------------------------------------------------------
 

@@ -180,6 +180,13 @@ def _ref_tau(g, ds):
     return dvv_step(ref_tau, g, ds, ds[0])
 
 
+def kappa_volume(rec) -> Fraction:
+    """V = <kappa_1^dim> = v n! dim! of a `kappavol.VolumeRecord`, 0 where v
+    is: the Fraction-space reference for the V column `volume` prints, which
+    the CLI works out in int pairs."""
+    return rec.v * math.factorial(rec.n) * math.factorial(rec.dim) if rec.p else Fraction(0)
+
+
 def series_from_json_dict(data: dict) -> Series:
     """The Series that the `series` command's JSON {"order": N, "coeffs":
     [...]} describes; ValueError if N does not match the coefficient count."""

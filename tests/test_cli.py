@@ -553,15 +553,15 @@ class TestCache:
 
     def test_value_that_breaks_the_recursion(self, capsys, tmp_path):
         # W(1, (1,)) = 3 passes the load check, but makes the DVV split sum
-        # of <tau_4>_2 odd
+        # of <tau_4>_2 odd, through tau() and through the kappa route's pairs
         path = tmp_path / "bad.cache"
         path.write_text("1|1|1/16\n", encoding="utf-8")
-        code, out, err = run_cli(capsys, "tau", "--genus", "2", "--ds", "4",
-                                 "--cache", str(path))
-        assert (code, out) == (EXIT_IO, "")
-        assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "2|4" in err
-        assert path.read_text(encoding="utf-8") == "1|1|1/16\n"
+        for argv in (["tau", "--genus", "2", "--ds", "4"], ["volume", "--genus", "2", "--n", "0"]):
+            code, out, err = run_cli(capsys, *argv, "--cache", str(path))
+            assert (code, out) == (EXIT_IO, ""), argv
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+            assert "2|4" in err
+            assert path.read_text(encoding="utf-8") == "1|1|1/16\n"
 
     def test_poisoned_core_entry_fails_verify(self, capsys, tmp_path):
         # the true <tau_4>_2 is 1/1152; the series side reads the cache, the
@@ -735,7 +735,8 @@ def cli_env(**extra):
 #: run one command in a fresh interpreter (pytest itself loads `inspect`), take
 #: the modules loaded when it returns, then print its exit code, the wpvol
 #: modules among them, and which of the standard library's heavier modules it
-#: loaded: argparse and its gettext and locale, json, dataclasses, inspect
+#: loaded: argparse and its gettext and locale, json, dataclasses, inspect, and
+#: fractions with the decimal it imports
 IMPORT_PROBE = """
 import os, sys
 from wpvol import cli
@@ -744,35 +745,43 @@ rc = cli.main(sys.argv[1:])
 loaded = set(sys.modules)
 sys.stdout = sys.__stdout__
 import json
-stdlib = ("argparse", "dataclasses", "gettext", "inspect", "json", "locale")
+stdlib = ("argparse", "dataclasses", "decimal", "fractions", "gettext", "inspect", "json",
+          "locale")
 print(json.dumps([rc, sorted(m for m in loaded if m.split(".")[0] == "wpvol"),
                   [m for m in stdlib if m in loaded]]))
 """
 
 CORE = ["wpvol", "wpvol.cli", "wpvol.taucalc"]
-SERIES = sorted(CORE + ["wpvol.kappavol", "wpvol.qseries", "wpvol.genexp"])
+KAPPA = sorted(CORE + ["wpvol.kappavol"])
+SERIES = sorted(KAPPA + ["wpvol.qseries", "wpvol.genexp"])
+EXACT = ["decimal", "fractions"]  # what a Fraction costs
 
 
 class TestImports:
     @pytest.mark.parametrize("argv, modules, stdlib", [
-        (["tau", "--genus", "1", "--ds", "1"], CORE, []),
-        (["tau", "--genus", "1", "--ds", "1", "--format", "json"], CORE, ["json"]),
-        (["volume", "--genus", "2", "--n", "3", "--format", "json"],
-         sorted(CORE + ["wpvol.kappavol"]), ["json"]),
-        (["volume", "--genus", "2", "--n", "3", "--format", "csv"],
-         sorted(CORE + ["wpvol.kappavol"]), []),
-        (["volume", "--genus", "2", "--table", "3"], SERIES, []),
-        (["series", "--phi", "2", "--order", "3"], SERIES, ["json"]),
-        (["verify", "--suite", "all", "--genus", "2", "--order", "2"], SERIES, ["json"]),
+        (["tau", "--genus", "1", "--ds", "1"], CORE, EXACT),
+        (["tau", "--genus", "1", "--ds", "1", "--format", "json"], CORE, EXACT + ["json"]),
+        # volume --n carries its values as int pairs, so it never builds a Fraction
+        (["volume", "--genus", "2", "--n", "3", "--format", "json"], KAPPA, ["json"]),
+        (["volume", "--genus", "2", "--n", "3"], KAPPA, []),
+        (["volume", "--genus", "2", "--n", "3", "--format", "csv"], KAPPA, []),
+        (["volume", "--genus", "2", "--n", "3", "--cache", "{cache}"], KAPPA, []),
+        (["volume", "--genus", "2", "--table", "3"], SERIES, EXACT),
+        (["series", "--phi", "2", "--order", "3"], SERIES, EXACT + ["json"]),
+        (["verify", "--suite", "all", "--genus", "2", "--order", "2"], SERIES, EXACT + ["json"]),
         (["asympt", "--genus", "0", "--n-max", "12"], sorted(SERIES + ["wpvol.asympt"]),
-         ["json"]),
-    ], ids=["tau", "tau-json", "volume-n", "volume-csv", "volume-table", "series", "verify",
-            "asympt"])
-    def test_each_command_loads_only_what_it_runs(self, argv, modules, stdlib):
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=cli_env(),
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [EXIT_OK, modules, stdlib]
+         EXACT + ["json"]),
+    ], ids=["tau", "tau-json", "volume-n", "volume-plain", "volume-csv", "volume-cache",
+            "volume-table", "series", "verify", "asympt"])
+    def test_each_command_loads_only_what_it_runs(self, argv, modules, stdlib, tmp_path):
+        cache = tmp_path / "c.txt"
+        argv = [arg.format(cache=cache) for arg in argv]
+        for _ in range(2 if "--cache" in argv else 1):  # cold, then loading what it saved
+            proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=cli_env(),
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == [EXIT_OK, modules, stdlib]
+        assert cache.exists() == ("--cache" in argv)
 
 
 #: run the program as `python -m wpvol.cli` does, with an atexit hook that

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ref_tau
+from oracles import kappa_volume, ref_tau
 from wpvol.cli import EXIT_OK, main
 from wpvol.genexp import induction_sides, volume_series
 from wpvol.kappavol import (
@@ -96,55 +96,71 @@ class TestVolume:
     def test_conventions(self, calc):
         for g, n in UNSTABLE:
             rec = volume(g, n, calc)
-            assert rec.V == 0 and rec.v == 0
+            assert kappa_volume(rec) == 0 and rec.v == 0
             assert rec.v == volume_series(g, n, calc)[n]
 
     def test_torus_without_points_stores_nothing(self):
         calc = TauCalculator()
-        assert volume(1, 0, calc).V == 0
+        assert kappa_volume(volume(1, 0, calc)) == 0
         assert calc.store.entries == {}
 
     def test_sphere_three_points(self, calc):
         rec = volume(0, 3, calc)
-        assert rec.V == 1
+        assert kappa_volume(rec) == 1
         assert rec.v == F(1, 6)
         assert rec.dim == 0
 
     def test_small_genus0(self, calc):
-        assert volume(0, 4, calc).V == 1
-        assert volume(0, 5, calc).V == 5
-        assert volume(0, 6, calc).V == 61
-        assert volume(0, 7, calc).V == 1379
+        assert kappa_volume(volume(0, 4, calc)) == 1
+        assert kappa_volume(volume(0, 5, calc)) == 5
+        assert kappa_volume(volume(0, 6, calc)) == 61
+        assert kappa_volume(volume(0, 7, calc)) == 1379
 
     def test_torus(self, calc):
-        assert volume(1, 1, calc).V == F(1, 24)
-        assert volume(1, 2, calc).V == F(1, 8)
+        assert kappa_volume(volume(1, 1, calc)) == F(1, 24)
+        assert kappa_volume(volume(1, 2, calc)) == F(1, 8)
 
     def test_genus2_closed_surface(self, calc):
         rec = volume(2, 0, calc)
-        assert rec.V == F(43, 2880)
+        assert kappa_volume(rec) == F(43, 2880)
         assert rec.v == F(43, 17280)
         assert rec.dim == 3
 
-    def test_normalization_identity(self, calc):
+    def test_normalization_identity(self, calc, capsys):
+        # the V column, worked out in int pairs, is v n! dim!
         for g, n in [(0, 5), (1, 3), (2, 2), (3, 1)]:
             rec = volume(g, n, calc)
-            assert rec.v * factorial(n) * factorial(rec.dim) == rec.V
+            printed = json.loads(volume_out(capsys, "--genus", str(g), "--n", str(n),
+                                            "--format", "json"))
+            assert F(printed["V"]) == rec.v * factorial(n) * factorial(rec.dim)
 
     def test_positive_for_stable(self, calc):
         for g in range(4):
             for n in range(8):
                 if (g, n) in UNSTABLE:
                     continue
-                assert volume(g, n, calc).V > 0, (g, n)
+                assert kappa_volume(volume(g, n, calc)) > 0, (g, n)
+
+    @pytest.mark.parametrize("g, n, v", [
+        (0, 0, F(0)), (0, 2, F(0)), (0, 3, F(1, 6)), (1, 0, F(0)), (1, 1, F(1, 24)),
+        (2, 15, F(814869566448235417029918856379191, 6889141019797862712606720000000)),
+        (4, 6, F(42785297287645040604251, 277667181515243520000)),
+        (6, 0, F(2516292682076619940682627, 3298686116401093017600000)),
+    ])
+    def test_record_holds_the_reduced_pair(self, calc, g, n, v):
+        # the values the Fraction-based sum gave before the record held ints
+        rec = volume(g, n, calc)
+        assert (rec.p, rec.q) == (v.numerator, v.denominator)
+        assert type(rec.v) is Fraction and rec.v == v
 
     def test_validation(self, calc):
         with pytest.raises(ValueError):
             volume(-1, 0, calc)
 
     def test_table(self, calc):
-        table = [VolumeRecord(0, n, v) for n, v in enumerate(volume_series(0, 5, calc))]
-        assert [rec.V for rec in table] == [0, 0, 0, 1, 1, 5]
+        table = [VolumeRecord(0, n, v.numerator, v.denominator)
+                 for n, v in enumerate(volume_series(0, 5, calc))]
+        assert [kappa_volume(rec) for rec in table] == [0, 0, 0, 1, 1, 5]
 
 
 def volume_out(capsys, *argv):

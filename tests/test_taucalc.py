@@ -1,4 +1,6 @@
 import builtins
+import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -288,14 +290,45 @@ class TestInvariance:
             assert calc.tau(g, ds) >= 0
 
 
+def pair(value):
+    return value.numerator, value.denominator
+
+
 class TestBatch:
     def test_expansion_rules(self, calc):
-        assert calc.tau_batch(2, [(2, 3)]) == calc.tau(2, [2, 2, 2])
-        assert calc.tau_batch(2, [(2, 1), (3, 1)]) == calc.tau(2, [3, 2])
-        assert calc.tau_batch(2, [(4, 1)]) == calc.tau(2, [4])
+        assert calc.tau_batch(2, [(2, 3)]) == pair(ref_tau(2, [2, 2, 2]))
+        assert calc.tau_batch(2, [(2, 1), (3, 1)]) == pair(ref_tau(2, [3, 2]))
+        assert calc.tau_batch(2, [(4, 1)]) == pair(ref_tau(2, [4]))
 
     def test_pairs_and_zeros(self, calc):
-        assert calc.tau_batch(0, [(2, 1)], zeros=4) == calc.tau(0, [2, 0, 0, 0, 0])
+        assert calc.tau_batch(0, [(2, 1)], zeros=4) == pair(ref_tau(0, [2, 0, 0, 0, 0]))
+
+
+class TestPairBoundary:
+    """A correlator leaves the engine as a reduced int pair; tau() alone
+    builds a Fraction from it."""
+
+    def test_every_pair_is_reduced(self, calc):
+        for g in range(4):
+            for n in range(1, 5):
+                for ds in itertools.combinations_with_replacement(range(3 * g + 2), n):
+                    p, q = calc.tau_batch(g, [(d, 1) for d in ds])
+                    assert q > 0 and math.gcd(p, q) == 1, (g, ds)
+                    assert F(p, q) == ref_tau(g, ds), (g, ds)
+
+    @pytest.mark.parametrize("g, ds", [
+        (0, []), (0, [0, 0]), (1, []),  # unstable
+        (2, [5]), (1, [0, 0]), (3, [40, 40]),  # breaking the dimension rule
+    ])
+    def test_zero_is_zero_over_one(self, calc, g, ds):
+        assert calc.tau_batch(g, [(d, 1) for d in ds]) == (0, 1)
+        value = calc.tau(g, ds)
+        assert type(value) is Fraction and value == 0
+
+    def test_tau_returns_a_fraction(self, calc):
+        for g, ds, expected in [(1, [1], F(1, 24)), (2, [4], F(1, 1152)), (0, [0, 0, 0], F(1))]:
+            value = calc.tau(g, ds)
+            assert type(value) is Fraction and value == expected
 
 
 class TestDeterminism:
