@@ -162,12 +162,11 @@ def _print_json(data) -> None:
 
 def _cmd_tau(args, calc: TauCalculator) -> int:
     ds = _parse_indices(args.ds)
-    value = calc.tau(args.genus, ds)
+    value = format_rational(*calc.tau_batch(args.genus, ((d, 1) for d in ds)))
     if args.format == "json":
-        key_ds = sorted(ds, reverse=True)
-        _print_json({"g": args.genus, "ds": key_ds, "value": format_rational(value)})
+        _print_json({"g": args.genus, "ds": sorted(ds, reverse=True), "value": value})
     else:
-        print(format_rational(value))
+        print(value)
     return EXIT_OK
 
 

@@ -17,19 +17,20 @@ whose x^n coefficient must reproduce the normalized volume v_{g,n} computed
 through the independent kappa-to-tau route.  It reads its brackets from
 kappavol.brackets, the loop that route sums too, and its powers of y' and
 h_i = y' f_i from one table in GenusExpansionContext, built one product at
-a time; the context builds y and y' and grows the chain only as far as it
-is read.  The f_i also satisfy functional equations as series in y, summed
-over the powers of y from the same table and checked here coefficient by
-coefficient, and at every stable (g, n), 2g - 2 + n > 0, the n-th
-derivative of phi_g has the same shape with tau_0^n inserted; both
+a time; the context builds y and y', and one loop grows the chain only as
+far as it is read.  The f_i also satisfy functional equations as series in
+y, summed over the powers of y from the same table and checked here
+coefficient by coefficient; _weighted_sum is the one kernel of that sum, the
+closed form's and f_1 = 1 - 1/y'.  At every stable (g, n), 2g - 2 + n > 0,
+the n-th derivative of phi_g has the same shape with tau_0^n inserted; both
 identities are verified exactly.  Below genus 2 the smallest stable n is
 positive: phi_0''' = <tau_0^3>_0 y' = y', an empty product of f_i, and
 phi_1' = <tau_0 tau_2>_1 y' h_2 = y''/(24 y'), the derivative of the genus-1
 free energy (1/24) log y' (Itzykson-Zuber).  So build_phi_g gives every
 phi_g as the n-fold antiderivative of that form, and at genus 0 it reads y'
 alone.  volume_series reads every v_{g,0..N} of one genus off phi_g, the
-records `volume --table` prints; the kappa-to-tau volume() stays
-the single-(g, n) producer and the independent verifier in verify_reports,
+records `volume --table` prints; the kappa-to-tau volume() stays the
+single-(g, n) producer and the independent verifier in verify_reports,
 which runs the suites at every genus from that smallest n: it builds phi_g
 once, on the caller's memo, and checks it against one fresh memo.  Each
 check is a CheckReport of the two sides it compares; `cli` renders it.
@@ -43,7 +44,7 @@ from typing import Mapping, Optional, Tuple
 
 from .kappavol import brackets, enumerate_multiindices, volume
 from .qseries import Series, first_mismatch
-from .taucalc import TauCalculator, factorial, rational_sum
+from .taucalc import TauCalculator, factorial
 
 __all__ = [
     "GenusExpansionContext",
@@ -93,13 +94,24 @@ def build_y(order: int) -> Series:
     return Series(coeffs)
 
 
+def _weighted_sum(terms, order: int) -> Series:
+    """sum p/q * c over the (p, q, coefficients) terms to x^order, each x^k in
+    ints over the lcm of its nonzero terms' denominators and reduced once."""
+    out = []
+    for k in range(order + 1):
+        parts = [(p * c[k].numerator, q * c[k].denominator) for p, q, c in terms if c[k]]
+        common = math.lcm(*(d for _, d in parts))
+        out.append(Fraction(sum(a * (common // d) for a, d in parts), common))
+    return Series(out)
+
+
 class GenusExpansionContext:
     """y, y', and the f_i chain, all valid to a common truncation order.
 
     Every derivative costs one order, so y is built to order + i_max and each
     series is exposed truncated to `order`; the f_i are then reliable for all
-    i <= i_max.  The rest is built on first read and only as far as read:
-    h_i = f_{i-1}' needs 1/y' and f_1..f_{i-1}, f_i = h_i/y' one product more.
+    i <= i_max.  One loop builds the chain on first read, only as far as read:
+    f_1 = 1 - 1/y', then f_j = h_j/y', each with h_{j+1} = f_j' beside it.
     The powers of y (base "y"), which the lemma sums, and the closed form's
     factors, the powers of y' (base "y'") and of h_i = y' f_i (base i), come
     from one table that h_power extends one product at a time.
@@ -114,27 +126,27 @@ class GenusExpansionContext:
         self.order = order
         self.i_max = i_max
         self._h = {"y": y, "y'": y.derivative()}  # the bases of the power table, untruncated
-        self._f = {}  # f_i, untruncated
+        self._chain = []  # 1/y' and the f_i, untruncated
         self._powers = {i: [] for i in ["y", "y'", *range(2, i_max + 1)]}  # base -> [b, b^2, ...]
 
-    def _chain_h(self, i) -> Series:
-        if i not in self._h:
-            self._h[i] = self._chain_f(i - 1).derivative()
-        return self._h[i]
-
-    def _chain_f(self, i: int) -> Series:
-        if i not in self._f:
-            if i == 1:
-                self._inv_y_prime = self._h["y'"].reciprocal()
-                self._f[1] = 1 - self._inv_y_prime
-            else:  # h_i builds f_1, and with it 1/y', first
-                self._f[i] = self._chain_h(i) * self._inv_y_prime
-        return self._f[i]
+    def _chain_to(self, i: int) -> list:
+        """[1/y', f_1, ..., f_i]; each f_j adds h_{j+1} = f_j' to the bases
+        below i_max (at order 0, f_{i_max} has no x^1 to differentiate)."""
+        chain = self._chain
+        if not chain:
+            chain.append(self._h["y'"].reciprocal())
+        inv = chain[0]
+        for j in range(len(chain), i + 1):
+            chain.append(self._h[j] * inv if j > 1 else _weighted_sum(
+                [(1, 1, (1,) + (0,) * inv.order), (-1, 1, inv.coeffs)], inv.order))
+            if j < self.i_max:
+                self._h[j + 1] = chain[j].derivative()
+        return chain
 
     def f(self, i: int) -> Series:
         if not 1 <= i <= self.i_max:
             raise ValueError(f"f_{i} not built; context holds i = 1..{self.i_max}")
-        return self._chain_f(i).truncate(self.order)
+        return self._chain_to(i)[i].truncate(self.order)
 
     def h_power(self, i, exponent: int) -> Series:
         """h_i^exponent, or y^exponent for i = "y" and (y')^exponent for
@@ -143,7 +155,9 @@ class GenusExpansionContext:
             raise ValueError("the power table starts at exponent 1")
         powers = self._powers[i]
         if not powers:
-            powers.append(self._chain_h(i).truncate(self.order))
+            if i not in self._h:  # h_i = f_{i-1}'
+                self._chain_to(i - 1)
+            powers.append(self._h[i].truncate(self.order))
         while len(powers) < exponent:
             powers.append(powers[-1] * powers[0])
         return powers[exponent - 1]
@@ -163,11 +177,8 @@ def build_f_lemma(i: int, ctx: GenusExpansionContext) -> Series:
     if i < 2:
         raise ValueError("the functional-equation form is asserted only for i >= 2")
     powers = [ctx.h_power("y", k).coeffs for k in range(1, ctx.order + 1)]
-    return Series([Fraction((-1) ** i, factorial(i - 1))] + [
-        Fraction(*rational_sum([((-1) ** (i + k) * c[j].numerator,
-                                 factorial(i + k - 1) * factorial(k) * c[j].denominator)
-                                for k, c in enumerate(powers[:j], 1)]))
-        for j in range(1, ctx.order + 1)])
+    return _weighted_sum([((-1) ** (i + k), factorial(i + k - 1) * factorial(k), c)
+                          for k, c in enumerate([(1,) + (0,) * ctx.order, *powers])], ctx.order)
 
 
 def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:
@@ -178,15 +189,12 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
         raise ValueError(f"(g, n) = ({g}, {n}) is unstable: 2g - 2 + n <= 0")
     if ctx.i_max < 3 * g - 2 + n:
         raise ValueError(f"context needs i_max >= {3 * g - 2 + n} for genus {g}")
-    terms = []  # (p, q, coefficients) of each nonzero term; each x^k is summed once
+    terms = []  # (p, q, coefficients) of each nonzero term
     for l, p, q in brackets(g, n, calc):
         # the empty product is the unit; another starts at its first factor, one product fewer
         first, *rest = [ctx.h_power(i, m) for i, m in l.items()] or [Series([1] + [0] * ctx.order)]
         terms.append((p, q, math.prod(rest, start=first).coeffs))
-    total = Series(Fraction(*rational_sum([(p * c[k].numerator, q * c[k].denominator)
-                                           for p, q, c in terms]))
-                   for k in range(ctx.order + 1))
-    return total * ctx.h_power("y'", 2 * (g - 1) + n)
+    return _weighted_sum(terms, ctx.order) * ctx.h_power("y'", 2 * (g - 1) + n)
 
 
 def build_phi_g(g: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:

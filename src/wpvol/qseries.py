@@ -3,8 +3,9 @@
 The scalar type throughout is ``fractions.Fraction``: every coefficient is
 an exact rational in lowest terms and nothing is ever rounded.  A
 :class:`Series` carries an explicit truncation order N; coefficients of
-x^(N+1) and beyond are *unknown*, not zero, so binary operations truncate
-conservatively to the smaller operand order and never pad with zeros.
+x^(N+1) and beyond are *unknown*, not zero, so the product, the one binary
+operation, truncates to the smaller operand order and never pads with zeros;
+beside it a Series offers calculus, and genexp sums series coefficientwise.
 
 Products (and with them powers and the Lagrange reversion) run over
 integer numerators on one common denominator per operand; each result
@@ -111,33 +112,11 @@ class Series:
             raise ValueError(f"cannot extend a series of order {self.order} to order {order}")
         return Series(self._coeffs[: order + 1])
 
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other) -> "Series":
-        if isinstance(other, Series):
-            return Series(a + b for a, b in zip(self._coeffs, other._coeffs))
-        c = _as_fraction(other)
-        return Series((self._coeffs[0] + c,) + self._coeffs[1:])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Series":
-        return Series(-c for c in self._coeffs)
-
-    def __sub__(self, other) -> "Series":
-        return self + (-other if isinstance(other, Series) else -_as_fraction(other))
-
-    def __rsub__(self, other) -> "Series":
-        return (-self) + _as_fraction(other)
-
     def __mul__(self, other) -> "Series":
-        if isinstance(other, Series):
-            n = min(self.order, other.order)
-            return Series(_mul_lists(list(self._coeffs), list(other._coeffs), n))
-        c = _as_fraction(other)
-        return Series(c * a for a in self._coeffs)
-
-    __rmul__ = __mul__
+        if not isinstance(other, Series):
+            return NotImplemented
+        n = min(self.order, other.order)
+        return Series(_mul_lists(list(self._coeffs), list(other._coeffs), n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):

@@ -36,7 +36,7 @@ g <= 6, the largest 2-adic exponent of a denominator of <tau_ds>_g is
 value can still break it, so the halving raises InconsistentMemoError on a
 remainder instead of rounding.  A correlator leaves the engine as the pair
 (p, q) of W / (2^(4g) prod (2d_i+1)!!) in lowest terms, q > 0, from
-tau_batch; only tau() builds a Fraction from it, for library callers.
+tau_batch, the engine's one entry; no Fraction is built.
 
 Evaluation keeps an explicit worklist, not the interpreter's call stack:
 each reduction is a generator that looks its children up in the memo and
@@ -84,7 +84,6 @@ __all__ = [
     "reduced",
 ]
 
-Indices = Iterable[int]
 Key = Tuple[int, Tuple[int, ...]]
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
@@ -109,7 +108,7 @@ def format_rational(p, q: int = 1) -> str:
     return f"{p}/{q}" if q != 1 else str(p)
 
 
-def canonical_key(genus: int, indices: Indices) -> Key:
+def canonical_key(genus: int, indices: Iterable[int]) -> Key:
     """The memo key (g, ds) of outside input: ints, genus >= 0, indices >= 0,
     ds sorted in descending order."""
     genus = int(genus)
@@ -232,8 +231,8 @@ def load_cache(path: str) -> MemoStore:
                 raise CacheFormatError(line_no, "tau indices must be >= 0")
             if (genus, ds) in entries:  # save_cache writes each key once
                 raise CacheFormatError(line_no, f"key {_render(genus, ds)} is given twice")
-            # tau() is 0 on unstable and dimension-breaking keys and positive
-            # on every other key, so any other value is corrupt
+            # a correlator is 0 on unstable and dimension-breaking keys and
+            # positive on every other key, so any other value is corrupt
             n = len(ds)
             stable = 2 * genus - 2 + n > 0
             valid = stable and sum(ds) == 3 * genus - 3 + n
@@ -300,8 +299,8 @@ def _ordered_splits(runs: list) -> list:
 class TauCalculator:
     """Memoizing evaluator of tau-correlators.
 
-    tau() is a pure function of the canonical key, so cold and warm caches
-    agree entry for entry.
+    tau_batch is a pure function of the canonical key, so cold and warm
+    caches agree entry for entry.
     """
 
     def __init__(self, store: Optional[MemoStore] = None):
@@ -309,11 +308,6 @@ class TauCalculator:
         self._odd = _OddDoubleFactorials()
 
     # -- evaluation ----------------------------------------------------------
-
-    def tau(self, genus: int, indices: Indices) -> "Fraction":
-        """<tau_{d1} ... tau_{dn}>_g; 0 for unstable keys or dimension mismatch."""
-        from fractions import Fraction  # only a caller that asks for one loads it
-        return Fraction(*self.tau_batch(genus, ((d, 1) for d in indices)))
 
     def tau_batch(self, genus: int, pairs, zeros: int = 0) -> Tuple[int, int]:
         """Correlator of a multiplicity vector given as (i, mult) pairs, with

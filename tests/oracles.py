@@ -24,6 +24,17 @@ def _compose_lists(outer: list, inner: list, n: int) -> list:
     return res
 
 
+def add(a: Series, b: Series) -> Series:
+    """a + b, coefficient by coefficient, truncated at the smaller order: the
+    reference sum of two series, which `Series` does not offer."""
+    return Series(x + y for x, y in zip(a.coeffs, b.coeffs))
+
+
+def scale(a: Series, c) -> Series:
+    """c * a, coefficient by coefficient, for an exact scalar c."""
+    return Series(c * x for x in a.coeffs)
+
+
 def compose(outer: Series, inner: Series) -> Series:
     """outer(inner(x)), truncated at the smaller order, by Horner's rule: the
     reference for `genexp.build_f_lemma`, which sums the powers of y instead.
@@ -80,7 +91,7 @@ def ref_phi1(order: int) -> Series:
     the Lagrange reversion of the Bessel series: the genus-1 reference for
     `genexp.build_phi_g`, which runs no correlator engine."""
     y_prime = revert_lagrange(bessel_x_of_y(order + 1)).derivative()
-    return (y_prime.derivative() * y_prime.reciprocal()).antiderivative(0) * Fraction(1, 24)
+    return scale((y_prime.derivative() * y_prime.reciprocal()).antiderivative(0), Fraction(1, 24))
 
 
 @lru_cache(maxsize=None)
@@ -94,8 +105,14 @@ def double_factorial(n: int) -> int:
 # -- correlators ----------------------------------------------------------------
 # One function per reduction rule, in Fraction arithmetic on labeled points,
 # with the double factorials written out.  Each takes `tau(g, ds)` for its
-# children: a test passes `TauCalculator().tau` to check one step of the
-# engine, and `ref_tau` passes itself.
+# children: a test passes `partial(engine_tau, calc)` to check one step of
+# the engine, and `ref_tau` passes itself.
+
+
+def engine_tau(calc, g, ds) -> Fraction:
+    """<tau_ds>_g from the engine `calc`, a TauCalculator, as a Fraction: its
+    one entry, tau_batch, with each index of `ds` given once."""
+    return Fraction(*calc.tau_batch(g, ((d, 1) for d in ds)))
 
 
 def _without(ds, d):

