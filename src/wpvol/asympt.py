@@ -7,10 +7,11 @@ the smallest positive root of x'(u) = J0(2 sqrt(u)), i.e. u_c = (j_{0,1}/2)^2
 with j_{0,1} the first zero of the Bessel function J0.  So C = 1/x_c
 (predicted_growth_constant), and fit_growth fits the law to exact volumes.
 
-The root and the radius are computed exactly: Newton on dyadic rationals
-guesses u_c to 2^-240, and the guess is kept only if rigorous enclosures of
-J0(2 sqrt(u)) (alternating partial sums and remainder, in plain integers over
-a common denominator) have opposite signs at the two ends of its interval.
+The root and the radius are computed exactly, in plain integers (no
+Fraction): Newton on dyadic rationals guesses u_c to 2^-240, and the guess is
+kept only if rigorous enclosures of J0(2 sqrt(u)) (alternating partial sums
+and remainder, over a common denominator) have opposite signs at the two
+ends of its interval; the radius is one decimal division of an enclosure.
 The volumes the fits use are the coefficients of one generating series per
 genus (genexp.volume_series, which at genus 0 integrates y' three times and
 builds no 1/y').  Everything downstream is carried as 50-digit decimals,
@@ -20,7 +21,6 @@ so reruns are bit-identical; `cli` rounds them to 10 digits to print them.
 from __future__ import annotations
 
 from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
@@ -39,14 +39,10 @@ PRECISION = 50
 
 _WIDTH_BITS = 240  # the certified interval around u_c is 2^-240 wide
 _NEWTON_BITS, _NEWTON_STEPS = 256, 12  # working precision, iteration cap
-_TAIL_TOL = Fraction(1, 10**80)
+_TAIL_DEN = 10**80  # the certificate's enclosures are within 1/_TAIL_DEN
 
 
-def _to_decimal(q: Fraction) -> Decimal:
-    return Decimal(q.numerator) / Decimal(q.denominator)
-
-
-def _enclosure_numerators(p: int, q: int, start: int, tol: Fraction) -> Tuple[int, int, int]:
+def _enclosure_numerators(p: int, q: int, start: int, tol_den: int) -> Tuple[int, int, int]:
     """(lo, hi, den) with lo/den <= S <= hi/den, where u = p/q >= 0 and
 
         S = sum_{m>=start} (-1)^(m-start) u^m / (m! (m-start)!);
@@ -55,10 +51,9 @@ def _enclosure_numerators(p: int, q: int, start: int, tol: Fraction) -> Tuple[in
 
     Terms strictly decrease in magnitude once m(m-start) > u; from there the
     alternating remainder is bounded by the first omitted term, and the sum
-    stops at the first such term below `tol`.  Everything runs in integers
+    stops at the first such term below 1/tol_den.  Everything runs in integers
     over the common denominator q^m m! (m-start)!, so no gcd is ever taken.
     """
-    tol_num, tol_den = tol.numerator, tol.denominator
     num = power = p**start  # power = |term numerator| = p^m
     den = q**start
     sign = 1
@@ -74,7 +69,7 @@ def _enclosure_numerators(p: int, q: int, start: int, tol: Fraction) -> Tuple[in
         if step > p:  # m(m-start) > u
             nxt = q * (m + 1) * (m + 1 - start)
             tail = power * p  # bound = tail / (den * nxt)
-            if tail * tol_den < tol_num * den * nxt:
+            if tail * tol_den < den * nxt:
                 num *= nxt
                 return num - tail, num + tail, den * nxt
 
@@ -86,9 +81,9 @@ def _newton_guess() -> int:
     a, bits = 3, 1
     for _ in range(_NEWTON_STEPS):
         new_bits = min(2 * bits, _NEWTON_BITS)
-        tol = Fraction(1, 1 << (new_bits + 8))
-        j_lo, j_hi, j_den = _enclosure_numerators(a, 1 << bits, 0, tol)
-        x_lo, x_hi, x_den = _enclosure_numerators(a, 1 << bits, 1, tol)
+        tol_den = 1 << (new_bits + 8)
+        j_lo, j_hi, j_den = _enclosure_numerators(a, 1 << bits, 0, tol_den)
+        x_lo, x_hi, x_den = _enclosure_numerators(a, 1 << bits, 1, tol_den)
         x_num = (x_lo + x_hi) * j_den  # J/x = (j_lo + j_hi) x_den / x_num
         new_a = (a << (new_bits - bits)) * (x_num + (j_lo + j_hi) * x_den) // x_num
         if bits == _NEWTON_BITS and new_a == a:
@@ -98,30 +93,30 @@ def _newton_guess() -> int:
 
 
 @lru_cache(maxsize=1)
-def _critical_interval() -> Tuple[Fraction, Fraction]:
-    """[a, a+1]/2^_WIDTH_BITS around u_c, the first positive root of J0(2 sqrt(u)).
+def _critical_interval() -> int:
+    """The a of [a, a+1]/2^_WIDTH_BITS around u_c, the first positive root of
+    J0(2 sqrt(u)).
 
     The Newton guess a stands only if 1 <= a/2^w < 2 and the enclosures certify
     J(a/2^w) > 0 > J((a+1)/2^w); J decreases on [1, 2], so that interval is
     unique, the one a bisection of [1, 2] ends on."""
     a, scale = _newton_guess(), 1 << _WIDTH_BITS
     if not (scale <= a < 2 * scale
-            and _enclosure_numerators(a, scale, 0, _TAIL_TOL)[0] > 0
-            and _enclosure_numerators(a + 1, scale, 0, _TAIL_TOL)[1] < 0):
+            and _enclosure_numerators(a, scale, 0, _TAIL_DEN)[0] > 0
+            and _enclosure_numerators(a + 1, scale, 0, _TAIL_DEN)[1] < 0):
         raise RuntimeError("the Newton guess for the Bessel zero failed its certificate")
-    return Fraction(a, scale), Fraction(a + 1, scale)
+    return a
 
 
 @lru_cache(maxsize=1)
 def critical_radius() -> Decimal:
-    """x_c = x(u_c), the radius of convergence of y(x): x at the midpoint of the
-    u_c interval, whose enclosure is within 2^-240 + _TAIL_TOL of x_c since
-    |dx/du| = |J0(2 sqrt u)| <= 1."""
-    u_lo, u_hi = _critical_interval()
-    mid = (u_lo + u_hi) / 2
-    lo, hi, den = _enclosure_numerators(mid.numerator, mid.denominator, 1, _TAIL_TOL)
+    """x_c = x(u_c), the radius of convergence of y(x): x at the midpoint
+    (2a+1)/2^241 of the u_c interval, whose enclosure is within
+    2^-240 + 1/_TAIL_DEN of x_c since |dx/du| = |J0(2 sqrt u)| <= 1."""
+    a = _critical_interval()
+    lo, hi, den = _enclosure_numerators(2 * a + 1, 1 << (_WIDTH_BITS + 1), 1, _TAIL_DEN)
     with localcontext(Context(prec=PRECISION)):
-        return +_to_decimal(Fraction(lo + hi, 2 * den))
+        return Decimal(lo + hi) / Decimal(2 * den)
 
 
 def predicted_growth_constant() -> Decimal:
@@ -165,7 +160,7 @@ def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> Tuple[Dec
         for n, v in zip(ns, values):
             dn = Decimal(n)
             rows.append((dn, dn.ln(), Decimal(1)))
-            targets.append(_to_decimal(v).ln())
+            targets.append((Decimal(v.numerator) / Decimal(v.denominator)).ln())
         ata = [[sum(r[a] * r[b] for r in rows) for b in range(3)] for a in range(3)]
         aty = [sum(r[a] * t for r, t in zip(rows, targets)) for a in range(3)]
         beta = _solve3(ata, aty)

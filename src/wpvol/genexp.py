@@ -21,7 +21,8 @@ a time; the context builds y and y', and one loop grows the chain only as
 far as it is read.  The f_i also satisfy functional equations as series in
 y, summed over the powers of y from the same table and checked here
 coefficient by coefficient; _weighted_sum is the one kernel of that sum, the
-closed form's and f_1 = 1 - 1/y'.  At every stable (g, n), 2g - 2 + n > 0,
+closed form's and f_1 = 1 - 1/y', and adds each coefficient with
+taucalc.rational_sum.  At every stable (g, n), 2g - 2 + n > 0,
 the n-th derivative of phi_g has the same shape with tau_0^n inserted; both
 identities are verified exactly.  Below genus 2 the smallest stable n is
 positive: phi_0''' = <tau_0^3>_0 y' = y', an empty product of f_i, and
@@ -44,7 +45,7 @@ from typing import Mapping, Optional, Tuple
 
 from .kappavol import brackets, enumerate_multiindices, volume
 from .qseries import Series, first_mismatch
-from .taucalc import TauCalculator, factorial
+from .taucalc import TauCalculator, factorial, rational_sum
 
 __all__ = [
     "GenusExpansionContext",
@@ -95,14 +96,11 @@ def build_y(order: int) -> Series:
 
 
 def _weighted_sum(terms, order: int) -> Series:
-    """sum p/q * c over the (p, q, coefficients) terms to x^order, each x^k in
-    ints over the lcm of its nonzero terms' denominators and reduced once."""
-    out = []
-    for k in range(order + 1):
-        parts = [(p * c[k].numerator, q * c[k].denominator) for p, q, c in terms if c[k]]
-        common = math.lcm(*(d for _, d in parts))
-        out.append(Fraction(sum(a * (common // d) for a, d in parts), common))
-    return Series(out)
+    """sum p/q * c over the (p, q, coefficients) terms to x^order, each x^k the
+    rational_sum of its nonzero terms: ints over their lcm, reduced once."""
+    return Series(Fraction(*rational_sum([(p * c[k].numerator, q * c[k].denominator)
+                                          for p, q, c in terms if c[k]]))
+                  for k in range(order + 1))
 
 
 class GenusExpansionContext:

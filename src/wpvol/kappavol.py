@@ -35,26 +35,6 @@ __all__ = [
 ]
 
 
-def _ascending_partitions(n: int) -> Iterator[Tuple[int, ...]]:
-    """All partitions of n as ascending part tuples, in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    a = [0] * (n + 1)
-    k = 1
-    a[1] = n
-    while k != 0:
-        x = a[k - 1] + 1
-        y = a[k] - 1
-        k -= 1
-        while x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        a[k] = x + y
-        yield tuple(a[: k + 1])
-
-
 def enumerate_multiindices(weight: int) -> Iterator[Dict[int, int]]:
     """Every multi-index with |l| = weight, once each, as an {i: l_i} dict with
     ascending keys i >= 2 and no zero entries.
@@ -63,11 +43,24 @@ def enumerate_multiindices(weight: int) -> Iterator[Dict[int, int]]:
     in lexicographic order of the ascending part tuples, the order in which
     `verify` prints each l.  No multi-index has a negative weight.
     """
-    if weight < 0:
+    if weight <= 0:
+        if not weight:
+            yield {}
         return
-    for parts in _ascending_partitions(weight):
+    a = [0] * (weight + 1)  # a[:k + 1] is the ascending partition, grown in place
+    k = 1
+    a[1] = weight
+    while k:
+        x = a[k - 1] + 1
+        y = a[k] - 1
+        k -= 1
+        while x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        a[k] = x + y
         counts: dict = {}
-        for p in parts:
+        for p in a[: k + 1]:
             counts[p + 1] = counts.get(p + 1, 0) + 1
         yield counts
 

@@ -18,8 +18,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-# the scalar helpers live in taucalc, which every command loads anyway
-from .taucalc import _RATIONAL_RE, factorial, format_rational
+# the scalar helpers and the p/q parser live in taucalc, which every command loads
+from .taucalc import factorial, format_rational, parse_pair
 
 __all__ = [
     "Series",
@@ -43,16 +43,8 @@ def _as_fraction(value: Scalar) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q"; reject anything else (including q = 0)."""
-    text = text.strip()
-    match = _RATIONAL_RE.match(text)
-    if not match:
-        raise ValueError(f"malformed rational {text!r}")
-    p, q = match.groups()
-    try:
-        return Fraction(int(p), int(q or 1))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"malformed rational {text!r} (zero denominator)") from exc
+    """Parse "p" or "p/q" with taucalc.parse_pair; reject anything else (including q = 0)."""
+    return Fraction(*parse_pair(text))
 
 
 def _mul_lists(a: list, b: list, n: int) -> list:

@@ -52,11 +52,12 @@ unstable key or to one that breaks the dimension rule, a value <= 0 to any
 other key, or a key given before, and any value that times
 2^(4g) prod (2d_i+1)!! is not an integer; saving writes a temporary file
 beside the target and renames it into place.  Neither builds a Fraction or
-scales a zero value.
+scales a zero value.  The engine, the saver and the loader read one
+(2d+1)!! table, so each double factorial is computed once per process.
 
-The exact scalar helpers (factorial, format_rational, rational_sum, reduced)
-live here too and work on int pairs, so a command that never touches a series
-loads neither qseries nor fractions.
+The exact scalar helpers (factorial, format_rational, parse_pair,
+rational_sum, reduced) live here too and work on int pairs, so a command
+that never touches a series loads neither qseries nor fractions.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ __all__ = [
     "CacheFormatError",
     "InconsistentMemoError",
     "canonical_key",
+    "parse_pair",
     "save_cache",
     "load_cache",
     "factorial",
@@ -100,6 +102,18 @@ def rational_sum(terms: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
     added as ints over the lcm of the q's, one gcd for the sum, none per term."""
     common = math.lcm(*(q for _, q in terms))
     return reduced(sum(p * (common // q) for p, q in terms), common)
+
+
+def parse_pair(text: str) -> Tuple[int, int]:
+    """The ints (p, q), unreduced, q > 0, of "p" or "p/q"; else ValueError."""
+    text = text.strip()
+    match = _RATIONAL_RE.match(text)
+    if not match:
+        raise ValueError(f"malformed rational {text!r}")
+    p, q = int(match[1]), int(match[2] or 1)  # int() raises on too many digits
+    if not q:
+        raise ValueError(f"malformed rational {text!r} (zero denominator)")
+    return p, q
 
 
 def format_rational(p, q: int = 1) -> str:
@@ -134,9 +148,12 @@ class _OddDoubleFactorials(dict):
         return value
 
 
-def _scale(genus: int, ds: Sequence[int], odd: _OddDoubleFactorials) -> int:
+_ODD = _OddDoubleFactorials()  # the one table, shared by every calculator, save and load
+
+
+def _scale(genus: int, ds: Sequence[int]) -> int:
     """2^(4g) prod (2d_i+1)!!, the factor from <tau_ds>_g to W(g, ds)."""
-    return prod(map(odd.__getitem__, ds)) << (4 * genus)
+    return prod(map(_ODD.__getitem__, ds)) << (4 * genus)
 
 
 class CacheFormatError(ValueError):
@@ -164,7 +181,6 @@ def save_cache(store: MemoStore, path: str) -> None:
     by the string equation, one with a tau_1 by the dilaton equation.  A non-int
     entry, core or not, raises TypeError before anything is written, and a file
     that already holds these bytes is left as it is (inode and mtime too)."""
-    odd = _OddDoubleFactorials()
     lines = []
     for (genus, ds), w in store.entries.items():
         if type(w) is not int:
@@ -173,7 +189,7 @@ def save_cache(store: MemoStore, path: str) -> None:
         if genus < 1 or (ds and ds[-1] < 2):
             continue  # not a core key
         # unscaled zero: the scale of a large dimension-breaking key is huge
-        value = format_rational(*reduced(w, _scale(genus, ds, odd))) if w else "0"
+        value = format_rational(*reduced(w, _scale(genus, ds))) if w else "0"
         lines.append(f"{_render(genus, ds)}|{value}")
     lines.sort()
     data = "".join(line + "\n" for line in lines).encode("utf-8")
@@ -193,7 +209,6 @@ def save_cache(store: MemoStore, path: str) -> None:
 def load_cache(path: str) -> MemoStore:
     """Read a cache file back into normalized ints; the round trip is bit-exact."""
     entries: dict = {}
-    odd = _OddDoubleFactorials()
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh.read().splitlines(), start=1):  # \n, \r\n or \r
             try:
@@ -215,16 +230,10 @@ def load_cache(path: str) -> MemoStore:
                 ds = tuple(sorted(map(int, tokens), reverse=True))
             except ValueError:
                 raise CacheFormatError(line_no, f"malformed index list {ds_text!r}") from None
-            text = value_text.strip()
-            match = _RATIONAL_RE.match(text)
-            if not match:
-                raise CacheFormatError(line_no, f"malformed rational {text!r}")
             try:
-                p, q = int(match[1]), int(match[2] or 1)
-            except ValueError as exc:  # more digits than int() may convert
+                p, q = parse_pair(value_text)
+            except ValueError as exc:
                 raise CacheFormatError(line_no, str(exc)) from None
-            if not q:
-                raise CacheFormatError(line_no, f"malformed rational {text!r} (zero denominator)")
             if genus < 0:
                 raise CacheFormatError(line_no, f"genus must be >= 0, got {genus}")
             if ds and ds[-1] < 0:
@@ -245,7 +254,7 @@ def load_cache(path: str) -> MemoStore:
                     raise CacheFormatError(
                         line_no, f"key {_render(genus, ds)} breaks the dimension rule "
                                  f"sum(ds) = 3g-3+n = {3 * genus - 3 + n} but has a nonzero value")
-                w, r = divmod(p * _scale(genus, ds, odd), q)
+                w, r = divmod(p * _scale(genus, ds), q)
                 if r:
                     raise CacheFormatError(
                         line_no, f"value {value_text} of {_render(genus, ds)} times "
@@ -305,7 +314,6 @@ class TauCalculator:
 
     def __init__(self, store: Optional[MemoStore] = None):
         self.store = store if store is not None else MemoStore()
-        self._odd = _OddDoubleFactorials()
 
     # -- evaluation ----------------------------------------------------------
 
@@ -323,7 +331,7 @@ class TauCalculator:
             if type(w) is not int:
                 w = self._drive(w, key)
         # a zero W skips the scale, which can be huge on a dimension-breaking key
-        return reduced(w, _scale(*key, self._odd)) if w else (0, 1)
+        return reduced(w, _scale(*key)) if w else (0, 1)
 
     # -- the worklist ----------------------------------------------------------
 
@@ -373,14 +381,13 @@ class TauCalculator:
     def _genus0(self, ds: Tuple[int, ...]) -> int:
         """W(0, ds) = (n-3)! prod (2d_i+1)!!/d_i!, the multinomial
         (n-3)!/prod d_i! taken as a product of binomials; ds descending."""
-        odd = self._odd
         w = 1
         total = 0
         for d in ds:
             if not d:
                 break
             total += d
-            w *= comb(total, d) * odd[d]
+            w *= comb(total, d) * _ODD[d]
         return w
 
     # -- one-step reductions, as generators over normalized ints ---------------

@@ -22,19 +22,27 @@ F = Fraction
 
 def j0_bracket(u, tol):
     """Enclosure of J0(2 sqrt(u)) = sum_m (-u)^m / (m!)^2 as two Fractions."""
-    lo, hi, den = _enclosure_numerators(u.numerator, u.denominator, 0, tol)
+    assert tol.numerator == 1
+    lo, hi, den = _enclosure_numerators(u.numerator, u.denominator, 0, tol.denominator)
     return F(lo, den), F(hi, den)
 
 
 def x_bracket(u, tol):
     """Enclosure of x(u) = sum_{k>=1} (-1)^(k-1) u^k / ((k-1)! k!) as two Fractions."""
-    lo, hi, den = _enclosure_numerators(u.numerator, u.denominator, 1, tol)
+    assert tol.numerator == 1
+    lo, hi, den = _enclosure_numerators(u.numerator, u.denominator, 1, tol.denominator)
     return F(lo, den), F(hi, den)
+
+
+def certified_interval():
+    """The certified interval [a, a+1]/2^_WIDTH_BITS around u_c as two Fractions."""
+    a, scale = _critical_interval(), 2**asympt._WIDTH_BITS
+    return F(a, scale), F(a + 1, scale)
 
 
 def critical_point():
     """u_c = (j_{0,1}/2)^2 to 50 digits, the midpoint of the certified interval."""
-    lo, hi = _critical_interval()
+    lo, hi = certified_interval()
     mid = (lo + hi) / 2
     with localcontext(Context(prec=PRECISION)):
         return Decimal(mid.numerator) / Decimal(mid.denominator)
@@ -114,7 +122,7 @@ class TestBesselZero:
 
     def test_derivative_vanishes_at_critical_point(self):
         # x'(u_c) = J0(2 sqrt(u_c)) must enclose something tiny
-        lo, hi = _critical_interval()
+        lo, hi = certified_interval()
         mid = (lo + hi) / 2
         b_lo, b_hi = j0_bracket(mid, F(1, 10**80))
         assert max(abs(b_lo), abs(b_hi)) < F(1, 10**50)
@@ -132,7 +140,7 @@ class TestBesselZero:
         assert x_bracket(u, tol) == reference_x_bracket(u, tol)
 
     def test_interval_equals_fraction_bisection(self):
-        assert _critical_interval() == reference_critical_interval()
+        assert certified_interval() == reference_critical_interval()
 
     def test_cold_interval_needs_few_enclosures(self, monkeypatch):
         # the 240-step bisection made 242 enclosure evaluations here
@@ -149,7 +157,7 @@ class TestBesselZero:
 
     @pytest.mark.parametrize("offset", [-1, 1])
     def test_off_by_one_guess_fails_the_certificate(self, monkeypatch, offset):
-        a = int(asympt._critical_interval()[0] * 2**asympt._WIDTH_BITS)
+        a = asympt._critical_interval()
         monkeypatch.setattr(asympt, "_newton_guess", lambda: a + offset)
         with pytest.raises(RuntimeError):
             asympt._critical_interval.__wrapped__()

@@ -3,7 +3,8 @@ a class defined in `wpvol`, is used by the program.
 
 A name counts as used when some module in `src/wpvol` or `wpbench` loads it,
 reads it as an attribute or imports it, outside the name's own definition.
-A name that only the tests call belongs in `tests/`.
+A name that only the tests call belongs in `tests/`.  No module in
+`src/wpvol` imports another's private (underscored) name.
 """
 
 import ast
@@ -97,3 +98,13 @@ def test_every_public_class_attribute_is_used(path):
     unused = [name for name, node in _public_attributes(tree) if name not in elsewhere
               and name not in _references(tree, skip=node)]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_a_private_name(path):
+    # a name with a leading underscore belongs to its own module
+    private = [f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+               for node in ast.walk(_parse(path))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

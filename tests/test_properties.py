@@ -18,9 +18,8 @@ from oracles import add, compose, engine_tau, newton_revert, ref_tau
 from wpvol.genexp import GenusExpansionContext
 from wpvol.kappavol import volume
 from wpvol.qseries import Series, _mul_lists, factorial, parse_rational, revert_lagrange
-from wpvol.taucalc import (CacheFormatError, MemoStore, TauCalculator, _OddDoubleFactorials,
-                           _render, _scale, canonical_key, format_rational, load_cache,
-                           save_cache)
+from wpvol.taucalc import (CacheFormatError, MemoStore, TauCalculator, _render, _scale,
+                           canonical_key, format_rational, load_cache, save_cache)
 
 F = Fraction
 
@@ -78,7 +77,6 @@ def _ref_load_cache(path):
     """The Fraction-based loader the int one replaced, kept as the reference
     for load_cache: every index and every value is parsed in full."""
     entries = {}
-    odd = _OddDoubleFactorials()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -115,7 +113,7 @@ def _ref_load_cache(path):
                 raise CacheFormatError(
                     line_no, f"key {_render(genus, ds)} breaks the dimension rule "
                              f"sum(ds) = 3g-3+n = {3 * genus - 3 + n} but has a nonzero value")
-            w, r = divmod(value.numerator * _scale(genus, ds, odd), value.denominator)
+            w, r = divmod(value.numerator * _scale(genus, ds), value.denominator)
             if r:
                 raise CacheFormatError(
                     line_no, f"value {value_text} of {_render(genus, ds)} times "
@@ -136,8 +134,7 @@ def _core(entries):
 
 def _ref_cache_text(store):
     """The file save_cache writes, built through Fraction and format_rational."""
-    odd = _OddDoubleFactorials()
-    lines = sorted(f"{_render(g, ds)}|{format_rational(F(w, _scale(g, ds, odd)))}"
+    lines = sorted(f"{_render(g, ds)}|{format_rational(F(w, _scale(g, ds)))}"
                    for (g, ds), w in _core(store.entries).items())
     return "".join(line + "\n" for line in lines)
 
@@ -156,7 +153,7 @@ def cache_entries(draw):
     valid key, or 0 on an unstable or dimension-breaking one."""
     if draw(st.booleans()):
         g, ds = draw(valid_keys(n_max=6))
-        scale = _scale(*canonical_key(g, ds), _OddDoubleFactorials())
+        scale = _scale(*canonical_key(g, ds))
         return g, ds, F(draw(st.integers(1, 10 ** 6)), scale)
     g = draw(st.integers(0, 3))
     ds = draw(st.lists(st.integers(0, 6), max_size=6))

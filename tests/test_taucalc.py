@@ -420,7 +420,9 @@ class TestCacheFile:
     @pytest.mark.parametrize("step", ["save", "load"])
     def test_zero_value_is_never_scaled(self, tmp_path, monkeypatch, step):
         # a zero value on a dimension-breaking key is stored unscaled: its
-        # (2d+1)!! can be as large as the key's index makes it
+        # (2d+1)!! can be as large as the key's index makes it.  A fresh table
+        # in place of the shared one, so no (2d+1)!! an earlier test computed
+        # can hide a scaled zero
         real = taucalc._OddDoubleFactorials.__missing__
 
         def small_only(odd, d):
@@ -433,6 +435,7 @@ class TestCacheFile:
         if step == "load":
             path.write_text(text, encoding="utf-8")
         monkeypatch.setattr(taucalc._OddDoubleFactorials, "__missing__", small_only)
+        monkeypatch.setattr(taucalc, "_ODD", taucalc._OddDoubleFactorials())
         if step == "save":
             save_cache(store, str(path))
             assert path.read_text(encoding="utf-8") == text
