@@ -148,7 +148,7 @@ class _OddDoubleFactorials(dict):
         return value
 
 
-_ODD = _OddDoubleFactorials()  # the one table, shared by every calculator, save and load
+_ODD = _OddDoubleFactorials()  # a pure memo, shared by every calculator, save and load
 
 
 def _scale(genus: int, ds: Sequence[int]) -> int:
