@@ -152,15 +152,15 @@ def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> Tuple[Dec
     if n_min < 1:  # the basis holds ln n
         raise ValueError("n_min must be >= 1")
     values = volume_series(g, n_max, calc)[n_min:]
-    if any(v <= 0 for v in values):
+    if any(p <= 0 for p, _ in values):
         raise ValueError("growth fit needs positive normalized volumes")
     with localcontext(Context(prec=PRECISION)):
         rows = []
         targets = []
-        for n, v in zip(ns, values):
+        for n, (p, q) in zip(ns, values):
             dn = Decimal(n)
             rows.append((dn, dn.ln(), Decimal(1)))
-            targets.append((Decimal(v.numerator) / Decimal(v.denominator)).ln())
+            targets.append((Decimal(p) / Decimal(q)).ln())
         ata = [[sum(r[a] * r[b] for r in rows) for b in range(3)] for a in range(3)]
         aty = [sum(r[a] * t for r, t in zip(rows, targets)) for a in range(3)]
         beta = _solve3(ata, aty)

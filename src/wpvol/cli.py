@@ -12,10 +12,11 @@ whatever the state of the optional correlator cache.
 Each command imports only what it runs, inside its handler: `tau` needs the
 correlator engine alone, `volume --n` adds the kappa-to-tau sum, only the
 series commands load the series modules, and `json` loads only for JSON
-output.  Exact values arrive as reduced int pairs, and `format_rational` is
-the one renderer of them and of the series' Fractions, so `volume --n` loads
-neither `fractions` nor `decimal`.  There is no argparse: `parse_args` reads
-the options from `COMMANDS`, which also holds each int option's least value.
+output.  Exact values arrive as reduced int pairs, from the correlators and
+the series alike, and `format_rational` is the one renderer of them, so no
+command builds a `Fraction` or loads `fractions`, and only `asympt` loads
+`decimal`.  There is no argparse: `parse_args` reads the options from
+`COMMANDS`, which also holds each int option's least value.
 The library returns exact values and only this module renders them: `volume`
 each record from one field dict as plain text, JSON or CSV, `verify` each
 report, `asympt` its decimals.
@@ -188,8 +189,8 @@ def _cmd_volume(args, calc: TauCalculator) -> int:
     if args.table is not None:
         from .genexp import volume_series
         from .kappavol import VolumeRecord
-        records = [VolumeRecord(args.genus, n, v.numerator, v.denominator)
-                   for n, v in enumerate(volume_series(args.genus, args.table, calc))]
+        records = [VolumeRecord(args.genus, n, p, q)
+                   for n, (p, q) in enumerate(volume_series(args.genus, args.table, calc))]
     else:
         from .kappavol import volume
         records = [volume(args.genus, args.n, calc)]
@@ -224,9 +225,9 @@ def _cmd_series(args, calc: TauCalculator) -> int:
     coeffs = volume_series(args.phi, args.order, calc)
     if args.format == "plain":
         for k, coeff in enumerate(coeffs):
-            print(f"x^{k}: {format_rational(coeff)}")
+            print(f"x^{k}: {format_rational(*coeff)}")
     else:
-        _print_json({"order": args.order, "coeffs": [format_rational(c) for c in coeffs]})
+        _print_json({"order": args.order, "coeffs": [format_rational(*c) for c in coeffs]})
     return EXIT_OK
 
 
@@ -237,7 +238,8 @@ def _cmd_verify(args, calc: TauCalculator) -> int:
         mismatch = None
         if report.mismatch:
             power, lhs, rhs = report.mismatch
-            mismatch = {"power": power, "lhs": format_rational(lhs), "rhs": format_rational(rhs)}
+            mismatch = {"power": power, "lhs": format_rational(*lhs),
+                        "rhs": format_rational(*rhs)}
         _print_json({"check": report.check, **report.fields, "pass": report.passed,
                      "first_mismatch": mismatch})
     return EXIT_OK if all(report.passed for report in reports) else EXIT_VERIFY_FAILED

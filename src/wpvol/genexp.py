@@ -22,7 +22,9 @@ far as it is read.  The f_i also satisfy functional equations as series in
 y, summed over the powers of y from the same table and checked here
 coefficient by coefficient; _weighted_sum is the one kernel of that sum, the
 closed form's and f_1 = 1 - 1/y', and adds each coefficient with
-taucalc.rational_sum.  At every stable (g, n), 2g - 2 + n > 0,
+taucalc.rational_sum, whose reduced pair becomes the coefficient as it is.
+Every value here is such a pair, and every check compares pairs, so no
+Fraction is built.  At every stable (g, n), 2g - 2 + n > 0,
 the n-th derivative of phi_g has the same shape with tau_0^n inserted; both
 identities are verified exactly.  Below genus 2 the smallest stable n is
 positive: phi_0''' = <tau_0^3>_0 y' = y', an empty product of f_i, and
@@ -40,12 +42,11 @@ check is a CheckReport of the two sides it compares; `cli` renders it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
 from .kappavol import brackets, enumerate_multiindices, volume
 from .qseries import Series, first_mismatch
-from .taucalc import TauCalculator, factorial, rational_sum
+from .taucalc import TauCalculator, factorial, rational_sum, reduced
 
 __all__ = [
     "GenusExpansionContext",
@@ -88,19 +89,24 @@ def build_y(order: int) -> Series:
         if rem:
             raise ArithmeticError(f"y(x): P_{m} is not an integer")
         p.append(p_m)
-    coeffs, fact = [0], 1
+    pairs, fact = [(0, 1)], 1
     for n, p_n in enumerate(p, 1):  # y_n = P_{n-1} / ((n-1)! n!)
-        coeffs.append(Fraction(p_n, fact * fact * n))
+        pairs.append(reduced(p_n, fact * fact * n))
         fact *= n
-    return Series(coeffs)
+    return Series.of_pairs(pairs)
+
+
+def _unit(order: int) -> Series:
+    """The series 1, to x^order."""
+    return Series.of_pairs([(1, 1)] + [(0, 1)] * order)
 
 
 def _weighted_sum(terms, order: int) -> Series:
-    """sum p/q * c over the (p, q, coefficients) terms to x^order, each x^k the
+    """sum p/q * c over the (p, q, pairs) terms to x^order, each x^k the
     rational_sum of its nonzero terms: ints over their lcm, reduced once."""
-    return Series(Fraction(*rational_sum([(p * c[k].numerator, q * c[k].denominator)
-                                          for p, q, c in terms if c[k]]))
-                  for k in range(order + 1))
+    return Series.of_pairs(rational_sum([(p * c[k][0], q * c[k][1])
+                                         for p, q, c in terms if c[k][0]])
+                           for k in range(order + 1))
 
 
 class GenusExpansionContext:
@@ -136,7 +142,7 @@ class GenusExpansionContext:
         inv = chain[0]
         for j in range(len(chain), i + 1):
             chain.append(self._h[j] * inv if j > 1 else _weighted_sum(
-                [(1, 1, (1,) + (0,) * inv.order), (-1, 1, inv.coeffs)], inv.order))
+                [(1, 1, _unit(inv.order).pairs), (-1, 1, inv.pairs)], inv.order))
             if j < self.i_max:
                 self._h[j + 1] = chain[j].derivative()
         return chain
@@ -174,9 +180,9 @@ def build_f_lemma(i: int, ctx: GenusExpansionContext) -> Series:
     """
     if i < 2:
         raise ValueError("the functional-equation form is asserted only for i >= 2")
-    powers = [ctx.h_power("y", k).coeffs for k in range(1, ctx.order + 1)]
-    return _weighted_sum([((-1) ** (i + k), factorial(i + k - 1) * factorial(k), c)
-                          for k, c in enumerate([(1,) + (0,) * ctx.order, *powers])], ctx.order)
+    powers = [_unit(ctx.order), *(ctx.h_power("y", k) for k in range(1, ctx.order + 1))]
+    return _weighted_sum([((-1) ** (i + k), factorial(i + k - 1) * factorial(k), c.pairs)
+                          for k, c in enumerate(powers)], ctx.order)
 
 
 def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:
@@ -187,11 +193,11 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
         raise ValueError(f"(g, n) = ({g}, {n}) is unstable: 2g - 2 + n <= 0")
     if ctx.i_max < 3 * g - 2 + n:
         raise ValueError(f"context needs i_max >= {3 * g - 2 + n} for genus {g}")
-    terms = []  # (p, q, coefficients) of each nonzero term
+    terms = []  # (p, q, pairs) of each nonzero term
     for l, p, q in brackets(g, n, calc):
         # the empty product is the unit; another starts at its first factor, one product fewer
-        first, *rest = [ctx.h_power(i, m) for i, m in l.items()] or [Series([1] + [0] * ctx.order)]
-        terms.append((p, q, math.prod(rest, start=first).coeffs))
+        first, *rest = [ctx.h_power(i, m) for i, m in l.items()] or [_unit(ctx.order)]
+        terms.append((p, q, math.prod(rest, start=first).pairs))
     return _weighted_sum(terms, ctx.order) * ctx.h_power("y'", 2 * (g - 1) + n)
 
 
@@ -210,19 +216,19 @@ def build_phi_g(g: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Seri
 
 
 def volume_series(g: int, n_max: int, calc: TauCalculator) -> list:
-    """[v_{g,0}, ..., v_{g,n_max}], the coefficients of phi_g, from a context
+    """[v_{g,0}, ..., v_{g,n_max}], the reduced pairs of phi_g, from a context
     holding the 3g - 2 + n factors of build_phi_g's closed form at its n."""
     if g < 0 or n_max < 0:
         raise ValueError("g and n_max must be >= 0")
     ctx = GenusExpansionContext(n_max, 3 * g - 2 + max(0, 3 - 2 * g))
-    return list(build_phi_g(g, ctx, calc).coeffs)
+    return list(build_phi_g(g, ctx, calc).pairs)
 
 
 class CheckReport:
     """Outcome of one exact comparison of `lhs` with `rhs`: its check, its
     fields (g, n, i, l) and its first mismatch (power, lhs, rhs), None when it
-    passed.  Two series are compared coefficient by coefficient; two values
-    are compared whole, and a mismatch is reported at `power`."""
+    passed.  Two series are compared coefficient by coefficient; two reduced
+    pairs are compared whole, and a mismatch is reported at `power`."""
 
     def __init__(self, check: str, lhs, rhs, power: Optional[int] = None, **fields):
         self.check = check
@@ -254,7 +260,7 @@ def check_derivative_formula(g: int, n: int, phi: Series, ctx: GenusExpansionCon
 
 
 def induction_sides(g: int, n: int, l: Mapping[int, int],
-                    calc: TauCalculator) -> Tuple[Fraction, Fraction]:
+                    calc: TauCalculator) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """Both sides of the index-shift identity that removes one tau_0:
 
         <tau_0^n prod tau_i^{l_i}> = l_2 (2(g-1) + (n-1) + (||l||-1))
@@ -273,17 +279,19 @@ def induction_sides(g: int, n: int, l: Mapping[int, int],
         raise ValueError(f"multi-index weight {weight} != dimension {3 * g - 3 + n}")
     if n < 1 or 2 * g - 3 + n <= 0:  # the child of the step must be stable, as in _string
         raise ValueError("the fused string-dilaton step needs n >= 1 and 2g - 3 + n > 0")
-    lhs = Fraction(*calc.tau_batch(g, l.items(), zeros=n))
-    rhs = Fraction(0)
+    lhs = calc.tau_batch(g, l.items(), zeros=n)
+    terms = []  # the (p, q) of each weighted child
     l2 = l.get(2, 0)
     if l2:
         euler = 2 * (g - 1) + (n - 1) + (sum(l.values()) - 1)
-        rhs += l2 * euler * Fraction(*calc.tau_batch(g, {**l, 2: l2 - 1}.items(), zeros=n - 1))
+        p, q = calc.tau_batch(g, {**l, 2: l2 - 1}.items(), zeros=n - 1)
+        terms.append((l2 * euler * p, q))
     for j, mult in l.items():
         if j >= 3 and mult:
             shifted = {**l, j: mult - 1, j - 1: l.get(j - 1, 0) + 1}
-            rhs += mult * Fraction(*calc.tau_batch(g, shifted.items(), zeros=n - 1))
-    return lhs, rhs
+            p, q = calc.tau_batch(g, shifted.items(), zeros=n - 1)
+            terms.append((mult * p, q))
+    return lhs, rational_sum(terms)
 
 
 def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
@@ -313,13 +321,14 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
             reports.append(CheckReport("f_functional_equation", ctx.f(i), build_f_lemma(i, ctx),
                                        i=i))
         for i in range(2, 11):
-            reports.append(CheckReport("f_value_at_zero", ctx.f(i)[0],
-                                       Fraction((-1) ** i, factorial(i - 1)), power=0, i=i))
+            reports.append(CheckReport("f_value_at_zero", ctx.f(i).pairs[0],
+                                       reduced((-1) ** i, factorial(i - 1)), power=0, i=i))
     if suite in ("theorem1", "derivative", "all"):
         phi = build_phi_g(g, ctx, calc)
     if suite in ("theorem1", "all"):
         for n in range(order + 1):
-            reports.append(CheckReport("genus_series_vs_volume", phi[n], volume(g, n, checker).v,
+            rec = volume(g, n, checker)
+            reports.append(CheckReport("genus_series_vs_volume", phi.pairs[n], (rec.p, rec.q),
                                        power=n, g=g, n=n))
     if suite in ("derivative", "all"):
         for n in range(n_s, top + 1):

@@ -1,25 +1,28 @@
 """Truncated formal power series over exact rational coefficients.
 
-The scalar type throughout is ``fractions.Fraction``: every coefficient is
-an exact rational in lowest terms and nothing is ever rounded.  A
-:class:`Series` carries an explicit truncation order N; coefficients of
-x^(N+1) and beyond are *unknown*, not zero, so the product, the one binary
-operation, truncates to the smaller operand order and never pads with zeros;
-beside it a Series offers calculus, and genexp sums series coefficientwise.
+Each coefficient is a reduced int pair (p, q), q > 0, the shape in which
+taucalc's correlators and rational_sum return exact values: every coefficient
+is an exact rational in lowest terms, so two series are equal exactly when
+their pairs are, and nothing is ever rounded.  A :class:`Series` carries an
+explicit truncation order N; coefficients of x^(N+1) and beyond are
+*unknown*, not zero, so the product, the one binary operation, truncates to
+the smaller operand order and never pads with zeros; beside it a Series
+offers calculus, and genexp sums series coefficientwise.
 
 Products (and with them powers and the Lagrange reversion) run over
 integer numerators on one common denominator per operand; each result
-coefficient is reduced once, so it is still a ``Fraction`` in lowest terms.
+coefficient is reduced once.  `Series(...)` takes ints and Fractions; the
+library builds from pairs with `Series.of_pairs`, and only `coeffs`, `[k]`
+and `parse_rational`, which return Fractions, load `fractions`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Tuple
 
 # the scalar helpers and the p/q parser live in taucalc, which every command loads
-from .taucalc import factorial, format_rational, parse_pair
+from .taucalc import factorial, format_rational, parse_pair, rational_sum, reduced
 
 __all__ = [
     "Series",
@@ -29,72 +32,58 @@ __all__ = [
     "first_mismatch",
 ]
 
-_ZERO = Fraction(0)
-Scalar = Union[int, Fraction]
+
+def _as_pair(value) -> Tuple[int, int]:
+    # an int or a Fraction; floats are rejected everywhere: exactness is the whole point
+    try:
+        return value.numerator, value.denominator
+    except AttributeError:
+        raise TypeError(f"exact rational required, got {type(value).__name__}") from None
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    # floats are rejected everywhere: exactness is the whole point
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exact rational required, got {type(value).__name__}")
-
-
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str) -> "Fraction":
     """Parse "p" or "p/q" with taucalc.parse_pair; reject anything else (including q = 0)."""
+    from fractions import Fraction  # only a caller that asks for one loads it
     return Fraction(*parse_pair(text))
 
 
-def _mul_lists(a: list, b: list, n: int) -> list:
-    """Cauchy product of coefficient lists, truncated at order n.
-
-    Each operand is scaled once to integer numerators over the lcm of its
-    denominators, so the convolution runs in plain ints (no gcd per term)
-    and each output coefficient is reduced once.
-    """
-    a, b = a[: n + 1], b[: n + 1]
-    da = math.lcm(*(c.denominator for c in a))
-    db = math.lcm(*(c.denominator for c in b))
-    na = [c.numerator * (da // c.denominator) for c in a]
-    nb = [c.numerator * (db // c.denominator) for c in b]
-    out = [0] * (n + 1)
-    for i, ai in enumerate(na):
-        if ai:
-            for j, bj in enumerate(nb[: n + 1 - i], i):
-                if bj:
-                    out[j] += ai * bj
-    d = da * db
-    return [Fraction(c, d) for c in out]
-
-
 class Series:
-    """A power series in x known exactly through the coefficient of x^order.
+    """A power series in x known exactly through the coefficient of x^order,
+    held as the reduced pairs (p, q) of x^0..x^order.
 
     Immutable; all operations return new instances.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("pairs",)
 
-    def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(_as_fraction(c) for c in coeffs)
-        if not cs:
+    def __init__(self, coeffs: Iterable):
+        pairs = tuple(map(_as_pair, coeffs))
+        if not pairs:
             raise ValueError("a series needs at least its constant coefficient")
-        self._coeffs = cs
+        self.pairs = pairs
+
+    @classmethod
+    def of_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "Series":
+        """The series whose coefficients are the given reduced pairs, q > 0."""
+        series = cls.__new__(cls)
+        series.pairs = tuple(pairs)
+        return series
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self.pairs) - 1
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        """The coefficients as Fractions, built on read."""
+        from fractions import Fraction  # only a caller that asks for them loads it
+        return tuple(Fraction(p, q) for p, q in self.pairs)
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> "Fraction":
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient of x^{k} is beyond truncation order {self.order}")
-        return self._coeffs[k]
+        from fractions import Fraction
+        return Fraction(*self.pairs[k])
 
     def truncate(self, order: int) -> "Series":
         """Forget coefficients above `order`; never extends."""
@@ -102,18 +91,34 @@ class Series:
             raise ValueError("order must be >= 0")
         if order > self.order:
             raise ValueError(f"cannot extend a series of order {self.order} to order {order}")
-        return Series(self._coeffs[: order + 1])
+        return Series.of_pairs(self.pairs[: order + 1])
 
     def __mul__(self, other) -> "Series":
+        """The Cauchy product, truncated at the smaller order.
+
+        Each operand is scaled once to integer numerators over the lcm of its
+        denominators, so the convolution runs in plain ints (no gcd per term)
+        and each output coefficient is reduced once.
+        """
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
-        return Series(_mul_lists(list(self._coeffs), list(other._coeffs), n))
+        a, b = self.pairs[: n + 1], other.pairs[: n + 1]
+        da, db = math.lcm(*(q for _, q in a)), math.lcm(*(q for _, q in b))
+        na, nb = [p * (da // q) for p, q in a], [p * (db // q) for p, q in b]
+        out = [0] * (n + 1)
+        for i, ai in enumerate(na):
+            if ai:
+                for j, bj in enumerate(nb[: n + 1 - i], i):
+                    if bj:
+                        out[j] += ai * bj
+        d = da * db
+        return Series.of_pairs(reduced(c, d) for c in out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.pairs == other.pairs
 
     # -- calculus ------------------------------------------------------------
 
@@ -121,32 +126,31 @@ class Series:
         """Term-wise d/dx; the result order drops by one."""
         if self.order < 1:
             raise ValueError("derivative of an order-0 series is undefined (no x^1 data)")
-        return Series(k * c for k, c in enumerate(self._coeffs) if k > 0)
+        return Series.of_pairs(reduced(k * p, q) for k, (p, q) in enumerate(self.pairs) if k > 0)
 
-    def antiderivative(self, constant: Scalar = 0) -> "Series":
+    def antiderivative(self, constant=0) -> "Series":
         """Term-wise antiderivative with the given constant term; order grows by one."""
-        out = [_as_fraction(constant)]
-        out.extend(c / (k + 1) for k, c in enumerate(self._coeffs))
-        return Series(out)
+        out = [_as_pair(constant)]
+        out.extend(reduced(p, q * (k + 1)) for k, (p, q) in enumerate(self.pairs))
+        return Series.of_pairs(out)
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse to the same order; needs a nonzero constant term."""
-        c0 = self._coeffs[0]
-        if not c0:
+        """Multiplicative inverse to the same order; needs a nonzero constant term.
+        Each coefficient is -1/a_0 times one rational_sum over the ones before."""
+        a = self.pairs
+        p0, q0 = a[0]
+        if not p0:
             raise ValueError("reciprocal needs a nonzero constant term")
-        inv0 = 1 / c0
-        out = [inv0]
+        ip, iq = (q0, p0) if p0 > 0 else (-q0, -p0)  # 1/a_0, reduced as a_0 is
+        out = [(ip, iq)]
         for m in range(1, self.order + 1):
-            s = _ZERO
-            for k in range(1, m + 1):
-                ak = self._coeffs[k]
-                if ak:
-                    s += ak * out[m - k]
-            out.append(-inv0 * s)
-        return Series(out)
+            s, t = rational_sum([(pk * pr, qk * qr) for (pk, qk), (pr, qr)
+                                 in zip(a[1: m + 1], out[::-1]) if pk])
+            out.append(reduced(-ip * s, iq * t))
+        return Series.of_pairs(out)
 
     def __repr__(self) -> str:
-        shown = ", ".join(format_rational(c) for c in self._coeffs)
+        shown = ", ".join(format_rational(*pair) for pair in self.pairs)
         return f"Series([{shown}])"
 
 
@@ -157,11 +161,8 @@ def bessel_x_of_y(order: int) -> Series:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [_ZERO]
-    coeffs.extend(
-        Fraction((-1) ** (k - 1), factorial(k - 1) * factorial(k)) for k in range(1, order + 1)
-    )
-    return Series(coeffs)
+    return Series.of_pairs([(0, 1)] + [((-1) ** (k - 1), factorial(k - 1) * factorial(k))
+                                       for k in range(1, order + 1)])
 
 
 def revert_lagrange(series: Series) -> Series:
@@ -172,25 +173,26 @@ def revert_lagrange(series: Series) -> Series:
     """
     if series.order < 1:
         raise ValueError("reversion needs order >= 1")
-    if series.coeffs[0]:
+    if series.pairs[0][0]:
         raise ValueError("reversion needs a zero constant term")
-    if not series.coeffs[1]:
+    if not series.pairs[1][0]:
         raise ValueError("reversion needs an invertible linear coefficient")
     n = series.order
-    unit = Series(series.coeffs[1:])  # a(y)/y, constant term a_1 != 0
+    unit = Series.of_pairs(series.pairs[1:])  # a(y)/y, constant term a_1 != 0
     u = unit.reciprocal()  # y/a(y), order n-1
-    out = [_ZERO, u[0]]
+    out = [(0, 1), u.pairs[0]]
     power = u
     for m in range(2, n + 1):
         power = power * u
-        out.append(power[m - 1] / m)
-    return Series(out)
+        p, q = power.pairs[m - 1]
+        out.append(reduced(p, q * m))
+    return Series.of_pairs(out)
 
 
 def first_mismatch(a: Series, b: Series) -> Optional[tuple]:
-    """First (power, a_coeff, b_coeff) where the series differ through
+    """First (power, a_pair, b_pair) where the series differ through
     min(a.order, b.order), or None."""
     for k in range(min(a.order, b.order) + 1):
-        if a[k] != b[k]:
-            return (k, a[k], b[k])
+        if a.pairs[k] != b.pairs[k]:
+            return (k, a.pairs[k], b.pairs[k])
     return None

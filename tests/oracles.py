@@ -8,7 +8,18 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from wpvol.qseries import Series, _mul_lists, bessel_x_of_y, parse_rational, revert_lagrange
+from wpvol.qseries import Series, bessel_x_of_y, parse_rational, revert_lagrange
+
+
+def mul_lists(a: list, b: list, n: int) -> list:
+    """Schoolbook Cauchy product of coefficient lists in plain Fraction
+    arithmetic, truncated at order n (zeros past either list's end): the
+    reference for the `Series` product, which convolves ints over an lcm."""
+    out = [Fraction(0)] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        for j, bj in enumerate(b[: n + 1 - i]):
+            out[i + j] += Fraction(ai) * bj
+    return out
 
 
 def _compose_lists(outer: list, inner: list, n: int) -> list:
@@ -19,7 +30,7 @@ def _compose_lists(outer: list, inner: list, n: int) -> list:
     """
     res: list = []
     for i in range(len(outer) - 1, -1, -1):
-        res = _mul_lists(res, inner, n - i)
+        res = mul_lists(res, inner, n - i)
         res[0] += outer[i]
     return res
 
@@ -73,7 +84,7 @@ def newton_revert(series: Series) -> Series:
         err = _compose_lists(a[: prec + 1], cur, prec)
         err[1] -= 1
         dcur = [(k + 1) * cur[k + 1] for k in range(prec)]
-        corr = _mul_lists(err, dcur, prec)
+        corr = mul_lists(err, dcur, prec)
         b = [cur[k] - corr[k] for k in range(prec + 1)]
     return Series(b)
 

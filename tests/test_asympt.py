@@ -51,7 +51,7 @@ def critical_point():
 def growth_ratios(g, n_min, n_max, calc):
     """v_{g,n+1}/v_{g,n} * ((n+1)/n)^(-e) for n_min <= n < n_max, with
     e = -1 + 5(g-1)/2 the exponent of the growth law."""
-    vs = volume_series(g, n_max, calc)
+    vs = [F(*pair) for pair in volume_series(g, n_max, calc)]
     out = []
     with localcontext(Context(prec=PRECISION)):
         e = Decimal(-1) + Decimal(5 * (g - 1)) / 2
@@ -213,8 +213,7 @@ class TestFit:
         c_est, exponent = fit_growth(g, n_min, n_max, calc)
         with mpmath.workdps(PRECISION):
             a = mpmath.matrix([[n, mpmath.log(n), 1] for n in ns])
-            y = mpmath.matrix([mpmath.log(mpmath.mpf(v.numerator) / v.denominator)
-                               for v in values])
+            y = mpmath.matrix([mpmath.log(mpmath.mpf(p) / q) for p, q in values])
             beta = mpmath.lu_solve(a.T * a, a.T * y)
             for est, ref in ((c_est, mpmath.exp(beta[0])), (exponent, beta[1])):
                 assert abs(mpmath.mpf(str(est)) - ref) <= mpmath.mpf("1e-30") * abs(ref)
@@ -253,5 +252,5 @@ class TestRatioDiagnostic:
 
     def test_first_positive_window_accepted(self, calc):
         # v_{1,0} = 0, but v_{1,n} > 0 from n = 1 on, so that window has every ratio
-        assert all(v > 0 for v in volume_series(1, 8, calc)[1:])
+        assert all(p > 0 for p, _ in volume_series(1, 8, calc)[1:])
         assert len(growth_ratios(1, 1, 8, calc)) == 7

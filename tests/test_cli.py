@@ -308,7 +308,7 @@ class TestVerify:
     def test_unequal_induction_sides_fail_with_no_power(self, capsys, monkeypatch):
         # the index shift compares two correlators, not two series: no power to name
         from wpvol import genexp
-        monkeypatch.setattr(genexp, "induction_sides", lambda *args: (F(1, 2), F(1, 3)))
+        monkeypatch.setattr(genexp, "induction_sides", lambda *args: ((1, 2), (1, 3)))
         code, out, _ = run_cli(capsys, "verify", "--suite", "induction",
                                "--genus", "2", "--order", "1")
         assert code == EXIT_VERIFY_FAILED
@@ -755,7 +755,6 @@ print(json.dumps([rc, sorted(m for m in loaded if m.split(".")[0] == "wpvol"),
 CORE = ["wpvol", "wpvol.cli", "wpvol.taucalc"]
 KAPPA = sorted(CORE + ["wpvol.kappavol"])
 SERIES = sorted(KAPPA + ["wpvol.qseries", "wpvol.genexp"])
-EXACT = ["decimal", "fractions"]  # what a Fraction costs
 
 
 class TestImports:
@@ -768,13 +767,18 @@ class TestImports:
         (["volume", "--genus", "2", "--n", "3"], KAPPA, []),
         (["volume", "--genus", "2", "--n", "3", "--format", "csv"], KAPPA, []),
         (["volume", "--genus", "2", "--n", "3", "--cache", "{cache}"], KAPPA, []),
-        (["volume", "--genus", "2", "--table", "3"], SERIES, EXACT),
-        (["series", "--phi", "2", "--order", "3"], SERIES, EXACT + ["json"]),
-        (["verify", "--suite", "all", "--genus", "2", "--order", "2"], SERIES, EXACT + ["json"]),
+        # the series hold int pairs too, so no command builds a Fraction
+        (["volume", "--genus", "2", "--table", "3"], SERIES, []),
+        (["series", "--phi", "2", "--order", "3"], SERIES, ["json"]),
+        (["verify", "--suite", "all", "--genus", "2", "--order", "2"], SERIES, ["json"]),
+        # only the growth fit's logarithms are decimals
         (["asympt", "--genus", "0", "--n-max", "12"], sorted(SERIES + ["wpvol.asympt"]),
-         EXACT + ["json"]),
+         ["decimal", "json"]),
+        # the peak jobs of the genus-series benchmark
+        (["verify", "--suite", "lemma", "--genus", "4", "--order", "9"], SERIES, ["json"]),
+        (["series", "--phi", "4", "--order", "12", "--format", "plain"], SERIES, []),
     ], ids=["tau", "tau-json", "volume-n", "volume-plain", "volume-csv", "volume-cache",
-            "volume-table", "series", "verify", "asympt"])
+            "volume-table", "series", "verify", "asympt", "verify-lemma-peak", "series-peak"])
     def test_each_command_loads_only_what_it_runs(self, argv, modules, stdlib, tmp_path):
         cache = tmp_path / "c.txt"
         argv = [arg.format(cache=cache) for arg in argv]

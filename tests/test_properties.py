@@ -1,5 +1,6 @@
-"""Property tests: the product kernel, Series ring laws, reversion round trips,
-correlator invariants, the cache file format.
+"""Property tests: the product kernel, the canonical pairs of every series
+producer, Series ring laws, reversion round trips, correlator invariants, the
+cache file format.
 
 Every test runs a fixed, derandomized set of examples, so the suite stays
 reproducible and fast.
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import add, compose, engine_tau, newton_revert, ref_tau
-from wpvol.genexp import GenusExpansionContext
+from oracles import (add, compose, engine_tau, mul_lists, newton_revert, ref_phi0, ref_phi1,
+                     ref_tau)
+from wpvol.genexp import GenusExpansionContext, build_phi_g, build_y
 from wpvol.kappavol import volume
-from wpvol.qseries import Series, _mul_lists, factorial, parse_rational, revert_lagrange
+from wpvol.qseries import Series, bessel_x_of_y, factorial, parse_rational, revert_lagrange
 from wpvol.taucalc import (CacheFormatError, MemoStore, TauCalculator, _render, _scale,
                            canonical_key, format_rational, load_cache, save_cache)
 
@@ -61,16 +63,6 @@ def valid_keys(draw, n_max=7):
     for slot in slots:
         ds[slot] += 1
     return g, ds
-
-
-def _ref_mul(a, b, n):
-    """Schoolbook truncated Cauchy product in plain Fraction arithmetic: the
-    reference for _mul_lists, which both reference reversions use."""
-    out = [F(0)] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        for j, bj in enumerate(b[: n + 1 - i]):
-            out[i + j] += F(ai) * bj
-    return out
 
 
 def _ref_load_cache(path):
@@ -199,31 +191,81 @@ def cache_files(draw):
     return "".join(line + "\n" for line in draw(st.permutations(lines)))
 
 
-def _assert_reduced_fractions(coeffs):
-    for c in coeffs:
-        assert type(c) is F
-        assert math.gcd(c.numerator, c.denominator) == 1
+def _assert_reduced(series):
+    """`series` holds reduced int pairs (p, q), q > 0, the pairs `__eq__` compares."""
+    for p, q in series.pairs:
+        assert type(p) is int and type(q) is int
+        assert q > 0 and math.gcd(p, q) == 1
+
+
+def _assert_canonical(series, expected):
+    """`series` holds reduced pairs and equals the Fraction list `expected`."""
+    _assert_reduced(series)
+    assert series.coeffs == tuple(expected)
 
 
 class TestMulKernel:
-    # entries mix ints and Fractions, zeros and negatives; an empty list is
-    # Horner's first partial result; n runs below, between and above both lengths
-    entries = st.lists(st.one_of(st.integers(-20, 20), fractions), max_size=8)
+    # entries mix ints and Fractions, zeros and negatives; the first operand is
+    # cut at n, which runs below, between and above both orders
+    entries = st.lists(st.one_of(st.integers(-20, 20), fractions), min_size=1, max_size=8)
 
     @PROPERTY
     @given(entries, entries, st.integers(0, 10))
     def test_matches_schoolbook_product(self, a, b, n):
-        out = _mul_lists(a, b, n)
-        assert out == _ref_mul(a, b, n)
-        _assert_reduced_fractions(out)
+        n = min(n, len(a) - 1, len(b) - 1)  # the product truncates at the smaller order
+        _assert_canonical(Series(a).truncate(n) * Series(b), mul_lists(a, b, n))
 
     def test_factorial_squared_denominators(self):
         # denominators up to (60!)^2, as in the Bessel series at order 61
         a = [F((-1) ** k, factorial(k) ** 2) for k in range(61)]
         b = [F(k - 30, factorial(k) * factorial(k + 1)) for k in range(61)]
-        out = _mul_lists(a, b, 60)
-        assert out == _ref_mul(a, b, 60)
-        _assert_reduced_fractions(out)
+        _assert_canonical(Series(a) * Series(b), mul_lists(a, b, 60))
+
+
+class TestCanonicalPairs:
+    """Every producer of a series returns reduced pairs, so `Series.__eq__`,
+    which compares the pairs, is value equality; each equals its Fraction
+    oracle."""
+
+    @PROPERTY
+    @given(series_tuples(2), nonzero_fractions, fractions, st.integers(0, 6))
+    def test_calculus_and_products(self, ab, c0, constant, cut):
+        a, b = ab
+        cs, order = a.coeffs, a.order
+        _assert_canonical(a * b, mul_lists(cs, b.coeffs, order))
+        _assert_canonical(a.truncate(min(cut, order)), cs[: cut + 1])
+        _assert_canonical(a.antiderivative(constant),
+                          [constant] + [c / (k + 1) for k, c in enumerate(cs)])
+        if order:
+            _assert_canonical(a.derivative(), [k * c for k, c in enumerate(cs)][1:])
+        unit = Series((c0,) + cs[1:])
+        inverse = unit.reciprocal()  # the one series whose product with unit is 1
+        _assert_reduced(inverse)
+        assert mul_lists(unit.coeffs, inverse.coeffs, order) == [1] + [0] * order
+
+    @PROPERTY
+    @given(revertible_series())
+    def test_reversion(self, a):
+        _assert_canonical(revert_lagrange(a), newton_revert(a).coeffs)
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 20])
+    def test_bessel_series_and_its_inverse(self, order):
+        x = bessel_x_of_y(order)
+        _assert_canonical(x, [0] + [F((-1) ** (k - 1), factorial(k - 1) * factorial(k))
+                                    for k in range(1, order + 1)])
+        _assert_canonical(build_y(order), newton_revert(x).coeffs)
+
+    @PROPERTY
+    @given(st.integers(0, 3), st.integers(1, 6))  # the genus-0 and 1 oracles need order >= 1
+    def test_phi_g(self, g, order):
+        phi = build_phi_g(g, GenusExpansionContext(order, 3 * g - 2 + max(0, 3 - 2 * g)),
+                          TauCalculator())
+        if g < 2:
+            expected = (ref_phi0 if g == 0 else ref_phi1)(order).coeffs
+        else:  # the other route's volumes, v_{g,n} = [x^n] phi_g
+            checker = TauCalculator()
+            expected = [volume(g, n, checker).v for n in range(order + 1)]
+        _assert_canonical(phi, expected)
 
 
 class TestSeriesRing:

@@ -340,5 +340,5 @@ class TestFirstMismatch:
         assert first_mismatch(S(1, 2), S(1, 2, 99)) is None
 
     def test_reports_power(self):
-        assert first_mismatch(S(1, 2, 3), S(1, 2, 4)) == (2, 3, 4)
+        assert first_mismatch(S(1, 2, 3), S(1, 2, 4)) == (2, (3, 1), (4, 1))
         assert first_mismatch(S(1, 2, 3).truncate(0), S(1, 0, 4)) is None
