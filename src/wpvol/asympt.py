@@ -125,18 +125,9 @@ def predicted_growth_constant() -> Decimal:
         return 1 / critical_radius()
 
 
-def _det3(m) -> Decimal:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _solve3(mat, vec):
-    """3x3 linear solve over Decimal by Cramer's rule."""
-    det = _det3(mat)
-    if not det:
-        raise ArithmeticError("singular normal equations")
-    return [_det3([[*row[:k], v, *row[k + 1:]] for row, v in zip(mat, vec)]) / det
-            for k in range(3)]
+def _centred(column: list) -> list:
+    mean = sum(column) / len(column)
+    return [v - mean for v in column]
 
 
 def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> Tuple[Decimal, Decimal]:
@@ -155,13 +146,16 @@ def fit_growth(g: int, n_min: int, n_max: int, calc: TauCalculator) -> Tuple[Dec
     if any(p <= 0 for p, _ in values):
         raise ValueError("growth fit needs positive normalized volumes")
     with localcontext(Context(prec=PRECISION)):
-        rows = []
-        targets = []
-        for n, (p, q) in zip(ns, values):
-            dn = Decimal(n)
-            rows.append((dn, dn.ln(), Decimal(1)))
-            targets.append((Decimal(p) / Decimal(q)).ln())
-        ata = [[sum(r[a] * r[b] for r in rows) for b in range(3)] for a in range(3)]
-        aty = [sum(r[a] * t for r, t in zip(rows, targets)) for a in range(3)]
-        beta = _solve3(ata, aty)
-        return beta[0].exp(), beta[1]
+        # centred, the constant drops out and the normal equations are 2x2
+        u = _centred([Decimal(n) for n in ns])
+        w = _centred([Decimal(n).ln() for n in ns])
+        t = _centred([(Decimal(p) / Decimal(q)).ln() for p, q in values])
+        uu = sum(a * a for a in u)
+        uw = sum(a * b for a, b in zip(u, w))
+        ww = sum(b * b for b in w)
+        ut = sum(a * c for a, c in zip(u, t))
+        wt = sum(b * c for b, c in zip(w, t))
+        det = uu * ww - uw * uw
+        log_c = (ww * ut - uw * wt) / det
+        exponent = (uu * wt - uw * ut) / det
+        return log_c.exp(), exponent

@@ -20,11 +20,12 @@ h_i = y' f_i from one table in GenusExpansionContext, built one product at
 a time; the context builds y and y', and one loop grows the chain only as
 far as it is read.  The f_i also satisfy functional equations as series in
 y, summed over the powers of y from the same table and checked here
-coefficient by coefficient; _weighted_sum is the one kernel of that sum, the
-closed form's and f_1 = 1 - 1/y', and adds each coefficient with
-taucalc.rational_sum, whose reduced pair becomes the coefficient as it is.
-Every value here is such a pair, and every check compares pairs, so no
-Fraction is built.  At every stable (g, n), 2g - 2 + n > 0,
+coefficient by coefficient; _weighted_sum is the one kernel of that sum and
+the closed form's, and adds each coefficient with taucalc.rational_sum,
+whose reduced pair becomes the coefficient as it is.  f_1 = 1 - 1/y' is read
+off the pairs of 1/y', whose constant term is 1 since y'(0) = 1.  Every
+value here is such a pair, and every check compares pairs, so no Fraction
+is built.  At every stable (g, n), 2g - 2 + n > 0,
 the n-th derivative of phi_g has the same shape with tau_0^n inserted; both
 identities are verified exactly.  Below genus 2 the smallest stable n is
 positive: phi_0''' = <tau_0^3>_0 y' = y', an empty product of f_i, and
@@ -45,7 +46,7 @@ import math
 from typing import Mapping, Optional, Tuple
 
 from .kappavol import brackets, enumerate_multiindices, volume
-from .qseries import Series, first_mismatch
+from .qseries import Series
 from .taucalc import TauCalculator, factorial, rational_sum, reduced
 
 __all__ = [
@@ -93,20 +94,19 @@ def build_y(order: int) -> Series:
     for n, p_n in enumerate(p, 1):  # y_n = P_{n-1} / ((n-1)! n!)
         pairs.append(reduced(p_n, fact * fact * n))
         fact *= n
-    return Series.of_pairs(pairs)
+    return Series(pairs)
 
 
 def _unit(order: int) -> Series:
     """The series 1, to x^order."""
-    return Series.of_pairs([(1, 1)] + [(0, 1)] * order)
+    return Series([(1, 1)] + [(0, 1)] * order)
 
 
 def _weighted_sum(terms, order: int) -> Series:
     """sum p/q * c over the (p, q, pairs) terms to x^order, each x^k the
     rational_sum of its nonzero terms: ints over their lcm, reduced once."""
-    return Series.of_pairs(rational_sum([(p * c[k][0], q * c[k][1])
-                                         for p, q, c in terms if c[k][0]])
-                           for k in range(order + 1))
+    return Series(rational_sum([(p * c[k][0], q * c[k][1]) for p, q, c in terms if c[k][0]])
+                  for k in range(order + 1))
 
 
 class GenusExpansionContext:
@@ -141,8 +141,9 @@ class GenusExpansionContext:
             chain.append(self._h["y'"].reciprocal())
         inv = chain[0]
         for j in range(len(chain), i + 1):
-            chain.append(self._h[j] * inv if j > 1 else _weighted_sum(
-                [(1, 1, _unit(inv.order).pairs), (-1, 1, inv.pairs)], inv.order))
+            # f_1 = 1 - 1/y' negates 1/y' past its constant term 1
+            chain.append(self._h[j] * inv if j > 1 else
+                         Series([(0, 1), *((-p, q) for p, q in inv.pairs[1:])]))
             if j < self.i_max:
                 self._h[j + 1] = chain[j].derivative()
         return chain
@@ -232,8 +233,9 @@ class CheckReport:
 
     def __init__(self, check: str, lhs, rhs, power: Optional[int] = None, **fields):
         self.check = check
-        if isinstance(lhs, Series):
-            self.mismatch = first_mismatch(lhs, rhs)
+        if isinstance(lhs, Series):  # through the smaller order
+            self.mismatch = next(((k, a, b) for k, (a, b) in enumerate(zip(lhs.pairs, rhs.pairs))
+                                  if a != b), None)
         else:
             self.mismatch = None if lhs == rhs else (power, lhs, rhs)
         self.passed = self.mismatch is None

@@ -11,15 +11,15 @@ offers calculus, and genexp sums series coefficientwise.
 
 Products (and with them powers and the Lagrange reversion) run over
 integer numerators on one common denominator per operand; each result
-coefficient is reduced once.  `Series(...)` takes ints and Fractions; the
-library builds from pairs with `Series.of_pairs`, and only `coeffs`, `[k]`
-and `parse_rational`, which return Fractions, load `fractions`.
+coefficient is reduced once.  A Series is built one way, `Series(pairs)`,
+from reduced pairs; only `coeffs` and `parse_rational`, which return
+Fractions, load `fractions`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 # the scalar helpers and the p/q parser live in taucalc, which every command loads
 from .taucalc import factorial, format_rational, parse_pair, rational_sum, reduced
@@ -29,16 +29,7 @@ __all__ = [
     "bessel_x_of_y",
     "revert_lagrange",
     "parse_rational",
-    "first_mismatch",
 ]
-
-
-def _as_pair(value) -> Tuple[int, int]:
-    # an int or a Fraction; floats are rejected everywhere: exactness is the whole point
-    try:
-        return value.numerator, value.denominator
-    except AttributeError:
-        raise TypeError(f"exact rational required, got {type(value).__name__}") from None
 
 
 def parse_rational(text: str) -> "Fraction":
@@ -56,18 +47,12 @@ class Series:
 
     __slots__ = ("pairs",)
 
-    def __init__(self, coeffs: Iterable):
-        pairs = tuple(map(_as_pair, coeffs))
+    def __init__(self, pairs: Iterable[Tuple[int, int]]):
+        """The series whose coefficients are the given reduced pairs, q > 0."""
+        pairs = tuple(pairs)
         if not pairs:
             raise ValueError("a series needs at least its constant coefficient")
         self.pairs = pairs
-
-    @classmethod
-    def of_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "Series":
-        """The series whose coefficients are the given reduced pairs, q > 0."""
-        series = cls.__new__(cls)
-        series.pairs = tuple(pairs)
-        return series
 
     @property
     def order(self) -> int:
@@ -79,19 +64,13 @@ class Series:
         from fractions import Fraction  # only a caller that asks for them loads it
         return tuple(Fraction(p, q) for p, q in self.pairs)
 
-    def __getitem__(self, k: int) -> "Fraction":
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient of x^{k} is beyond truncation order {self.order}")
-        from fractions import Fraction
-        return Fraction(*self.pairs[k])
-
     def truncate(self, order: int) -> "Series":
         """Forget coefficients above `order`; never extends."""
         if order < 0:
             raise ValueError("order must be >= 0")
         if order > self.order:
             raise ValueError(f"cannot extend a series of order {self.order} to order {order}")
-        return Series.of_pairs(self.pairs[: order + 1])
+        return Series(self.pairs[: order + 1])
 
     def __mul__(self, other) -> "Series":
         """The Cauchy product, truncated at the smaller order.
@@ -113,7 +92,7 @@ class Series:
                     if bj:
                         out[j] += ai * bj
         d = da * db
-        return Series.of_pairs(reduced(c, d) for c in out)
+        return Series(reduced(c, d) for c in out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -126,13 +105,13 @@ class Series:
         """Term-wise d/dx; the result order drops by one."""
         if self.order < 1:
             raise ValueError("derivative of an order-0 series is undefined (no x^1 data)")
-        return Series.of_pairs(reduced(k * p, q) for k, (p, q) in enumerate(self.pairs) if k > 0)
+        return Series(reduced(k * p, q) for k, (p, q) in enumerate(self.pairs) if k > 0)
 
-    def antiderivative(self, constant=0) -> "Series":
-        """Term-wise antiderivative with the given constant term; order grows by one."""
-        out = [_as_pair(constant)]
+    def antiderivative(self, constant: int = 0) -> "Series":
+        """Term-wise antiderivative with the given int constant term; order grows by one."""
+        out = [(constant, 1)]
         out.extend(reduced(p, q * (k + 1)) for k, (p, q) in enumerate(self.pairs))
-        return Series.of_pairs(out)
+        return Series(out)
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse to the same order; needs a nonzero constant term.
@@ -147,7 +126,7 @@ class Series:
             s, t = rational_sum([(pk * pr, qk * qr) for (pk, qk), (pr, qr)
                                  in zip(a[1: m + 1], out[::-1]) if pk])
             out.append(reduced(-ip * s, iq * t))
-        return Series.of_pairs(out)
+        return Series(out)
 
     def __repr__(self) -> str:
         shown = ", ".join(format_rational(*pair) for pair in self.pairs)
@@ -161,8 +140,8 @@ def bessel_x_of_y(order: int) -> Series:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return Series.of_pairs([(0, 1)] + [((-1) ** (k - 1), factorial(k - 1) * factorial(k))
-                                       for k in range(1, order + 1)])
+    return Series([(0, 1)] + [((-1) ** (k - 1), factorial(k - 1) * factorial(k))
+                              for k in range(1, order + 1)])
 
 
 def revert_lagrange(series: Series) -> Series:
@@ -178,7 +157,7 @@ def revert_lagrange(series: Series) -> Series:
     if not series.pairs[1][0]:
         raise ValueError("reversion needs an invertible linear coefficient")
     n = series.order
-    unit = Series.of_pairs(series.pairs[1:])  # a(y)/y, constant term a_1 != 0
+    unit = Series(series.pairs[1:])  # a(y)/y, constant term a_1 != 0
     u = unit.reciprocal()  # y/a(y), order n-1
     out = [(0, 1), u.pairs[0]]
     power = u
@@ -186,13 +165,4 @@ def revert_lagrange(series: Series) -> Series:
         power = power * u
         p, q = power.pairs[m - 1]
         out.append(reduced(p, q * m))
-    return Series.of_pairs(out)
-
-
-def first_mismatch(a: Series, b: Series) -> Optional[tuple]:
-    """First (power, a_pair, b_pair) where the series differ through
-    min(a.order, b.order), or None."""
-    for k in range(min(a.order, b.order) + 1):
-        if a.pairs[k] != b.pairs[k]:
-            return (k, a.pairs[k], b.pairs[k])
-    return None
+    return Series(out)

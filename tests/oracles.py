@@ -11,6 +11,12 @@ from functools import lru_cache
 from wpvol.qseries import Series, bessel_x_of_y, parse_rational, revert_lagrange
 
 
+def series(values) -> Series:
+    """The Series with the given int or Fraction coefficients: the one
+    route from exact values to the reduced pairs `Series` is built from."""
+    return Series((v.numerator, v.denominator) for v in values)
+
+
 def mul_lists(a: list, b: list, n: int) -> list:
     """Schoolbook Cauchy product of coefficient lists in plain Fraction
     arithmetic, truncated at order n (zeros past either list's end): the
@@ -38,12 +44,12 @@ def _compose_lists(outer: list, inner: list, n: int) -> list:
 def add(a: Series, b: Series) -> Series:
     """a + b, coefficient by coefficient, truncated at the smaller order: the
     reference sum of two series, which `Series` does not offer."""
-    return Series(x + y for x, y in zip(a.coeffs, b.coeffs))
+    return series(x + y for x, y in zip(a.coeffs, b.coeffs))
 
 
 def scale(a: Series, c) -> Series:
     """c * a, coefficient by coefficient, for an exact scalar c."""
-    return Series(c * x for x in a.coeffs)
+    return series(c * x for x in a.coeffs)
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -56,10 +62,10 @@ def compose(outer: Series, inner: Series) -> Series:
     if inner.coeffs[0]:
         raise ValueError("composition needs an inner series with zero constant term")
     n = min(outer.order, inner.order)
-    return Series(_compose_lists(list(outer.coeffs[: n + 1]), list(inner.coeffs[: n + 1]), n))
+    return series(_compose_lists(list(outer.coeffs[: n + 1]), list(inner.coeffs[: n + 1]), n))
 
 
-def newton_revert(series: Series) -> Series:
+def newton_revert(a_series: Series) -> Series:
     """Compositional inverse by Newton iteration.
 
     Given a(x) with a(0) = 0 and a'(0) != 0, returns b with a(b(x)) = x to
@@ -68,14 +74,14 @@ def newton_revert(series: Series) -> Series:
     order 2p.  The reference for `genexp.build_y`, next to
     `qseries.revert_lagrange`.
     """
-    a = list(series.coeffs)
-    if series.order < 1:
+    a = list(a_series.coeffs)
+    if a_series.order < 1:
         raise ValueError("reversion needs order >= 1")
     if a[0]:
         raise ValueError("reversion needs a zero constant term")
     if not a[1]:
         raise ValueError("reversion needs an invertible linear coefficient")
-    n = series.order
+    n = a_series.order
     b = [Fraction(0), 1 / a[1]]
     prec = 1
     while prec < n:
@@ -86,7 +92,7 @@ def newton_revert(series: Series) -> Series:
         dcur = [(k + 1) * cur[k + 1] for k in range(prec)]
         corr = mul_lists(err, dcur, prec)
         b = [cur[k] - corr[k] for k in range(prec + 1)]
-    return Series(b)
+    return series(b)
 
 
 def ref_phi0(order: int) -> Series:
@@ -221,4 +227,4 @@ def series_from_json_dict(data: dict) -> Series:
     coeffs = [parse_rational(c) for c in data["coeffs"]]
     if data["order"] != len(coeffs) - 1:
         raise ValueError("inconsistent order and coefficient count")
-    return Series(coeffs)
+    return series(coeffs)

@@ -13,7 +13,8 @@ from functools import partial
 
 import pytest
 
-from oracles import compose, dilaton_step, dvv_step, engine_tau, kappa_volume, string_step
+from oracles import (compose, dilaton_step, dvv_step, engine_tau, kappa_volume, series,
+                     string_step)
 from wpvol.asympt import fit_growth, predicted_growth_constant
 from wpvol.cli import main
 from wpvol.genexp import (
@@ -25,7 +26,7 @@ from wpvol.genexp import (
     induction_sides,
 )
 from wpvol.kappavol import enumerate_multiindices, volume
-from wpvol.qseries import Series, bessel_x_of_y, factorial
+from wpvol.qseries import bessel_x_of_y, factorial
 
 F = Fraction
 
@@ -48,18 +49,18 @@ def test_criterion_2_reversion_suite(calc):
     t0 = time.time()
     x_of_y = bessel_x_of_y(40)
     y = build_y(40)
-    round_trip = compose(x_of_y, y) == Series([0, 1] + [0] * 39)
+    round_trip = compose(x_of_y, y) == series([0, 1] + [0] * 39)
     # x^2, x^3 coefficients forced by the volumes, themselves computed through
     # the independent correlator route
     v04 = kappa_volume(volume(0, 4, calc))
     v05 = kappa_volume(volume(0, 5, calc))
     coeffs = (
-        y[2] == F(1, 2)
-        and y[3] == F(5, 12)
+        y.coeffs[2] == F(1, 2)
+        and y.coeffs[3] == F(5, 12)
         and v04 == 1
         and v05 == 5
-        and y[2] == F(v04, 2)  # V_{0,4} / (2! 1!)
-        and y[3] == F(v05, 12)  # V_{0,5} / (3! 2!)
+        and y.coeffs[2] == F(v04, 2)  # V_{0,4} / (2! 1!)
+        and y.coeffs[3] == F(v05, 12)  # V_{0,5} / (3! 2!)
     )
     elapsed = time.time() - t0
     report(
@@ -74,7 +75,7 @@ def test_criterion_3_lemma_suite():
     ctx = GenusExpansionContext(order=20, i_max=10)
     equal = all(ctx.f(i) == build_f_lemma(i, ctx) for i in range(2, 9))
     constants = all(
-        ctx.f(i)[0] == F((-1) ** i, factorial(i - 1)) for i in range(2, 11)
+        ctx.f(i).coeffs[0] == F((-1) ** i, factorial(i - 1)) for i in range(2, 11)
     )
     elapsed = time.time() - t0
     report(
@@ -90,12 +91,12 @@ def test_criterion_4_master_crosscheck(calc):
     ctx2 = GenusExpansionContext(order=10, i_max=4)
     phi2 = build_phi_g(2, ctx2, calc)
     for n in range(11):
-        if phi2[n] != volume(2, n, calc).v:
+        if phi2.coeffs[n] != volume(2, n, calc).v:
             mismatches.append((2, n))
     ctx3 = GenusExpansionContext(order=5, i_max=7)
     phi3 = build_phi_g(3, ctx3, calc)
     for n in range(6):
-        if phi3[n] != volume(3, n, calc).v:
+        if phi3.coeffs[n] != volume(3, n, calc).v:
             mismatches.append((3, n))
     elapsed = time.time() - t0
     report(

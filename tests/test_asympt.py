@@ -194,8 +194,8 @@ class TestFit:
             fit_growth(0, 10, 12, calc)
 
     def test_non_positive_rejected(self, calc):
-        with pytest.raises(ValueError):
-            fit_growth(1, 0, 8, calc)  # v_{1,0} = 0
+        with pytest.raises(ValueError, match="positive"):
+            fit_growth(0, 1, 8, calc)  # v_{0,1} = v_{0,2} = 0
         with pytest.raises(ValueError, match="n_min must be >= 1"):
             fit_growth(0, -5, 20, calc)
 

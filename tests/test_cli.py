@@ -422,8 +422,25 @@ class TestAsympt:
                                  "--n-min", "0")
         assert (code, out, err) == (EXIT_USAGE, "", "error: --n-min must be >= 1\n")
 
+    def test_non_positive_window(self, capsys):
+        # v_{0,1} = v_{0,2} = 0: the fit takes the logarithm of each volume
+        code, out, err = run_cli(capsys, "asympt", "--genus", "0", "--n-max", "8",
+                                 "--n-min", "1")
+        assert (code, out, err) == (EXIT_USAGE, "",
+                                    "error: growth fit needs positive normalized volumes\n")
+
 
 class TestCache:
+    def test_failed_save_exits_3_after_the_record(self, capsys, tmp_path):
+        argv = ("volume", "--genus", "2", "--n", "3")
+        _, cold, _ = run_cli(capsys, *argv)
+        path = tmp_path / "missing" / "c.txt"
+        code, out, err = run_cli(capsys, *argv, "--cache", str(path))
+        # the message names the pid-suffixed temporary file, so only its prefix is pinned
+        assert (code, out) == (EXIT_IO, cold)
+        assert err.startswith("error: saving cache failed:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_round_trip(self, capsys, tmp_path):
         path = tmp_path / "tau.cache"
         code, out1, _ = run_cli(capsys, "tau", "--genus", "2", "--ds", "4",

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from oracles import (add, compose, kappa_volume, mul_lists, newton_revert, ref_phi0, ref_phi1,
-                     scale)
+                     scale, series)
 from wpvol.asympt import fit_growth
 from wpvol.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from wpvol.genexp import (
+    CheckReport,
     GenusExpansionContext,
     _closed_form,
     build_f_lemma,
@@ -37,7 +38,7 @@ def _power(s, e):
 def _ref_closed_form(g, n, ctx, calc):
     """The closed form summed term by term, each term carrying its own
     (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!."""
-    total = Series([0] * (ctx.order + 1))
+    total = series([0] * (ctx.order + 1))
     for l in enumerate_multiindices(3 * g - 3 + n):
         bracket = F(*calc.tau_batch(g, l.items(), zeros=n))
         if not bracket:
@@ -72,22 +73,22 @@ def ctx():
 
 class TestY:
     def test_low_order(self):
-        assert build_y(3) == Series([0, 1, F(1, 2), F(5, 12)])
+        assert build_y(3) == series([0, 1, F(1, 2), F(5, 12)])
 
     def test_linear_coefficient(self):
         y = build_y(8)
-        assert y[0] == 0
-        assert y[1] == 1
+        assert y.coeffs[0] == 0
+        assert y.coeffs[1] == 1
 
     def test_next_coefficient_matches_volumes(self, calc):
         # [x^4] y = V_{0,6} / (4! 3!)
-        assert build_y(4)[4] == F(kappa_volume(volume(0, 6, calc)), 144)
+        assert build_y(4).coeffs[4] == F(kappa_volume(volume(0, 6, calc)), 144)
 
     def test_genus0_integrality(self):
         # y_n n! (n-1)! = V_{0,n+2} is an integer (Kaufmann-Manin-Zagier);
         # checked on the coefficients alone, with no series arithmetic
         y = build_y(62)
-        volumes = [y[n] * factorial(n) * factorial(n - 1) for n in range(1, 63)]
+        volumes = [y.coeffs[n] * factorial(n) * factorial(n - 1) for n in range(1, 63)]
         assert all(v.denominator == 1 for v in volumes)
         assert volumes[:7] == [1, 1, 5, 61, 1379, 49946, 2648967]
 
@@ -129,7 +130,7 @@ class TestY:
         order = 10
         y = build_y(order)
         lhs = compose(bessel_x_of_y(order).derivative(), y) * y.derivative()
-        assert lhs == Series([1] + [0] * (order - 1))
+        assert lhs == series([1] + [0] * (order - 1))
 
 
 class TestPhi0:
@@ -209,15 +210,15 @@ class TestVolumeSeries:
 
 class TestFChain:
     def test_values_at_zero(self, ctx):
-        assert ctx.f(1)[0] == 0
-        assert ctx.f(2)[0] == 1
-        assert ctx.f(3)[0] == F(-1, 2)
-        assert ctx.f(4)[0] == F(1, 6)
+        assert ctx.f(1).coeffs[0] == 0
+        assert ctx.f(2).coeffs[0] == 1
+        assert ctx.f(3).coeffs[0] == F(-1, 2)
+        assert ctx.f(4).coeffs[0] == F(1, 6)
 
     def test_sign_factorial_pattern(self):
         ctx10 = GenusExpansionContext(order=2, i_max=10)
         for i in range(2, 11):
-            assert ctx10.f(i)[0] == F((-1) ** i, factorial(i - 1))
+            assert ctx10.f(i).coeffs[0] == F((-1) ** i, factorial(i - 1))
 
     def test_f2_consistent_with_chain_rule(self, ctx):
         # the chain builds f_2 = f_1'/y'; it equals y''/(y')^3 (to the shared order)
@@ -275,7 +276,7 @@ class TestFunctionalEquation:
         ctx = GenusExpansionContext(order=order, i_max=12)
         y = build_y(order + 1).truncate(order)
         for i in range(2, 13):
-            outer = Series(F((-1) ** (i + k), factorial(i + k - 1) * factorial(k))
+            outer = series(F((-1) ** (i + k), factorial(i + k - 1) * factorial(k))
                            for k in range(order + 1))
             assert build_f_lemma(i, ctx) == compose(outer, y), i
 
@@ -291,15 +292,15 @@ class TestFunctionalEquation:
 class TestPhiG:
     def test_genus2_constant_term(self, ctx, calc):
         phi2 = build_phi_g(2, ctx, calc)
-        assert phi2[0] == F(43, 17280)
-        assert phi2[0] == volume(2, 0, calc).v
+        assert phi2.coeffs[0] == F(43, 17280)
+        assert phi2.coeffs[0] == volume(2, 0, calc).v
 
     def test_genus2_linear_term(self, ctx, calc):
-        assert build_phi_g(2, ctx, calc)[1] == volume(2, 1, calc).v
+        assert build_phi_g(2, ctx, calc).coeffs[1] == volume(2, 1, calc).v
 
     def test_genus3_constant_term(self, calc):
         ctx3 = GenusExpansionContext(order=2, i_max=7)
-        assert build_phi_g(3, ctx3, calc)[0] == volume(3, 0, calc).v
+        assert build_phi_g(3, ctx3, calc).coeffs[0] == volume(3, 0, calc).v
 
     def test_negative_genus_rejected(self, ctx, calc):
         with pytest.raises(ValueError, match="genus must be >= 0"):
@@ -396,6 +397,17 @@ class TestInductionIdentity:
         # unstable <>_1, and no string step reaches the base <tau_0^3>_0
         with pytest.raises(ValueError, match=r"2g - 3 \+ n > 0"):
             induction_sides(g, n, l, calc)
+
+
+class TestCheckReport:
+    # two series are compared through the smaller order
+    def test_none_when_equal(self):
+        assert CheckReport("demo", series([1, 2]), series([1, 2, 99])).mismatch is None
+
+    def test_reports_power(self):
+        rep = CheckReport("demo", series([1, 2, 3]), series([1, 2, 4]))
+        assert (rep.passed, rep.mismatch) == (False, (2, (3, 1), (4, 1)))
+        assert CheckReport("demo", series([1, 2, 3]).truncate(0), series([1, 0, 4])).passed
 
 
 class TestReportSerialization:

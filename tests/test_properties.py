@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (add, compose, engine_tau, mul_lists, newton_revert, ref_phi0, ref_phi1,
-                     ref_tau)
+                     ref_tau, series)
 from wpvol.genexp import GenusExpansionContext, build_phi_g, build_y
 from wpvol.kappavol import volume
-from wpvol.qseries import Series, bessel_x_of_y, factorial, parse_rational, revert_lagrange
+from wpvol.qseries import bessel_x_of_y, factorial, parse_rational, revert_lagrange
 from wpvol.taucalc import (CacheFormatError, MemoStore, TauCalculator, _render, _scale,
                            canonical_key, format_rational, load_cache, save_cache)
 
@@ -35,7 +35,7 @@ nonzero_fractions = fractions.filter(bool)
 def series_tuples(draw, count, order_max=6):
     """`count` series of one common order."""
     order = draw(st.integers(0, order_max))
-    return tuple(Series(draw(st.lists(fractions, min_size=order + 1, max_size=order + 1)))
+    return tuple(series(draw(st.lists(fractions, min_size=order + 1, max_size=order + 1)))
                  for _ in range(count))
 
 
@@ -49,7 +49,7 @@ def revertible_series(draw, order_max=7):
     """a(x) with a(0) = 0 and a'(0) != 0."""
     order = draw(st.integers(1, order_max))
     rest = draw(st.lists(fractions, min_size=order - 1, max_size=order - 1))
-    return Series([F(0), draw(nonzero_fractions), *rest])
+    return series([F(0), draw(nonzero_fractions), *rest])
 
 
 @st.composite
@@ -213,13 +213,13 @@ class TestMulKernel:
     @given(entries, entries, st.integers(0, 10))
     def test_matches_schoolbook_product(self, a, b, n):
         n = min(n, len(a) - 1, len(b) - 1)  # the product truncates at the smaller order
-        _assert_canonical(Series(a).truncate(n) * Series(b), mul_lists(a, b, n))
+        _assert_canonical(series(a).truncate(n) * series(b), mul_lists(a, b, n))
 
     def test_factorial_squared_denominators(self):
         # denominators up to (60!)^2, as in the Bessel series at order 61
         a = [F((-1) ** k, factorial(k) ** 2) for k in range(61)]
         b = [F(k - 30, factorial(k) * factorial(k + 1)) for k in range(61)]
-        _assert_canonical(Series(a) * Series(b), mul_lists(a, b, 60))
+        _assert_canonical(series(a) * series(b), mul_lists(a, b, 60))
 
 
 class TestCanonicalPairs:
@@ -228,7 +228,7 @@ class TestCanonicalPairs:
     oracle."""
 
     @PROPERTY
-    @given(series_tuples(2), nonzero_fractions, fractions, st.integers(0, 6))
+    @given(series_tuples(2), nonzero_fractions, st.integers(-12, 12), st.integers(0, 6))
     def test_calculus_and_products(self, ab, c0, constant, cut):
         a, b = ab
         cs, order = a.coeffs, a.order
@@ -238,7 +238,7 @@ class TestCanonicalPairs:
                           [constant] + [c / (k + 1) for k, c in enumerate(cs)])
         if order:
             _assert_canonical(a.derivative(), [k * c for k, c in enumerate(cs)][1:])
-        unit = Series((c0,) + cs[1:])
+        unit = series((c0,) + cs[1:])
         inverse = unit.reciprocal()  # the one series whose product with unit is 1
         _assert_reduced(inverse)
         assert mul_lists(unit.coeffs, inverse.coeffs, order) == [1] + [0] * order
@@ -273,7 +273,7 @@ class TestSeriesRing:
     @given(series_tuples(3))
     def test_multiplication_laws(self, abc):
         a, b, c = abc
-        one = Series([1] + [0] * a.order)
+        one = series([1] + [0] * a.order)
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * add(b, c) == add(a * b, a * c)
@@ -292,8 +292,8 @@ class TestSeriesRing:
     @PROPERTY
     @given(single_series, nonzero_fractions)
     def test_reciprocal_inverts_a_unit(self, a, c0):
-        unit = Series((c0,) + a.coeffs[1:])
-        assert unit * unit.reciprocal() == Series([1] + [0] * a.order)
+        unit = series((c0,) + a.coeffs[1:])
+        assert unit * unit.reciprocal() == series([1] + [0] * a.order)
 
 
 class TestReversion:
@@ -301,7 +301,7 @@ class TestReversion:
     @given(revertible_series())
     def test_round_trip_against_lagrange(self, a):
         b = newton_revert(a)
-        identity = Series([0, 1] + [0] * (a.order - 1))
+        identity = series([0, 1] + [0] * (a.order - 1))
         assert b == revert_lagrange(a)
         assert compose(a, b) == identity
         assert compose(b, a) == identity

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import compose, double_factorial, newton_revert, series_from_json_dict
+from oracles import compose, double_factorial, newton_revert, series, series_from_json_dict
 from wpvol.cli import main
 from wpvol.genexp import GenusExpansionContext, build_f_lemma
 from wpvol.qseries import (
     Series,
     bessel_x_of_y,
     factorial,
-    first_mismatch,
     format_rational,
     parse_rational,
     revert_lagrange,
@@ -22,16 +21,16 @@ F = Fraction
 
 
 def S(*coeffs):
-    return Series(coeffs)
+    return series(coeffs)
 
 
 def X(order):
     """The series x, to `order`."""
-    return Series([0, 1] + [0] * (order - 1))
+    return series([0, 1] + [0] * (order - 1))
 
 
 def ZERO(order):
-    return Series([0] * (order + 1))
+    return series([0] * (order + 1))
 
 
 def _count_series_products(monkeypatch):
@@ -54,7 +53,7 @@ def random_series(rng, order, unit_constant=False, zero_constant=False, unit_lin
         coeffs[0] = F(0)
     if unit_linear:
         coeffs[1] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-    return Series(coeffs)
+    return series(coeffs)
 
 
 class TestScalars:
@@ -91,9 +90,10 @@ class TestScalars:
 
 
 class TestConstruction:
-    def test_float_rejected(self):
-        with pytest.raises(TypeError):
-            Series([0.5])
+    def test_built_from_reduced_pairs(self):
+        s = Series(iter([(0, 1), (-1, 2)]))
+        assert (s.pairs, s.coeffs, s.order) == (((0, 1), (-1, 2)), (0, F(-1, 2)), 1)
+        assert s == S(0, F(-1, 2))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -102,12 +102,6 @@ class TestConstruction:
     def test_order(self):
         assert S(1, 2, 3).order == 2
         assert X(5).order == 5
-
-    def test_coefficient_bounds(self):
-        s = S(1, 2)
-        assert s[1] == 2
-        with pytest.raises(IndexError):
-            s[2]
 
     def test_truncate_never_extends(self):
         s = S(1, 2, 3)
@@ -120,7 +114,7 @@ class TestRingOps:
     def test_mul(self):
         assert S(1, 1, 0) * S(1, -1, 0) == S(1, 0, -1)
         a = S(2, 3, 5)
-        assert a * Series([1] + [0] * 2) == a
+        assert a * S(1, 0, 0) == a
         # x * x at order 1: the x^2 term is beyond order
         x = X(1)
         assert x * x == S(0, 0)
@@ -179,7 +173,7 @@ class TestRingOps:
         # h_power(2, exponent) makes `products` products; exponent 0 is rejected
         ctx = GenusExpansionContext(12, 10)
         base = ctx.h_power(2, 1)
-        expected = Series([1] + [0] * base.order)
+        expected = series([1] + [0] * base.order)
         for _ in range(exponent):
             expected = expected * base
         ctx.h_power(2, max(1, exponent - products))
@@ -202,17 +196,17 @@ class TestRingOps:
 class TestCalculus:
     def test_derivative_examples(self):
         assert S(0, 1, F(1, 2), F(5, 12)).derivative() == S(1, 1, F(5, 4))
-        assert Series([9] + [0] * 3).derivative() == ZERO(2)
+        assert S(9, 0, 0, 0).derivative() == ZERO(2)
         k = 6
-        s = Series([0] * k + [F(1, factorial(k))])
-        assert s.derivative() == Series([0] * (k - 1) + [F(1, factorial(k - 1))])
+        s = series([0] * k + [F(1, factorial(k))])
+        assert s.derivative() == series([0] * (k - 1) + [F(1, factorial(k - 1))])
 
     def test_derivative_order_zero_rejected(self):
         with pytest.raises(ValueError):
             S(3).derivative()
 
     def test_antiderivative_examples(self):
-        assert Series([1]).antiderivative() == S(0, 1)
+        assert S(1).antiderivative() == S(0, 1)
         assert X(1).antiderivative(1) == S(1, 0, F(1, 2))
 
     def test_antiderivative_inverts_derivative(self):
@@ -223,7 +217,7 @@ class TestCalculus:
 
     def test_reciprocal_geometric(self):
         assert S(1, -1, 0, 0).reciprocal() == S(1, 1, 1, 1)
-        assert Series([1]).reciprocal() == S(1)
+        assert S(1).reciprocal() == S(1)
         assert S(1, 1, F(5, 4)).reciprocal() == S(1, -1, F(-1, 4))
 
     def test_reciprocal_zero_rejected(self):
@@ -234,7 +228,7 @@ class TestCalculus:
         rng = random.Random(13)
         for _ in range(25):
             a = random_series(rng, rng.randint(0, 8), unit_constant=True)
-            assert a * a.reciprocal() == Series([1] + [0] * a.order)
+            assert a * a.reciprocal() == series([1] + [0] * a.order)
 
 
 class TestCompose:
@@ -314,8 +308,8 @@ class TestBesselSeries:
 
     def test_single_coefficients(self):
         s = bessel_x_of_y(4)
-        assert s[1] == 1
-        assert s[4] == F(-1, 144)
+        assert s.coeffs[1] == 1
+        assert s.coeffs[4] == F(-1, 144)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -334,11 +328,3 @@ class TestSerialization:
         with pytest.raises(ValueError):
             series_from_json_dict({"order": 2, "coeffs": ["1"]})
 
-
-class TestFirstMismatch:
-    def test_none_when_equal(self):
-        assert first_mismatch(S(1, 2), S(1, 2, 99)) is None
-
-    def test_reports_power(self):
-        assert first_mismatch(S(1, 2, 3), S(1, 2, 4)) == (2, (3, 1), (4, 1))
-        assert first_mismatch(S(1, 2, 3).truncate(0), S(1, 0, 4)) is None

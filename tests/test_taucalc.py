@@ -345,6 +345,37 @@ class TestDeterminism:
         assert fresh.store.entries == cold.store.entries
 
 
+def dvv_merge_and_lowering_children(g, ds):
+    """The children of one DVV step on the largest index of (g, ds) that are
+    not split products: each merge of k with another index, and each
+    genus-lowering key with a + b = k - 2 inserted."""
+    k, rest = ds[0], list(ds[1:])
+    merges = [canonical_key(g, rest[:j] + rest[j + 1:] + [k + d - 1]) for j, d in enumerate(rest)]
+    return merges + [canonical_key(g - 1, rest + [a, k - 2 - a]) for a in range(k - 1)]
+
+
+class TestDVVSplitChildMisses:
+    # a cold run has every split product child in the memo before it asks, so
+    # only a warm memo without them makes the DVV step yield its split children
+    @pytest.mark.parametrize("g, ds", [(2, (4,)), (2, (2, 2, 2)), (3, (5, 2, 2))])
+    def test_memo_of_merge_and_lowering_children(self, g, ds):
+        cold = TauCalculator()
+        value = engine_tau(cold, g, ds)
+        children = dvv_merge_and_lowering_children(g, ds)
+        warm = TauCalculator(MemoStore({key: cold.store.entries[key] for key in children
+                                        if key in cold.store.entries}))
+        assert engine_tau(warm, g, ds) == value == ref_tau(g, ds)
+
+    def test_cache_of_a_lower_genus_job(self, tmp_path):
+        path = str(tmp_path / "w.txt")
+        calc = TauCalculator()
+        volume(2, 3, calc)
+        save_cache(calc.store, path)
+        warm = volume(3, 3, TauCalculator(load_cache(path)))
+        assert warm == volume(3, 3, TauCalculator())
+        assert warm.v * factorial(3) * factorial(9) == F(486507137519, 725760)  # V_{3,3}
+
+
 def core_entries(entries):
     """The entries save_cache writes: genus >= 1 and every index >= 2."""
     return {(g, ds): w for (g, ds), w in entries.items() if g >= 1 and min(ds, default=2) >= 2}
