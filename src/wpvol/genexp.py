@@ -307,8 +307,8 @@ def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
     tau_0^n closed forms of its derivatives, the index-shift identity) reads
     one fresh memo that no cache reaches, so a wrong cache value cannot pass
     its own check.  The two routes share no memo entry but run the same
-    engine code, so an engine rule wrong on both (a wrong dilaton factor)
-    passes; ROADMAP items 4 and 7 add routes that don't.
+    engine code, so an engine rule wrong on both (a wrong dilaton factor of
+    DVV at k = 1) passes; ROADMAP items 4 and 7 add routes that don't.
     """
     if g < 0:
         raise ValueError("g must be >= 0")

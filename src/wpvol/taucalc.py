@@ -6,8 +6,10 @@ rule per key, chosen by its smallest index, and one implementation per rule:
   - a tau_0: the string equation removes it, fused with the dilaton equation
     on the tau_1 it frees (the paper's index-shift identity), so no key with
     a new tau_1 is stored;
-  - a tau_1: the dilaton equation, one child;
-  - otherwise: DVV on the largest index, the only step with a genus split.
+  - otherwise: DVV on that smallest index k.  At k = 1 it has no
+    genus-lowering or split terms and its merge terms all read the one child
+    without the tau_1: it is the dilaton equation.  Only a key with every
+    index >= 2 splits.
 Marked points are distinguishable, so the genus-splitting sums run over
 ordered pairs of labeled submultisets.  Genus 0 needs no recursion:
 <tau_d>_0 = (n-3)!/prod d_i! (a multinomial coefficient) whenever the
@@ -24,11 +26,12 @@ The memo holds plain ints, the normalized correlators (Liu-Xu)
     W(g, ds) = 2^(4g) * prod_i (2d_i+1)!! * <tau_ds>_g.
 
 In W every rule has integer coefficients: string (2d_j+1), fused
-string-dilaton 5 * 3(2g-2+m) for the m indices left, dilaton 3(2g-3+n) for
-the n indices of the key, DVV merge (2d_j+1), the DVV genus-reducing term
-times 2^4, the DVV split products unscaled (2^(4 g1) 2^(4 g2) = 2^(4g)), and
-the bases W(0,(0,0,0)) = 1 and W(1,(1,)) = 2; one exact halving of the DVV
-split sum remains.  The double factorials clear every odd denominator.  The
+string-dilaton 5 * 3(2g-2+m) for the m indices left, DVV merge (2d_j+1) (at
+k = 1 they sum over the other indices to 3(2g-3+n), n = len(ds), the
+dilaton factor), the DVV genus-reducing term times 2^4, the DVV split
+products unscaled (2^(4 g1) 2^(4 g2) = 2^(4g)), and the bases
+W(0,(0,0,0)) = 1 and W(1,(1,)) = 2; one exact halving of the DVV split sum
+remains.  The double factorials clear every odd denominator.  The
 2-adic scale 2^(4g) is a pinned invariant: over the keys of volume(g, n),
 g <= 6, the largest 2-adic exponent of a denominator of <tau_ds>_g is
 3g + v2(g!) (3, 7, 10, 15, 18, 22), below 4g and attained by
@@ -178,9 +181,10 @@ def save_cache(store: MemoStore, path: str) -> None:
     """Write the core entries (g >= 1, every index >= 2) as <tau_ds>_g to
     `path`, sorted for diffs.  Every other key is one cheap step from the core
     and is rederived on demand: genus 0 by the closed form, a key with a tau_0
-    by the string equation, one with a tau_1 by the dilaton equation.  A non-int
-    entry, core or not, raises TypeError before anything is written, and a file
-    that already holds these bytes is left as it is (inode and mtime too)."""
+    by the string equation, one with a tau_1 by DVV at k = 1 (the dilaton
+    equation).  A non-int entry, core or not, raises TypeError before anything
+    is written, and a file that already holds these bytes is left as it is
+    (inode and mtime too)."""
     lines = []
     for (genus, ds), w in store.entries.items():
         if type(w) is not int:
@@ -339,8 +343,8 @@ class TauCalculator:
         """W(key) when no reduction is needed (0 for an unstable or
         dimension-breaking key, the torus base, the genus-0 closed form; the
         last two are stored), else the generator of its one reduction, by
-        the smallest index: the fused string-dilaton step on a tau_0, the
-        dilaton equation on a tau_1, else DVV on the largest index."""
+        the smallest index: the fused string-dilaton step on a tau_0, else
+        DVV on that index."""
         g, ds = key
         n = len(ds)
         if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
@@ -353,8 +357,6 @@ class TauCalculator:
             return 2
         if not ds[-1]:
             return self._string(g, ds)
-        if ds[-1] == 1:
-            return self._dilaton(g, ds)
         return self._dvv(g, ds)
 
     def _drive(self, gen, key: Key) -> int:
@@ -417,21 +419,14 @@ class TauCalculator:
             count = 0
         return total
 
-    def _dilaton(self, g: int, ds: Tuple[int, ...]):
-        """The dilaton equation on a key with a tau_1: <tau_1 rest>_g =
-        (2g-2+|rest|) <rest>_g, so W(g, ds) = 3(2g-3+n) W(g, ds[:-1])."""
-        child = (g, ds[:-1])
-        w = self.store.entries.get(child)
-        if w is None:
-            w = yield child
-        return 3 * (2 * g - 3 + len(ds)) * w
-
     def _dvv(self, g: int, ds: Tuple[int, ...]):
-        """DVV on the largest index k = ds[0] >= 2, g >= 1: the merge terms, the
-        genus-lowering terms over a+b = k-2 and half the split products over
-        ordered pairs of labeled submultisets I + J of the other indices."""
+        """DVV on the smallest index k = ds[-1] >= 1, g >= 1: the merge terms,
+        the genus-lowering terms over a+b = k-2 and half the split products
+        over ordered pairs of labeled submultisets I + J of the other indices.
+        As a, b < k, they end each child; only a merged k+v-1 needs _insert.
+        At k = 1 only merge terms remain, on ds[:-1]: the dilaton equation."""
         get = self.store.entries.get
-        k, rest = ds[0], ds[1:]
+        k, rest = ds[-1], ds[:-1]
         runs = _runs(rest)
 
         total = 0
@@ -444,7 +439,7 @@ class TauCalculator:
 
         split_sum = 0
         for a in range(k - 1):
-            child = (g - 1, _insert(_insert(rest, a), k - 2 - a))
+            child = (g - 1, rest + (max(a, k - 2 - a), min(a, k - 2 - a)))
             w = get(child)
             if w is None:
                 w = yield child
@@ -453,11 +448,11 @@ class TauCalculator:
             # a runs over shift + a = 3 g1 <= 3 g; indices >= 2 give shift >= 2, g1 >= 1, first > 0
             for a in range(-shift % 3, min(k - 2, 3 * g - shift) + 1, 3):
                 g1 = (shift + a) // 3
-                child = (g1, _insert(part, a))
+                child = (g1, part + (a,))
                 first = get(child)
                 if first is None:
                     first = yield child
-                child = (g - g1, _insert(complement, k - 2 - a))
+                child = (g - g1, complement + (k - 2 - a,))
                 second = get(child)
                 if second is None:
                     second = yield child

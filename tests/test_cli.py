@@ -326,7 +326,7 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         first = json.loads(out.splitlines()[0])
         assert (first["n"], first["pass"]) == (0, False)
-        assert first["first_mismatch"] == {"power": 0, "lhs": "17/3360", "rhs": "43/17280"}
+        assert first["first_mismatch"] == {"power": 0, "lhs": "457/90720", "rhs": "43/17280"}
 
     def test_poisoned_cache_fails_theorem1_at_genus1(self, capsys, tmp_path):
         # phi_1 reads <tau_0 tau_2>_1 = <tau_1>_1 off the cache, so v_{1,1} doubles
@@ -373,7 +373,7 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         first = json.loads(out.splitlines()[0])
         assert (first["check"], first["n"], first["pass"]) == ("derivative_formula", 0, False)
-        assert first["first_mismatch"] == {"power": 0, "lhs": "17/3360", "rhs": "43/17280"}
+        assert first["first_mismatch"] == {"power": 0, "lhs": "457/90720", "rhs": "43/17280"}
         assert path.read_text(encoding="utf-8") == "1|1|1/12\n"
 
     def test_all_builds_phi_g_once(self, capsys, monkeypatch):
@@ -591,7 +591,7 @@ class TestCache:
         assert code == EXIT_VERIFY_FAILED
         first = json.loads(out.splitlines()[0])
         assert (first["n"], first["pass"]) == (0, False)
-        assert first["first_mismatch"] == {"power": 0, "lhs": "29/8640", "rhs": "43/17280"}
+        assert first["first_mismatch"] == {"power": 0, "lhs": "7/1920", "rhs": "43/17280"}
         assert path.read_bytes() == b"2|4|1/576\n"
 
     def test_warm_run_that_adds_no_core_entry_leaves_the_file_alone(self, capsys, tmp_path):

@@ -168,36 +168,39 @@ class TestOraclesSeeMutants:
         return [(tau(g, ds) == ref_tau(g, ds), tau(g, ds) == step(tau, g, ds)) for g, ds in keys]
 
     def test_off_by_one_dilaton_euler_factor(self, monkeypatch):
+        # DVV on a smallest index 1 is the dilaton equation, 3(2g-3+n) W(g, ds[:-1])
         keys = [(2, (4, 1)), (1, (1, 1, 1, 1, 1)), (3, (7, 1, 1)), (2, (3, 2, 1, 1))]
         assert self.agreements(keys, dilaton_step) == [(True, True)] * 4
-        dilaton = TauCalculator._dilaton
+        dvv = TauCalculator._dvv
 
         def off_by_one(self, g, ds):
-            w = yield from dilaton(self, g, ds)
-            return w // (2 * g - 3 + len(ds)) * (2 * g - 2 + len(ds))
+            w = yield from dvv(self, g, ds)
+            if ds[-1] == 1:
+                w = w // (2 * g - 3 + len(ds)) * (2 * g - 2 + len(ds))
+            return w
 
-        monkeypatch.setattr(TauCalculator, "_dilaton", off_by_one)
+        monkeypatch.setattr(TauCalculator, "_dvv", off_by_one)
         assert self.agreements(keys, dilaton_step) == [(False, False)] * 4
 
     def test_dvv_merge_weight_off_by_one(self, monkeypatch):
         # the first merge term weighted (2d+1)m + 1 instead of (2d+1)m
         keys = [(2, (3, 2)), (2, (2, 2, 2)), (3, (4, 4)), (3, (3, 3, 2, 2))]
 
-        def at_largest(tau, g, ds):
-            return dvv_step(tau, g, ds, ds[0])
+        def at_smallest(tau, g, ds):
+            return dvv_step(tau, g, ds, ds[-1])
 
-        assert self.agreements(keys, at_largest) == [(True, True)] * 4
+        assert self.agreements(keys, at_smallest) == [(True, True)] * 4
         dvv = TauCalculator._dvv
 
         def off_by_one(self, g, ds):
             total = yield from dvv(self, g, ds)
-            k, rest = ds[0], ds[1:]
+            k, rest = ds[-1], ds[:-1]
             if rest:
                 total += self.store.entries[g, taucalc._insert(rest[1:], k + rest[0] - 1)]
             return total
 
         monkeypatch.setattr(TauCalculator, "_dvv", off_by_one)
-        assert self.agreements(keys, at_largest) == [(False, False)] * 4
+        assert self.agreements(keys, at_smallest) == [(False, False)] * 4
 
 
 def _partitions(total, parts, largest):
@@ -346,10 +349,10 @@ class TestDeterminism:
 
 
 def dvv_merge_and_lowering_children(g, ds):
-    """The children of one DVV step on the largest index of (g, ds) that are
-    not split products: each merge of k with another index, and each
-    genus-lowering key with a + b = k - 2 inserted."""
-    k, rest = ds[0], list(ds[1:])
+    """The children of one DVV step on the smallest index k of (g, ds), the
+    step the engine takes, that are not split products: each merge of k with
+    another index, and each genus-lowering key with a + b = k - 2 added."""
+    k, rest = ds[-1], list(ds[:-1])
     merges = [canonical_key(g, rest[:j] + rest[j + 1:] + [k + d - 1]) for j, d in enumerate(rest)]
     return merges + [canonical_key(g - 1, rest + [a, k - 2 - a]) for a in range(k - 1)]
 
@@ -541,17 +544,50 @@ class TestCacheFile:
 
 class ParentPivot(TauCalculator):
     """The engine before dilaton first: the plain string equation while a
-    tau_0 remained, the dilaton equation only when every index was 1, and
-    otherwise DVV on the largest index."""
+    tau_0 remained, and otherwise DVV on the largest index, which is the
+    dilaton equation when every index is 1."""
 
     def _step(self, key):
         w = super()._step(key)
-        if type(w) is int:
-            return w
-        g, ds = key
-        if not ds[-1]:
-            return self._plain_string(g, ds)
-        return w if ds[0] == 1 else self._dvv(g, ds)
+        if type(w) is not int and not key[1][-1]:
+            return self._plain_string(*key)
+        return w
+
+    def _dvv(self, g, ds):
+        """DVV on the largest index k = ds[0], the step the engine took before
+        it pivoted on the smallest: every child index is placed by _insert."""
+        get = self.store.entries.get
+        k, rest = ds[0], ds[1:]
+        runs = taucalc._runs(rest)
+        total = 0
+        for v, start, stop in runs:
+            child = (g, taucalc._insert(rest[:start] + rest[start + 1:], k + v - 1))
+            w = get(child)
+            if w is None:
+                w = yield child
+            total += (2 * v + 1) * (stop - start) * w
+        split_sum = 0
+        for a in range(k - 1):
+            child = (g - 1, taucalc._insert(taucalc._insert(rest, a), k - 2 - a))
+            w = get(child)
+            if w is None:
+                w = yield child
+            split_sum += w << 4
+        for shift, part, weight, complement in taucalc._ordered_splits(runs):
+            for a in range(-shift % 3, min(k - 2, 3 * g - shift) + 1, 3):
+                g1 = (shift + a) // 3
+                child = (g1, taucalc._insert(part, a))
+                first = get(child)
+                if first is None:
+                    first = yield child
+                child = (g - g1, taucalc._insert(complement, k - 2 - a))
+                second = get(child)
+                if second is None:
+                    second = yield child
+                split_sum += first * second * weight
+        half, odd = divmod(split_sum, 2)
+        assert not odd, (g, ds)
+        return total + half
 
     def _plain_string(self, g, ds):
         """The string equation over W, not fused with the dilaton equation:
@@ -614,12 +650,27 @@ class TestCoreCache:
                          and min(map(int, line.split("|")[1].split(","))) >= 2]
         assert len(saved) == 121
 
-    @pytest.mark.parametrize("g, keys, core", [(6, 651, 297), (8, 3195, 1474)])
+    @pytest.mark.parametrize("g, keys, core", [(6, 801, 297), (8, 4062, 1474)])
     def test_memo_sizes_under_dilaton_first(self, g, keys, core):
         calc = TauCalculator()
         volume(g, 0, calc)
         assert len(calc.store.entries) == keys
         assert len(core_entries(calc.store.entries)) == core
+
+    def test_insert_calls_of_cold_volume_8(self, monkeypatch):
+        # DVV on the smallest index appends each genus-lowering and split
+        # child index, so only its merge loop inserts: 137,471 calls when
+        # DVV reduced the largest index
+        calls = []
+        insert = taucalc._insert
+
+        def counted(ds, v):
+            calls.append(v)
+            return insert(ds, v)
+
+        monkeypatch.setattr(taucalc, "_insert", counted)
+        volume(8, 0, TauCalculator())
+        assert len(calls) == 5325
 
     def test_large_index_line_loads_in_small_memory(self, tmp_path):
         # a 14-byte line; tabulating every (2d+1)!! up to d = 11998 took 128 MB
@@ -636,7 +687,7 @@ class TestCoreCache:
 
 
 class TestFusedStringDilaton:
-    @pytest.mark.parametrize("g, n, keys, core", [(2, 15, 1598, 3), (3, 10, 919, 14)])
+    @pytest.mark.parametrize("g, n, keys, core", [(2, 15, 1598, 3), (3, 10, 921, 14)])
     def test_memo_sizes(self, g, n, keys, core):
         # before the fused step every lowered tau_2 stored a key with a new
         # tau_1: 6,113 and 3,139 keys, the same 3 and 14 core keys
