@@ -424,7 +424,8 @@ class TauCalculator:
         the genus-lowering terms over a+b = k-2 and half the split products
         over ordered pairs of labeled submultisets I + J of the other indices.
         As a, b < k, they end each child; only a merged k+v-1 needs _insert.
-        At k = 1 only merge terms remain, on ds[:-1]: the dilaton equation."""
+        At k = 1 only merge terms remain, on ds[:-1] (no splits are built): the
+        dilaton equation."""
         get = self.store.entries.get
         k, rest = ds[-1], ds[:-1]
         runs = _runs(rest)
@@ -444,7 +445,7 @@ class TauCalculator:
             if w is None:
                 w = yield child
             split_sum += w << 4
-        for shift, part, weight, complement in _ordered_splits(runs):
+        for shift, part, weight, complement in (_ordered_splits(runs) if k > 1 else ()):
             # a runs over shift + a = 3 g1 <= 3 g; indices >= 2 give shift >= 2, g1 >= 1, first > 0
             for a in range(-shift % 3, min(k - 2, 3 * g - shift) + 1, 3):
                 g1 = (shift + a) // 3

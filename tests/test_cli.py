@@ -7,7 +7,10 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import engine_tau
 from wpvol import cli, kappavol
@@ -19,6 +22,7 @@ from wpvol.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from wpvol.genexp import volume_series
 from wpvol.taucalc import TauCalculator
 
 
@@ -198,6 +202,92 @@ class TestVolume:
     def test_negative_genus(self, capsys):
         code, _, err = run_cli(capsys, "volume", "--genus", "-1", "--n", "3")
         assert code == EXIT_USAGE
+
+
+def nstr_oracle(p, q, power, digits):
+    """The digits as mpmath prints them, evaluated at `digits + 10` decimal places."""
+    with mpmath.workdps(digits + 10):
+        return mpmath.nstr(mpmath.mpf(p) / mpmath.mpf(q) * mpmath.pi ** power, digits)
+
+
+def decimal_tie(p, q, digits):
+    """Whether p/q lies halfway between two numbers of `digits` significant digits."""
+    x = F(p, q)
+    while x >= 10 ** digits:
+        x /= 10
+    while x < 10 ** (digits - 1):
+        x *= 10
+    return x - math.floor(x) == F(1, 2)
+
+
+def with_exponent(e):
+    """(p, q) = 10^e / 9, so v * pi^2 = 1.096... * 10^e."""
+    return (10 ** e, 9) if e >= 0 else (1, 9 * 10 ** -e)
+
+
+class TestDigits:
+    """`_wp_volume` rounds integer enclosures of v * pi^power; mpmath is its oracle."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40), st.integers(0, 150),
+           st.integers(1, 45))
+    def test_equals_mpmath(self, p, q, power, digits):
+        # mpmath rounds a binary p/q, which may fall below an exact decimal tie
+        # at power 0; the renderer rounds the exact tie up (test_exact_tie_rounds_up)
+        assume(power or not decimal_tie(p, q, digits))
+        assert cli._wp_volume(p, q, power, digits) == nstr_oracle(p, q, power, digits)
+
+    @pytest.mark.parametrize("digits", [1, 3, 14, 15, 16, 30, 45])
+    def test_format_boundaries(self, digits):
+        # fixed notation iff min(-(D // 3), -5) < e < D, strict at both ends
+        min_fixed = min(-(digits // 3), -5)
+        for e, fixed in ((min_fixed, False), (min_fixed + 1, True), (digits - 1, True),
+                         (digits, False)):
+            text = cli._wp_volume(*with_exponent(e), 2, digits)
+            assert text == nstr_oracle(*with_exponent(e), 2, digits)
+            assert ("e" not in text) == fixed, text
+
+    @pytest.mark.parametrize("p, q, text, mpmath_text", [
+        (3, 20, "0.2", "0.1"),  # 0.15: a binary 3/20 lies below the tie
+        (1, 8, "0.13", "0.13"),  # 0.125 is dyadic, so mpmath holds it exactly
+    ])
+    def test_exact_tie_rounds_up(self, p, q, text, mpmath_text):
+        digits = len(text) - 2
+        assert cli._wp_volume(p, q, 0, digits) == text
+        assert nstr_oracle(p, q, 0, digits) == mpmath_text
+
+    def test_zero_volume(self):
+        assert cli._wp_volume(0, 1, 4, 10) == "0"
+
+    def test_volume_grid_equals_mpmath(self):
+        # every v_{g,n} for g <= 2 with n <= 30 and g = 3..5 with n <= 12, at D = 1..40
+        calc, compared = TauCalculator(), 0
+        for g, n_max in ((0, 30), (1, 30), (2, 30), (3, 12), (4, 12), (5, 12)):
+            for n, (p, q) in enumerate(volume_series(g, n_max, calc)):
+                for digits in range(1, 41) if p else ():
+                    power = 2 * (3 * g - 3 + n)
+                    assert cli._wp_volume(p, q, power, digits) == \
+                        nstr_oracle(p, q, power, digits), (g, n, digits)
+                    compared += 1
+        assert compared == 5120
+
+    def test_near_tie_doubles_the_precision(self, monkeypatch):
+        # v pi^2 lies within 1e-39 of the tie 0.25, above it for p = up and below for
+        # up - 1; mpmath at 11 places prints 0.2 for both
+        with mpmath.workdps(80):
+            up = int(mpmath.ceil(mpmath.mpf(10) ** 40 / 4 / mpmath.pi ** 2))
+        passes = []
+        arctan_inv = cli._arctan_inv
+        monkeypatch.setattr(cli, "_arctan_inv", lambda x, bits: passes.append(bits) or
+                            arctan_inv(x, bits))
+        assert cli._wp_volume(up, 10 ** 40, 2, 1) == "0.3"
+        assert cli._wp_volume(up - 1, 10 ** 40, 2, 1) == "0.2"
+        assert nstr_oracle(up, 10 ** 40, 2, 1) == "0.2"
+        assert len(set(passes)) > 1  # the first precision could not decide
+
+    def test_large_digits(self):
+        # V_{2,0} pi^4 at 1,000 digits, far above the property's 45
+        assert cli._wp_volume(43, 2880, 4, 1000) == nstr_oracle(43, 2880, 4, 1000)
 
 
 class TestSeries:
@@ -754,7 +844,8 @@ def cli_env(**extra):
 #: the modules loaded when it returns, then print its exit code, the wpvol
 #: modules among them, and which of the standard library's heavier modules it
 #: loaded: argparse and its gettext and locale, json, dataclasses, inspect, and
-#: fractions with the decimal it imports
+#: fractions with the decimal it imports; and whether it loaded mpmath, the
+#: one third-party module the product once used
 IMPORT_PROBE = """
 import os, sys
 from wpvol import cli
@@ -763,10 +854,10 @@ rc = cli.main(sys.argv[1:])
 loaded = set(sys.modules)
 sys.stdout = sys.__stdout__
 import json
-stdlib = ("argparse", "dataclasses", "decimal", "fractions", "gettext", "inspect", "json",
-          "locale")
+watched = ("argparse", "dataclasses", "decimal", "fractions", "gettext", "inspect", "json",
+           "locale", "mpmath")
 print(json.dumps([rc, sorted(m for m in loaded if m.split(".")[0] == "wpvol"),
-                  [m for m in stdlib if m in loaded]]))
+                  [m for m in watched if m in loaded]]))
 """
 
 CORE = ["wpvol", "wpvol.cli", "wpvol.taucalc"]
@@ -775,7 +866,7 @@ SERIES = sorted(KAPPA + ["wpvol.qseries", "wpvol.genexp"])
 
 
 class TestImports:
-    @pytest.mark.parametrize("argv, modules, stdlib", [
+    @pytest.mark.parametrize("argv, modules, watched", [
         # tau renders the engine's int pair, so it never builds a Fraction either
         (["tau", "--genus", "1", "--ds", "1"], CORE, []),
         (["tau", "--genus", "1", "--ds", "1", "--format", "json"], CORE, ["json"]),
@@ -786,6 +877,10 @@ class TestImports:
         (["volume", "--genus", "2", "--n", "3", "--cache", "{cache}"], KAPPA, []),
         # the series hold int pairs too, so no command builds a Fraction
         (["volume", "--genus", "2", "--table", "3"], SERIES, []),
+        # --digits rounds integer enclosures of pi, so it loads no third-party module
+        (["volume", "--genus", "2", "--n", "3", "--digits", "10"], KAPPA, []),
+        (["volume", "--genus", "2", "--table", "3", "--digits", "10", "--format", "json"], SERIES,
+         ["json"]),
         (["series", "--phi", "2", "--order", "3"], SERIES, ["json"]),
         (["verify", "--suite", "all", "--genus", "2", "--order", "2"], SERIES, ["json"]),
         # only the growth fit's logarithms are decimals
@@ -795,15 +890,16 @@ class TestImports:
         (["verify", "--suite", "lemma", "--genus", "4", "--order", "9"], SERIES, ["json"]),
         (["series", "--phi", "4", "--order", "12", "--format", "plain"], SERIES, []),
     ], ids=["tau", "tau-json", "volume-n", "volume-plain", "volume-csv", "volume-cache",
-            "volume-table", "series", "verify", "asympt", "verify-lemma-peak", "series-peak"])
-    def test_each_command_loads_only_what_it_runs(self, argv, modules, stdlib, tmp_path):
+            "volume-table", "volume-digits", "volume-table-digits-json", "series", "verify",
+            "asympt", "verify-lemma-peak", "series-peak"])
+    def test_each_command_loads_only_what_it_runs(self, argv, modules, watched, tmp_path):
         cache = tmp_path / "c.txt"
         argv = [arg.format(cache=cache) for arg in argv]
         for _ in range(2 if "--cache" in argv else 1):  # cold, then loading what it saved
             proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=cli_env(),
                                   capture_output=True, text=True, timeout=60)
             assert proc.returncode == 0, proc.stderr
-            assert json.loads(proc.stdout) == [EXIT_OK, modules, stdlib]
+            assert json.loads(proc.stdout) == [EXIT_OK, modules, watched]
         assert cache.exists() == ("--cache" in argv)
 
 
@@ -838,6 +934,13 @@ class TestProcessExit:
     def test_console_script_is_the_program_entry(self):
         with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
             assert 'wpvol = "wpvol.cli:run"\n' in fh.readlines()
+
+    def test_no_runtime_dependency(self):
+        # the product runs on the standard library; mpmath is a test-only oracle
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
+            lines = fh.readlines()
+        assert "dependencies = []\n" in lines
+        assert 'test = ["pytest>=7", "hypothesis>=6", "mpmath>=1.3"]\n' in lines
 
     @staticmethod
     def run_without_reader(argv, unbuffered, stderr_too=False):

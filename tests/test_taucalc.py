@@ -672,6 +672,18 @@ class TestCoreCache:
         volume(8, 0, TauCalculator())
         assert len(calls) == 5325
 
+    def test_split_lists_of_cold_volume_8(self, monkeypatch):
+        # DVV builds the ordered splits of the other indices only when k >= 2,
+        # once per core key; 1,828 lists when the dilaton step (k = 1) built them too
+        calls = []
+        splits = taucalc._ordered_splits
+        monkeypatch.setattr(taucalc, "_ordered_splits", lambda runs: calls.append(runs) or
+                            splits(runs))
+        calc = TauCalculator()
+        volume(8, 0, calc)
+        assert len(calls) == len(core_entries(calc.store.entries)) == 1474
+        assert len(calc.store.entries) == 4062
+
     def test_large_index_line_loads_in_small_memory(self, tmp_path):
         # a 14-byte line; tabulating every (2d+1)!! up to d = 11998 took 128 MB
         path = tmp_path / "c.txt"
