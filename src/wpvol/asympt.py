@@ -8,10 +8,11 @@ with j_{0,1} the first zero of the Bessel function J0.  So C = 1/x_c
 (predicted_growth_constant), and fit_growth fits the law to exact volumes.
 
 The root and the radius are computed exactly, in plain integers (no
-Fraction): Newton on dyadic rationals guesses u_c to 2^-240, and the guess is
-kept only if rigorous enclosures of J0(2 sqrt(u)) (alternating partial sums
-and remainder, over a common denominator) have opposite signs at the two
-ends of its interval; the radius is one decimal division of an enclosure.
+Fraction): the module stores the left end a/2^240 of a 2^-240-wide interval
+around u_c, and the program uses it only if rigorous enclosures of
+J0(2 sqrt(u)) (alternating partial sums and remainder, over a common
+denominator) have opposite signs at the two ends of the interval; the radius
+is one decimal division of an enclosure.
 The volumes the fits use are the coefficients of one generating series per
 genus (genexp.volume_series, which at genus 0 integrates y' three times and
 builds no 1/y').  Everything downstream is carried as 50-digit decimals,
@@ -38,7 +39,8 @@ __all__ = [
 PRECISION = 50
 
 _WIDTH_BITS = 240  # the certified interval around u_c is 2^-240 wide
-_NEWTON_BITS, _NEWTON_STEPS = 256, 12  # working precision, iteration cap
+#: the guess a for [a, a+1]/2^_WIDTH_BITS around u_c; in hex it reads u_c = 0x1.721f...
+_U_C_GUESS = 0x1721fb80462bbb76d83205b0574bdac333d0b9c47e093d2bd332a7f5b5935
 _TAIL_DEN = 10**80  # the certificate's enclosures are within 1/_TAIL_DEN
 
 
@@ -74,37 +76,19 @@ def _enclosure_numerators(p: int, q: int, start: int, tol_den: int) -> Tuple[int
                 return num - tail, num + tail, den * nxt
 
 
-def _newton_guess() -> int:
-    """A guess for floor(u_c 2^_WIDTH_BITS): Newton on J(u) = J0(2 sqrt u) from
-    u = 3/2 with dJ/du = -x(u)/u, so u <- u + u J/x, on u = a/2^bits with `bits`
-    doubling up to _NEWTON_BITS and J, x read off their enclosure midpoints."""
-    a, bits = 3, 1
-    for _ in range(_NEWTON_STEPS):
-        new_bits = min(2 * bits, _NEWTON_BITS)
-        tol_den = 1 << (new_bits + 8)
-        j_lo, j_hi, j_den = _enclosure_numerators(a, 1 << bits, 0, tol_den)
-        x_lo, x_hi, x_den = _enclosure_numerators(a, 1 << bits, 1, tol_den)
-        x_num = (x_lo + x_hi) * j_den  # J/x = (j_lo + j_hi) x_den / x_num
-        new_a = (a << (new_bits - bits)) * (x_num + (j_lo + j_hi) * x_den) // x_num
-        if bits == _NEWTON_BITS and new_a == a:
-            break
-        a, bits = new_a, new_bits
-    return a >> (_NEWTON_BITS - _WIDTH_BITS)
-
-
 @lru_cache(maxsize=1)
 def _critical_interval() -> int:
     """The a of [a, a+1]/2^_WIDTH_BITS around u_c, the first positive root of
     J0(2 sqrt(u)).
 
-    The Newton guess a stands only if 1 <= a/2^w < 2 and the enclosures certify
-    J(a/2^w) > 0 > J((a+1)/2^w); J decreases on [1, 2], so that interval is
-    unique, the one a bisection of [1, 2] ends on."""
-    a, scale = _newton_guess(), 1 << _WIDTH_BITS
+    The stored guess a stands only if 1 <= a/2^w < 2 and the enclosures certify
+    J(a/2^w) > 0 > J((a+1)/2^w) for J(u) = J0(2 sqrt(u)); J decreases on [1, 2],
+    so that interval is unique, the one a bisection of [1, 2] ends on."""
+    a, scale = _U_C_GUESS, 1 << _WIDTH_BITS
     if not (scale <= a < 2 * scale
             and _enclosure_numerators(a, scale, 0, _TAIL_DEN)[0] > 0
             and _enclosure_numerators(a + 1, scale, 0, _TAIL_DEN)[1] < 0):
-        raise RuntimeError("the Newton guess for the Bessel zero failed its certificate")
+        raise RuntimeError("the stored guess for the Bessel zero failed its certificate")
     return a
 
 

@@ -9,18 +9,20 @@ cache whose values contradict the recursion and a failed verification.
 All output is deterministic: identical invocations print identical bytes,
 whatever the state of the optional correlator cache.
 
-Each command imports only what it runs, inside its handler: `tau` needs the
-correlator engine alone, `volume --n` adds the kappa-to-tau sum, only the
-series commands load the series modules, and `json` loads only for JSON
-output.  Exact values arrive as reduced int pairs, from the correlators and
-the series alike, and `format_rational` is the one renderer of them, so no
-command builds a `Fraction` or loads `fractions`, and only `asympt` loads
-`decimal`.  No command imports a third-party module: `--digits` rounds from
-integer enclosures of pi.  There is no argparse: `parse_args` reads the
-options from `COMMANDS`, which also holds each int option's least value.
-The library returns exact values and only this module renders them: `volume`
-each record from one field dict as plain text, JSON or CSV, `verify` each
-report, `asympt` its decimals.
+Each command imports, and so compiles, only what it runs, inside its handler:
+`tau` needs the correlator engine alone, `volume --n` adds the kappa-to-tau
+sum, only the series commands load the series modules, only `--digits` loads
+`wpvol.digits` (which rounds from integer enclosures of pi) and only `verify`
+loads the suites in `wpvol.verify`.  `_json` writes the few value shapes the
+commands print with `json.dumps`' bytes, so no command loads `json`.  Exact
+values arrive as reduced int pairs, from the correlators and the series
+alike, and `format_rational` is the one renderer of them, so no command
+builds a `Fraction` or loads `fractions`, and only `asympt` loads `decimal`.
+No command imports a third-party module.  There is no argparse: `parse_args`
+reads the options from `COMMANDS`, which also holds each int option's least
+value.  The library returns exact values and only this module renders them:
+`volume` each record from one field dict as plain text, JSON or CSV, `verify`
+each report, `asympt` its decimals.
 
 `main(argv)` returns the exit code and never freezes the heap, so tests and
 library callers run it in process.  `python -m wpvol.cli` and the `wpvol`
@@ -38,7 +40,7 @@ import gc
 import os
 import sys
 from types import SimpleNamespace
-from typing import List, NoReturn, Optional, Tuple
+from typing import List, NoReturn, Optional
 
 from .taucalc import (CacheFormatError, InconsistentMemoError, TauCalculator, factorial,
                       format_rational, load_cache, reduced, save_cache)
@@ -157,68 +159,35 @@ def parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
                                                for name, opt in options.items()})
 
 
-def _print_json(data) -> None:
-    import json  # only the commands that print JSON pay for loading it
-    print(json.dumps(data))
+def _json(value) -> str:
+    """json.dumps(value) with its default separators, for the shapes the commands print:
+    dicts with str keys, lists, str, int, True, False and None.  A str is written as it is,
+    so one that JSON would escape raises ValueError; any other type raises TypeError."""
+    if type(value) is str:
+        if not (value.isascii() and value.isprintable()) or '"' in value or "\\" in value:
+            raise ValueError(f"the JSON writer writes no escapes: {value!r}")
+        return f'"{value}"'
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if type(value) is int:
+        return str(value)
+    if type(value) is list:
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if type(value) is dict and all(type(key) is str for key in value):
+        return "{" + ", ".join(f"{_json(key)}: {_json(item)}" for key, item in value.items()) + "}"
+    raise TypeError(f"no command prints {type(value).__name__} {value!r} as JSON")
 
 
 def _cmd_tau(args, calc: TauCalculator) -> int:
     ds = _parse_indices(args.ds)
     value = format_rational(*calc.tau_batch(args.genus, ((d, 1) for d in ds)))
     if args.format == "json":
-        _print_json({"g": args.genus, "ds": sorted(ds, reverse=True), "value": value})
+        print(_json({"g": args.genus, "ds": sorted(ds, reverse=True), "value": value}))
     else:
         print(value)
     return EXIT_OK
-
-
-def _arctan_inv(x: int, bits: int) -> Tuple[int, int]:
-    """(s, n), s within n units of 2^bits arctan(1/x): each term's floor division is off by
-    under a unit, and so is the alternating tail once a term floors to 0."""
-    term, s, k = (1 << bits) // x, 0, 0
-    while term:
-        s += (-term if k % 2 else term) // (2 * k + 1)
-        term //= x * x
-        k += 1
-    return s, k + 1
-
-
-def _round_half_up(num: int, den: int, digits: int) -> Tuple[int, int]:
-    """(r, e): num/den > 0 rounded half-up to r * 10^(e+1-digits), r of `digits` digits."""
-    e = len(str(num)) - len(str(den))  # the decimal exponent, or one above it
-    if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
-        e -= 1
-    shift = digits - 1 - e
-    num, den = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
-    r = (2 * num + den) // (2 * den)
-    return (r // 10, e + 1) if r == 10 ** digits else (r, e)
-
-
-def _wp_volume(p: int, q: int, power: int, digits: int) -> str:
-    """v * pi^power for the exact v = p/q >= 0, rounded half-up to `digits` significant
-    digits.  Certificate, in ints: Machin's formula encloses 2^bits pi, pi^power is raised
-    in fixed point at `bits` bits rounding the low end down and the high end up, and the
-    digits print once both ends round alike; else `bits` doubles (Ziv's loop), which ends:
-    power 0 is exact, and the rest irrational.  Decimal exponents e strictly between
-    min(-(digits // 3), -5) and `digits` print fixed, the others as `1.5e-5` or `4.9e+38`."""
-    if not p:
-        return "0"
-    bits, ends = 7 * digits // 4 + 32, (None, ())  # 3.5 bits a digit once doubled
-    while ends[0] != ends[1]:
-        bits *= 2
-        (a, da), (b, db) = _arctan_inv(5, bits), _arctan_inv(239, bits)
-        pi, err = 16 * a - 4 * b, 16 * da + 4 * db  # pi = 16 atan(1/5) - 4 atan(1/239)
-        lo = hi = 1 << bits
-        for _ in range(power):
-            lo = lo * (pi - err) >> bits
-            hi = -(-hi * (pi + err) >> bits)
-        ends = [_round_half_up(p * end, q << bits, digits) for end in (lo, hi)]
-    r, e = ends[0]
-    fixed = min(-(digits // 3), -5) < e < digits
-    text = "0" * -e + str(r) if fixed and e < 0 else str(r)
-    split = max(e, 0) + 1 if fixed else 1
-    text = text[:split] + "." + (text[split:].rstrip("0") or "0")
-    return text if fixed else f"{text}e{e:+d}"
 
 
 def _cmd_volume(args, calc: TauCalculator) -> int:
@@ -232,13 +201,15 @@ def _cmd_volume(args, calc: TauCalculator) -> int:
     else:
         from .kappavol import volume
         records = [volume(args.genus, args.n, calc)]
+    if args.digits:
+        from .digits import wp_volume
     rows = []  # each record's ordered fields, rendered in the chosen format
     for rec in records:
         big_v = reduced(rec.p * factorial(rec.n) * factorial(rec.dim), rec.q) if rec.p else (0, 1)
         fields = {"g": rec.g, "n": rec.n, "dim": rec.dim, "V": format_rational(*big_v),
                   "v": format_rational(rec.p, rec.q)}
         power = 2 * rec.dim
-        wp = args.digits and _wp_volume(rec.p, rec.q, power, args.digits)
+        wp = args.digits and wp_volume(rec.p, rec.q, power, args.digits)
         if args.format == "csv":
             rows.append(",".join(map(str, fields.values())))
         elif args.format == "json":
@@ -250,7 +221,7 @@ def _cmd_volume(args, calc: TauCalculator) -> int:
             rows.append(" ".join(f"{key}={value}" for key, value in fields.items())
                         + (f" wp_volume={wp} (v*pi^{power})" if wp else ""))
     if args.format == "json":
-        _print_json(rows if args.table is not None else rows[0])
+        print(_json(rows if args.table is not None else rows[0]))
         return EXIT_OK
     if args.format == "csv":
         rows.insert(0, ",".join(fields))  # the header names the fields
@@ -265,12 +236,12 @@ def _cmd_series(args, calc: TauCalculator) -> int:
         for k, coeff in enumerate(coeffs):
             print(f"x^{k}: {format_rational(*coeff)}")
     else:
-        _print_json({"order": args.order, "coeffs": [format_rational(*c) for c in coeffs]})
+        print(_json({"order": args.order, "coeffs": [format_rational(*c) for c in coeffs]}))
     return EXIT_OK
 
 
 def _cmd_verify(args, calc: TauCalculator) -> int:
-    from .genexp import verify_reports
+    from .verify import verify_reports
     reports = verify_reports(args.suite, args.genus, args.order, calc)
     for report in reports:
         mismatch = None
@@ -278,8 +249,8 @@ def _cmd_verify(args, calc: TauCalculator) -> int:
             power, lhs, rhs = report.mismatch
             mismatch = {"power": power, "lhs": format_rational(*lhs),
                         "rhs": format_rational(*rhs)}
-        _print_json({"check": report.check, **report.fields, "pass": report.passed,
-                     "first_mismatch": mismatch})
+        print(_json({"check": report.check, **report.fields, "pass": report.passed,
+                     "first_mismatch": mismatch}))
     return EXIT_OK if all(report.passed for report in reports) else EXIT_VERIFY_FAILED
 
 
@@ -292,9 +263,9 @@ def _cmd_asympt(args, calc: TauCalculator) -> int:
     with localcontext(Context(prec=PRECISION)):
         rel_dev = abs(c_est - predicted) / predicted
     round10 = Context(prec=10).create_decimal  # every decimal prints at 10 significant digits
-    _print_json({"g": args.genus, "C_est": str(round10(c_est)),
+    print(_json({"g": args.genus, "C_est": str(round10(c_est)),
                  "exponent_est": str(round10(exponent)), "predicted_C": str(round10(predicted)),
-                 "rel_dev": str(round10(rel_dev)), "n_range": [n_min, args.n_max]})
+                 "rel_dev": str(round10(rel_dev)), "n_range": [n_min, args.n_max]}))
     return EXIT_OK
 
 

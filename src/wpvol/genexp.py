@@ -18,47 +18,43 @@ through the independent kappa-to-tau route.  It reads its brackets from
 kappavol.brackets, the loop that route sums too, and its powers of y' and
 h_i = y' f_i from one table in GenusExpansionContext, built one product at
 a time; the context builds y and y', and one loop grows the chain only as
-far as it is read.  The f_i also satisfy functional equations as series in
-y, summed over the powers of y from the same table and checked here
-coefficient by coefficient; _weighted_sum is the one kernel of that sum and
-the closed form's, and adds each coefficient with taucalc.rational_sum,
-whose reduced pair becomes the coefficient as it is.  f_1 = 1 - 1/y' is read
-off the pairs of 1/y', whose constant term is 1 since y'(0) = 1.  Every
-value here is such a pair, and every check compares pairs, so no Fraction
-is built.  At every stable (g, n), 2g - 2 + n > 0,
-the n-th derivative of phi_g has the same shape with tau_0^n inserted; both
-identities are verified exactly.  Below genus 2 the smallest stable n is
+far as it is read.  The same table holds the powers of y, which the lemma
+suite of `verify` sums.  weighted_sum is the one kernel of that sum and the
+closed form's, and adds each coefficient with taucalc.rational_sum, whose
+reduced pair becomes the coefficient as it is.  f_1 = 1 - 1/y' is read off
+the pairs of 1/y', whose constant term is 1 since y'(0) = 1.  Every value
+here is such a pair, so no Fraction is built.  At every stable (g, n),
+2g - 2 + n > 0, the n-th derivative of phi_g has the same shape with
+tau_0^n inserted (closed_form).  Below genus 2 the smallest stable n is
 positive: phi_0''' = <tau_0^3>_0 y' = y', an empty product of f_i, and
 phi_1' = <tau_0 tau_2>_1 y' h_2 = y''/(24 y'), the derivative of the genus-1
 free energy (1/24) log y' (Itzykson-Zuber).  So build_phi_g gives every
 phi_g as the n-fold antiderivative of that form, and at genus 0 it reads y'
 alone.  volume_series reads every v_{g,0..N} of one genus off phi_g, the
 records `volume --table` prints; the kappa-to-tau volume() stays the
-single-(g, n) producer and the independent verifier in verify_reports,
-which runs the suites at every genus from that smallest n: it builds phi_g
-once, on the caller's memo, and checks it against one fresh memo.  Each
-check is a CheckReport of the two sides it compares; `cli` renders it.
+single-(g, n) producer.  The suites that check these identities exactly live
+in `wpvol.verify`, which only the `verify` command imports.  CheckReport,
+the outcome of one check, stays here, where the benchmark's tracer hooks it
+by name; `cli` renders each report.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Tuple
+from typing import Optional
 
-from .kappavol import brackets, enumerate_multiindices, volume
+from .kappavol import brackets
 from .qseries import Series
-from .taucalc import TauCalculator, factorial, rational_sum, reduced
+from .taucalc import TauCalculator, rational_sum, reduced
 
 __all__ = [
     "GenusExpansionContext",
     "CheckReport",
     "build_y",
-    "build_f_lemma",
     "build_phi_g",
-    "check_derivative_formula",
-    "induction_sides",
-    "verify_reports",
+    "closed_form",
     "volume_series",
+    "weighted_sum",
 ]
 
 
@@ -97,12 +93,7 @@ def build_y(order: int) -> Series:
     return Series(pairs)
 
 
-def _unit(order: int) -> Series:
-    """The series 1, to x^order."""
-    return Series([(1, 1)] + [(0, 1)] * order)
-
-
-def _weighted_sum(terms, order: int) -> Series:
+def weighted_sum(terms, order: int) -> Series:
     """sum p/q * c over the (p, q, pairs) terms to x^order, each x^k the
     rational_sum of its nonzero terms: ints over their lcm, reduced once."""
     return Series(rational_sum([(p * c[k][0], q * c[k][1]) for p, q, c in terms if c[k][0]])
@@ -168,25 +159,7 @@ class GenusExpansionContext:
         return powers[exponent - 1]
 
 
-def build_f_lemma(i: int, ctx: GenusExpansionContext) -> Series:
-    """f_i through its functional equation
-    f_i = sum_{k>=0} (-1)^(i+k) / (i+k-1)! * y^k / k!, a series in y(x)
-    summed with the powers y^k from ctx's table.
-
-    Only asserted for i >= 2: at i = 1 the k = 0 term would contradict
-    f_1(0) = 0, and the identity there holds only with the sum started at
-    k = 1, so i = 1 is rejected rather than picking a reading.
-    Since y has valuation 1, y^k = O(x^k): the x^j coefficient sums k = 1..j
-    beside the constant k = 0 term, and k stops at the truncation order.
-    """
-    if i < 2:
-        raise ValueError("the functional-equation form is asserted only for i >= 2")
-    powers = [_unit(ctx.order), *(ctx.h_power("y", k) for k in range(1, ctx.order + 1))]
-    return _weighted_sum([((-1) ** (i + k), factorial(i + k - 1) * factorial(k), c.pairs)
-                          for k, c in enumerate(powers)], ctx.order)
-
-
-def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:
+def closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:
     """sum_{|l|=3g-3+n} <tau_0^n tau_2^{l_2} ...>_g
     * (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!, to ctx.order, summed as
     (y')^(2(g-1)+n) * sum <...>_g prod h_i^{l_i}/l_i! with h_i = y' f_i."""
@@ -197,20 +170,21 @@ def _closed_form(g: int, n: int, ctx: GenusExpansionContext, calc: TauCalculator
     terms = []  # (p, q, pairs) of each nonzero term
     for l, p, q in brackets(g, n, calc):
         # the empty product is the unit; another starts at its first factor, one product fewer
-        first, *rest = [ctx.h_power(i, m) for i, m in l.items()] or [_unit(ctx.order)]
+        first, *rest = [ctx.h_power(i, m) for i, m in l.items()] or \
+            [Series([(1, 1)] + [(0, 1)] * ctx.order)]
         terms.append((p, q, math.prod(rest, start=first).pairs))
-    return _weighted_sum(terms, ctx.order) * ctx.h_power("y'", 2 * (g - 1) + n)
+    return weighted_sum(terms, ctx.order) * ctx.h_power("y'", 2 * (g - 1) + n)
 
 
 def build_phi_g(g: int, ctx: GenusExpansionContext, calc: TauCalculator) -> Series:
     """phi_g to ctx.order: the n-fold antiderivative (constants zero) of the
-    sum in check_derivative_formula at the smallest stable n.  That is n = 3
+    closed form at the smallest stable n.  That is n = 3
     for g = 0, where phi_0''' = <tau_0^3>_0 y' = y'; n = 1 for g = 1, where
     phi_1' = <tau_0 tau_2>_1 y' h_2 = y''/(24 y'); and n = 0 for g >= 2."""
     if g < 0:
         raise ValueError("genus must be >= 0")
     n = max(0, 3 - 2 * g)  # the smallest n with 2g - 2 + n > 0
-    phi = _closed_form(g, n, ctx, calc)
+    phi = closed_form(g, n, ctx, calc)
     for _ in range(n):
         phi = phi.antiderivative(0)
     return phi.truncate(ctx.order)
@@ -240,107 +214,3 @@ class CheckReport:
             self.mismatch = None if lhs == rhs else (power, lhs, rhs)
         self.passed = self.mismatch is None
         self.fields = fields
-
-
-def check_derivative_formula(g: int, n: int, phi: Series, ctx: GenusExpansionContext,
-                             calc: TauCalculator) -> CheckReport:
-    """Compare the n-th formal derivative of the series `phi` under test
-    (phi_g) with the closed form
-
-        sum_{|l|=3g-3+n} <tau_0^n tau_2^{l_2} ...>_g
-        * (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!
-
-    with its correlators on `calc`, as truncated series (exactly, to the
-    order both sides support), at any genus and any stable n, 2g - 2 + n > 0."""
-    if n < 0 or n > ctx.order:
-        raise ValueError("need 0 <= n <= ctx.order")
-    rhs = _closed_form(g, n, ctx, calc)
-    lhs = phi
-    for _ in range(n):
-        lhs = lhs.derivative()
-    return CheckReport("derivative_formula", lhs, rhs, g=g, n=n)
-
-
-def induction_sides(g: int, n: int, l: Mapping[int, int],
-                    calc: TauCalculator) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """Both sides of the index-shift identity that removes one tau_0:
-
-        <tau_0^n prod tau_i^{l_i}> = l_2 (2(g-1) + (n-1) + (||l||-1))
-            <tau_0^(n-1) prod tau_i^{l_i - d_{i,2}}>
-          + sum_{j>=3} l_j <tau_0^(n-1) prod tau_i^{l_i - d_{i,j} + d_{i,j-1}}>
-
-    (string equation followed by dilaton on the freed tau_1), for a
-    multi-index l given as an {i: l_i} mapping with i >= 2 and l_i >= 0."""
-    for i, mult in l.items():
-        if i < 2:
-            raise ValueError(f"multi-index entries start at i = 2, got {i}")
-        if mult < 0:
-            raise ValueError(f"multiplicities must be >= 0, got l_{i} = {mult}")
-    weight = sum((i - 1) * mult for i, mult in l.items())
-    if weight != 3 * g - 3 + n:
-        raise ValueError(f"multi-index weight {weight} != dimension {3 * g - 3 + n}")
-    if n < 1 or 2 * g - 3 + n <= 0:  # the child of the step must be stable, as in _string
-        raise ValueError("the fused string-dilaton step needs n >= 1 and 2g - 3 + n > 0")
-    lhs = calc.tau_batch(g, l.items(), zeros=n)
-    terms = []  # the (p, q) of each weighted child
-    l2 = l.get(2, 0)
-    if l2:
-        euler = 2 * (g - 1) + (n - 1) + (sum(l.values()) - 1)
-        p, q = calc.tau_batch(g, {**l, 2: l2 - 1}.items(), zeros=n - 1)
-        terms.append((l2 * euler * p, q))
-    for j, mult in l.items():
-        if j >= 3 and mult:
-            shifted = {**l, j: mult - 1, j - 1: l.get(j - 1, 0) + 1}
-            p, q = calc.tau_batch(g, shifted.items(), zeros=n - 1)
-            terms.append((mult * p, q))
-    return lhs, rational_sum(terms)
-
-
-def verify_reports(suite: str, g: int, order: int, calc: TauCalculator) -> list:
-    """The reports of one verification suite ("lemma", "theorem1",
-    "derivative", "induction" or "all"), in that order, at any genus g >= 0.
-    From the smallest stable n_s = max(0, 3 - 2g), derivative checks n_s..n_s + 4
-    and induction n_s + 1..n_s + 4, up to `order`; an empty suite is an error.
-
-    phi_g is built once, on `calc`, the session memo a cache file may have
-    filled.  Everything it is checked against (the kappa-to-tau volumes, the
-    tau_0^n closed forms of its derivatives, the index-shift identity) reads
-    one fresh memo that no cache reaches, so a wrong cache value cannot pass
-    its own check.  The two routes share no memo entry but run the same
-    engine code, so an engine rule wrong on both (a wrong dilaton factor of
-    DVV at k = 1) passes; ROADMAP items 4 and 7 add routes that don't.
-    """
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    n_s = max(0, 3 - 2 * g)  # the smallest n with 2g - 2 + n > 0
-    top = min(n_s + 4, order)
-    lemma_top = 3 * g - 2 + n_s + 4  # the highest f_i the derivative window reads
-    ctx = GenusExpansionContext(order=order, i_max=max(lemma_top, 10))
-    checker = TauCalculator()
-    reports = []
-    if suite in ("lemma", "all"):
-        for i in range(2, lemma_top + 1):
-            reports.append(CheckReport("f_functional_equation", ctx.f(i), build_f_lemma(i, ctx),
-                                       i=i))
-        for i in range(2, 11):
-            reports.append(CheckReport("f_value_at_zero", ctx.f(i).pairs[0],
-                                       reduced((-1) ** i, factorial(i - 1)), power=0, i=i))
-    if suite in ("theorem1", "derivative", "all"):
-        phi = build_phi_g(g, ctx, calc)
-    if suite in ("theorem1", "all"):
-        for n in range(order + 1):
-            rec = volume(g, n, checker)
-            reports.append(CheckReport("genus_series_vs_volume", phi.pairs[n], (rec.p, rec.q),
-                                       power=n, g=g, n=n))
-    if suite in ("derivative", "all"):
-        for n in range(n_s, top + 1):
-            reports.append(check_derivative_formula(g, n, phi, ctx, checker))
-    if suite in ("induction", "all"):
-        for n in range(n_s + 1, top + 1):
-            for l in enumerate_multiindices(3 * g - 3 + n):
-                lhs, rhs = induction_sides(g, n, l, checker)
-                reports.append(CheckReport("index_shift_identity", lhs, rhs, g=g, n=n,
-                                           l={str(i): m for i, m in l.items()}))
-    if not reports:
-        raise ValueError(f"suite {suite} has no check at genus {g} and order {order}")
-    return reports

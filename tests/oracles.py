@@ -54,7 +54,7 @@ def scale(a: Series, c) -> Series:
 
 def compose(outer: Series, inner: Series) -> Series:
     """outer(inner(x)), truncated at the smaller order, by Horner's rule: the
-    reference for `genexp.build_f_lemma`, which sums the powers of y instead.
+    reference for `verify.build_f_lemma`, which sums the powers of y instead.
 
     The inner series must vanish at 0, otherwise every outer coefficient
     would contribute to each result coefficient.

@@ -17,16 +17,10 @@ from oracles import (compose, dilaton_step, dvv_step, engine_tau, kappa_volume, 
                      string_step)
 from wpvol.asympt import fit_growth, predicted_growth_constant
 from wpvol.cli import main
-from wpvol.genexp import (
-    GenusExpansionContext,
-    build_f_lemma,
-    build_phi_g,
-    build_y,
-    check_derivative_formula,
-    induction_sides,
-)
+from wpvol.genexp import GenusExpansionContext, build_phi_g, build_y
 from wpvol.kappavol import enumerate_multiindices, volume
 from wpvol.qseries import bessel_x_of_y, factorial
+from wpvol.verify import build_f_lemma, check_derivative_formula, induction_sides
 
 F = Fraction
 

@@ -143,7 +143,8 @@ class TestBesselZero:
         assert certified_interval() == reference_critical_interval()
 
     def test_cold_interval_needs_few_enclosures(self, monkeypatch):
-        # the 240-step bisection made 242 enclosure evaluations here
+        # the stored guess needs only the certificate's two enclosures (a 240-step
+        # bisection would make 242)
         calls = []
         enclosure = asympt._enclosure_numerators
 
@@ -153,13 +154,31 @@ class TestBesselZero:
 
         monkeypatch.setattr(asympt, "_enclosure_numerators", counting)
         assert asympt._critical_interval.__wrapped__() == asympt._critical_interval()
-        assert len(calls) <= 40
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("offset", [-1, 1])
     def test_off_by_one_guess_fails_the_certificate(self, monkeypatch, offset):
+        # the stored numerator is trusted only through its two enclosure signs
         a = asympt._critical_interval()
-        monkeypatch.setattr(asympt, "_newton_guess", lambda: a + offset)
-        with pytest.raises(RuntimeError):
+        monkeypatch.setattr(asympt, "_U_C_GUESS", a + offset)
+        with pytest.raises(RuntimeError, match="failed its certificate"):
+            asympt._critical_interval.__wrapped__()
+
+    def test_range_check_rejects_a_later_root(self, monkeypatch):
+        # J(u) = J0(2 sqrt(u)) also falls through 0 at u = (j_{0,3}/2)^2 = 18.72...;
+        # an interval around that root passes both sign checks, and only the
+        # check 1 <= a/2^w < 2 rejects it
+        scale, den = 2**asympt._WIDTH_BITS, asympt._TAIL_DEN
+        lo, hi = 18 * scale, 19 * scale
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            j_lo, j_hi, _ = _enclosure_numerators(mid, scale, 0, den)
+            assert j_lo > 0 or j_hi < 0
+            lo, hi = (mid, hi) if j_lo > 0 else (lo, mid)
+        assert _enclosure_numerators(lo, scale, 0, den)[0] > 0
+        assert _enclosure_numerators(lo + 1, scale, 0, den)[1] < 0
+        monkeypatch.setattr(asympt, "_U_C_GUESS", lo)
+        with pytest.raises(RuntimeError, match="failed its certificate"):
             asympt._critical_interval.__wrapped__()
 
     def test_x_bracket(self):

@@ -22,6 +22,7 @@ from wpvol.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from wpvol.digits import wp_volume
 from wpvol.genexp import volume_series
 from wpvol.taucalc import TauCalculator
 
@@ -226,7 +227,7 @@ def with_exponent(e):
 
 
 class TestDigits:
-    """`_wp_volume` rounds integer enclosures of v * pi^power; mpmath is its oracle."""
+    """`digits.wp_volume` rounds integer enclosures of v * pi^power; mpmath is its oracle."""
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=300)
     @given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40), st.integers(0, 150),
@@ -235,7 +236,7 @@ class TestDigits:
         # mpmath rounds a binary p/q, which may fall below an exact decimal tie
         # at power 0; the renderer rounds the exact tie up (test_exact_tie_rounds_up)
         assume(power or not decimal_tie(p, q, digits))
-        assert cli._wp_volume(p, q, power, digits) == nstr_oracle(p, q, power, digits)
+        assert wp_volume(p, q, power, digits) == nstr_oracle(p, q, power, digits)
 
     @pytest.mark.parametrize("digits", [1, 3, 14, 15, 16, 30, 45])
     def test_format_boundaries(self, digits):
@@ -243,7 +244,7 @@ class TestDigits:
         min_fixed = min(-(digits // 3), -5)
         for e, fixed in ((min_fixed, False), (min_fixed + 1, True), (digits - 1, True),
                          (digits, False)):
-            text = cli._wp_volume(*with_exponent(e), 2, digits)
+            text = wp_volume(*with_exponent(e), 2, digits)
             assert text == nstr_oracle(*with_exponent(e), 2, digits)
             assert ("e" not in text) == fixed, text
 
@@ -253,11 +254,11 @@ class TestDigits:
     ])
     def test_exact_tie_rounds_up(self, p, q, text, mpmath_text):
         digits = len(text) - 2
-        assert cli._wp_volume(p, q, 0, digits) == text
+        assert wp_volume(p, q, 0, digits) == text
         assert nstr_oracle(p, q, 0, digits) == mpmath_text
 
     def test_zero_volume(self):
-        assert cli._wp_volume(0, 1, 4, 10) == "0"
+        assert wp_volume(0, 1, 4, 10) == "0"
 
     def test_volume_grid_equals_mpmath(self):
         # every v_{g,n} for g <= 2 with n <= 30 and g = 3..5 with n <= 12, at D = 1..40
@@ -266,7 +267,7 @@ class TestDigits:
             for n, (p, q) in enumerate(volume_series(g, n_max, calc)):
                 for digits in range(1, 41) if p else ():
                     power = 2 * (3 * g - 3 + n)
-                    assert cli._wp_volume(p, q, power, digits) == \
+                    assert wp_volume(p, q, power, digits) == \
                         nstr_oracle(p, q, power, digits), (g, n, digits)
                     compared += 1
         assert compared == 5120
@@ -277,17 +278,33 @@ class TestDigits:
         with mpmath.workdps(80):
             up = int(mpmath.ceil(mpmath.mpf(10) ** 40 / 4 / mpmath.pi ** 2))
         passes = []
-        arctan_inv = cli._arctan_inv
-        monkeypatch.setattr(cli, "_arctan_inv", lambda x, bits: passes.append(bits) or
+        from wpvol import digits
+        arctan_inv = digits._arctan_inv
+        monkeypatch.setattr(digits, "_arctan_inv", lambda x, bits: passes.append(bits) or
                             arctan_inv(x, bits))
-        assert cli._wp_volume(up, 10 ** 40, 2, 1) == "0.3"
-        assert cli._wp_volume(up - 1, 10 ** 40, 2, 1) == "0.2"
+        assert wp_volume(up, 10 ** 40, 2, 1) == "0.3"
+        assert wp_volume(up - 1, 10 ** 40, 2, 1) == "0.2"
         assert nstr_oracle(up, 10 ** 40, 2, 1) == "0.2"
         assert len(set(passes)) > 1  # the first precision could not decide
 
     def test_large_digits(self):
         # V_{2,0} pi^4 at 1,000 digits, far above the property's 45
-        assert cli._wp_volume(43, 2880, 4, 1000) == nstr_oracle(43, 2880, 4, 1000)
+        assert wp_volume(43, 2880, 4, 1000) == nstr_oracle(43, 2880, 4, 1000)
+
+    def test_digits_beyond_the_str_limit_of_the_enclosures(self):
+        # at D = 4,100 the rounded enclosure products exceed Python's default limit of
+        # 4,300 digits for int-to-str conversion; the renderer neither converts them
+        # nor lifts the limit, so it runs in process with the default in force
+        default = 4300
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the oracle converts long ints
+        try:
+            expected = nstr_oracle(43, 2880, 4, 4100)
+            sys.set_int_max_str_digits(default)
+            assert wp_volume(43, 2880, 4, 4100) == expected
+            assert sys.get_int_max_str_digits() == default
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 class TestSeries:
@@ -397,8 +414,8 @@ class TestVerify:
 
     def test_unequal_induction_sides_fail_with_no_power(self, capsys, monkeypatch):
         # the index shift compares two correlators, not two series: no power to name
-        from wpvol import genexp
-        monkeypatch.setattr(genexp, "induction_sides", lambda *args: ((1, 2), (1, 3)))
+        from wpvol import verify
+        monkeypatch.setattr(verify, "induction_sides", lambda *args: ((1, 2), (1, 3)))
         code, out, _ = run_cli(capsys, "verify", "--suite", "induction",
                                "--genus", "2", "--order", "1")
         assert code == EXIT_VERIFY_FAILED
@@ -467,10 +484,10 @@ class TestVerify:
         assert path.read_text(encoding="utf-8") == "1|1|1/12\n"
 
     def test_all_builds_phi_g_once(self, capsys, monkeypatch):
-        from wpvol import genexp
+        from wpvol import verify
         calls = []
-        real_build = genexp.build_phi_g
-        monkeypatch.setattr(genexp, "build_phi_g",
+        real_build = verify.build_phi_g
+        monkeypatch.setattr(verify, "build_phi_g",
                             lambda *a: calls.append(a[0]) or real_build(*a))
         code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--genus", "2", "--order", "6")
         assert (code, calls) == (EXIT_OK, [2])
@@ -832,6 +849,67 @@ class TestUsage:
         assert capsys.readouterr().out == "1/24\n"
 
 
+#: the text a command prints in a JSON string: rationals, decimals, names and keys,
+#: none of which JSON escapes
+JSON_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                  blacklist_characters='"\\'))
+#: every value shape a command prints as JSON
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+class TestJsonRenderer:
+    """`cli._json` writes the bytes `json.dumps` would, without loading `json`."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(JSON_VALUES)
+    def test_equals_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["tau", "--genus", "2", "--ds", "1,4", "--format", "json"],
+        ["volume", "--genus", "2", "--n", "3", "--format", "json", "--digits", "5"],
+        ["volume", "--genus", "1", "--table", "3", "--format", "json", "--digits", "3"],
+        ["series", "--phi", "2", "--order", "4"],
+        # the l dict of each index shift, and a null first mismatch
+        ["verify", "--suite", "all", "--genus", "2", "--order", "3"],
+        ["asympt", "--genus", "0", "--n-max", "12"],
+    ], ids=["tau", "volume-n", "volume-table", "series", "verify", "asympt"])
+    def test_each_command_prints_json_dumps_bytes(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK and out
+        assert out == "".join(json.dumps(json.loads(line)) + "\n" for line in out.splitlines())
+
+    def test_failed_report_prints_json_dumps_bytes(self, capsys, tmp_path):
+        # a first_mismatch dict, and one with a null power
+        path = tmp_path / "poisoned.cache"
+        path.write_text("1|1|1/12\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--genus", "1", "--order", "3",
+                               "--cache", str(path))
+        assert code == EXIT_VERIFY_FAILED and '"first_mismatch": {"power": 1' in out
+        assert out == "".join(json.dumps(json.loads(line)) + "\n" for line in out.splitlines())
+        mismatch = {"power": None, "lhs": "1/2", "rhs": "-1/3"}
+        report = {"check": "index_shift_identity", "g": 2, "n": 1, "l": {"2": 4}, "pass": False,
+                  "first_mismatch": mismatch}
+        assert cli._json(report) == json.dumps(report)
+
+    @pytest.mark.parametrize("value", [
+        1.5, (1, 2), F(1, 2), {1: "a"}, {"a": (1,)}, [1, {2}], b"x", {None: 1},
+    ], ids=["float", "tuple", "fraction", "int-key", "nested-tuple", "set", "bytes", "none-key"])
+    def test_a_type_no_command_prints_raises(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+    @pytest.mark.parametrize("text", ['"', "\\", "\n", "\x7f", "é"])
+    def test_a_string_json_would_escape_raises(self, text):
+        with pytest.raises(ValueError):
+            cli._json({"v": "a" + text})
+        with pytest.raises(ValueError):
+            cli._json({text: 1})
+
+
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
@@ -866,28 +944,34 @@ SERIES = sorted(KAPPA + ["wpvol.qseries", "wpvol.genexp"])
 
 
 class TestImports:
+    # `cli` writes its JSON itself, so no command loads `json`
     @pytest.mark.parametrize("argv, modules, watched", [
         # tau renders the engine's int pair, so it never builds a Fraction either
         (["tau", "--genus", "1", "--ds", "1"], CORE, []),
-        (["tau", "--genus", "1", "--ds", "1", "--format", "json"], CORE, ["json"]),
+        (["tau", "--genus", "1", "--ds", "1", "--format", "json"], CORE, []),
         # volume --n carries its values as int pairs, so it never builds a Fraction
-        (["volume", "--genus", "2", "--n", "3", "--format", "json"], KAPPA, ["json"]),
+        (["volume", "--genus", "2", "--n", "3", "--format", "json"], KAPPA, []),
         (["volume", "--genus", "2", "--n", "3"], KAPPA, []),
         (["volume", "--genus", "2", "--n", "3", "--format", "csv"], KAPPA, []),
         (["volume", "--genus", "2", "--n", "3", "--cache", "{cache}"], KAPPA, []),
         # the series hold int pairs too, so no command builds a Fraction
         (["volume", "--genus", "2", "--table", "3"], SERIES, []),
-        # --digits rounds integer enclosures of pi, so it loads no third-party module
-        (["volume", "--genus", "2", "--n", "3", "--digits", "10"], KAPPA, []),
-        (["volume", "--genus", "2", "--table", "3", "--digits", "10", "--format", "json"], SERIES,
-         ["json"]),
-        (["series", "--phi", "2", "--order", "3"], SERIES, ["json"]),
-        (["verify", "--suite", "all", "--genus", "2", "--order", "2"], SERIES, ["json"]),
+        # --digits rounds integer enclosures of pi in its own module, and loads no
+        # third-party module
+        (["volume", "--genus", "2", "--n", "3", "--digits", "10"],
+         sorted(KAPPA + ["wpvol.digits"]), []),
+        (["volume", "--genus", "2", "--table", "3", "--digits", "10", "--format", "json"],
+         sorted(SERIES + ["wpvol.digits"]), []),
+        (["series", "--phi", "2", "--order", "3"], SERIES, []),
+        # only verify loads the suites
+        (["verify", "--suite", "all", "--genus", "2", "--order", "2"],
+         sorted(SERIES + ["wpvol.verify"]), []),
         # only the growth fit's logarithms are decimals
         (["asympt", "--genus", "0", "--n-max", "12"], sorted(SERIES + ["wpvol.asympt"]),
-         ["decimal", "json"]),
+         ["decimal"]),
         # the peak jobs of the genus-series benchmark
-        (["verify", "--suite", "lemma", "--genus", "4", "--order", "9"], SERIES, ["json"]),
+        (["verify", "--suite", "lemma", "--genus", "4", "--order", "9"],
+         sorted(SERIES + ["wpvol.verify"]), []),
         (["series", "--phi", "4", "--order", "12", "--format", "plain"], SERIES, []),
     ], ids=["tau", "tau-json", "volume-n", "volume-plain", "volume-csv", "volume-cache",
             "volume-table", "volume-digits", "volume-table-digits-json", "series", "verify",

@@ -8,21 +8,12 @@ from oracles import (add, compose, kappa_volume, mul_lists, newton_revert, ref_p
                      scale, series)
 from wpvol.asympt import fit_growth
 from wpvol.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
-from wpvol.genexp import (
-    CheckReport,
-    GenusExpansionContext,
-    _closed_form,
-    build_f_lemma,
-    build_phi_g,
-    build_y,
-    check_derivative_formula,
-    induction_sides,
-    verify_reports,
-    volume_series,
-)
+from wpvol.genexp import (CheckReport, GenusExpansionContext, build_phi_g, build_y, closed_form,
+                          volume_series)
 from wpvol.kappavol import enumerate_multiindices, volume
 from wpvol.qseries import Series, bessel_x_of_y, factorial, revert_lagrange
 from wpvol.taucalc import TauCalculator
+from wpvol.verify import build_f_lemma, check_derivative_formula, induction_sides, verify_reports
 
 F = Fraction
 
@@ -326,7 +317,7 @@ class TestClosedForm:
         # (y')^(2(g-1)+n) factored out of the sum changes no coefficient
         ctx_g = GenusExpansionContext(order=order, i_max=3 * g + 2)
         for n in range(5):
-            got = _closed_form(g, n, ctx_g, TauCalculator())
+            got = closed_form(g, n, ctx_g, TauCalculator())
             assert got == _ref_closed_form(g, n, ctx_g, TauCalculator()), (g, n)
 
     def test_fewer_series_products(self, monkeypatch):
@@ -419,10 +410,10 @@ class TestReportSerialization:
         }
 
     def test_mismatch_rendering(self, capsys, monkeypatch):
-        from wpvol import genexp
+        from wpvol import verify
 
-        rep = genexp.CheckReport("demo", (1, 2), (1, 3), power=5, g=2, n=3)
-        monkeypatch.setattr(genexp, "verify_reports", lambda *args: [rep])
+        rep = CheckReport("demo", (1, 2), (1, 3), power=5, g=2, n=3)
+        monkeypatch.setattr(verify, "verify_reports", lambda *args: [rep])
         code = main(["verify", "--suite", "all", "--genus", "2", "--order", "6"])
         assert code == EXIT_VERIFY_FAILED
         assert capsys.readouterr().out == (
@@ -433,8 +424,8 @@ class TestReportSerialization:
 @pytest.mark.parametrize("suite", ["lemma", "theorem1", "derivative", "induction", "all"])
 def test_every_suite_rejects_a_negative_genus(suite, monkeypatch):
     # raised before any context is built
-    from wpvol import genexp
+    from wpvol import verify
 
-    monkeypatch.setattr(genexp, "GenusExpansionContext", None)
+    monkeypatch.setattr(verify, "GenusExpansionContext", None)
     with pytest.raises(ValueError, match="g must be >= 0"):
         verify_reports(suite, -1, 4, TauCalculator())

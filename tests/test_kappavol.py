@@ -5,7 +5,7 @@ import pytest
 
 from oracles import kappa_volume, ref_tau
 from wpvol.cli import EXIT_OK, main
-from wpvol.genexp import induction_sides, volume_series
+from wpvol.genexp import volume_series
 from wpvol.kappavol import (
     VolumeRecord,
     brackets,
@@ -14,6 +14,7 @@ from wpvol.kappavol import (
 )
 from wpvol.qseries import factorial
 from wpvol.taucalc import TauCalculator
+from wpvol.verify import induction_sides
 
 F = Fraction
 

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import compose, double_factorial, newton_revert, series, series_from_json_dict
 from wpvol.cli import main
-from wpvol.genexp import GenusExpansionContext, build_f_lemma
+from wpvol.genexp import GenusExpansionContext
 from wpvol.qseries import (
     Series,
     bessel_x_of_y,
@@ -16,6 +16,7 @@ from wpvol.qseries import (
     parse_rational,
     revert_lagrange,
 )
+from wpvol.verify import build_f_lemma
 
 F = Fraction
 
