@@ -46,17 +46,17 @@ each reduction is a generator that looks its children up in the memo and
 yields only the misses, and one driver loop keeps the stack of generators,
 so a key is not limited by the recursion limit.
 
-The memo can be persisted to a plain-text cache file (one
-"g|d1,...,dn|p/q" entry per line holding <tau_ds>_g itself, indices sorted
-descending, lines sorted for diff-stability).  Saving writes only the core
-keys, g >= 1 with every index >= 2, but any key loads.  Loading rejects a
-line that is not UTF-8 text, any line that gives a nonzero value to an
-unstable key or to one that breaks the dimension rule, a value <= 0 to any
-other key, or a key given before, and any value that times
-2^(4g) prod (2d_i+1)!! is not an integer; saving writes a temporary file
-beside the target and renames it into place.  Neither builds a Fraction or
-scales a zero value.  The engine, the saver and the loader read one
-(2d+1)!! table, so each double factorial is computed once per process.
+The memo can be persisted to a plain-text cache file of core entries only:
+g >= 1 with every index >= 2, the keys whose reduction needs a DVV genus
+split.  Every other key is one cheap step from the core and is rederived on
+demand.  A line is "g|d1,...,dn|p/q" holding <tau_ds>_g itself, indices
+sorted descending, lines sorted for diff-stability.  Loading accepts exactly
+such entries: it rejects a line that is not UTF-8 text, a key that is not core
+or breaks the dimension rule, a key given before, a value <= 0, and a value
+that times 2^(4g) prod (2d_i+1)!! is not an integer; saving writes a
+temporary file beside the target and renames it into place.  Neither builds
+a Fraction.  The engine, the saver and the loader read one (2d+1)!! table,
+so each double factorial is computed once per process.
 
 The exact scalar helpers (factorial, format_rational, parse_pair,
 rational_sum, reduced) live here too and work on int pairs, so a command
@@ -138,8 +138,8 @@ def canonical_key(genus: int, indices: Iterable[int]) -> Key:
 
 
 def _render(genus: int, ds: Tuple[int, ...]) -> str:
-    """The "g|d1,...,dn" form of a key, "-" for no indices."""
-    return f"{genus}|{','.join(map(str, ds)) if ds else '-'}"
+    """The "g|d1,...,dn" form of a key."""
+    return f"{genus}|{','.join(map(str, ds))}"
 
 
 class _OddDoubleFactorials(dict):
@@ -190,11 +190,8 @@ def save_cache(store: MemoStore, path: str) -> None:
         if type(w) is not int:
             raise TypeError(f"memo entry {_render(genus, ds)} is a {type(w).__name__}, "
                             "not a normalized int")
-        if genus < 1 or (ds and ds[-1] < 2):
-            continue  # not a core key
-        # unscaled zero: the scale of a large dimension-breaking key is huge
-        value = format_rational(*reduced(w, _scale(genus, ds))) if w else "0"
-        lines.append(f"{_render(genus, ds)}|{value}")
+        if genus >= 1 and ds and ds[-1] >= 2:  # a core key
+            lines.append(f"{_render(genus, ds)}|{format_rational(*reduced(w, _scale(genus, ds)))}")
     lines.sort()
     data = "".join(line + "\n" for line in lines).encode("utf-8")
     with suppress(FileNotFoundError), open(path, "rb") as fh:
@@ -211,7 +208,8 @@ def save_cache(store: MemoStore, path: str) -> None:
 
 
 def load_cache(path: str) -> MemoStore:
-    """Read a cache file back into normalized ints; the round trip is bit-exact."""
+    """Read the core entries save_cache writes back into normalized ints; the
+    round trip is bit-exact, and any other line raises CacheFormatError."""
     entries: dict = {}
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh.read().splitlines(), start=1):  # \n, \r\n or \r
@@ -229,45 +227,32 @@ def load_cache(path: str) -> MemoStore:
                 genus = int(g_text)
             except ValueError:
                 raise CacheFormatError(line_no, f"malformed genus {g_text!r}") from None
-            tokens = ds_text.split(",") if ds_text != "-" else []
             try:
-                ds = tuple(sorted(map(int, tokens), reverse=True))
+                ds = tuple(sorted(map(int, ds_text.split(",")), reverse=True))
             except ValueError:
                 raise CacheFormatError(line_no, f"malformed index list {ds_text!r}") from None
             try:
                 p, q = parse_pair(value_text)
             except ValueError as exc:
                 raise CacheFormatError(line_no, str(exc)) from None
-            if genus < 0:
-                raise CacheFormatError(line_no, f"genus must be >= 0, got {genus}")
-            if ds and ds[-1] < 0:
-                raise CacheFormatError(line_no, "tau indices must be >= 0")
+            if genus < 1 or ds[-1] < 2:
+                raise CacheFormatError(line_no, f"key {_render(genus, ds)} is not a core key "
+                                                "(genus >= 1, every index >= 2)")
             if (genus, ds) in entries:  # save_cache writes each key once
                 raise CacheFormatError(line_no, f"key {_render(genus, ds)} is given twice")
-            # a correlator is 0 on unstable and dimension-breaking keys and
-            # positive on every other key, so any other value is corrupt
-            n = len(ds)
-            stable = 2 * genus - 2 + n > 0
-            valid = stable and sum(ds) == 3 * genus - 3 + n
-            w = 0  # unscaled, as in save_cache
-            if p:
-                if not stable:
-                    raise CacheFormatError(
-                        line_no, f"unstable key {_render(genus, ds)} has a nonzero value")
-                if not valid:
-                    raise CacheFormatError(
-                        line_no, f"key {_render(genus, ds)} breaks the dimension rule "
-                                 f"sum(ds) = 3g-3+n = {3 * genus - 3 + n} but has a nonzero value")
-                w, r = divmod(p * _scale(genus, ds), q)
-                if r:
-                    raise CacheFormatError(
-                        line_no, f"value {value_text} of {_render(genus, ds)} times "
-                                 f"2^(4g) prod (2d+1)!! is not an integer")
-            if w <= 0 and valid:
+            if sum(ds) != 3 * genus - 3 + len(ds):
+                raise CacheFormatError(
+                    line_no, f"key {_render(genus, ds)} breaks the dimension rule "
+                             f"sum(ds) = 3g-3+n = {3 * genus - 3 + len(ds)}")
+            if p <= 0:
                 raise CacheFormatError(
                     line_no, f"key {_render(genus, ds)} has the nonpositive value {value_text}, "
-                             "but every stable key that obeys the dimension rule has a "
-                             "positive correlator")
+                             "but every core correlator is positive")
+            w, r = divmod(p * _scale(genus, ds), q)
+            if r:
+                raise CacheFormatError(
+                    line_no, f"value {value_text} of {_render(genus, ds)} times "
+                             f"2^(4g) prod (2d+1)!! is not an integer")
             entries[genus, ds] = w
     return MemoStore(entries)
 

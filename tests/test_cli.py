@@ -77,15 +77,21 @@ class TestTau:
             assert (code, out, err) == (EXIT_OK, expected + "\n", "")
             assert sys.get_int_max_str_digits() == limit
         assert path.read_text(encoding="utf-8") == ""
-        # a core line with a 4434-digit value (not the true 1/1152, but one
-        # the loader accepts) loads, is saved back in full and prints
-        path.write_text(f"1|1|1/24\n2|4|{expected}\n", encoding="utf-8")
-        for argv in (["1", "--ds", "2,0"], ["2", "--ds", "4"]):
+        # the core line <tau_3298>_1100 = 1/(24^1100 1100!), a 4388-digit
+        # denominator, loads, is saved back in full and prints
+        sys.set_int_max_str_digits(0)
+        try:
+            line = f"1100|3298|1/{24 ** 1100 * math.factorial(1100)}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(line) == 4388 + len("1100|3298|1/\n")
+        path.write_text(line, encoding="utf-8")
+        for argv in (["2", "--ds", "2,2,0"], ["1100", "--ds", "3298"]):
             code, out, err = run_cli(capsys, "tau", "--genus", *argv, "--cache", str(path))
             assert code == EXIT_OK and err == ""
             assert sys.get_int_max_str_digits() == limit
-            assert path.read_text(encoding="utf-8") == f"2|4|{expected}\n"
-        assert out == expected + "\n"
+            assert path.read_text(encoding="utf-8") == line
+        assert out == line.split("|")[2]
 
     def test_600_point_key_evaluates(self, capsys):
         # a valid 600-point genus-0 key (value 1), once deeper than the recursion limit
@@ -424,28 +430,17 @@ class TestVerify:
             '"first_mismatch": {"power": null, "lhs": "1/2", "rhs": "1/3"}}')
 
     def test_poisoned_cache_fails_theorem1(self, capsys, tmp_path):
-        # the true <tau_1>_1 is 1/24; the series side reads the cache, the
+        # the true <tau_4>_2 is 1/1152; the series side reads the cache, the
         # kappa-to-tau side its own memo, so the two routes disagree
         path = tmp_path / "poisoned.cache"
-        path.write_text("1|1|1/12\n", encoding="utf-8")
+        path.write_text("2|4|1/576\n", encoding="utf-8")
         code, out, _ = run_cli(capsys, "verify", "--suite", "theorem1",
                                "--genus", "2", "--order", "3", "--cache", str(path))
         assert code == EXIT_VERIFY_FAILED
-        first = json.loads(out.splitlines()[0])
-        assert (first["n"], first["pass"]) == (0, False)
-        assert first["first_mismatch"] == {"power": 0, "lhs": "457/90720", "rhs": "43/17280"}
-
-    def test_poisoned_cache_fails_theorem1_at_genus1(self, capsys, tmp_path):
-        # phi_1 reads <tau_0 tau_2>_1 = <tau_1>_1 off the cache, so v_{1,1} doubles
-        path = tmp_path / "poisoned.cache"
-        path.write_text("1|1|1/12\n", encoding="utf-8")
-        code, out, _ = run_cli(capsys, "verify", "--suite", "theorem1",
-                               "--genus", "1", "--order", "3", "--cache", str(path))
-        assert code == EXIT_VERIFY_FAILED
-        first = next(json.loads(line) for line in out.splitlines() if '"pass": false' in line)
-        assert (first["n"], first["first_mismatch"]) == \
-            (1, {"power": 1, "lhs": "1/12", "rhs": "1/24"})
-        assert path.read_text(encoding="utf-8") == "1|1|1/12\n"
+        assert out.splitlines()[0] == (
+            '{"check": "genus_series_vs_volume", "g": 2, "n": 0, "pass": false, '
+            '"first_mismatch": {"power": 0, "lhs": "7/1920", "rhs": "43/17280"}}')
+        assert path.read_text(encoding="utf-8") == "2|4|1/576\n"
 
     def test_off_by_one_fused_dilaton_weight_fails_three_suites(self, capsys, monkeypatch):
         # every lowered tau_2 weighted 5 * 3(2g-2+n), n the indices beside the
@@ -474,14 +469,14 @@ class TestVerify:
         # phi_g is built on the cache, the tau_0^n closed forms on a fresh
         # memo, so at n = 0 the same sum disagrees across the two memos
         path = tmp_path / "poisoned.cache"
-        path.write_text("1|1|1/12\n", encoding="utf-8")
+        path.write_text("2|4|1/576\n", encoding="utf-8")
         code, out, _ = run_cli(capsys, "verify", "--suite", "derivative",
                                "--genus", "2", "--order", "3", "--cache", str(path))
         assert code == EXIT_VERIFY_FAILED
         first = json.loads(out.splitlines()[0])
         assert (first["check"], first["n"], first["pass"]) == ("derivative_formula", 0, False)
-        assert first["first_mismatch"] == {"power": 0, "lhs": "457/90720", "rhs": "43/17280"}
-        assert path.read_text(encoding="utf-8") == "1|1|1/12\n"
+        assert first["first_mismatch"] == {"power": 0, "lhs": "7/1920", "rhs": "43/17280"}
+        assert path.read_text(encoding="utf-8") == "2|4|1/576\n"
 
     def test_all_builds_phi_g_once(self, capsys, monkeypatch):
         from wpvol import verify
@@ -570,31 +565,31 @@ class TestCache:
 
     def test_cache_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "bad.cache"
-        data = b"1|1|1/24\n\xff\xfe|1|1\n"
+        data = b"2|4|1/1152\n\xff\xfe|1|1\n"
         path.write_bytes(data)
         inode = os.stat(path).st_ino
-        code, out, err = run_cli(capsys, "tau", "--genus", "1", "--ds", "1",
+        code, out, err = run_cli(capsys, "tau", "--genus", "2", "--ds", "4",
                                  "--cache", str(path))
         assert (code, out, err) == (EXIT_IO, "", "error: cache line 2: not UTF-8 text\n")
         assert path.read_bytes() == data and os.stat(path).st_ino == inode
 
     def test_dimension_breaking_cache_line(self, capsys, tmp_path):
         path = tmp_path / "bad.cache"
-        path.write_text("1|1|1/24\n5|0|7\n", encoding="utf-8")
-        code, out, err = run_cli(capsys, "volume", "--genus", "1", "--n", "1",
+        path.write_text("2|4|1/1152\n3|4,3|1/7\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "volume", "--genus", "2", "--n", "0",
                                  "--cache", str(path))
-        assert code == EXIT_IO
-        assert out == ""
-        assert "line 2" in err
-        assert path.read_text(encoding="utf-8") == "1|1|1/24\n5|0|7\n"
+        assert (code, out) == (EXIT_IO, "")
+        assert err == "error: cache line 2: key 3|4,3 breaks the dimension rule " \
+                      "sum(ds) = 3g-3+n = 8\n"
+        assert path.read_text(encoding="utf-8") == "2|4|1/1152\n3|4,3|1/7\n"
 
     def test_pure_hit_run_leaves_the_file_alone(self, capsys, tmp_path):
         path = tmp_path / "unsorted.cache"
-        text = "1|1|1/24\n0|0,0,0|1\n"  # valid, but not in the order a save writes
+        text = "2|4|1/1152\n2|3,2|29/5760\n"  # valid, but not in the order a save writes
         path.write_text(text, encoding="utf-8")
-        code, out, _ = run_cli(capsys, "tau", "--genus", "1", "--ds", "1",
+        code, out, _ = run_cli(capsys, "tau", "--genus", "2", "--ds", "4",
                                "--cache", str(path))
-        assert (code, out) == (EXIT_OK, "1/24\n")
+        assert (code, out) == (EXIT_OK, "1/1152\n")
         assert path.read_text(encoding="utf-8") == text
 
     def test_run_that_adds_entries_saves(self, capsys, tmp_path):
@@ -606,13 +601,29 @@ class TestCache:
         assert path.read_text(encoding="utf-8") == "2|3,2|29/5760\n2|4|1/1152\n"
 
     def test_failed_verify_leaves_the_file_alone(self, capsys, tmp_path):
-        # the series side derives new keys from the wrong 1|1 value; saving
-        # them would spread it to later runs that read the cache
+        # the series side derives new core keys from the wrong 2|4 value;
+        # saving them would spread it to later runs that read the cache
         path = tmp_path / "poisoned.cache"
-        path.write_bytes(b"1|1|1/12\n")
+        path.write_bytes(b"2|4|1/576\n")
         code, _, _ = run_cli(capsys, "verify", "--suite", "theorem1",
                              "--genus", "2", "--order", "3", "--cache", str(path))
         assert code == EXIT_VERIFY_FAILED
+        assert path.read_bytes() == b"2|4|1/576\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["volume", "--genus", "1", "--n", "1"],
+        ["tau", "--genus", "1", "--ds", "1"],
+        ["verify", "--suite", "theorem1", "--genus", "1", "--order", "3"],
+    ], ids=["volume", "tau", "verify"])
+    def test_non_core_line_exits_3_before_the_command_runs(self, capsys, tmp_path, argv):
+        # a wrong <tau_1>_1 that earlier loaders trusted: volume printed V=1/12,
+        # and no genus-1 verify can see it, as genus 1 has no core key
+        path = tmp_path / "poisoned.cache"
+        path.write_bytes(b"1|1|1/12\n")
+        code, out, err = run_cli(capsys, *argv, "--cache", str(path))
+        assert (code, out) == (EXIT_IO, "")
+        assert err == "error: cache line 1: key 1|1 is not a core key " \
+                      "(genus >= 1, every index >= 2)\n"
         assert path.read_bytes() == b"1|1|1/12\n"
 
     def test_first_run_creates_the_file_even_when_empty(self, capsys, tmp_path):
@@ -624,51 +635,51 @@ class TestCache:
 
     def test_interrupt_exits_130_and_keeps_the_cache(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "kept.cache"
-        text = "1|1|1/24\n"
+        text = "2|4|1/1152\n"
         path.write_text(text, encoding="utf-8")
 
         def interrupted(args, calc):
-            engine_tau(calc, 1, [2, 0])  # the memo grows before the interrupt
+            engine_tau(calc, 2, [3, 2])  # the memo grows before the interrupt
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "_cmd_tau", interrupted)
-        code, out, err = run_cli(capsys, "tau", "--genus", "1", "--ds", "2,0",
+        code, out, err = run_cli(capsys, "tau", "--genus", "2", "--ds", "3,2",
                                  "--cache", str(path))
         assert (code, out, err) == (EXIT_INTERRUPTED, "", "error: interrupted\n")
         assert path.read_text(encoding="utf-8") == text
 
     def test_interrupt_during_the_save_exits_130(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "kept.cache"
-        path.write_text("1|1|1/24\n", encoding="utf-8")
+        path.write_text("2|4|1/1152\n", encoding="utf-8")
 
         def interrupted(store, target):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "save_cache", interrupted)
-        code, out, err = run_cli(capsys, "tau", "--genus", "1", "--ds", "2,0",
+        code, out, err = run_cli(capsys, "tau", "--genus", "2", "--ds", "3,2",
                                  "--cache", str(path))
-        assert (code, out, err) == (EXIT_INTERRUPTED, "1/24\n", "error: interrupted\n")
-        assert path.read_text(encoding="utf-8") == "1|1|1/24\n"
+        assert (code, out, err) == (EXIT_INTERRUPTED, "29/5760\n", "error: interrupted\n")
+        assert path.read_text(encoding="utf-8") == "2|4|1/1152\n"
 
     def test_value_that_is_no_correlator(self, capsys, tmp_path):
-        # 2^4 * 3!! * 1/7 = 48/7 is not an integer, so no correlator has this value
+        # 2^8 * 7!! * 5!! * 1/11 is not an integer, so no correlator has this value
         path = tmp_path / "bad.cache"
-        path.write_text("0|0,0,0|1\n1|1|1/7\n", encoding="utf-8")
-        code, out, err = run_cli(capsys, "volume", "--genus", "1", "--n", "1",
+        path.write_text("2|4|1/1152\n2|3,2|1/11\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "volume", "--genus", "2", "--n", "1",
                                  "--cache", str(path))
         assert (code, out) == (EXIT_IO, "")
         assert "line 2" in err
-        assert path.read_text(encoding="utf-8") == "0|0,0,0|1\n1|1|1/7\n"
+        assert path.read_text(encoding="utf-8") == "2|4|1/1152\n2|3,2|1/11\n"
 
     @pytest.mark.parametrize("text, argv, line", [
-        ("1|1|-1/24\n", ["volume", "--genus", "1", "--n", "1"], 1),
-        ("1|1|0\n", ["tau", "--genus", "1", "--ds", "1"], 1),
+        ("2|4|-1/1152\n", ["volume", "--genus", "2", "--n", "0"], 1),
+        ("2|4|0\n", ["tau", "--genus", "2", "--ds", "4"], 1),
         ("0|0,0,0|-1\n", ["tau", "--genus", "0", "--ds", "0,0,0"], 1),
-        ("1|1|1/24\n1|1|1/12\n", ["tau", "--genus", "1", "--ds", "1"], 2),
+        ("2|4|1/1152\n2|4|1/576\n", ["tau", "--genus", "2", "--ds", "4"], 2),
     ], ids=["negative", "zero", "negative-genus0", "repeated-key"])
     def test_value_no_correlator_has(self, capsys, tmp_path, text, argv, line):
-        # every stable key that obeys the dimension rule has a positive
-        # correlator, and save_cache writes each key once
+        # every core correlator is positive, save_cache writes each key once,
+        # and a genus-0 line is no core line whatever its value
         path = tmp_path / "bad.cache"
         path.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, *argv, "--cache", str(path))
@@ -677,16 +688,18 @@ class TestCache:
         assert path.read_text(encoding="utf-8") == text
 
     def test_value_that_breaks_the_recursion(self, capsys, tmp_path):
-        # W(1, (1,)) = 3 passes the load check, but makes the DVV split sum
-        # of <tau_4>_2 odd, through the tau command and the kappa route's pairs
+        # W(2, (4,)) = 211 (the true W is 210) passes the load check, but the
+        # DVV split sum of <tau_10>_4 holds its square once, so it is odd,
+        # through the tau command and the kappa route's pairs
         path = tmp_path / "bad.cache"
-        path.write_text("1|1|1/16\n", encoding="utf-8")
-        for argv in (["tau", "--genus", "2", "--ds", "4"], ["volume", "--genus", "2", "--n", "0"]):
+        path.write_text("2|4|211/241920\n", encoding="utf-8")
+        for argv in (["tau", "--genus", "4", "--ds", "10"],
+                     ["volume", "--genus", "4", "--n", "0"]):
             code, out, err = run_cli(capsys, *argv, "--cache", str(path))
             assert (code, out) == (EXIT_IO, ""), argv
             assert err.startswith("error:") and len(err.splitlines()) == 1
-            assert "2|4" in err
-            assert path.read_text(encoding="utf-8") == "1|1|1/16\n"
+            assert "4|10" in err
+            assert path.read_text(encoding="utf-8") == "2|4|211/241920\n"
 
     def test_poisoned_core_entry_fails_verify(self, capsys, tmp_path):
         # the true <tau_4>_2 is 1/1152; the series side reads the cache, the
@@ -885,10 +898,10 @@ class TestJsonRenderer:
     def test_failed_report_prints_json_dumps_bytes(self, capsys, tmp_path):
         # a first_mismatch dict, and one with a null power
         path = tmp_path / "poisoned.cache"
-        path.write_text("1|1|1/12\n", encoding="utf-8")
-        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--genus", "1", "--order", "3",
+        path.write_text("2|4|1/576\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--genus", "2", "--order", "3",
                                "--cache", str(path))
-        assert code == EXIT_VERIFY_FAILED and '"first_mismatch": {"power": 1' in out
+        assert code == EXIT_VERIFY_FAILED and '"first_mismatch": {"power": 0' in out
         assert out == "".join(json.dumps(json.loads(line)) + "\n" for line in out.splitlines())
         mismatch = {"power": None, "lhs": "1/2", "rhs": "-1/3"}
         report = {"check": "index_shift_identity", "g": 2, "n": 1, "l": {"2": 4}, "pass": False,

@@ -65,8 +65,13 @@ def valid_keys(draw, n_max=7):
     return g, ds
 
 
+def _ref_scale(genus, ds):
+    """2^(4g) prod (2d+1)!!, as the product of each odd factor."""
+    return 2 ** (4 * genus) * math.prod(k for d in ds for k in range(2 * d + 1, 0, -2))
+
+
 def _ref_load_cache(path):
-    """The Fraction-based loader the int one replaced, kept as the reference
+    """A Fraction-based loader of the core-line grammar, kept as the reference
     for load_cache: every index and every value is parsed in full."""
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -82,40 +87,35 @@ def _ref_load_cache(path):
                 genus = int(g_text)
             except ValueError:
                 raise CacheFormatError(line_no, f"malformed genus {g_text!r}") from None
-            if ds_text == "-":
-                indices = ()
-            else:
-                try:
-                    indices = tuple(map(int, ds_text.split(",")))
-                except ValueError:
-                    raise CacheFormatError(line_no, f"malformed index list {ds_text!r}") from None
+            try:
+                ds = tuple(sorted((int(token) for token in ds_text.split(",")), reverse=True))
+            except ValueError:
+                raise CacheFormatError(line_no, f"malformed index list {ds_text!r}") from None
             try:
                 value = parse_rational(value_text)
-                genus, ds = canonical_key(genus, indices)
             except ValueError as exc:
                 raise CacheFormatError(line_no, str(exc)) from None
+            key = f"{genus}|{','.join(str(d) for d in ds)}"
+            if genus < 1 or min(ds) < 2:
+                raise CacheFormatError(
+                    line_no, f"key {key} is not a core key (genus >= 1, every index >= 2)")
             if (genus, ds) in entries:
-                raise CacheFormatError(line_no, f"key {_render(genus, ds)} is given twice")
+                raise CacheFormatError(line_no, f"key {key} is given twice")
             n = len(ds)
-            stable = 2 * genus - 2 + n > 0
-            if value and not stable:
+            if sum(ds) != 3 * genus - 3 + n:
                 raise CacheFormatError(
-                    line_no, f"unstable key {_render(genus, ds)} has a nonzero value")
-            if value and sum(ds) != 3 * genus - 3 + n:
+                    line_no, f"key {key} breaks the dimension rule sum(ds) = 3g-3+n = "
+                             f"{3 * genus - 3 + n}")
+            if value <= 0:
                 raise CacheFormatError(
-                    line_no, f"key {_render(genus, ds)} breaks the dimension rule "
-                             f"sum(ds) = 3g-3+n = {3 * genus - 3 + n} but has a nonzero value")
-            w, r = divmod(value.numerator * _scale(genus, ds), value.denominator)
-            if r:
+                    line_no, f"key {key} has the nonpositive value {value_text}, "
+                             "but every core correlator is positive")
+            w = value * _ref_scale(genus, ds)
+            if w.denominator != 1:
                 raise CacheFormatError(
-                    line_no, f"value {value_text} of {_render(genus, ds)} times "
+                    line_no, f"value {value_text} of {key} times "
                              f"2^(4g) prod (2d+1)!! is not an integer")
-            if w <= 0 and stable and sum(ds) == 3 * genus - 3 + n:
-                raise CacheFormatError(
-                    line_no, f"key {_render(genus, ds)} has the nonpositive value {value_text}, "
-                             "but every stable key that obeys the dimension rule has a "
-                             "positive correlator")
-            entries[genus, ds] = w
+            entries[genus, ds] = int(w)
     return MemoStore(entries)
 
 
@@ -140,18 +140,35 @@ def _load_outcome(load, path):
 
 
 @st.composite
+def core_keys(draw):
+    """(g, ds), ds descending, with 2 <= g <= 4, every index >= 2 and
+    sum(ds) = 3g - 3 + n: the keys save_cache writes (genus 1 has none)."""
+    g = draw(st.integers(2, 4))
+    n = draw(st.integers(1, min(3 * g - 3, 6)))
+    ds = [2] * n
+    for slot in draw(st.lists(st.integers(0, n - 1), min_size=3 * g - 3 - n,
+                              max_size=3 * g - 3 - n)):
+        ds[slot] += 1
+    return g, tuple(sorted(ds, reverse=True))
+
+
+@st.composite
 def cache_entries(draw):
-    """(g, ds, value) that loads: a positive value whose W is an int on a
-    valid key, or 0 on an unstable or dimension-breaking one."""
-    if draw(st.booleans()):
+    """(g, ds, value): mostly a positive value whose W is an int on a core key,
+    the lines that load; else the same on a valid key that is not core, or 0
+    on an unstable or dimension-breaking key, lines of the full format."""
+    kind = draw(st.integers(0, 7))
+    if kind > 1:
+        g, ds = draw(core_keys())
+    elif kind == 1:
         g, ds = draw(valid_keys(n_max=6))
-        scale = _scale(*canonical_key(g, ds))
-        return g, ds, F(draw(st.integers(1, 10 ** 6)), scale)
-    g = draw(st.integers(0, 3))
-    ds = draw(st.lists(st.integers(0, 6), max_size=6))
-    if 2 * g - 2 + len(ds) > 0 and sum(ds) == 3 * g - 3 + len(ds):
-        ds.append(0)  # one more tau_0 breaks the dimension rule
-    return g, ds, F(0)
+    else:
+        g = draw(st.integers(0, 3))
+        ds = draw(st.lists(st.integers(0, 6), max_size=6))
+        if 2 * g - 2 + len(ds) > 0 and sum(ds) == 3 * g - 3 + len(ds):
+            ds.append(0)  # one more tau_0 breaks the dimension rule
+        return g, ds, F(0)
+    return g, ds, F(draw(st.integers(1, 10 ** 6)), _ref_scale(g, ds))
 
 
 #: corrupt lines: each is rejected wherever it stands
@@ -160,18 +177,25 @@ CORRUPT_LINES = ["1|1| 1/7", "1|1|-1/24 ", "1|-1,3|0", "1|1|0", "5|0|7", "0|0,0|
                  "1|-0,1|1/24", "1|1,|1", "1||1", "1|x|1/24", "x|1|1/24", "1|1|x", "1|1|1 / 24",
                  "1|1|0.5", "1|1", "1|1|1|1"]
 
-#: lines that load, most of them not as save_cache writes them
-ODD_SPELLINGS = ["1|0,2|1/24", "1|2,00|1/24", "1|2, 0|2/48", "1|2,-0|1/24", "1|2,+0|+1/24",
-                 " 1|2,0| 1/24 ", "0|0,0,1,0|1", "0|00,0,0|1", "0|0,0,0|1", "2|-|0", "2|-|-0",
-                 "1|2,0,0|0/5", "0|20,0,0|0", "0|2_0,0,0|0", "1|\u0662,0|1/24", "0|0,0,0|\u0661"]
+#: lines of the full format, which held every memo entry: valid non-core
+#: keys in several spellings, and zeros on invalid keys; each is rejected
+NON_CORE_LINES = ["1|0,2|1/24", "1|2,00|1/24", "1|2, 0|2/48", "1|2,-0|1/24", "1|2,+0|+1/24",
+                  " 1|2,0| 1/24 ", "0|0,0,1,0|1", "0|00,0,0|1", "0|0,0,0|1", "2|-|0", "2|-|-0",
+                  "1|2,0,0|0/5", "0|20,0,0|0", "0|2_0,0,0|0", "1|\u0662,0|1/24",
+                  "0|0,0,0|\u0661"]
+
+#: core lines that load, none of them as save_cache writes them
+ODD_SPELLINGS = ["2|2,3|29/5760", "2|3,02|29/5760", "2|3, 2|58/11520", "2|+3,2|+29/5760",
+                 " 2|3,2| 29/5760 ", "02|2,2,2|14/480", "\u0662|3,2|29/5760",
+                 "2|2,2,2|\u0667/240", "4|1_0|1/7962624"]
 
 
 @st.composite
 def cache_files(draw):
     """The text of a cache file: canonical lines mixed with other spellings of
-    the same entries (unsorted indices, zeros in the middle, "00", "+0" and
-    "-0" tokens, unreduced or signed values, surrounding whitespace, blank
-    lines), repeated keys and corrupt lines."""
+    the same entries (unsorted indices, "0"-led and "+" tokens, unreduced or
+    signed values, surrounding whitespace, blank lines), repeated keys and
+    corrupt lines."""
     lines = []
     for g, ds, value in draw(st.lists(cache_entries(), max_size=8)):
         ds = sorted(ds, reverse=True)
@@ -183,7 +207,7 @@ def cache_files(draw):
         text = f"{value.numerator * k}/{value.denominator * k}" if k > 1 else format_rational(value)
         text = draw(st.sampled_from(["", "", "", "+", " "])) + text
         pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
-        lines.append(f"{pad}{g}|{','.join(tokens) or '-'}|{text}{pad}")
+        lines.append(f"{pad}{g}|{','.join(tokens)}|{text}{pad}")
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(["", "   ", lines[-1]])))
         if draw(st.integers(0, 7)) == 0:
@@ -338,7 +362,7 @@ class TestCorrelators:
 
 
 class TestCacheFile:
-    @pytest.mark.parametrize("line", ODD_SPELLINGS + CORRUPT_LINES)
+    @pytest.mark.parametrize("line", ODD_SPELLINGS + NON_CORE_LINES + CORRUPT_LINES)
     def test_line_loads_like_the_fraction_loader(self, tmp_path, line):
         path = tmp_path / "c.txt"
         path.write_text(f"2|4|1/1152\n\n{line}\n", encoding="utf-8")
@@ -358,6 +382,15 @@ class TestCacheFile:
                 assert all(type(w) is int for w in outcome.values())
                 save_cache(MemoStore(outcome), str(path))
                 assert path.read_text(encoding="utf-8") == _ref_cache_text(MemoStore(outcome))
+
+    @PROPERTY
+    @given(st.dictionaries(core_keys(), st.integers(1, 2 ** 200), max_size=12))
+    def test_core_memo_round_trip(self, entries):
+        # any positive W on any core key: saved, then loaded, gives the memo back
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.txt"
+            save_cache(MemoStore(entries), str(path))
+            assert load_cache(str(path)).entries == entries
 
     @PROPERTY
     @given(st.lists(valid_keys(n_max=6), max_size=4), st.integers(0, 3), st.integers(0, 4))

@@ -2,6 +2,7 @@ import builtins
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -51,7 +52,7 @@ class TestTauKey:
 
     def test_render(self):
         assert taucalc._render(*canonical_key(1, [1])) == "1|1"
-        assert taucalc._render(*canonical_key(2, [])) == "2|-"
+        assert taucalc._render(*canonical_key(2, [2, 3])) == "2|3,2"
 
 
 class TestBaseAndGates:
@@ -406,16 +407,19 @@ class TestCacheFile:
 
     def test_known_line(self, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text("1|1|1/24\n", encoding="utf-8")
+        path.write_text("2|4|1/1152\n", encoding="utf-8")
         store = load_cache(str(path))
-        assert store.entries == {(1, (1,)): 2}  # 2^4 * 3!! * 1/24
-        assert engine_tau(TauCalculator(store), 1, [1]) == F(1, 24)
+        assert store.entries == {(2, (4,)): 210}  # 2^8 * 9!! * 1/1152
+        assert engine_tau(TauCalculator(store), 2, [4]) == F(1, 1152)
 
     def test_empty_index_list(self, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("2|-|0\n", encoding="utf-8")
-        store = load_cache(str(path))
-        assert store.entries == {(2, ()): F(0)}
+        # no core key has one, and "-", which earlier savers wrote for it, is no index
+        for text, field in [("2|-|0", "'-'"), ("2||1", "''")]:
+            path = tmp_path / "c.txt"
+            path.write_text(f"2|4|1/1152\n{text}\n", encoding="utf-8")
+            with pytest.raises(CacheFormatError,
+                               match=f"^cache line 2: malformed index list {field}$"):
+                load_cache(str(path))
 
     def test_lines_sorted(self, tmp_path):
         # W(2, (4,)) = 2^8 9!! / 1152, W(1, (2, 2)) = 2^4 (5!!)^2 / 240
@@ -433,84 +437,84 @@ class TestCacheFile:
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text("1|1|1/24\nnot a line\n", encoding="utf-8")
+        path.write_text("2|4|1/1152\nnot a line\n", encoding="utf-8")
         with pytest.raises(CacheFormatError, match="^cache line 2: "):
             load_cache(str(path))
 
     @pytest.mark.parametrize("line", ["5|0|7", "0|0,0|1", "0|-|3", "2|3,1|1/5", "1|1|1/7"])
     def test_invalid_key_with_value_rejected(self, tmp_path, line):
-        # unstable or dimension-breaking keys have tau = 0; anything else is
-        # corrupt, and so is a value whose W is not an integer (2^4 * 3!! / 7)
+        # none of these keys is core ("-" is no index list): the unstable and
+        # dimension-breaking ones have tau = 0, the others are one step from the core
         path = tmp_path / "c.txt"
-        path.write_text("1|1|1/24\n" + line + "\n", encoding="utf-8")
+        path.write_text("2|4|1/1152\n" + line + "\n", encoding="utf-8")
         with pytest.raises(CacheFormatError, match="^cache line 2: "):
             load_cache(str(path))
 
-    def test_invalid_key_with_zero_value_loads(self, tmp_path):
+    def test_invalid_key_with_zero_value_rejected(self, tmp_path):
+        # earlier savers wrote such lines; no correlator the engine stores is 0
         path = tmp_path / "c.txt"
         path.write_text("5|0|0\n0|0,0|0\n", encoding="utf-8")
-        assert load_cache(str(path)).entries == {(5, (0,)): F(0), (0, (0, 0)): F(0)}
+        with pytest.raises(CacheFormatError, match=r"^cache line 1: key 5\|0 is not a core key"):
+            load_cache(str(path))
 
-    @pytest.mark.parametrize("step", ["save", "load"])
-    def test_zero_value_is_never_scaled(self, tmp_path, monkeypatch, step):
-        # a zero value on a dimension-breaking key is stored unscaled: its
-        # (2d+1)!! can be as large as the key's index makes it.  A fresh table
-        # in place of the shared one, so no (2d+1)!! an earlier test computed
-        # can hide a scaled zero
+    def test_zero_value_is_never_scaled(self, tmp_path, monkeypatch):
+        # a dimension-breaking core-shaped key is rejected before its scale
+        # is computed: its (2d+1)!! can be as large as the key's index makes
+        # it.  A fresh table in place of the shared one, so no (2d+1)!! an
+        # earlier test computed can hide a scaled value
         real = taucalc._OddDoubleFactorials.__missing__
 
         def small_only(odd, d):
-            assert d < 100, f"a zero value was scaled by (2*{d}+1)!!"
+            assert d < 100, f"a rejected line was scaled by (2*{d}+1)!!"
             return real(odd, d)
 
         path = tmp_path / "c.txt"
-        text = "1|20000,2|0\n2|4|1/1152\n"
-        store = MemoStore({(1, (20000, 2)): 0, (2, (4,)): 210})
-        if step == "load":
-            path.write_text(text, encoding="utf-8")
+        path.write_text("2|4|1/1152\n1|20000,2|0\n", encoding="utf-8")
         monkeypatch.setattr(taucalc._OddDoubleFactorials, "__missing__", small_only)
         monkeypatch.setattr(taucalc, "_ODD", taucalc._OddDoubleFactorials())
-        if step == "save":
-            save_cache(store, str(path))
-            assert path.read_text(encoding="utf-8") == text
-        else:
-            assert load_cache(str(path)).entries == store.entries
+        with pytest.raises(CacheFormatError, match=r"^cache line 2: key 1\|20000,2 breaks"):
+            load_cache(str(path))
 
     def test_save_writes_every_index_as_its_own_text(self, tmp_path):
-        # every index of a saved key is written as str(d), a large one too
+        # every index of a saved key is written as str(d), a large one too:
+        # <tau_298>_100 = 1/(24^100 100!)
         path = tmp_path / "c.txt"
-        save_cache(MemoStore({(1, (300, 2)): 0, (1, (300,)): 0}), str(path))
-        assert path.read_text(encoding="utf-8") == "1|300,2|0\n1|300|0\n"
+        den = 24 ** 100 * factorial(100)
+        w, r = divmod(taucalc._scale(100, (298,)), den)
+        assert not r
+        save_cache(MemoStore({(100, (298,)): w, (2, (4,)): 210}), str(path))
+        assert path.read_text(encoding="utf-8") == f"100|298|1/{den}\n2|4|1/1152\n"
+        assert load_cache(str(path)).entries == {(100, (298,)): w, (2, (4,)): 210}
 
     def test_save_rejects_a_fraction_entry(self, tmp_path):
         path = tmp_path / "c.txt"
         with pytest.raises(TypeError):
-            save_cache(MemoStore({(1, (1,)): F(1, 24)}), str(path))
+            save_cache(MemoStore({(2, (4,)): F(1, 1152)}), str(path))
         assert not path.exists()
 
-    def test_file_with_reduced_genus0_keys_loads(self, tmp_path):
+    def test_file_with_reduced_genus0_keys_is_rejected(self, tmp_path):
         # written by the recursive engine, which stored every genus-0 key its
-        # string and DVV steps reached; the closed form stores only the keys asked for
+        # string and DVV steps reached; the closed form derives each of them
         lines = ["0|0,0,0|1", "0|1,0,0,0|1", "0|1,1,0,0,0|2", "0|1,1,1,0,0,0|6",
                  "0|2,0,0,0,0|1", "0|2,1,0,0,0,0|3", "0|2,1,1,0,0,0,0|12",
                  "0|2,2,0,0,0,0,0|6", "0|2,2,1,0,0,0,0,0|30", "0|2,2,2,0,0,0,0,0,0|90",
                  "0|3,0,0,0,0,0|1", "0|3,1,0,0,0,0,0|4", "0|3,2,0,0,0,0,0,0|10",
                  "0|4,0,0,0,0,0,0|1"]
         path = tmp_path / "c.txt"
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        warm = TauCalculator(load_cache(str(path)))
+        text = "".join(line + "\n" for line in lines)
+        path.write_text(text, encoding="utf-8")
+        rejected = r"^cache line 1: key 0\|0,0,0 is not a core key"
+        with pytest.raises(CacheFormatError, match=rejected):
+            load_cache(str(path))
+        assert path.read_text(encoding="utf-8") == text
         cold = TauCalculator()
         for line in lines:
             g, ds, value = line.split("|")
-            key = (int(g), [int(d) for d in ds.split(",")])
-            assert engine_tau(warm, *key) == engine_tau(cold, *key) == F(value)
+            assert engine_tau(cold, int(g), [int(d) for d in ds.split(",")]) == F(value)
         assert len(cold.store.entries) == len(lines)
-        # none of these keys is core, so the next save writes none of them
-        save_cache(warm.store, str(path))
-        assert path.read_bytes() == b""
 
     def test_save_leaves_no_temporary_file(self, tmp_path):
-        save_cache(MemoStore({(1, (1,)): 2}), str(tmp_path / "c.txt"))
+        save_cache(MemoStore({(2, (4,)): 210}), str(tmp_path / "c.txt"))
         assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
@@ -630,8 +634,9 @@ class TestCoreCache:
             assert int(g) >= 1 and min(map(int, ds.split(","))) >= 2, line
         assert load_cache(str(path)).entries == core_entries(calc.store.entries)
 
-    def test_parent_full_file_loads_and_the_next_save_keeps_its_core(self, tmp_path):
-        # the file the cache-reuse benchmark pre-warmed before core-only saves
+    def test_parent_full_file_is_rejected_at_its_first_non_core_line(self, tmp_path):
+        # the file the cache-reuse benchmark pre-warmed before core-only saves;
+        # its 121 core lines alone load and rederive every other line
         jobs = [(0, 25), (5, 1), (2, 16)]
         parent = ParentPivot()
         for g, n in jobs:
@@ -641,14 +646,19 @@ class TestCoreCache:
         assert len(lines) == 9845
         path = tmp_path / "full.txt"
         path.write_text(text, encoding="utf-8")
+        key = re.escape(lines[0].rsplit("|", 1)[0])
+        with pytest.raises(CacheFormatError, match=f"^cache line 1: key {key} is not a core key"):
+            load_cache(str(path))
+        core = [line for line in lines if line.split("|")[0] != "0"
+                and min(map(int, line.split("|")[1].split(","))) >= 2]
+        assert len(core) == 121
+        path.write_text("".join(line + "\n" for line in core), encoding="utf-8")
         warm = TauCalculator(load_cache(str(path)))
         for g, n in jobs:
             assert volume(g, n, warm) == volume(g, n, TauCalculator())
-        save_cache(warm.store, str(path))
-        saved = path.read_text(encoding="utf-8").splitlines()
-        assert saved == [line for line in lines if line.split("|")[0] != "0"
-                         and min(map(int, line.split("|")[1].split(","))) >= 2]
-        assert len(saved) == 121
+        for line in lines:
+            g, ds, value = line.split("|")
+            assert engine_tau(warm, int(g), [int(d) for d in ds.split(",")]) == F(value), line
 
     @pytest.mark.parametrize("g, keys, core", [(6, 801, 297), (8, 4062, 1474)])
     def test_memo_sizes_under_dilaton_first(self, g, keys, core):
