@@ -50,10 +50,12 @@ The memo can be persisted to a plain-text cache file of core entries only:
 g >= 1 with every index >= 2, the keys whose reduction needs a DVV genus
 split.  Every other key is one cheap step from the core and is rederived on
 demand.  A line is "g|d1,...,dn|p/q" holding <tau_ds>_g itself, indices
-sorted descending, lines sorted for diff-stability.  Loading accepts exactly
-such entries: it rejects a line that is not UTF-8 text, a key that is not core
-or breaks the dimension rule, a key given before, a value <= 0, and a value
-that times 2^(4g) prod (2d_i+1)!! is not an integer; saving writes a
+sorted descending, value reduced, lines sorted for diff-stability.  Loading
+accepts exactly such lines: it rejects a line that is not UTF-8 text, a key
+that is not core or breaks the dimension rule, a key given before, a value
+<= 0, a value that times 2^(4g) prod (2d_i+1)!! is not an integer, and any
+other spelling of a valid line (a blank line, unsorted indices, a sign, a
+leading zero, whitespace, an unreduced value); saving writes a
 temporary file beside the target and renames it into place.  Neither builds
 a Fraction.  The engine, the saver and the loader read one (2d+1)!! table,
 so each double factorial is computed once per process.
@@ -142,6 +144,11 @@ def _render(genus: int, ds: Tuple[int, ...]) -> str:
     return f"{genus}|{','.join(map(str, ds))}"
 
 
+def _is_core(genus: int, ds: Tuple[int, ...]) -> bool:
+    """Whether (g, ds), ds descending, is a core key: g >= 1, every index >= 2."""
+    return genus >= 1 and bool(ds) and ds[-1] >= 2
+
+
 class _OddDoubleFactorials(dict):
     """d -> (2d+1)!! = (2d+2)! / (2^(d+1) (d+1)!), each computed on first use
     without the smaller ones, so one large index costs one large number."""
@@ -190,7 +197,7 @@ def save_cache(store: MemoStore, path: str) -> None:
         if type(w) is not int:
             raise TypeError(f"memo entry {_render(genus, ds)} is a {type(w).__name__}, "
                             "not a normalized int")
-        if genus >= 1 and ds and ds[-1] >= 2:  # a core key
+        if _is_core(genus, ds):
             lines.append(f"{_render(genus, ds)}|{format_rational(*reduced(w, _scale(genus, ds)))}")
     lines.sort()
     data = "".join(line + "\n" for line in lines).encode("utf-8")
@@ -214,11 +221,9 @@ def load_cache(path: str) -> MemoStore:
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh.read().splitlines(), start=1):  # \n, \r\n or \r
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise CacheFormatError(line_no, "not UTF-8 text") from None
-            if not line:
-                continue
             parts = line.split("|")
             if len(parts) != 3:
                 raise CacheFormatError(line_no, f"expected 3 '|'-separated fields, got {len(parts)}")
@@ -235,7 +240,7 @@ def load_cache(path: str) -> MemoStore:
                 p, q = parse_pair(value_text)
             except ValueError as exc:
                 raise CacheFormatError(line_no, str(exc)) from None
-            if genus < 1 or ds[-1] < 2:
+            if not _is_core(genus, ds):
                 raise CacheFormatError(line_no, f"key {_render(genus, ds)} is not a core key "
                                                 "(genus >= 1, every index >= 2)")
             if (genus, ds) in entries:  # save_cache writes each key once
@@ -253,6 +258,9 @@ def load_cache(path: str) -> MemoStore:
                 raise CacheFormatError(
                     line_no, f"value {value_text} of {_render(genus, ds)} times "
                              f"2^(4g) prod (2d+1)!! is not an integer")
+            canonical = f"{_render(genus, ds)}|{format_rational(*reduced(p, q))}"
+            if line != canonical:  # int() also reads "+", "_", spaces and non-ASCII digits
+                raise CacheFormatError(line_no, f"line is not in its canonical form {canonical!r}")
             entries[genus, ds] = w
     return MemoStore(entries)
 

@@ -78,20 +78,26 @@ class TestTau:
             assert sys.get_int_max_str_digits() == limit
         assert path.read_text(encoding="utf-8") == ""
         # the core line <tau_3298>_1100 = 1/(24^1100 1100!), a 4388-digit
-        # denominator, loads, is saved back in full and prints
+        # denominator, loads, is saved back in full beside the new core lines
+        # of <tau_3 tau_2>_2, and prints; the pure hit then leaves the file alone
         sys.set_int_max_str_digits(0)
         try:
             line = f"1100|3298|1/{24 ** 1100 * math.factorial(1100)}\n"
         finally:
             sys.set_int_max_str_digits(limit)
         assert len(line) == 4388 + len("1100|3298|1/\n")
+        cold = tmp_path / "cold.cache"
+        assert run_cli(capsys, "tau", "--genus", "2", "--ds", "3,2", "--cache", str(cold)) == \
+            (EXIT_OK, "29/5760\n", "")
+        genus2 = cold.read_text(encoding="utf-8")
+        assert genus2.startswith("2|") and "2|3,2|29/5760\n" in genus2
         path.write_text(line, encoding="utf-8")
-        for argv in (["2", "--ds", "2,2,0"], ["1100", "--ds", "3298"]):
+        for argv, value in ((["2", "--ds", "3,2"], "29/5760\n"),
+                            (["1100", "--ds", "3298"], line.split("|")[2])):
             code, out, err = run_cli(capsys, "tau", "--genus", *argv, "--cache", str(path))
-            assert code == EXIT_OK and err == ""
+            assert (code, out, err) == (EXIT_OK, value, "")
             assert sys.get_int_max_str_digits() == limit
-            assert path.read_text(encoding="utf-8") == line
-        assert out == line.split("|")[2]
+            assert path.read_text(encoding="utf-8") == line + genus2
 
     def test_600_point_key_evaluates(self, capsys):
         # a valid 600-point genus-0 key (value 1), once deeper than the recursion limit
@@ -625,6 +631,17 @@ class TestCache:
         assert err == "error: cache line 1: key 1|1 is not a core key " \
                       "(genus >= 1, every index >= 2)\n"
         assert path.read_bytes() == b"1|1|1/12\n"
+
+    def test_other_spelling_of_a_core_line_exits_3(self, capsys, tmp_path):
+        # int() reads "1_0" as 10, so earlier loaders took this line for <tau_10>_4
+        path = tmp_path / "spelled.cache"
+        path.write_bytes(b"4|1_0|1/7962624\n")
+        code, out, err = run_cli(capsys, "tau", "--genus", "4", "--ds", "10",
+                                 "--cache", str(path))
+        assert (code, out) == (EXIT_IO, "")
+        assert err == "error: cache line 1: line is not in its canonical form " \
+                      "'4|10|1/7962624'\n"
+        assert path.read_bytes() == b"4|1_0|1/7962624\n"
 
     def test_first_run_creates_the_file_even_when_empty(self, capsys, tmp_path):
         path = tmp_path / "new.cache"

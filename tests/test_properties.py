@@ -76,9 +76,7 @@ def _ref_load_cache(path):
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
+            line = raw.removesuffix("\n")
             parts = line.split("|")
             if len(parts) != 3:
                 raise CacheFormatError(line_no, f"expected 3 '|'-separated fields, got {len(parts)}")
@@ -115,6 +113,9 @@ def _ref_load_cache(path):
                 raise CacheFormatError(
                     line_no, f"value {value_text} of {key} times "
                              f"2^(4g) prod (2d+1)!! is not an integer")
+            canonical = f"{key}|{value}"
+            if line != canonical:
+                raise CacheFormatError(line_no, f"line is not in its canonical form {canonical!r}")
             entries[genus, ds] = int(w)
     return MemoStore(entries)
 
@@ -184,10 +185,11 @@ NON_CORE_LINES = ["1|0,2|1/24", "1|2,00|1/24", "1|2, 0|2/48", "1|2,-0|1/24", "1|
                   "1|2,0,0|0/5", "0|20,0,0|0", "0|2_0,0,0|0", "1|\u0662,0|1/24",
                   "0|0,0,0|\u0661"]
 
-#: core lines that load, none of them as save_cache writes them
+#: true core entries, none of them spelled as save_cache writes them; each
+#: is rejected
 ODD_SPELLINGS = ["2|2,3|29/5760", "2|3,02|29/5760", "2|3, 2|58/11520", "2|+3,2|+29/5760",
                  " 2|3,2| 29/5760 ", "02|2,2,2|14/480", "\u0662|3,2|29/5760",
-                 "2|2,2,2|\u0667/240", "4|1_0|1/7962624"]
+                 "2|2,2,2|\u0667/240", "4|1_0|1/7962624", "2|3,2|29/5760 ", "", "  "]
 
 
 @st.composite
@@ -199,15 +201,17 @@ def cache_files(draw):
     lines = []
     for g, ds, value in draw(st.lists(cache_entries(), max_size=8)):
         ds = sorted(ds, reverse=True)
-        if draw(st.integers(0, 3)) == 0:
+        if draw(st.integers(0, 3)):  # canonical
+            lines.append(f"{g}|{','.join(map(str, ds))}|{format_rational(value)}")
+        else:
             ds = draw(st.permutations(ds))
-        tokens = [draw(st.sampled_from(["{}"] * 6 + ["0{}", "+{}", " {}"] + ["-{}"] * (d == 0)))
-                  .format(d) for d in ds]
-        k = draw(st.sampled_from([1, 1, 1, 2, 3]))
-        text = f"{value.numerator * k}/{value.denominator * k}" if k > 1 else format_rational(value)
-        text = draw(st.sampled_from(["", "", "", "+", " "])) + text
-        pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
-        lines.append(f"{pad}{g}|{','.join(tokens)}|{text}{pad}")
+            tokens = [draw(st.sampled_from(["{}", "0{}", "+{}", " {}"] + ["-{}"] * (d == 0)))
+                      .format(d) for d in ds]
+            k = draw(st.sampled_from([1, 2, 3]))
+            text = f"{value.numerator * k}/{value.denominator * k}" if k > 1 else format_rational(value)
+            text = draw(st.sampled_from(["", "+", " "])) + text
+            pad = draw(st.sampled_from(["", " ", "\t"]))
+            lines.append(f"{pad}{g}|{','.join(tokens)}|{text}{pad}")
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(["", "   ", lines[-1]])))
         if draw(st.integers(0, 7)) == 0:
@@ -365,10 +369,10 @@ class TestCacheFile:
     @pytest.mark.parametrize("line", ODD_SPELLINGS + NON_CORE_LINES + CORRUPT_LINES)
     def test_line_loads_like_the_fraction_loader(self, tmp_path, line):
         path = tmp_path / "c.txt"
-        path.write_text(f"2|4|1/1152\n\n{line}\n", encoding="utf-8")
+        path.write_text(f"2|4|1/1152\n{line}\n", encoding="utf-8")
         outcome = _load_outcome(load_cache, str(path))
         assert outcome == _load_outcome(_ref_load_cache, str(path))
-        assert isinstance(outcome, dict) == (line in ODD_SPELLINGS)
+        assert outcome.startswith("cache line 2: ")
 
     @settings(PROPERTY, max_examples=100)
     @given(cache_files())

@@ -412,6 +412,26 @@ class TestCacheFile:
         assert store.entries == {(2, (4,)): 210}  # 2^8 * 9!! * 1/1152
         assert engine_tau(TauCalculator(store), 2, [4]) == F(1, 1152)
 
+    @pytest.mark.parametrize("line", ["2|2,3|29/5760", "2|3,2|58/11520", "2|3,2|+29/5760",
+                                      "02|3,2|29/5760", "2|3, 2|29/5760", " 2|3,2|29/5760",
+                                      "2|3,2|29/5760\t", "٢|3,2|29/5760",
+                                      "4|1_0|1/7962624"])
+    def test_other_spelling_of_a_true_line_rejected(self, tmp_path, line):
+        # each parses to a true core entry, but save_cache writes none of them
+        canonical = "4|10|1/7962624" if line.startswith("4") else "2|3,2|29/5760"
+        path = tmp_path / "c.txt"
+        path.write_text(f"2|4|1/1152\n{line}\n", encoding="utf-8")
+        with pytest.raises(CacheFormatError) as info:
+            load_cache(str(path))
+        assert str(info.value) == f"cache line 2: line is not in its canonical form {canonical!r}"
+
+    def test_blank_line_rejected(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("2|4|1/1152\n\n", encoding="utf-8")
+        with pytest.raises(CacheFormatError,
+                           match=r"^cache line 2: expected 3 '\|'-separated fields, got 1$"):
+            load_cache(str(path))
+
     def test_empty_index_list(self, tmp_path):
         # no core key has one, and "-", which earlier savers wrote for it, is no index
         for text, field in [("2|-|0", "'-'"), ("2||1", "''")]:
