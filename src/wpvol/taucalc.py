@@ -17,9 +17,11 @@ dimension rule holds.
 
 A key is a plain tuple (g, ds), ds sorted in descending order; canonical_key
 builds it from outside input, and each reduction builds its child keys in
-that shape directly.  In the genus-splitting sum the dimension constraint of
-<tau_a I>_{g1} fixes g1 = (sum(I) + a - |I| + 2) / 3, so a split contributes
-only when that is an integer in [0, g].
+that shape directly.  tau_batch answers (0, 1) for a key that is unstable
+(2g-2+n <= 0) or off the dimension rule sum(ds) = 3g-3+n, the engine's only
+test of either: every reduction keeps both.  In the genus-splitting sum the
+rule fixes the genus of <tau_a I>_{g1} to g1 = (sum(I) + a - |I| + 2) / 3,
+so a split contributes only when that is an integer in [0, g].
 
 The memo holds plain ints, the normalized correlators (Liu-Xu)
 
@@ -35,11 +37,10 @@ remains.  The double factorials clear every odd denominator.  The
 2-adic scale 2^(4g) is a pinned invariant: over the keys of volume(g, n),
 g <= 6, the largest 2-adic exponent of a denominator of <tau_ds>_g is
 3g + v2(g!) (3, 7, 10, 15, 18, 22), below 4g and attained by
-<tau_{3g-2}>_g = 1/(24^g g!).  A wrong cache
-value can still break it, so the halving raises InconsistentMemoError on a
-remainder instead of rounding.  A correlator leaves the engine as the pair
-(p, q) of W / (2^(4g) prod (2d_i+1)!!) in lowest terms, q > 0, from
-tau_batch, the engine's one entry; no Fraction is built.
+<tau_{3g-2}>_g = 1/(24^g g!).  A wrong cache value can still break it, so
+the halving raises InconsistentMemoError on a remainder instead of
+rounding.  A correlator leaves tau_batch, the engine's one entry, as the
+reduced pair (p, q) of W / (2^(4g) prod (2d_i+1)!!), q > 0; no Fraction.
 
 Evaluation keeps an explicit worklist, not the interpreter's call stack:
 each reduction is a generator that looks its children up in the memo and
@@ -55,10 +56,10 @@ accepts exactly such lines: it rejects a line that is not UTF-8 text, a key
 that is not core or breaks the dimension rule, a key given before, a value
 <= 0, a value that times 2^(4g) prod (2d_i+1)!! is not an integer, and any
 other spelling of a valid line (a blank line, unsorted indices, a sign, a
-leading zero, whitespace, an unreduced value); saving writes a
-temporary file beside the target and renames it into place.  Neither builds
-a Fraction.  The engine, the saver and the loader read one (2d+1)!! table,
-so each double factorial is computed once per process.
+leading zero, whitespace, an unreduced value); saving refuses a core entry
+off the dimension rule or <= 0, then writes a temporary file beside the
+target and renames it into place.  Neither builds a Fraction.  The engine,
+saver and loader share one (2d+1)!! table: each is computed once a process.
 
 The exact scalar helpers (factorial, format_rational, parse_pair,
 rational_sum, reduced) live here too and work on int pairs, so a command
@@ -189,15 +190,18 @@ def save_cache(store: MemoStore, path: str) -> None:
     `path`, sorted for diffs.  Every other key is one cheap step from the core
     and is rederived on demand: genus 0 by the closed form, a key with a tau_0
     by the string equation, one with a tau_1 by DVV at k = 1 (the dilaton
-    equation).  A non-int entry, core or not, raises TypeError before anything
-    is written, and a file that already holds these bytes is left as it is
-    (inode and mtime too)."""
+    equation).  A non-int entry raises TypeError, and a core entry off the
+    dimension rule or <= 0 ValueError, before anything is written; a file
+    that already holds these bytes is left as it is (inode and mtime too)."""
     lines = []
     for (genus, ds), w in store.entries.items():
         if type(w) is not int:
             raise TypeError(f"memo entry {_render(genus, ds)} is a {type(w).__name__}, "
                             "not a normalized int")
         if _is_core(genus, ds):
+            if sum(ds) != 3 * genus - 3 + len(ds) or w <= 0:  # tested before the scale
+                raise ValueError(f"memo entry {_render(genus, ds)} = {w} breaks the dimension "
+                                 "rule or is not positive: load_cache would reject its line")
             lines.append(f"{_render(genus, ds)}|{format_rational(*reduced(w, _scale(genus, ds)))}")
     lines.sort()
     data = "".join(line + "\n" for line in lines).encode("utf-8")
@@ -315,33 +319,30 @@ class TauCalculator:
     # -- evaluation ----------------------------------------------------------
 
     def tau_batch(self, genus: int, pairs, zeros: int = 0) -> Tuple[int, int]:
-        """Correlator of a multiplicity vector given as (i, mult) pairs, with
-        `zeros` extra tau_0's, as the reduced pair (p, q), q > 0: (0, 1) for
-        unstable keys or dimension mismatch.  The one producer of a value."""
+        """Correlator of the (i, mult) pairs with `zeros` more tau_0's as the
+        reduced pair (p, q), q > 0: the one producer of a value and the one gate,
+        (0, 1) for an unstable or dimension-breaking key before any memo read."""
         ds = [0] * zeros
         for i, mult in pairs:
             ds.extend([i] * mult)
-        key = canonical_key(genus, ds)
+        key = g, ds = canonical_key(genus, ds)
+        if 2 * g - 2 + len(ds) <= 0 or sum(ds) != 3 * g - 3 + len(ds):
+            return 0, 1
         w = self.store.entries.get(key)
         if w is None:
             w = self._step(key)
             if type(w) is not int:
                 w = self._drive(w, key)
-        # a zero W skips the scale, which can be huge on a dimension-breaking key
-        return reduced(w, _scale(*key)) if w else (0, 1)
+        return reduced(w, _scale(*key))
 
     # -- the worklist ----------------------------------------------------------
 
     def _step(self, key: Key):
-        """W(key) when no reduction is needed (0 for an unstable or
-        dimension-breaking key, the torus base, the genus-0 closed form; the
-        last two are stored), else the generator of its one reduction, by
-        the smallest index: the fused string-dilaton step on a tau_0, else
-        DVV on that index."""
+        """W(key) of a stable key on the dimension rule (tau_batch admits no
+        other, and every reduction keeps both): the torus base or the genus-0
+        closed form, both stored, else the generator of its one reduction by
+        the smallest index, the fused string-dilaton step on a tau_0 or DVV."""
         g, ds = key
-        n = len(ds)
-        if 2 * g - 2 + n <= 0 or sum(ds) != 3 * g - 3 + n:
-            return 0
         if g == 0:
             w = self.store.entries[key] = self._genus0(ds)
             return w
@@ -395,12 +396,9 @@ class TauCalculator:
         without it, weight 5 * 3(2g-2+m) for its m = len(ds) - 2 indices, when
         that child is stable (2g-2+m > 0); else the tau_1 stays in the child."""
         get = self.store.entries.get
-        head = ds[:ds.index(0)]  # lowering a tau_0 gives <tau_{-1} ...> = 0
-        total = count = 0
-        for j, (v, after) in enumerate(zip(head, head[1:] + (0,))):
-            count += 1
-            if after == v:
-                continue  # lowering only the last copy of v keeps the tuple sorted
+        total = 0
+        for v, start, stop in _runs(ds[:ds.index(0)]):  # lowering a tau_0 gives <tau_{-1} ...> = 0
+            j = stop - 1  # lowering only the last copy of v keeps the tuple sorted
             if v == 2 and 2 * g + len(ds) > 4:
                 child, weight = (g, ds[:j] + ds[j + 1:-1]), 15 * (2 * g - 4 + len(ds))
             else:
@@ -408,8 +406,7 @@ class TauCalculator:
             w = get(child)
             if w is None:
                 w = yield child
-            total += weight * count * w
-            count = 0
+            total += weight * (stop - start) * w
         return total
 
     def _dvv(self, g: int, ds: Tuple[int, ...]):

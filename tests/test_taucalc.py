@@ -12,6 +12,7 @@ import pytest
 
 from oracles import dilaton_step, dvv_step, engine_tau, ref_tau, string_step
 from wpvol import taucalc
+from wpvol.genexp import volume_series
 from wpvol.kappavol import volume
 from wpvol.taucalc import (
     CacheFormatError,
@@ -37,6 +38,21 @@ def genus0_closed_form(ds):
     for d in ds:
         denom *= factorial(d)
     return F(factorial(n - 3), denom)
+
+
+@pytest.fixture
+def small_odd(monkeypatch):
+    """A fresh (2d+1)!! table in place of the shared one, so no (2d+1)!! an
+    earlier test computed can hide a scaled value; it refuses d >= 100."""
+    real = taucalc._OddDoubleFactorials.__missing__
+
+    def small_only(odd, d):
+        assert d < 100, f"a rejected key was scaled by (2*{d}+1)!!"
+        return real(odd, d)
+
+    monkeypatch.setattr(taucalc._OddDoubleFactorials, "__missing__", small_only)
+    monkeypatch.setattr(taucalc, "_ODD", taucalc._OddDoubleFactorials())
+    return taucalc._ODD
 
 
 class TestTauKey:
@@ -70,6 +86,56 @@ class TestBaseAndGates:
         assert engine_tau(calc, 0, [0, 0]) == 0
         assert engine_tau(calc, 0, []) == 0
         assert engine_tau(calc, 1, []) == 0
+
+
+class TestOneGate:
+    """tau_batch tests stability and the dimension rule on the key it is
+    given, and no step tests them again: every key a reduction builds from
+    a key that passes is stable (2g-2+n > 0) and obeys sum(ds) = 3g-3+n."""
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        keys = []
+        step = TauCalculator._step
+
+        def recorded(calc, key):
+            keys.append(key)
+            return step(calc, key)
+
+        monkeypatch.setattr(TauCalculator, "_step", recorded)
+        return keys
+
+    @staticmethod
+    def assert_rule_abiding(keys, calc):
+        for g, ds in keys:
+            assert 2 * g - 2 + len(ds) > 0, (g, ds)
+            assert sum(ds) == 3 * g - 3 + len(ds), (g, ds)
+        # each step on a cold memo stores the one key it was given
+        assert len(keys) == len(set(keys)) == len(calc.store.entries)
+
+    @pytest.mark.parametrize("g, n", [(0, 22), (1, 12), (2, 15), (3, 10), (4, 6), (5, 2),
+                                      (6, 0), (8, 0)])
+    def test_volume_steps_only_rule_abiding_keys(self, stepped, g, n):
+        calc = TauCalculator()
+        volume(g, n, calc)
+        assert stepped
+        self.assert_rule_abiding(stepped, calc)
+
+    @pytest.mark.parametrize("g", range(5))
+    def test_volume_series_steps_only_rule_abiding_keys(self, stepped, g):
+        calc = TauCalculator()
+        volume_series(g, 12, calc)
+        assert stepped
+        self.assert_rule_abiding(stepped, calc)
+
+    @pytest.mark.parametrize("g, ds", [(3, (20000, 2)), (2, (2, 2, 0)), (1, ()), (0, (0, 0))])
+    def test_rule_breaking_key_is_zero_before_the_memo(self, stepped, small_odd, g, ds):
+        # the first two break the dimension rule; (1, ()) obeys it but is
+        # unstable, and (0, (0, 0)) is unstable
+        calc = TauCalculator()
+        assert calc.tau_batch(g, [(d, ds.count(d)) for d in set(ds) if d], zeros=ds.count(0)) \
+            == (0, 1)
+        assert calc.store.entries == {} and stepped == [] and not small_odd
 
 
 class TestReductions:
@@ -442,12 +508,13 @@ class TestCacheFile:
                 load_cache(str(path))
 
     def test_lines_sorted(self, tmp_path):
-        # W(2, (4,)) = 2^8 9!! / 1152, W(1, (2, 2)) = 2^4 (5!!)^2 / 240
-        store = MemoStore({(2, (4,)): 210, (1, (2, 2)): 15})
+        # W(2, (4,)) = 2^8 9!! / 1152, W(2, (3, 2)) = 2^8 7!! 5!! 29 / 5760
+        store = MemoStore({(2, (4,)): 210, (2, (3, 2)): 2030})
         path = tmp_path / "c.txt"
         save_cache(store, str(path))
         lines = path.read_text().splitlines()
-        assert lines == sorted(lines) == ["1|2,2|1/240", "2|4|1/1152"]
+        assert lines == sorted(lines) == ["2|3,2|29/5760", "2|4|1/1152"]
+        assert load_cache(str(path)).entries == store.entries
 
     def test_malformed_rational(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -477,23 +544,27 @@ class TestCacheFile:
         with pytest.raises(CacheFormatError, match=r"^cache line 1: key 5\|0 is not a core key"):
             load_cache(str(path))
 
-    def test_zero_value_is_never_scaled(self, tmp_path, monkeypatch):
+    def test_zero_value_is_never_scaled(self, tmp_path, small_odd):
         # a dimension-breaking core-shaped key is rejected before its scale
-        # is computed: its (2d+1)!! can be as large as the key's index makes
-        # it.  A fresh table in place of the shared one, so no (2d+1)!! an
-        # earlier test computed can hide a scaled value
-        real = taucalc._OddDoubleFactorials.__missing__
-
-        def small_only(odd, d):
-            assert d < 100, f"a rejected line was scaled by (2*{d}+1)!!"
-            return real(odd, d)
-
+        # is computed: its (2d+1)!! can be as large as the key's index makes it
         path = tmp_path / "c.txt"
         path.write_text("2|4|1/1152\n1|20000,2|0\n", encoding="utf-8")
-        monkeypatch.setattr(taucalc._OddDoubleFactorials, "__missing__", small_only)
-        monkeypatch.setattr(taucalc, "_ODD", taucalc._OddDoubleFactorials())
         with pytest.raises(CacheFormatError, match=r"^cache line 2: key 1\|20000,2 breaks"):
             load_cache(str(path))
+
+    @pytest.mark.parametrize("key, w", [((1, (300, 2)), 0), ((1, (20000, 2)), 0),
+                                        ((2, (4,)), -210)])
+    def test_save_refuses_a_line_the_loader_rejects(self, tmp_path, small_odd, key, w):
+        # a hand-built memo can hold what the engine never stores: a core key
+        # off the dimension rule, or a W <= 0; the saver names it, writes
+        # nothing and computes no scale (40001!! for the second key)
+        path = tmp_path / "c.txt"
+        path.write_text("2|4|1/1152\n", encoding="utf-8")
+        rendered = re.escape(taucalc._render(*key))
+        with pytest.raises(ValueError, match=f"^memo entry {rendered} = {w} breaks"):
+            save_cache(MemoStore({(2, (3, 2)): 2030, key: w}), str(path))
+        assert path.read_bytes() == b"2|4|1/1152\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
     def test_save_writes_every_index_as_its_own_text(self, tmp_path):
         # every index of a saved key is written as str(d), a large one too:
