@@ -90,7 +90,7 @@ def brackets(g: int, n: int, calc: TauCalculator) -> Iterator[Tuple[Dict[int, in
     nonzero, with p/q = <tau_0^n prod tau_i^{l_i}>_g / prod l_i!; the one loop
     over brackets that volume() and the closed form of phi_g both read."""
     for l in enumerate_multiindices(3 * g - 3 + n):
-        p, q = calc.tau_batch(g, l.items(), zeros=n)
+        p, q = calc.tau_batch(g, ((0, n), *l.items()))
         if p:
             yield l, p, q * math.prod(map(factorial, l.values()))
 

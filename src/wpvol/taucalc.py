@@ -318,11 +318,11 @@ class TauCalculator:
 
     # -- evaluation ----------------------------------------------------------
 
-    def tau_batch(self, genus: int, pairs, zeros: int = 0) -> Tuple[int, int]:
-        """Correlator of the (i, mult) pairs with `zeros` more tau_0's as the
-        reduced pair (p, q), q > 0: the one producer of a value and the one gate,
-        (0, 1) for an unstable or dimension-breaking key before any memo read."""
-        ds = [0] * zeros
+    def tau_batch(self, genus: int, pairs) -> Tuple[int, int]:
+        """Correlator of the (i, mult) pairs, tau_0's a (0, mult) pair like any other,
+        as the reduced pair (p, q), q > 0: the one producer of a value and the one
+        gate, (0, 1) for an unstable or dimension-breaking key before any memo read."""
+        ds = []
         for i, mult in pairs:
             ds.extend([i] * mult)
         key = g, ds = canonical_key(genus, ds)

@@ -91,17 +91,17 @@ def induction_sides(g: int, n: int, l: Mapping[int, int],
         raise ValueError(f"multi-index weight {weight} != dimension {3 * g - 3 + n}")
     if n < 1 or 2 * g - 3 + n <= 0:  # the child of the step must be stable, as in _string
         raise ValueError("the fused string-dilaton step needs n >= 1 and 2g - 3 + n > 0")
-    lhs = calc.tau_batch(g, l.items(), zeros=n)
+    lhs = calc.tau_batch(g, {0: n, **l}.items())
     terms = []  # the (p, q) of each weighted child
     l2 = l.get(2, 0)
     if l2:
         euler = 2 * (g - 1) + (n - 1) + (sum(l.values()) - 1)
-        p, q = calc.tau_batch(g, {**l, 2: l2 - 1}.items(), zeros=n - 1)
+        p, q = calc.tau_batch(g, {0: n - 1, **l, 2: l2 - 1}.items())
         terms.append((l2 * euler * p, q))
     for j, mult in l.items():
         if j >= 3 and mult:
             shifted = {**l, j: mult - 1, j - 1: l.get(j - 1, 0) + 1}
-            p, q = calc.tau_batch(g, shifted.items(), zeros=n - 1)
+            p, q = calc.tau_batch(g, {0: n - 1, **shifted}.items())
             terms.append((mult * p, q))
     return lhs, rational_sum(terms)
 

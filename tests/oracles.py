@@ -221,6 +221,61 @@ def kappa_volume(rec) -> Fraction:
     return rec.v * math.factorial(rec.n) * math.factorial(rec.dim) if rec.p else Fraction(0)
 
 
+def _multiindices(weight: int, least: int = 2):
+    """Every multi-index l of |l| = sum (i-1) l_i = weight with indices >= least,
+    as a tuple of ascending (i, l_i) pairs, l_i >= 1: a partition enumerator
+    independent of `kappavol.enumerate_multiindices`."""
+    if not weight:
+        yield ()
+        return
+    for i in range(least, weight + 2):
+        for m in range(1, weight // (i - 1) + 1):
+            for rest in _multiindices(weight - m * (i - 1), i + 1):
+                yield ((i, m),) + rest
+
+
+def _lower(l: tuple, j: int) -> tuple:
+    """The multi-index l with one index j lowered to j - 1, dropped if that is 1."""
+    counts = dict(l)
+    counts[j] -= 1
+    if j > 2:
+        counts[j - 1] = counts.get(j - 1, 0) + 1
+    return tuple(sorted((i, m) for i, m in counts.items() if m))
+
+
+def kappa_volume_by_index_shift(g: int, n: int, calc) -> Fraction:
+    """v_{g,n} = V_{g,n}/(n! d!), d = 3g-3+n, by the kappa-to-tau sum with its
+    weights pushed from n tau_0's down to n_s = max(0, 3 - 2g) before any
+    bracket is read, so it reads at most p(3g-3+n_s) brackets, each with n_s
+    tau_0's, through `calc.tau_batch`.
+
+    Each multi-index l of weight d starts with the signed int weight
+    (-1)^(g-1+n+||l||) d! / prod_i l_i! ((i-1)!)^{l_i}, the number of set
+    partitions of a d-set into l_i blocks of size i-1.  The index-shift
+    identity that `verify.induction_sides` checks takes a bracket with k
+    tau_0's to brackets with k - 1: lowering one index j >= 3 to j - 1 weighs
+    l_j, and removing one tau_2 weighs l_2 (2g-4+k+||l||)."""
+    d = 3 * g - 3 + n
+    weights = {}
+    for l in _multiindices(d):
+        sign = (-1) ** (g - 1 + n + sum(m for _, m in l))
+        weights[l] = sign * (math.factorial(d) // math.prod(
+            math.factorial(m) * math.factorial(i - 1) ** m for i, m in l))
+    k = n
+    while k > max(0, 3 - 2 * g):
+        pushed: dict = {}
+        for l, w in weights.items():
+            norm = sum(m for _, m in l)
+            for j, m in l:
+                child = _lower(l, j)
+                factor = m * (2 * g - 4 + k + norm) if j == 2 else m
+                pushed[child] = pushed.get(child, 0) + w * factor
+        weights, k = pushed, k - 1
+    total = sum((w * Fraction(*calc.tau_batch(g, ((0, k), *l))) for l, w in weights.items()),
+                Fraction(0))
+    return total / (math.factorial(n) * math.factorial(d))
+
+
 def series_from_json_dict(data: dict) -> Series:
     """The Series that the `series` command's JSON {"order": N, "coeffs":
     [...]} describes; ValueError if N does not match the coefficient count."""

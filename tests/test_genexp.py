@@ -31,7 +31,7 @@ def _ref_closed_form(g, n, ctx, calc):
     (y')^(2(g-1)+n+||l||) * prod f_i^{l_i}/l_i!."""
     total = series([0] * (ctx.order + 1))
     for l in enumerate_multiindices(3 * g - 3 + n):
-        bracket = F(*calc.tau_batch(g, l.items(), zeros=n))
+        bracket = F(*calc.tau_batch(g, ((0, n), *l.items())))
         if not bracket:
             continue
         term = _power(ctx.h_power("y'", 1), 2 * (g - 1) + n + sum(l.values()))
@@ -368,7 +368,7 @@ class TestInductionIdentity:
         # with l_2 = 0 the right side is the shift sum alone
         l = {3: 2}  # weight 4 = dim of (2, 1)
         lhs, rhs = induction_sides(2, 1, l, calc)
-        shift_only = 2 * F(*calc.tau_batch(2, {2: 1, 3: 1}.items(), zeros=0))
+        shift_only = 2 * F(*calc.tau_batch(2, [(2, 1), (3, 1)]))
         assert F(*rhs) == shift_only
         assert lhs == rhs
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import kappa_volume, ref_tau
+from oracles import kappa_volume, kappa_volume_by_index_shift, ref_tau
 from wpvol.cli import EXIT_OK, main
 from wpvol.genexp import volume_series
 from wpvol.kappavol import (
@@ -161,6 +161,24 @@ class TestVolume:
     def test_table(self, calc):
         table = [VolumeRecord(0, n, p, q) for n, (p, q) in enumerate(volume_series(0, 5, calc))]
         assert [kappa_volume(rec) for rec in table] == [0, 0, 0, 1, 1, 5]
+
+
+class TestIndexShiftOracle:
+    """The kappa-to-tau sum with its weights pushed down to n_s tau_0's
+    before any bracket is read, against `volume`."""
+
+    @pytest.mark.parametrize("g, n, calls", [(0, 22, 1), (1, 12, 1), (2, 15, 3), (3, 10, 11),
+                                             (4, 6, 30), (5, 2, 77)])
+    def test_equals_volume_from_p_of_dim_brackets(self, g, n, calls):
+        n_s = max(0, 3 - 2 * g)
+        assert count_partitions(3 * g - 3 + n_s) == calls
+        seen = []
+        calc = TauCalculator()
+        batch = calc.tau_batch
+        calc.tau_batch = lambda genus, pairs: seen.append(pairs) or batch(genus, pairs)
+        assert kappa_volume_by_index_shift(g, n, calc) == volume(g, n, TauCalculator()).v
+        assert 1 <= len(seen) <= calls
+        assert all(sum(m for i, m in pairs if i == 0) == n_s for pairs in seen)
 
 
 def volume_out(capsys, *argv):

@@ -133,8 +133,7 @@ class TestOneGate:
         # the first two break the dimension rule; (1, ()) obeys it but is
         # unstable, and (0, (0, 0)) is unstable
         calc = TauCalculator()
-        assert calc.tau_batch(g, [(d, ds.count(d)) for d in set(ds) if d], zeros=ds.count(0)) \
-            == (0, 1)
+        assert calc.tau_batch(g, [(d, ds.count(d)) for d in set(ds)]) == (0, 1)
         assert calc.store.entries == {} and stepped == [] and not small_odd
 
 
@@ -374,7 +373,7 @@ class TestBatch:
         assert calc.tau_batch(2, [(4, 1)]) == pair(ref_tau(2, [4]))
 
     def test_pairs_and_zeros(self, calc):
-        assert calc.tau_batch(0, [(2, 1)], zeros=4) == pair(ref_tau(0, [2, 0, 0, 0, 0]))
+        assert calc.tau_batch(0, [(0, 4), (2, 1)]) == pair(ref_tau(0, [2, 0, 0, 0, 0]))
 
 
 class TestPairBoundary:
@@ -778,8 +777,8 @@ class TestCoreCache:
         # once per core key; 1,828 lists when the dilaton step (k = 1) built them too
         calls = []
         splits = taucalc._ordered_splits
-        monkeypatch.setattr(taucalc, "_ordered_splits", lambda runs: calls.append(runs) or
-                            splits(runs))
+        monkeypatch.setattr(taucalc, "_ordered_splits", lambda *args: calls.append(args) or
+                            splits(*args))
         calc = TauCalculator()
         volume(8, 0, calc)
         assert len(calls) == len(core_entries(calc.store.entries)) == 1474
