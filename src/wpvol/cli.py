@@ -127,7 +127,7 @@ def parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
         token = rest.pop(0)
         name, eq, value = token.partition("=")
         names = [name] if name in options else \
-            [n for n in (*options, "--help") if name[:2] == "--" and n.startswith(name)]
+            [n for n in (*options, "--help") if name[:2] == "--" != name and n.startswith(name)]
         if token == "-h" or names == ["--help"]:
             return _help(command)
         if len(names) != 1:

@@ -1,15 +1,14 @@
 """Exact psi-class intersection numbers <tau_{d1} ... tau_{dn}>_g.
 
 Everything reduces to the normalization <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24
-through the Dijkgraaf-Verlinde-Verlinde (KdV / Virasoro) recursion, one
-rule per key, chosen by its smallest index, and one implementation per rule:
-  - a tau_0: the string equation removes it, fused with the dilaton equation
-    on the tau_1 it frees (the paper's index-shift identity), so no key with
-    a new tau_1 is stored;
-  - otherwise: DVV on that smallest index k.  At k = 1 it has no
-    genus-lowering or split terms and its merge terms all read the one child
-    without the tau_1: it is the dilaton equation.  Only a key with every
-    index >= 2 splits.
+through one rule, the Dijkgraaf-Verlinde-Verlinde (KdV / Virasoro) recursion
+on the smallest index k of a key, in three regimes:
+  - k = 0: its merge terms are the string equation, fused with the dilaton
+    equation on a tau_1 it frees (the paper's index-shift identity), so no
+    key with a new tau_1 is stored;
+  - k = 1: its merge terms all read the one child without the tau_1: the
+    dilaton equation;
+  - k >= 2: the merge, genus-lowering and split terms; no other key splits.
 Marked points are distinguishable, so the genus-splitting sums run over
 ordered pairs of labeled submultisets.  Genus 0 needs no recursion:
 <tau_d>_0 = (n-3)!/prod d_i! (a multinomial coefficient) whenever the
@@ -188,11 +187,11 @@ class MemoStore:
 def save_cache(store: MemoStore, path: str) -> None:
     """Write the core entries (g >= 1, every index >= 2) as <tau_ds>_g to
     `path`, sorted for diffs.  Every other key is one cheap step from the core
-    and is rederived on demand: genus 0 by the closed form, a key with a tau_0
-    by the string equation, one with a tau_1 by DVV at k = 1 (the dilaton
-    equation).  A non-int entry raises TypeError, and a core entry off the
-    dimension rule or <= 0 ValueError, before anything is written; a file
-    that already holds these bytes is left as it is (inode and mtime too)."""
+    and is rederived on demand: genus 0 by the closed form, the rest by DVV
+    at k <= 1 (string, dilaton).  A non-int entry raises TypeError, and a
+    core entry off the dimension rule or <= 0 ValueError, before anything is
+    written; a file that already holds these bytes is left as it is (inode
+    and mtime too)."""
     lines = []
     for (genus, ds), w in store.entries.items():
         if type(w) is not int:
@@ -276,11 +275,14 @@ def _insert(ds: Tuple[int, ...], v: int) -> Tuple[int, ...]:
 
 
 def _runs(ds: Tuple[int, ...]) -> list:
-    """(value, start, stop) of each run of equal entries of a sorted tuple."""
+    """(value, start, stop) of each run of equal entries of the descending key
+    `ds` before its pivot ds[-1], read in place up to its first 0, if any."""
     runs = []
-    start = 0
-    for v in dict.fromkeys(ds):
-        stop = start + ds.count(v)
+    start, end = 0, len(ds) - 1
+    while start < end and ds[start]:
+        v, stop = ds[start], start + 1
+        while stop < end and ds[stop] == v:
+            stop += 1
         runs.append((v, start, stop))
         start = stop
     return runs
@@ -340,8 +342,8 @@ class TauCalculator:
     def _step(self, key: Key):
         """W(key) of a stable key on the dimension rule (tau_batch admits no
         other, and every reduction keeps both): the torus base or the genus-0
-        closed form, both stored, else the generator of its one reduction by
-        the smallest index, the fused string-dilaton step on a tau_0 or DVV."""
+        closed form, both stored, else the generator of DVV on its smallest
+        index, the one reduction."""
         g, ds = key
         if g == 0:
             w = self.store.entries[key] = self._genus0(ds)
@@ -349,8 +351,6 @@ class TauCalculator:
         if key == (1, (1,)):
             self.store.entries[key] = 2
             return 2
-        if not ds[-1]:
-            return self._string(g, ds)
         return self._dvv(g, ds)
 
     def _drive(self, gen, key: Key) -> int:
@@ -386,48 +386,38 @@ class TauCalculator:
             w *= comb(total, d) * _ODD[d]
         return w
 
-    # -- one-step reductions, as generators over normalized ints ---------------
-    # Each looks its children up in the memo and yields only the misses; the
-    # driver sends back the child's W.
+    # -- the one reduction, a generator over normalized ints -----------------
 
-    def _string(self, g: int, ds: Tuple[int, ...]):
-        """The string equation on a key with a tau_0, g >= 1, fused with the
-        dilaton equation on the tau_1 it frees: lowering a 2 gives the child
-        without it, weight 5 * 3(2g-2+m) for its m = len(ds) - 2 indices, when
-        that child is stable (2g-2+m > 0); else the tau_1 stays in the child."""
+    def _dvv(self, g: int, ds: Tuple[int, ...]):
+        """DVV on the smallest index k = ds[-1], g >= 1, looking each child up
+        in the memo and yielding only the misses, whose W the driver sends
+        back.  Each merge term replaces the last copy of a value v by k+v-1,
+        in place at k <= 1; at k = 0 a lowered 2 whose child is stable takes
+        the dilaton step at once, weight 5 * 3(2g-2+m) for the m = len(ds) - 2
+        indices left.  At k >= 2 _insert places k+v-1, and the genus-lowering
+        terms over a+b = k-2 and half the split products over ordered pairs of
+        labeled submultisets I + J of the other indices follow, ending in a, b < k."""
         get = self.store.entries.get
+        k = ds[-1]
+        runs = _runs(ds)
+
         total = 0
-        for v, start, stop in _runs(ds[:ds.index(0)]):  # lowering a tau_0 gives <tau_{-1} ...> = 0
-            j = stop - 1  # lowering only the last copy of v keeps the tuple sorted
-            if v == 2 and 2 * g + len(ds) > 4:
-                child, weight = (g, ds[:j] + ds[j + 1:-1]), 15 * (2 * g - 4 + len(ds))
+        for v, start, stop in runs:
+            j, weight = stop - 1, 2 * v + 1
+            if k > 1:
+                child = (g, _insert(ds[:j] + ds[stop:-1], k + v - 1))
+            elif v == 2 and not k and 2 * g + len(ds) > 4:
+                child, weight = (g, ds[:j] + ds[stop:-1]), 15 * (2 * g - 4 + len(ds))
             else:
-                child, weight = (g, ds[:j] + (v - 1,) + ds[j + 1:-1]), 2 * v + 1
+                child = (g, ds[:j] + (k + v - 1,) + ds[stop:-1])
             w = get(child)
             if w is None:
                 w = yield child
             total += weight * (stop - start) * w
-        return total
+        if k < 2:
+            return total
 
-    def _dvv(self, g: int, ds: Tuple[int, ...]):
-        """DVV on the smallest index k = ds[-1] >= 1, g >= 1: the merge terms,
-        the genus-lowering terms over a+b = k-2 and half the split products
-        over ordered pairs of labeled submultisets I + J of the other indices.
-        As a, b < k, they end each child; only a merged k+v-1 needs _insert.
-        At k = 1 only merge terms remain, on ds[:-1] (no splits are built): the
-        dilaton equation."""
-        get = self.store.entries.get
-        k, rest = ds[-1], ds[:-1]
-        runs = _runs(rest)
-
-        total = 0
-        for v, start, stop in runs:
-            child = (g, _insert(rest[:start] + rest[start + 1:], k + v - 1))
-            w = get(child)
-            if w is None:
-                w = yield child
-            total += (2 * v + 1) * (stop - start) * w
-
+        rest = ds[:-1]
         split_sum = 0
         for a in range(k - 1):
             child = (g - 1, rest + (max(a, k - 2 - a), min(a, k - 2 - a)))
@@ -435,7 +425,7 @@ class TauCalculator:
             if w is None:
                 w = yield child
             split_sum += w << 4
-        for shift, part, weight, complement in (_ordered_splits(runs) if k > 1 else ()):
+        for shift, part, weight, complement in _ordered_splits(runs):
             # a runs over shift + a = 3 g1 <= 3 g; indices >= 2 give shift >= 2, g1 >= 1, first > 0
             for a in range(-shift % 3, min(k - 2, 3 * g - shift) + 1, 3):
                 g1 = (shift + a) // 3

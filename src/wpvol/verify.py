@@ -89,7 +89,7 @@ def induction_sides(g: int, n: int, l: Mapping[int, int],
     weight = sum((i - 1) * mult for i, mult in l.items())
     if weight != 3 * g - 3 + n:
         raise ValueError(f"multi-index weight {weight} != dimension {3 * g - 3 + n}")
-    if n < 1 or 2 * g - 3 + n <= 0:  # the child of the step must be stable, as in _string
+    if n < 1 or 2 * g - 3 + n <= 0:  # a stable child, as for the fused step in TauCalculator._dvv
         raise ValueError("the fused string-dilaton step needs n >= 1 and 2g - 3 + n > 0")
     lhs = calc.tau_batch(g, {0: n, **l}.items())
     terms = []  # the (p, q) of each weighted child

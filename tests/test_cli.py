@@ -452,17 +452,17 @@ class TestVerify:
         # every lowered tau_2 weighted 5 * 3(2g-2+n), n the indices beside the
         # tau_0, instead of 5 * 3(2g-3+n); induction_sides reads both sides
         # through the engine, so there only its own coefficients can tell
-        fused = TauCalculator._string
+        dvv = TauCalculator._dvv
 
         def off_by_one(self, g, ds):
-            total = yield from fused(self, g, ds)
+            total = yield from dvv(self, g, ds)
             rest = ds[:-1]
-            if 2 in rest and (g, len(rest)) != (1, 1):
+            if not ds[-1] and 2 in rest and (g, len(rest)) != (1, 1):
                 i = rest.index(2)
                 total += 15 * rest.count(2) * self.store.entries[g, rest[:i] + rest[i + 1:]]
             return total
 
-        monkeypatch.setattr(TauCalculator, "_string", off_by_one)
+        monkeypatch.setattr(TauCalculator, "_dvv", off_by_one)
         for suite, failed, total in [("induction", 26, 38), ("theorem1", 4, 5),
                                      ("derivative", 4, 5)]:
             code, out, _ = run_cli(capsys, "verify", "--suite", suite,
@@ -797,9 +797,11 @@ class TestUsage:
         # a value may start with '-': this one reaches the parser's least-value check
         (["asympt", "--genus", "0", "--n-max", "12", "--n-min", "-5"],
          "error: --n-min must be >= 1"),
+        # every option starts with '--', which alone is no prefix of one
+        (["tau", "--genus", "1", "--ds", "1", "--"], "error: unrecognized arguments: --"),
     ], ids=["no-command", "unknown-command", "unknown-option", "missing-value",
             "option-as-value", "bad-int", "bad-choice", "missing-required", "n-and-table",
-            "neither-n-nor-table", "ambiguous-prefix", "negative-value"])
+            "neither-n-nor-table", "ambiguous-prefix", "negative-value", "double-dash"])
     def test_usage_error_names_the_argument(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
