@@ -43,8 +43,8 @@ reduced pair (p, q) of W / (2^(4g) prod (2d_i+1)!!), q > 0; no Fraction.
 
 Evaluation keeps an explicit worklist, not the interpreter's call stack:
 each reduction is a generator that looks its children up in the memo and
-yields only the misses, and one driver loop keeps the stack of generators,
-so a key is not limited by the recursion limit.
+yields only the misses, and one loop keeps the stack of generators and
+stores every value, so a key is not limited by the recursion limit.
 
 The memo can be persisted to a plain-text cache file of core entries only:
 g >= 1 with every index >= 2, the keys whose reduction needs a DVV genus
@@ -268,12 +268,6 @@ def load_cache(path: str) -> MemoStore:
     return MemoStore(entries)
 
 
-def _insert(ds: Tuple[int, ...], v: int) -> Tuple[int, ...]:
-    """The descending tuple `ds` with one more copy of `v`, still descending."""
-    i = bisect_left(ds, -v, key=neg)
-    return ds[:i] + (v,) + ds[i:]
-
-
 def _runs(ds: Tuple[int, ...]) -> list:
     """(value, start, stop) of each run of equal entries of the descending key
     `ds` before its pivot ds[-1], read in place up to its first 0, if any."""
@@ -321,58 +315,51 @@ class TauCalculator:
     # -- evaluation ----------------------------------------------------------
 
     def tau_batch(self, genus: int, pairs) -> Tuple[int, int]:
-        """Correlator of the (i, mult) pairs, tau_0's a (0, mult) pair like any other,
+        """Correlator of the (i, mult >= 0) pairs, tau_0's a (0, mult) pair like any other,
         as the reduced pair (p, q), q > 0: the one producer of a value and the one
         gate, (0, 1) for an unstable or dimension-breaking key before any memo read."""
         ds = []
         for i, mult in pairs:
+            if mult < 0:
+                raise ValueError(f"multiplicities must be >= 0, got {mult} for tau_{i}")
             ds.extend([i] * mult)
         key = g, ds = canonical_key(genus, ds)
         if 2 * g - 2 + len(ds) <= 0 or sum(ds) != 3 * g - 3 + len(ds):
             return 0, 1
         w = self.store.entries.get(key)
         if w is None:
-            w = self._step(key)
-            if type(w) is not int:
-                w = self._drive(w, key)
+            w = self._evaluate(key)
         return reduced(w, _scale(*key))
 
     # -- the worklist ----------------------------------------------------------
 
-    def _step(self, key: Key):
+    def _evaluate(self, key: Key) -> int:
         """W(key) of a stable key on the dimension rule (tau_batch admits no
-        other, and every reduction keeps both): the torus base or the genus-0
-        closed form, both stored, else the generator of DVV on its smallest
-        index, the one reduction."""
-        g, ds = key
-        if g == 0:
-            w = self.store.entries[key] = self._genus0(ds)
-            return w
-        if key == (1, (1,)):
-            self.store.entries[key] = 2
-            return 2
-        return self._dvv(g, ds)
-
-    def _drive(self, gen, key: Key) -> int:
-        """Run reduction `gen` of `key` to its value, evaluating each child it
-        yields on an explicit stack of generators; the value of every key on
-        the stack is stored in the memo."""
+        other, and every reduction keeps both); the engine's one writer of the
+        memo.  A leaf (genus 0, the torus base) is stored at once, any other key
+        pushes its DVV generator, and each child the top generator yields is the
+        next key; a finished generator's value is stored and sent to the one below."""
         memo = self.store.entries
-        stack = [(key, gen)]
-        sent = None
-        while stack:
-            top, gen = stack[-1]
-            try:
-                child = gen.send(sent)
-            except StopIteration as done:
-                sent = memo[top] = done.value
-                stack.pop()
-                continue
-            sent = self._step(child)
-            if type(sent) is not int:
-                stack.append((child, sent))
-                sent = None
-        return sent
+        stack = []
+        while True:
+            g, ds = key
+            if not g:
+                w = memo[key] = self._genus0(ds)
+            elif key == (1, (1,)):
+                w = memo[key] = 2
+            else:
+                stack.append((key, self._dvv(g, ds)))
+                w = None
+            while stack:
+                top, gen = stack[-1]
+                try:
+                    key = gen.send(w)
+                    break
+                except StopIteration as done:
+                    w = memo[top] = done.value
+                    stack.pop()
+            else:
+                return w
 
     def _genus0(self, ds: Tuple[int, ...]) -> int:
         """W(0, ds) = (n-3)! prod (2d_i+1)!!/d_i!, the multinomial
@@ -390,13 +377,14 @@ class TauCalculator:
 
     def _dvv(self, g: int, ds: Tuple[int, ...]):
         """DVV on the smallest index k = ds[-1], g >= 1, looking each child up
-        in the memo and yielding only the misses, whose W the driver sends
+        in the memo and yielding only the misses, whose W _evaluate sends
         back.  Each merge term replaces the last copy of a value v by k+v-1,
-        in place at k <= 1; at k = 0 a lowered 2 whose child is stable takes
-        the dilaton step at once, weight 5 * 3(2g-2+m) for the m = len(ds) - 2
-        indices left.  At k >= 2 _insert places k+v-1, and the genus-lowering
-        terms over a+b = k-2 and half the split products over ordered pairs of
-        labeled submultisets I + J of the other indices follow, ending in a, b < k."""
+        in place at k <= 1 and bisected into the indices before v's run at
+        k >= 2; at k = 0 a lowered 2 whose child is stable takes the dilaton
+        step at once, weight 5 * 3(2g-2+m) for the m = len(ds) - 2 indices
+        left.  At k >= 2 the genus-lowering terms over a+b = k-2 and half the
+        split products over ordered pairs of labeled submultisets I + J of the
+        other indices follow, ending in a, b < k."""
         get = self.store.entries.get
         k = ds[-1]
         runs = _runs(ds)
@@ -404,12 +392,12 @@ class TauCalculator:
         total = 0
         for v, start, stop in runs:
             j, weight = stop - 1, 2 * v + 1
-            if k > 1:
-                child = (g, _insert(ds[:j] + ds[stop:-1], k + v - 1))
-            elif v == 2 and not k and 2 * g + len(ds) > 4:
+            if v == 2 and not k and 2 * g + len(ds) > 4:
                 child, weight = (g, ds[:j] + ds[stop:-1]), 15 * (2 * g - 4 + len(ds))
             else:
-                child = (g, ds[:j] + (k + v - 1,) + ds[stop:-1])
+                m = k + v - 1  # <= v in place at k <= 1, else > v: before the run
+                i = bisect_left(ds, -m, 0, start, key=neg) if k > 1 else j
+                child = (g, ds[:i] + (m,) + ds[i:j] + ds[stop:-1])
             w = get(child)
             if w is None:
                 w = yield child

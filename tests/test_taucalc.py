@@ -40,6 +40,11 @@ def genus0_closed_form(ds):
     return F(factorial(n - 3), denom)
 
 
+def sorted_insert(ds, v):
+    """The descending tuple `ds` with one more copy of `v`, still descending."""
+    return tuple(sorted(ds + (v,), reverse=True))
+
+
 @pytest.fixture
 def small_odd(monkeypatch):
     """A fresh (2d+1)!! table in place of the shared one, so no (2d+1)!! an
@@ -91,18 +96,25 @@ class TestBaseAndGates:
 class TestOneGate:
     """tau_batch tests stability and the dimension rule on the key it is
     given, and no step tests them again: every key a reduction builds from
-    a key that passes is stable (2g-2+n > 0) and obeys sum(ds) = 3g-3+n."""
+    a key that passes is stable (2g-2+n > 0), obeys sum(ds) = 3g-3+n and
+    is canonical, its indices descending."""
 
     @pytest.fixture
-    def stepped(self, monkeypatch):
+    def evaluated(self, monkeypatch):
+        # every key _evaluate evaluates reaches _dvv or _genus0, but the torus base
         keys = []
-        step = TauCalculator._step
+        dvv, genus0 = TauCalculator._dvv, TauCalculator._genus0
 
-        def recorded(calc, key):
-            keys.append(key)
-            return step(calc, key)
+        def recorded_dvv(calc, g, ds):
+            keys.append((g, ds))
+            return dvv(calc, g, ds)
 
-        monkeypatch.setattr(TauCalculator, "_step", recorded)
+        def recorded_genus0(calc, ds):
+            keys.append((0, ds))
+            return genus0(calc, ds)
+
+        monkeypatch.setattr(TauCalculator, "_dvv", recorded_dvv)
+        monkeypatch.setattr(TauCalculator, "_genus0", recorded_genus0)
         return keys
 
     @staticmethod
@@ -110,31 +122,33 @@ class TestOneGate:
         for g, ds in keys:
             assert 2 * g - 2 + len(ds) > 0, (g, ds)
             assert sum(ds) == 3 * g - 3 + len(ds), (g, ds)
-        # each step on a cold memo stores the one key it was given
-        assert len(keys) == len(set(keys)) == len(calc.store.entries)
+            assert list(ds) == sorted(ds, reverse=True), (g, ds)
+        # on a cold memo each key is evaluated once, and every key evaluated is stored
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(calc.store.entries) - {(1, (1,))}
 
     @pytest.mark.parametrize("g, n", [(0, 22), (1, 12), (2, 15), (3, 10), (4, 6), (5, 2),
                                       (6, 0), (8, 0)])
-    def test_volume_steps_only_rule_abiding_keys(self, stepped, g, n):
+    def test_volume_steps_only_rule_abiding_keys(self, evaluated, g, n):
         calc = TauCalculator()
         volume(g, n, calc)
-        assert stepped
-        self.assert_rule_abiding(stepped, calc)
+        assert evaluated
+        self.assert_rule_abiding(evaluated, calc)
 
     @pytest.mark.parametrize("g", range(5))
-    def test_volume_series_steps_only_rule_abiding_keys(self, stepped, g):
+    def test_volume_series_steps_only_rule_abiding_keys(self, evaluated, g):
         calc = TauCalculator()
         volume_series(g, 12, calc)
-        assert stepped
-        self.assert_rule_abiding(stepped, calc)
+        assert evaluated
+        self.assert_rule_abiding(evaluated, calc)
 
     @pytest.mark.parametrize("g, ds", [(3, (20000, 2)), (2, (2, 2, 0)), (1, ()), (0, (0, 0))])
-    def test_rule_breaking_key_is_zero_before_the_memo(self, stepped, small_odd, g, ds):
+    def test_rule_breaking_key_is_zero_before_the_memo(self, evaluated, small_odd, g, ds):
         # the first two break the dimension rule; (1, ()) obeys it but is
         # unstable, and (0, (0, 0)) is unstable
         calc = TauCalculator()
         assert calc.tau_batch(g, [(d, ds.count(d)) for d in set(ds)]) == (0, 1)
-        assert calc.store.entries == {} and stepped == [] and not small_odd
+        assert calc.store.entries == {} and evaluated == [] and not small_odd
 
 
 class TestReductions:
@@ -264,7 +278,7 @@ class TestOraclesSeeMutants:
             total = yield from dvv(self, g, ds)
             k, rest = ds[-1], ds[:-1]
             if rest and (k, rest[0]) != (0, 2):  # a fused lowered 2 stores no child
-                total += self.store.entries[g, taucalc._insert(rest[1:], k + rest[0] - 1)]
+                total += self.store.entries[g, sorted_insert(rest[1:], k + rest[0] - 1)]
             return total
 
         monkeypatch.setattr(TauCalculator, "_dvv", off_by_one)
@@ -376,6 +390,14 @@ class TestBatch:
 
     def test_pairs_and_zeros(self, calc):
         assert calc.tau_batch(0, [(0, 4), (2, 1)]) == pair(ref_tau(0, [2, 0, 0, 0, 0]))
+
+    def test_negative_multiplicity_is_rejected(self):
+        # [i] * mult is empty for mult < 0: the pair vanished, leaving <tau_4>_2
+        calc = TauCalculator()
+        with pytest.raises(ValueError, match=r"^multiplicities must be >= 0, got -3 for tau_0$"):
+            calc.tau_batch(2, [(4, 1), (0, -3)])
+        assert calc.store.entries == {}
+        assert calc.tau_batch(0, [(0, 3), (5, 0)]) == (1, 1)
 
 
 class TestPairBoundary:
@@ -643,28 +665,25 @@ class ParentPivot(TauCalculator):
     tau_0 remained, and otherwise DVV on the largest index, which is the
     dilaton equation when every index is 1."""
 
-    def _step(self, key):
-        w = super()._step(key)
-        if type(w) is not int and not key[1][-1]:
-            return self._plain_string(*key)
-        return w
-
     def _dvv(self, g, ds):
+        return self._largest_dvv(g, ds) if ds[-1] else self._plain_string(g, ds)
+
+    def _largest_dvv(self, g, ds):
         """DVV on the largest index k = ds[0], the step the engine took before
-        it pivoted on the smallest: every child index is placed by _insert."""
+        it pivoted on the smallest: every child index is placed by sorted_insert."""
         get = self.store.entries.get
         k, rest = ds[0], ds[1:]
         runs = taucalc._runs(rest + (0,))  # rest holds no 0: a tau_0 pivot after it
         total = 0
         for v, start, stop in runs:
-            child = (g, taucalc._insert(rest[:start] + rest[start + 1:], k + v - 1))
+            child = (g, sorted_insert(rest[:start] + rest[start + 1:], k + v - 1))
             w = get(child)
             if w is None:
                 w = yield child
             total += (2 * v + 1) * (stop - start) * w
         split_sum = 0
         for a in range(k - 1):
-            child = (g - 1, taucalc._insert(taucalc._insert(rest, a), k - 2 - a))
+            child = (g - 1, sorted_insert(sorted_insert(rest, a), k - 2 - a))
             w = get(child)
             if w is None:
                 w = yield child
@@ -672,11 +691,11 @@ class ParentPivot(TauCalculator):
         for shift, part, weight, complement in taucalc._ordered_splits(runs):
             for a in range(-shift % 3, min(k - 2, 3 * g - shift) + 1, 3):
                 g1 = (shift + a) // 3
-                child = (g1, taucalc._insert(part, a))
+                child = (g1, sorted_insert(part, a))
                 first = get(child)
                 if first is None:
                     first = yield child
-                child = (g - g1, taucalc._insert(complement, k - 2 - a))
+                child = (g - g1, sorted_insert(complement, k - 2 - a))
                 second = get(child)
                 if second is None:
                     second = yield child
@@ -760,16 +779,16 @@ class TestCoreCache:
     def test_insert_calls_of_cold_volume_8(self, monkeypatch):
         # DVV on the smallest index appends each genus-lowering and split
         # child index, and a merged index at k <= 1 stays in place, so only
-        # merges at k >= 2 insert: 5,325 calls when k = 1 inserted too and
+        # merges at k >= 2 bisect: 5,325 inserts when k = 1 inserted too and
         # 137,471 when DVV reduced the largest index
         calls = []
-        insert = taucalc._insert
+        bisect = taucalc.bisect_left
 
-        def counted(ds, v):
-            calls.append(v)
-            return insert(ds, v)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bisect(*args, **kwargs)
 
-        monkeypatch.setattr(taucalc, "_insert", counted)
+        monkeypatch.setattr(taucalc, "bisect_left", counted)
         volume(8, 0, TauCalculator())
         assert len(calls) == 4307
 
